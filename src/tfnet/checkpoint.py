@@ -22,17 +22,9 @@ MAGIC = b"TFN1"
 FORMAT_VERSION = 1
 
 
-def _iter_layers(model: Model):
-    for layer in model.layers:
-        if hasattr(layer, "sublayers"):
-            yield from layer.sublayers
-        else:
-            yield layer
-
-
 def _named_blocks(model: Model):
     """(name, array) pairs covering parameters and BN running stats."""
-    for layer in _iter_layers(model):
+    for layer in model.walk_layers():
         if isinstance(layer, TFconvLayer):
             yield f"{layer.name}.theta", layer.kernel_params.theta
         elif isinstance(layer, BatchNorm1d):

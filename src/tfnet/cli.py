@@ -33,7 +33,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-ABLATE_MODES = ("backbone-only", "tfn-add", "tfn-replace", "wkn-add", "wkn-replace")
+ABLATE_MODES = tuple(mode for mode in MODES if mode != "random-tfn")
 
 
 class ConfigError(Exception):

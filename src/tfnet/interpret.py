@@ -173,14 +173,21 @@ def export_representations(model: Model, signals, batch_size: int = 256,
     With ``csv_path`` (requires ``labels``) also writes a
     ``label,f1..fD`` CSV.
     """
+    flatten = next((layer for layer in model.layers if isinstance(layer, Flatten)), None)
+    if flatten is None:
+        raise ValueError("model has no Flatten layer")
     x = np.asarray(signals)
     if x.ndim == 2:
         x = x[:, None, :]
     reps = []
+
+    def keep_flatten_output(layer, out):
+        if layer is flatten:
+            reps.append(out)
+
     for start in range(0, x.shape[0], batch_size):
         xb = standardize(x[start : start + batch_size], dtype=model.dtype)
-        _, captured = model.forward_capture(xb, Flatten, training=False)
-        reps.append(captured)
+        model.forward(xb, training=False, hook=keep_flatten_output)
     reps = np.concatenate(reps, axis=0)
     if csv_path is not None:
         if labels is None:

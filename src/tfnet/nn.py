@@ -10,9 +10,12 @@ ablation variants.
 Model inputs and outputs use the (batch, channels, length) convention.
 Internally the convolutional stack runs channels-last, (batch, length,
 channels), which keeps the im2col buffers and every elementwise pass
-contiguous; ``Model`` converts at the boundary and reports channels-first
-shapes.  All arithmetic is float64 unless a model is built with an explicit
-float32 switch.
+contiguous.  ``Model.forward`` is the one loop over a model's layers: it
+converts at the boundary, right after the channels-first time-frequency
+front layer, and can hand each layer's output to a hook.
+``Model.walk_layers`` is the one place residual blocks are expanded into
+leaf layers.  All arithmetic is float64 unless a model is built with an
+explicit float32 switch.
 """
 
 import numpy as np
@@ -330,10 +333,6 @@ class Residual(Layer):
     def grads(self):
         return [g for layer in self.sublayers for g in layer.grads]
 
-    def zero_grad(self):
-        for layer in self.sublayers:
-            layer.zero_grad()
-
     def forward(self, x, training=False):
         out = x
         for layer in self.sublayers:
@@ -352,9 +351,9 @@ class Residual(Layer):
 class Model:
     """Ordered layer stack with assembly metadata.
 
-    ``forward`` takes (batch, channels, length) input and converts to the
-    internal channels-last convention after the optional time-frequency
-    front layer (which itself works channels-first).
+    ``forward(x, hook=fn)`` calls ``fn(layer, out)`` after each top-level
+    layer with the channels-last array the walker holds; the front layer's
+    output is transposed before the hook sees it, as (batch, length, channels).
     """
 
     def __init__(self, layers, mode, backbone, n_classes, tfconv_config=None,
@@ -376,56 +375,58 @@ class Model:
             return self.layers[0], self.layers[1:]
         return None, self.layers
 
-    def forward(self, x, training=False):
+    def walk_layers(self):
+        """Leaf layers in order, each residual block replaced by its sublayers."""
+        for layer in self.layers:
+            if isinstance(layer, Residual):
+                yield from layer.sublayers
+            else:
+                yield layer
+
+    def forward(self, x, training=False, hook=None):
+        front, _ = self._front_split()
         out = np.asarray(x, dtype=self.dtype)
-        front, body = self._front_split()
-        if front is not None:
-            out = front.forward(out, training=training)
-        if out.ndim == 3:
-            out = np.ascontiguousarray(out.transpose(0, 2, 1))
-        for layer in body:
+        if front is None:
+            out = _channels_last(out)
+        for layer in self.layers:
             out = layer.forward(out, training=training)
-        if out.ndim == 3:
-            out = out.transpose(0, 2, 1)
-        return out
+            if layer is front:
+                out = _channels_last(out)
+            if hook is not None:
+                hook(layer, out)
+        return _swap_length_channels(out)
 
     def backward(self, grad):
-        g = np.asarray(grad)
-        if g.ndim == 3:
-            g = g.transpose(0, 2, 1)
+        g = _swap_length_channels(np.asarray(grad))
         front, body = self._front_split()
         for layer in reversed(body):
             g = layer.backward(g)
-        if g.ndim == 3:
-            g = g.transpose(0, 2, 1)
+        g = _swap_length_channels(g)
         if front is not None:
             g = front.backward(g)
         return g
 
     def zero_grad(self):
-        for layer in self.layers:
+        for layer in self.walk_layers():
             layer.zero_grad()
 
     def project_params(self):
-        for layer in self.layers:
-            if hasattr(layer, "project_params"):
-                layer.project_params()
+        front, _ = self._front_split()
+        if front is not None:
+            front.project_params()
 
     def parameters(self):
-        return [p for layer in self.layers for p in layer.params]
+        return [p for layer in self.walk_layers() for p in layer.params]
 
     def gradients(self):
-        return [g for layer in self.layers for g in layer.grads]
+        return [g for layer in self.walk_layers() for g in layer.grads]
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
     @property
     def tfconv(self) -> TFconvLayer | None:
-        for layer in self.layers:
-            if isinstance(layer, TFconvLayer):
-                return layer
-        return None
+        return self._front_split()[0]
 
     def first_filter_layer(self):
         """First TFconv or Conv1d layer (interpretability target)."""
@@ -434,44 +435,14 @@ class Model:
                 return layer
         raise ValueError("model has no convolutional first layer")
 
-    def trace_shapes(self, x):
-        """Inference-mode forward recording (layer name, channels-first shape)."""
-        out = np.asarray(x, dtype=self.dtype)
-        front, body = self._front_split()
-        trace = []
-        if front is not None:
-            out = front.forward(out, training=False)
-            trace.append((front.name, tuple(out.shape)))
-        if out.ndim == 3:
-            out = np.ascontiguousarray(out.transpose(0, 2, 1))
-        for layer in body:
-            out = layer.forward(out, training=False)
-            shape = tuple(out.shape)
-            if out.ndim == 3:
-                shape = (shape[0], shape[2], shape[1])
-            trace.append((layer.name, shape))
-        return trace
 
-    def forward_capture(self, x, layer_type, training=False):
-        """Forward pass that also returns the output of the first ``layer_type``."""
-        out = np.asarray(x, dtype=self.dtype)
-        front, body = self._front_split()
-        captured = None
-        if front is not None:
-            out = front.forward(out, training=training)
-            if isinstance(front, layer_type):
-                captured = out
-        if out.ndim == 3:
-            out = np.ascontiguousarray(out.transpose(0, 2, 1))
-        for layer in body:
-            out = layer.forward(out, training=training)
-            if captured is None and isinstance(layer, layer_type):
-                captured = out.transpose(0, 2, 1) if out.ndim == 3 else out
-        if captured is None:
-            raise ValueError(f"model has no {layer_type.__name__} layer")
-        if out.ndim == 3:
-            out = out.transpose(0, 2, 1)
-        return out, captured
+def _swap_length_channels(a):
+    """(B, C, L) <-> (B, L, C); arrays of other ranks pass through."""
+    return a.transpose(0, 2, 1) if a.ndim == 3 else a
+
+
+def _channels_last(a):
+    return np.ascontiguousarray(_swap_length_channels(a))
 
 
 def softmax_cross_entropy(logits, labels):

@@ -48,6 +48,7 @@ class TFconvCache:
     h_real: np.ndarray   # (B, C, L)
     h_img: np.ndarray    # (B, C, L)
     h: np.ndarray        # (B, C, L) modulus output
+    kern: np.ndarray     # (C, K) kernel bank, complex64 for float32 input
 
 
 class TFconvLayer:
@@ -122,7 +123,7 @@ class TFconvLayer:
         else:
             h = h_real
             out = h_real
-        self._cache = TFconvCache(x=x, h_real=h_real, h_img=h_img, h=h)
+        self._cache = TFconvCache(x=x, h_real=h_real, h_img=h_img, h=h, kern=kern)
         return out.astype(out_dtype, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -172,9 +173,7 @@ class TFconvLayer:
                 gt += np.einsum("bcl,bcpl->cp", ghi, d_corr.imag)
             self.grad_theta += gt
 
-        kern = self.kernels()
-        if compute is np.float32:
-            kern = kern.astype(np.complex64)
+        kern = cache.kern
         if ghi is None:
             grad_x = batch_conv_full_slice(ghr + 0j, kern.real + 0j, L).real
         else:

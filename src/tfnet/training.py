@@ -25,7 +25,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     dtype: str = "float64"
-    snapshot_theta: bool = True
     eval_batch_size: int = 256
 
     def __post_init__(self):
@@ -119,9 +118,7 @@ def evaluate(model: Model, signals, labels, batch_size=256):
     for start in range(0, signals.shape[0], batch_size):
         xb = standardize(signals[start : start + batch_size], dtype=model.dtype)
         logits = model.forward(xb, training=False)
-        pred = logits.argmax(axis=1)
-        for t, p in zip(labels[start : start + batch_size], pred):
-            confusion[int(t), int(p)] += 1
+        np.add.at(confusion, (labels[start : start + batch_size], logits.argmax(axis=1)), 1)
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion
 
@@ -157,7 +154,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     rng = derive_rng(cfg.seed, "train.shuffle")
     opt = Adam(model.parameters(), beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     history = TrainHistory()
-    if tf_layer is not None and cfg.snapshot_theta:
+    if tf_layer is not None:
         history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
 
     lr = cfg.initial_lr
@@ -190,7 +187,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
                               batch_size=cfg.eval_batch_size)
             history.test_acc.append(acc)
         history.lr.append(lr)
-        if tf_layer is not None and cfg.snapshot_theta:
+        if tf_layer is not None:
             history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
         lr *= cfg.lr_decay
     return history

@@ -39,18 +39,26 @@ class TestSaveLoadRoundTrip:
         save_model(model, path)
         assert path.read_bytes()[:4] == MAGIC == b"TFN1"
 
-    @pytest.mark.parametrize("mode,family", [
-        ("backbone-only", None),
-        ("tfn-add", "sttf"),
-        ("tfn-replace", "chirplet"),
-        ("wkn-add", "morlet"),
-        ("random-tfn", "random"),
+    @pytest.mark.parametrize("mode,family,backbone", [
+        pytest.param("backbone-only", None, "paper-cnn", id="backbone-only-None"),
+        pytest.param("tfn-add", "sttf", "paper-cnn", id="tfn-add-sttf"),
+        pytest.param("tfn-replace", "chirplet", "paper-cnn", id="tfn-replace-chirplet"),
+        pytest.param("wkn-add", "morlet", "paper-cnn", id="wkn-add-morlet"),
+        pytest.param("random-tfn", "random", "paper-cnn", id="random-tfn-random"),
+        pytest.param("tfn-replace", "morlet", "resnet-1d", id="tfn-replace-morlet-resnet-1d"),
     ])
-    def test_parameters_survive_round_trip(self, tmp_path, mode, family):
+    def test_parameters_survive_round_trip(self, tmp_path, mode, family, backbone):
         kwargs = {"family": family} if family else {}
-        model = assemble_model(mode, n_classes=5, seed=3, **kwargs)
+        model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3, **kwargs)
         path = tmp_path / "m.tfn"
         save_model(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        blocks = json.loads(raw[8 : 8 + hlen])["blocks"]
+        if backbone == "resnet-1d":
+            # sublayer j of the residual block at top-level index i is "i.res<j>.<kind>"
+            assert blocks[blocks.index("8.batchnorm1d.running_var") + 1] == "10.res0.conv1d.weight"
+            assert blocks[blocks.index("12.conv1d.weight") - 1] == "11.res4.batchnorm1d.running_var"
         loaded = load_model(path)
         assert loaded.mode == model.mode
         assert loaded.backbone == model.backbone

@@ -350,6 +350,17 @@ class TestModelContainer:
         check_model_gradients(model, x, y, rel_tol=1e-4,
                               max_entries_per_param=8, rng=rng_(38))
 
+    def test_residual_model_gradients_after_zero_grad(self):
+        rng = rng_(41)
+        layers = [Conv1d(1, 2, 3, rng), Residual([Conv1d(2, 2, 3, rng, padding="same"), ReLU()]),
+                  AdaptiveAvgPool(2), Flatten(), Dense(4, 3, rng)]
+        model = Model(layers, mode="backbone-only", backbone="micro", n_classes=3)
+        x = rng.normal(size=(3, 1, 20))
+        y = np.array([0, 1, 2])
+        # leave stale gradients in every layer, residual sublayers included
+        model.backward(softmax_cross_entropy(model.forward(x, training=True), y)[1])
+        check_model_gradients(model, x, y, rel_tol=1e-4, rng=rng_(42))
+
     def test_n_parameters_counts_everything(self):
         model = build_backbone("lenet-1d", 5)
         want = sum(p.size for p in model.parameters())
@@ -419,9 +430,11 @@ class TestAssembly:
         # kernel control parameters stay float64 regardless
         assert model.tfconv.kernel_params.theta.dtype == np.float64
 
-    def test_trace_shapes_names_layers(self):
+    def test_forward_hook_sees_each_layer_channels_last(self):
         model = assemble_model("tfn-add", n_channels=8)
-        trace = model.trace_shapes(np.zeros((1, 1, 1024)))
-        assert trace[0][0].endswith("tfconvlayer")
-        assert trace[0][1] == (1, 8, 1024)
-        assert trace[-1][1] == (1, 5)
+        trace = []
+        out = model.forward(np.zeros((1, 1, 1024)),
+                            hook=lambda layer, a: trace.append((layer, layer.name, a.shape)))
+        assert [layer for layer, _, _ in trace] == model.layers
+        assert trace[0][1:] == ("0.tfconvlayer", (1, 1024, 8))
+        assert trace[-1][2] == (1, 5) == out.shape
