@@ -7,10 +7,10 @@ through the FIR frequency response of its first-layer kernels.
 """
 
 from tfnet.kernels import KernelFamily, KernelGrid, KernelParams
-from tfnet.tfconv import TFconvLayer, reference_tft
+from tfnet.tfconv import TFconvLayer
 from tfnet.nn import Model, assemble_model, build_backbone
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
-from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5, window_signal
+from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
 from tfnet.interpret import (
     BandReport,
     FrequencyResponse,
@@ -46,12 +46,10 @@ __all__ = [
     "export_representations",
     "load_model",
     "overall_frequency_response",
-    "reference_tft",
     "save_model",
     "separability_ratio",
     "split",
     "synth_generate",
     "synthbearing5",
     "train",
-    "window_signal",
 ]

@@ -149,23 +149,6 @@ def write_history_csv(path, history: TrainHistory) -> None:
             fh.write(f"{epoch},{repr(loss)},{repr(tr)},{repr(te)}\n")
 
 
-def read_history_csv(path) -> TrainHistory:
-    hist = TrainHistory()
-    with Path(path).open() as fh:
-        header = fh.readline().strip()
-        if header != "epoch,train_loss,train_acc,test_acc":
-            raise ValueError(f"{path}: unexpected history header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            _, loss, tr, te = line.split(",")
-            hist.train_loss.append(float(loss))
-            hist.train_acc.append(float(tr))
-            hist.test_acc.append(float(te))
-    return hist
-
-
 def write_theta_trajectory_csv(path, history: TrainHistory, family) -> None:
     """Kernel control parameters per epoch (epoch 0 is the initial state)."""
     family = KernelFamily(family)

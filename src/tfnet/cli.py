@@ -235,13 +235,6 @@ def _load_eval_dataset(path: Path):
     raise ConfigError(f"dataset: {path} is not a dataset directory")
 
 
-def _dataset_classes(ds) -> int:
-    names = ds.meta.get("class_names")
-    if names:
-        return len(names)
-    return int(ds.labels.max()) + 1
-
-
 def cmd_gen_data(cfg: Config) -> int:
     samples_per_class = cfg.get_int("samples_per_class", 200)
     sample_length = cfg.get_int("sample_length", 1024)
@@ -321,15 +314,10 @@ def cmd_train(cfg: Config) -> int:
     train_ds, test_ds = _load_split_dataset(data_dir)
     # n_classes = 0 means "take the class count from the dataset"
     n_req = cfg.get_int("n_classes", 0)
-    n_classes = n_req if n_req > 0 else _dataset_classes(train_ds)
+    n_classes = n_req if n_req > 0 else train_ds.n_classes
     tc = _train_config(cfg, seed)
     model = _build_model(cfg, mode, family, n_classes, seed)
     cfg.ensure_consumed()
-    max_label = int(max(train_ds.labels.max(), test_ds.labels.max()))
-    if max_label >= n_classes:
-        raise ConfigError(
-            f"n_classes: dataset has labels up to {max_label}, model has {n_classes} classes"
-        )
     try:
         history = train(model, train_ds.signals, train_ds.labels,
                         test_ds.signals, test_ds.labels, tc)
@@ -415,7 +403,7 @@ def _ablate_cell(args):
     data_dir = cfg.get_path("dataset")
     train_ds, test_ds = _load_split_dataset(data_dir)
     n_req = cfg.get_int("n_classes", 0)
-    n_classes = n_req if n_req > 0 else _dataset_classes(train_ds)
+    n_classes = n_req if n_req > 0 else train_ds.n_classes
     tc = _train_config(cfg, seed)
     model = _build_model(cfg, mode, family or "sttf", n_classes, seed)
     history = train(model, train_ds.signals, train_ds.labels,
@@ -470,31 +458,19 @@ def cmd_ablate(cfg: Config) -> int:
 
     results: dict[int, float] = {}
     failure = None
-    if threads == 1:
-        for i, cell in enumerate(cells):
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {pool.submit(_ablate_cell, cell): i for i, cell in enumerate(cells)}
+        for fut, i in futures.items():
             try:
-                results[i] = _ablate_cell(cell)
-            except Exception as exc:  # preserve partial results below
-                failure = exc
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_ablate_cell, cell): i for i, cell in enumerate(cells)}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    if failure is None:
-                        failure = exc
+                results[i] = fut.result()
+            except Exception as exc:  # keep the other cells' results below
+                if failure is None:
+                    failure = exc
 
     rows = []
     for gi, (mode, fam) in enumerate(groups):
-        accs = []
-        for si in range(len(seeds)):
-            idx = gi * len(seeds) + si
-            if idx in results:
-                accs.append(results[idx])
-        if len(accs) == len(seeds):
+        accs = [results.get(gi * len(seeds) + si) for si in range(len(seeds))]
+        if None not in accs:
             rows.append((mode, fam or "-", float(np.mean(accs)), float(np.var(accs))))
     with (out / "results.csv").open("w") as fh:
         fh.write("model,kernel,mean_acc,variance\n")

@@ -1,4 +1,4 @@
-"""Deterministic numerical primitives: DFT, sliding-inner-product correlation.
+"""Deterministic numerical primitives: FFT-based sliding-inner-product correlation.
 
 All "convolutions" in this package are cross-correlations (no kernel flip),
 the deep-learning convention.  Kernels may be complex; signals are real.
@@ -10,86 +10,9 @@ import numpy as np
 import scipy.fft
 
 
-def _as_1d(x, name: str) -> np.ndarray:
-    a = np.asarray(x)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
-
-
-def dft(x) -> np.ndarray:
-    """Forward DFT, X[k] = sum_n x[n] exp(-2j*pi*k*n/N)."""
-    a = _as_1d(x, "x")
-    if a.size == 0:
-        raise ValueError("dft: empty input")
-    return np.fft.fft(a)
-
-
-def idft(X) -> np.ndarray:
-    """Inverse of :func:`dft` (1/N normalization)."""
-    a = _as_1d(X, "X")
-    if a.size == 0:
-        raise ValueError("idft: empty input")
-    return np.fft.ifft(a)
-
-
-def naive_dft(x) -> np.ndarray:
-    """O(N^2) direct-summation DFT; test oracle for :func:`dft`."""
-    a = _as_1d(x, "x").astype(np.complex128)
-    if a.size == 0:
-        raise ValueError("naive_dft: empty input")
-    n = np.arange(a.size)
-    w = np.exp(-2j * np.pi * np.outer(n, n) / a.size)
-    return w @ a
-
-
-def cross_correlate_valid(x, k) -> np.ndarray:
-    """Sliding inner product, out[t] = sum_m x[t+m] * k[m].
-
-    Output length is ``len(x) - len(k) + 1``; the kernel is not flipped and
-    not conjugated (fold any conjugation into ``k`` beforehand).
-    """
-    xa = _as_1d(x, "x")
-    ka = _as_1d(k, "k")
-    if ka.size == 0:
-        raise ValueError("cross_correlate_valid: empty kernel")
-    if xa.size < ka.size:
-        raise ValueError(
-            f"cross_correlate_valid: kernel (len {ka.size}) longer than signal (len {xa.size})"
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(xa, ka.size)
-    return windows @ ka
-
-
 def same_pad_widths(kernel_len: int) -> tuple[int, int]:
     """(left, right) zero-pad widths that keep correlation length-preserving."""
     return (kernel_len - 1) // 2, kernel_len - 1 - (kernel_len - 1) // 2
-
-
-def cross_correlate_same(x, k) -> np.ndarray:
-    """Length-preserving correlation: zero-pad, then valid correlation.
-
-    Pads floor((K-1)/2) zeros on the left and ceil((K-1)/2) on the right.
-    """
-    xa = _as_1d(x, "x")
-    ka = _as_1d(k, "k")
-    if xa.size == 0:
-        raise ValueError("cross_correlate_same: empty signal")
-    left, right = same_pad_widths(ka.size)
-    padded = np.concatenate(
-        [np.zeros(left, dtype=xa.dtype), xa, np.zeros(right, dtype=xa.dtype)]
-    )
-    return cross_correlate_valid(padded, ka)
-
-
-def zero_pad(x, target_len: int) -> np.ndarray:
-    """Append zeros up to ``target_len``."""
-    xa = _as_1d(x, "x")
-    if target_len < xa.size:
-        raise ValueError(f"zero_pad: target_len {target_len} < input length {xa.size}")
-    out = np.zeros(target_len, dtype=xa.dtype)
-    out[: xa.size] = xa
-    return out
 
 
 def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -102,9 +25,10 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    (B, C, L) array; complex iff ``kernels`` is complex.  Matches
-    ``cross_correlate_same(x[b], kernels[c])`` up to FFT round-off, which is
-    absolute: every output of row (b, c) is off by up to a small multiple of
+    (B, C, L) array; complex iff ``kernels`` is complex.  Matches the
+    direct-path oracle ``cross_correlate_same(x[b], kernels[c])`` in
+    ``tests/helpers.py`` up to FFT round-off, which is absolute: every
+    output of row (b, c) is off by up to a small multiple of
     ``eps * ||x[b]|| * ||kernels[c]||`` (2-norms), whatever its own size.
     Outputs far below that scale, such as those that only a kernel's tail
     reaches, have no relative accuracy.

@@ -1,4 +1,4 @@
-"""Synthetic fault-signal generation, file ingestion and dataset handling.
+"""Synthetic fault-signal generation and dataset handling.
 
 The synthetic generator produces labeled one-channel signals from a small
 vocabulary of components (steady tones, amplitude-modulated tones, damped
@@ -7,8 +7,7 @@ discriminative energy inside declared information bands, which downstream
 interpretability checks score against.
 
 On disk a dataset is a directory: ``meta.json`` (manifest), ``samples.f64le``
-(row-major little-endian float64) and ``labels.u32le``.  A flat CSV form is
-also supported for interoperability.
+(row-major little-endian float64) and ``labels.u32le``.
 """
 
 import json
@@ -193,9 +192,6 @@ class Dataset:
             return len(names)
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
-
 
 def _render_component(component, n, rng):
     if isinstance(component, Tone):
@@ -270,20 +266,6 @@ def _spec_manifest(spec: SynthSpec) -> dict:
     }
 
 
-def window_signal(signal: np.ndarray, window: int, hop: int | None = None) -> np.ndarray:
-    """Cut a 1D signal into (n_windows, window) frames; default hop = window."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ValueError(f"expected a 1D signal, got shape {signal.shape}")
-    if window < 1 or window > signal.size:
-        raise ValueError(f"window {window} out of range for length {signal.size}")
-    hop = window if hop is None else hop
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-    frames = np.lib.stride_tricks.sliding_window_view(signal, window)[::hop]
-    return np.ascontiguousarray(frames)
-
-
 def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):
     """Stratified train/test split; rounds per-class train counts to nearest.
 
@@ -355,61 +337,3 @@ def load_dataset(directory) -> Dataset:
     labels = np.frombuffer(rawl, dtype="<u4").astype(np.int64)
     meta = {k: v for k, v in meta.items() if k not in ("count", "length", "format")}
     return Dataset(samples, labels, meta)
-
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Flat CSV: header then one ``label,x0,...`` row per sample."""
-    p = Path(path)
-    L = dataset.length
-    header = "label," + ",".join(f"x{i}" for i in range(L))
-    with p.open("w") as fh:
-        fh.write(header + "\n")
-        for sig, lab in zip(dataset.signals, dataset.labels):
-            fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in sig) + "\n")
-
-
-def dataset_from_csv(path, meta: dict | None = None) -> Dataset:
-    p = Path(path)
-    labels = []
-    rows = []
-    with p.open() as fh:
-        header = fh.readline()
-        if not header.startswith("label,"):
-            raise ValueError(f"{p}: missing 'label,...' header row")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                labels.append(int(fields[0]))
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{p}:{ln}: cannot parse row: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{p}: no data rows")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise ValueError(f"{p}: inconsistent row lengths {sorted(lengths)}")
-    return Dataset(np.asarray(rows), np.asarray(labels), dict(meta or {}))
-
-
-def load_signal_file(path) -> np.ndarray:
-    """Read a raw 1D signal from .csv/.txt (one value per line or comma
-    separated) or .f64le/.bin/.raw (little-endian float64)."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"signal file {p} not found")
-    suffix = p.suffix.lower()
-    if suffix in (".csv", ".txt"):
-        try:
-            values = np.loadtxt(p, delimiter=",", dtype=np.float64)
-        except ValueError as exc:
-            raise ValueError(f"{p}: cannot parse as numeric CSV: {exc}") from exc
-        return np.atleast_1d(values.ravel().astype(np.float64))
-    if suffix in (".f64le", ".bin", ".raw"):
-        raw = p.read_bytes()
-        if len(raw) % 8 != 0:
-            raise ValueError(f"{p}: byte length {len(raw)} is not a multiple of 8")
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    raise ValueError(f"{p}: unsupported signal format {suffix!r}")

@@ -67,11 +67,6 @@ def overall_frequency_response(cfr: np.ndarray) -> np.ndarray:
     return cfr.mean(axis=0)
 
 
-def model_frequency_response(model: Model, n_fft: int = 1024) -> FrequencyResponse:
-    """Frequency response of the model's first filtering layer."""
-    return channel_frequency_response(model.first_filter_layer(), n_fft)
-
-
 def spectrum_freqs(length: int) -> np.ndarray:
     """Normalized frequency axis matching ``dataset_spectrum`` output."""
     return np.arange(length // 2 + 1) / length

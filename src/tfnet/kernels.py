@@ -120,9 +120,6 @@ class KernelParams:
     def n_channels(self) -> int:
         return self.theta.shape[0]
 
-    def copy(self) -> "KernelParams":
-        return replace(self, theta=self.theta.copy())
-
 
 def n_params(family: KernelFamily, kernel_len: int) -> int:
     if family is KernelFamily.RANDOM:

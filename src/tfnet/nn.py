@@ -20,7 +20,8 @@ explicit float32 switch.
 
 import numpy as np
 
-from tfnet.kernels import KernelFamily, KernelGrid, KernelParams, init_params
+from tfnet.core_math import same_pad_widths
+from tfnet.kernels import KernelFamily, KernelGrid, init_params
 from tfnet.seeding import derive_rng
 from tfnet.tfconv import TFconvLayer
 
@@ -83,12 +84,6 @@ class Conv1d(Layer):
     def grads(self):
         return [self.wgrad, self.bgrad]
 
-    def _pad_widths(self):
-        if self.padding == "valid":
-            return 0, 0
-        k = self.kernel_size
-        return (k - 1) // 2, k - 1 - (k - 1) // 2
-
     def _w2(self):
         """(taps*in, out) GEMM operand matching the im2col column order."""
         K = self.kernel_size
@@ -99,9 +94,8 @@ class Conv1d(Layer):
         B, L, C = x.shape
         if C != self.in_channels:
             raise ValueError(f"Conv1d expects {self.in_channels} input channels, got {C}")
-        left, right = self._pad_widths()
-        if left or right:
-            x = np.pad(x, ((0, 0), (left, right), (0, 0)))
+        if self.padding == "same":
+            x = np.pad(x, ((0, 0), same_pad_widths(self.kernel_size), (0, 0)))
         K = self.kernel_size
         L_out = x.shape[1] - K + 1
         if L_out < 1:
@@ -123,8 +117,8 @@ class Conv1d(Layer):
         gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
         for m in range(K):
             gx[:, m : m + L_out, :] += gcols[:, :, m, :]
-        left, right = self._pad_widths()
-        if left or right:
+        if self.padding == "same":
+            left, right = same_pad_widths(K)
             gx = gx[:, left : L_pad - right, :]
         return gx
 
@@ -421,9 +415,6 @@ class Model:
     def gradients(self):
         return [g for layer in self.walk_layers() for g in layer.grads]
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     @property
     def tfconv(self) -> TFconvLayer | None:
         return self._front_split()[0]
@@ -445,6 +436,14 @@ def _channels_last(a):
     return np.ascontiguousarray(_swap_length_channels(a))
 
 
+def check_labels(labels, n_classes):
+    """Raise ``ValueError`` unless every label lies in [0, n_classes)."""
+    labels = np.asarray(labels)
+    if np.any(labels < 0) or np.any(labels >= n_classes):
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got {labels.min()}..{labels.max()}")
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient w.r.t. logits."""
     logits = np.asarray(logits)
@@ -452,8 +451,7 @@ def softmax_cross_entropy(logits, labels):
     B, n_classes = logits.shape
     if labels.shape != (B,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {B}")
-    if np.any(labels < 0) or np.any(labels >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    check_labels(labels, n_classes)
     # softmax in float64 so the loss keeps full precision for float32 models
     z = logits.astype(np.float64) - logits.max(axis=1, keepdims=True).astype(np.float64)
     ez = np.exp(z)
@@ -567,7 +565,6 @@ def assemble_model(
     kernel_grid: KernelGrid | None = None,
     eps_modulus=1e-12,
     dtype=np.float64,
-    theta=None,
 ) -> Model:
     """Combine a backbone with a time-frequency front layer.
 
@@ -589,8 +586,6 @@ def assemble_model(
         return build_backbone(backbone, n_classes, in_channels=1, seed=seed, dtype=dtype)
 
     params = init_params(family, n_channels, seed=seed, grid=kernel_grid)
-    if theta is not None:
-        params = KernelParams(family, np.asarray(theta, dtype=np.float64), grid=params.grid)
     modulus = mode not in ("wkn-add", "wkn-replace")
     front = TFconvLayer(params, eps_modulus=eps_modulus, modulus=modulus)
     cfg = {

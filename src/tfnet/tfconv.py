@@ -22,19 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tfnet.core_math import (
-    batch_conv_full_slice,
-    batch_correlate_same,
-    cross_correlate_same,
-    same_pad_widths,
-)
+from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
 from tfnet.kernels import (
     KernelFamily,
-    KernelGrid,
     KernelParams,
     clamp_params,
-    default_grid,
-    evaluate_kernel,
     evaluate_kernels,
     kernel_param_grad,
 )
@@ -200,24 +192,3 @@ class TFconvLayer:
 
     def zero_grad(self):
         self.grad_theta[...] = 0.0
-
-
-def reference_tft(
-    x: np.ndarray,
-    family: KernelFamily,
-    thetas,
-    grid: KernelGrid | None = None,
-) -> np.ndarray:
-    """Direct time-frequency transform of one signal, row per parameter set.
-
-    Row i is the length-preserving correlation of ``x`` with the kernel
-    generated from ``thetas[i]``; its modulus is the time-frequency
-    spectrum.  Uses the direct sliding-window path, independent of the
-    FFT-based layer forward, so the two can check each other.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    family = KernelFamily(family)
-    if grid is None:
-        grid = default_grid(family)
-    rows = [cross_correlate_same(x, evaluate_kernel(family, t, grid)) for t in np.atleast_2d(thetas)]
-    return np.stack(rows)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tfnet.nn import Model, softmax_cross_entropy
+from tfnet.nn import Model, check_labels, softmax_cross_entropy
 from tfnet.seeding import derive_rng
 
 STD_GUARD = 1e-8  # keeps flat signals finite after standardization
@@ -114,6 +114,7 @@ def evaluate(model: Model, signals, labels, batch_size=256):
     if signals.shape[0] != labels.shape[0]:
         raise ValueError("signals and labels disagree on sample count")
     n = model.n_classes
+    check_labels(labels, n)
     confusion = np.zeros((n, n), dtype=np.int64)
     for start in range(0, signals.shape[0], batch_size):
         xb = standardize(signals[start : start + batch_size], dtype=model.dtype)
@@ -140,8 +141,9 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         raise ValueError("need at least two training samples")
     if x.shape[0] != y.shape[0]:
         raise ValueError("signals and labels disagree on sample count")
-    if np.any(y < 0) or np.any(y >= model.n_classes):
-        raise ValueError(f"labels must lie in [0, {model.n_classes})")
+    check_labels(y, model.n_classes)
+    if test_signals is not None:
+        check_labels(test_labels, model.n_classes)
     model.dtype = dtype
     tf_layer = model.tfconv
     # kernel control parameters always live in float64; only backbone

@@ -1,8 +1,72 @@
-"""Shared test utilities: finite differences and tiny model builders."""
+"""Shared test utilities: direct-path oracles, finite differences, gradient checks."""
 
 import numpy as np
 
+from tfnet.core_math import same_pad_widths
+from tfnet.kernels import KernelFamily, KernelGrid, default_grid, evaluate_kernel
 from tfnet.nn import Model, softmax_cross_entropy
+
+
+def _as_1d(x, name: str) -> np.ndarray:
+    a = np.asarray(x)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    return a
+
+
+def cross_correlate_valid(x, k) -> np.ndarray:
+    """Sliding inner product, out[t] = sum_m x[t+m] * k[m].
+
+    Output length is ``len(x) - len(k) + 1``; the kernel is not flipped and
+    not conjugated (fold any conjugation into ``k`` beforehand).
+    """
+    xa = _as_1d(x, "x")
+    ka = _as_1d(k, "k")
+    if ka.size == 0:
+        raise ValueError("cross_correlate_valid: empty kernel")
+    if xa.size < ka.size:
+        raise ValueError(
+            f"cross_correlate_valid: kernel (len {ka.size}) longer than signal (len {xa.size})"
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(xa, ka.size)
+    return windows @ ka
+
+
+def cross_correlate_same(x, k) -> np.ndarray:
+    """Length-preserving correlation: zero-pad, then valid correlation.
+
+    Pads floor((K-1)/2) zeros on the left and ceil((K-1)/2) on the right.
+    """
+    xa = _as_1d(x, "x")
+    ka = _as_1d(k, "k")
+    if xa.size == 0:
+        raise ValueError("cross_correlate_same: empty signal")
+    left, right = same_pad_widths(ka.size)
+    padded = np.concatenate(
+        [np.zeros(left, dtype=xa.dtype), xa, np.zeros(right, dtype=xa.dtype)]
+    )
+    return cross_correlate_valid(padded, ka)
+
+
+def reference_tft(
+    x: np.ndarray,
+    family: KernelFamily,
+    thetas,
+    grid: KernelGrid | None = None,
+) -> np.ndarray:
+    """Direct time-frequency transform of one signal, row per parameter set.
+
+    Row i is the length-preserving correlation of ``x`` with the kernel
+    generated from ``thetas[i]``; its modulus is the time-frequency
+    spectrum.  Uses the direct sliding-window path, independent of the
+    FFT-based layer forward, so the two can check each other.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    family = KernelFamily(family)
+    if grid is None:
+        grid = default_grid(family)
+    rows = [cross_correlate_same(x, evaluate_kernel(family, t, grid)) for t in np.atleast_2d(thetas)]
+    return np.stack(rows)
 
 
 def central_difference(fn, arr: np.ndarray, index, h: float = 1e-6) -> float:

@@ -9,7 +9,6 @@ import pytest
 from tfnet.checkpoint import (
     MAGIC,
     load_model,
-    read_history_csv,
     save_model,
     write_history_csv,
     write_kernel_taps_csv,
@@ -186,23 +185,16 @@ class TestHistoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(lines) == 4
-        assert lines[1].startswith("1,")
-        back = read_history_csv(path)
-        assert back.train_loss == hist.train_loss
-        assert back.train_acc == hist.train_acc
-        assert back.test_acc == hist.test_acc
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        assert [float(r[1]) for r in rows] == hist.train_loss
+        assert [float(r[2]) for r in rows] == hist.train_acc
+        assert [float(r[3]) for r in rows] == hist.test_acc
 
     def test_empty_history(self, tmp_path):
         path = tmp_path / "history.csv"
         write_history_csv(path, TrainHistory())
-        back = read_history_csv(path)
-        assert back.train_loss == [] and back.test_acc == []
-
-    def test_foreign_header_rejected(self, tmp_path):
-        path = tmp_path / "history.csv"
-        path.write_text("step,loss\n1,0.5\n")
-        with pytest.raises(ValueError, match="header"):
-            read_history_csv(path)
+        assert path.read_text() == "epoch,train_loss,train_acc,test_acc\n"
 
 
 class TestThetaTrajectoryCsv:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tfnet import cli
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 GEN_ARGS = ["--set", "samples_per_class=6", "--set", "sample_length=128"]
@@ -270,6 +271,24 @@ class TestAblate:
         assert self.run_ablate(threaded, data_dir) == EXIT_OK
         assert (serial / "results.csv").read_text() == \
             (threaded / "results.csv").read_text()
+
+    def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, monkeypatch):
+        clean = tmp_path / "clean"
+        assert self.run_ablate(clean, data_dir) == EXIT_OK
+        real_train = cli.train
+
+        def train(model, *args, **kwargs):
+            if model.mode == "tfn-replace":
+                raise RuntimeError("injected cell failure")
+            return real_train(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train)
+        failed = tmp_path / "failed"
+        assert self.run_ablate(failed, data_dir) == EXIT_RUNTIME
+        want = [ln for ln in (clean / "results.csv").read_text().splitlines()
+                if not ln.startswith("tfn-replace,")]
+        assert len(want) == 1 + 4
+        assert (failed / "results.csv").read_text().splitlines() == want
 
     def test_random_family_not_ablatable(self, tmp_path, data_dir):
         code = self.run_ablate(tmp_path / "x", data_dir,

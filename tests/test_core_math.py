@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfnet.core_math import (
-    batch_conv_full_slice,
-    batch_correlate_same,
-    cross_correlate_same,
-    cross_correlate_valid,
-    dft,
-    idft,
-    naive_dft,
-    same_pad_widths,
-    zero_pad,
-)
+from helpers import cross_correlate_same, cross_correlate_valid
+from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
 
 
 def naive_correlate_valid(x, k):
@@ -28,45 +19,6 @@ def naive_correlate_valid(x, k):
             acc += x[t + m] * km
         out[t] = acc
     return out
-
-
-class TestDft:
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 37, 64])
-    def test_matches_naive_oracle(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = dft(x)
-        want = naive_dft(x)
-        assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_single_tone_peaks_at_its_bin(self):
-        n = 128
-        t = np.arange(n)
-        x = np.cos(2 * np.pi * 10 * t / n)
-        mag = np.abs(dft(x))
-        assert mag.argmax() in (10, n - 10)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=50) + 1j * rng.normal(size=50)
-        assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
-
-    @given(st.integers(2, 48), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_parseval(self, n, seed):
-        x = np.random.default_rng(seed).normal(size=n)
-        X = dft(x)
-        assert np.isclose(np.sum(np.abs(X) ** 2), n * np.sum(x**2), rtol=1e-10)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            dft(np.array([]))
-        with pytest.raises(ValueError):
-            naive_dft([])
-
-    def test_non_1d_rejected(self):
-        with pytest.raises(ValueError):
-            dft(np.zeros((3, 3)))
 
 
 class TestCrossCorrelateValid:
@@ -137,16 +89,6 @@ class TestSamePadding:
         padded = np.concatenate([np.zeros(left), x, np.zeros(right)])
         np.testing.assert_allclose(cross_correlate_same(x, k),
                                    cross_correlate_valid(padded, k), atol=1e-12)
-
-
-class TestZeroPad:
-    def test_appends_zeros(self):
-        out = zero_pad(np.array([1.0, 2.0]), 5)
-        np.testing.assert_array_equal(out, [1.0, 2.0, 0.0, 0.0, 0.0])
-
-    def test_shrinking_rejected(self):
-        with pytest.raises(ValueError):
-            zero_pad(np.zeros(4), 3)
 
 
 class TestBatchCorrelateSame:

@@ -9,7 +9,6 @@ from tfnet.interpret import (
     channel_frequency_response,
     dataset_spectrum,
     export_representations,
-    model_frequency_response,
     overall_frequency_response,
     separability_ratio,
     spectrum_freqs,
@@ -107,28 +106,27 @@ class TestOverallFrequencyResponse:
 
 
 class TestModelFrequencyResponse:
+    """``freq-response`` reads the layer ``Model.first_filter_layer`` picks."""
+
     def test_uses_front_layer_when_present(self):
         front = TFconvLayer(init_params(KernelFamily.STTF, 2))
-        rng = np.random.default_rng(0)
-        model = Model(
-            [front, Conv1d(2, 3, 3, rng), Flatten(), Dense(3 * 62, 2, rng)],
-            mode="tfn-add", backbone="toy", n_classes=2)
-        fr = model_frequency_response(model, n_fft=256)
-        direct = channel_frequency_response(front, n_fft=256)
-        np.testing.assert_array_equal(fr.cfr, direct.cfr)
+        model = Model([front, Conv1d(2, 3, 3, np.random.default_rng(0))],
+                      mode="tfn-add", backbone="toy", n_classes=2)
+        assert model.first_filter_layer() is front
 
     def test_falls_back_to_first_conv(self):
-        model = toy_model()
-        fr = model_frequency_response(model, n_fft=128)
-        direct = channel_frequency_response(model.layers[0], n_fft=128)
-        np.testing.assert_array_equal(fr.cfr, direct.cfr)
+        rng = np.random.default_rng(0)
+        first = Conv1d(1, 3, 5, rng)
+        model = Model([ReLU(), first, Conv1d(3, 2, 3, rng)],
+                      mode="backbone-only", backbone="toy", n_classes=2)
+        assert model.first_filter_layer() is first
 
     def test_model_without_filters_rejected(self):
         rng = np.random.default_rng(0)
         model = Model([Flatten(), Dense(8, 2, rng)],
                       mode="backbone-only", backbone="toy", n_classes=2)
-        with pytest.raises(ValueError):
-            model_frequency_response(model)
+        with pytest.raises(ValueError, match="no convolutional first layer"):
+            model.first_filter_layer()
 
 
 class TestDatasetSpectrum:

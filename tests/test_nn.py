@@ -361,11 +361,6 @@ class TestModelContainer:
         model.backward(softmax_cross_entropy(model.forward(x, training=True), y)[1])
         check_model_gradients(model, x, y, rel_tol=1e-4, rng=rng_(42))
 
-    def test_n_parameters_counts_everything(self):
-        model = build_backbone("lenet-1d", 5)
-        want = sum(p.size for p in model.parameters())
-        assert model.n_parameters() == want > 0
-
 
 class TestAssembly:
     def test_mode_catalog(self):
@@ -409,11 +404,6 @@ class TestAssembly:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             assemble_model("tfn-prepend")
-
-    def test_theta_override(self):
-        theta = np.full((4, 1), 0.125)
-        model = assemble_model("tfn-add", n_channels=4, theta=theta)
-        np.testing.assert_array_equal(model.tfconv.kernel_params.theta, theta)
 
     def test_all_front_modes_run_forward(self):
         x = rng_(39).normal(size=(2, 1, 1024))

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import central_difference, difference_resolution, relative_error
-from tfnet.core_math import cross_correlate_same
+from helpers import (
+    central_difference,
+    cross_correlate_same,
+    difference_resolution,
+    reference_tft,
+    relative_error,
+)
 from tfnet.kernels import KernelFamily, evaluate_kernels, init_params
-from tfnet.tfconv import TFconvLayer, reference_tft
+from tfnet.tfconv import TFconvLayer
 
 FAMILIES = [KernelFamily.STTF, KernelFamily.CHIRPLET, KernelFamily.MORLET,
             KernelFamily.LAPLACE, KernelFamily.RANDOM]

@@ -225,6 +225,13 @@ class TestTrainLoop:
         x, y = tone_problem(n_per_class=2)
         with pytest.raises(ValueError):
             train(micro_backbone(seed=11), x, y + 10, config=TrainConfig(epochs=1))
+        # a bad test label fails up front, before any step changes the model
+        model = micro_backbone(seed=11)
+        before = [p.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="labels must lie in"):
+            train(model, x, y, x, np.where(y == 2, -1, y), config=TrainConfig(epochs=1))
+        for p, p0 in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p, p0)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -265,3 +272,11 @@ class TestEvaluate:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate(micro_backbone(), np.zeros((3, 64)), np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_label_rejected(self, bad):
+        # -1 once counted as the last class and n_classes raised IndexError
+        x, y = tone_problem(n_per_class=2)
+        y[0] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            evaluate(micro_backbone(n_classes=3), x, y)
