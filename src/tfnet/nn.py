@@ -7,6 +7,10 @@ backbones of different depths are provided, and ``assemble_model`` combines
 a backbone with a time-frequency front layer in the add/replace/real-only
 ablation variants.
 
+``forward(x, training=True)`` is a training forward: each layer keeps what
+its ``backward`` reads until the next forward.  ``training=False`` is
+inference: no layer keeps anything, and ``backward`` after it raises.
+
 Model inputs and outputs use the (batch, channels, length) convention.
 Internally the convolutional stack runs channels-last, (batch, length,
 channels), which keeps the im2col buffers and every elementwise pass
@@ -30,9 +34,15 @@ BACKBONES = ("paper-cnn", "lenet-1d", "resnet-1d")
 
 
 class Layer:
-    """Base layer: no parameters, identity bookkeeping."""
+    """Base layer: no parameters, identity bookkeeping.
+
+    A subclass's ``forward`` sets ``_cache`` to what its ``backward`` needs
+    when ``training`` is true and to ``None`` otherwise; ``backward`` reads
+    it through ``_saved``, which raises unless a training forward came first.
+    """
 
     name = ""
+    _cache = None
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -52,12 +62,18 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _saved(self):
+        if self._cache is None:
+            raise RuntimeError(
+                f"{self.name or type(self).__name__}: backward needs forward(training=True) first")
+        return self._cache
+
 
 class Conv1d(Layer):
     """Stride-1 cross-correlation, valid padding by default.
 
-    Forward runs as a single GEMM over the im2col matrix, which is cached
-    for the weight-gradient GEMM in backward.  Activations are
+    Forward runs as a single GEMM over the im2col matrix, which a training
+    forward keeps for the weight-gradient GEMM in backward.  Activations are
     (batch, length, channels); the stored weight is (out, in, taps).
     """
 
@@ -74,7 +90,6 @@ class Conv1d(Layer):
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.wgrad = np.zeros_like(self.weight)
         self.bgrad = np.zeros_like(self.bias)
-        self._cache = None
 
     @property
     def params(self):
@@ -104,19 +119,20 @@ class Conv1d(Layer):
         cols = np.ascontiguousarray(win).reshape(B * L_out, K * C)
         out = cols @ self._w2()
         out += self.bias
-        self._cache = (cols, B, L_out, x.shape[1])
+        self._cache = (cols, B, L_out, x.shape[1]) if training else None
         return out.reshape(B, L_out, self.out_channels)
 
     def backward(self, grad):
-        cols, B, L_out, L_pad = self._cache
+        cols, B, L_out, L_pad = self._saved()
         C, K, O = self.in_channels, self.kernel_size, self.out_channels
         g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
         self.bgrad += g2.sum(axis=0)
         self.wgrad += (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
-        gcols = (g2 @ self._w2().T).reshape(B, L_out, K, C)
+        # col2im one tap at a time: no (B*L_out, K*C) column-gradient matrix
+        w_taps = np.ascontiguousarray(self.weight.transpose(2, 0, 1))  # (K, O, C)
         gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
         for m in range(K):
-            gx[:, m : m + L_out, :] += gcols[:, :, m, :]
+            gx[:, m : m + L_out, :] += (g2 @ w_taps[m]).reshape(B, L_out, C)
         if self.padding == "same":
             left, right = same_pad_widths(K)
             gx = gx[:, left : L_pad - right, :]
@@ -136,7 +152,6 @@ class BatchNorm1d(Layer):
         self.bgrad = np.zeros_like(self.beta)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     @property
     def params(self):
@@ -161,26 +176,21 @@ class BatchNorm1d(Layer):
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
             istd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * istd
-            self._cache = (xhat, istd, M, True)
-            out = self.gamma * xhat
+            xhat = np.subtract(x, mean)
+            xhat *= istd
+            self._cache = (xhat, istd, M)
+            out = np.multiply(self.gamma, xhat)
             out += self.beta
             return out
+        self._cache = None
         istd = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gamma * istd
-        self._cache = (x, istd, M, False)
         out = scale * x
         out += self.beta - scale * self.running_mean
         return out
 
     def backward(self, grad):
-        cached, istd, M, training = self._cache
-        if not training:
-            xhat = (cached - self.running_mean) * istd
-            self.ggrad += np.einsum("blc,blc->c", grad, xhat)
-            self.bgrad += grad.sum(axis=(0, 1))
-            return grad * (self.gamma * istd)
-        xhat = cached
+        xhat, istd, M = self._saved()
         sg = grad.sum(axis=(0, 1))
         sgx = np.einsum("blc,blc->c", grad, xhat)
         self.ggrad += sgx
@@ -194,12 +204,11 @@ class BatchNorm1d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, training=False):
-        out = np.maximum(x, 0.0)
-        self._mask = x > 0.0
-        return out
+        self._cache = x > 0.0 if training else None
+        return np.maximum(x, 0.0)
 
     def backward(self, grad):
-        return grad * self._mask
+        return grad * self._saved()
 
 
 class MaxPool(Layer):
@@ -212,28 +221,27 @@ class MaxPool(Layer):
         B, L, C = x.shape
         w = self.width
         L_out = L // w
-        self._in_shape = x.shape
         if w == 2:
             m0 = x[:, 0 : 2 * L_out : 2, :]
             m1 = x[:, 1 : 2 * L_out : 2, :]
-            self._right = m1 > m0  # strict: ties keep the earlier slot, like argmax
+            # right slot won; strict, so ties keep the earlier slot, like argmax
+            self._cache = (x.shape, m1 > m0) if training else None
             return np.maximum(m0, m1)
         xr = x[:, : L_out * w, :].reshape(B, L_out, w, C)
-        self._idx = xr.argmax(axis=2)
+        self._cache = (x.shape, xr.argmax(axis=2)) if training else None
         return np.ascontiguousarray(xr.max(axis=2))
 
     def backward(self, grad):
-        B, L, C = self._in_shape
+        (B, L, C), choice = self._saved()
         w = self.width
         L_out = L // w
         gx = np.zeros((B, L, C), dtype=grad.dtype)
         if w == 2:
-            right = self._right
-            gx[:, 0 : 2 * L_out : 2, :] = np.where(right, 0.0, grad)
-            gx[:, 1 : 2 * L_out : 2, :] = np.where(right, grad, 0.0)
+            gx[:, 0 : 2 * L_out : 2, :] = np.where(choice, 0.0, grad)
+            gx[:, 1 : 2 * L_out : 2, :] = np.where(choice, grad, 0.0)
             return gx
         gxr = np.zeros((B, L_out, w, C), dtype=grad.dtype)
-        np.put_along_axis(gxr, self._idx[:, :, None, :], grad[:, :, None, :], axis=2)
+        np.put_along_axis(gxr, choice[:, :, None, :], grad[:, :, None, :], axis=2)
         gx[:, : L_out * w, :] = gxr.reshape(B, L_out * w, C)
         return gx
 
@@ -262,11 +270,11 @@ class AdaptiveAvgPool(Layer):
         out = np.empty((B, self.bins, C), dtype=x.dtype)
         for i, (s, e) in enumerate(zip(starts, ends)):
             out[:, i, :] = x[:, s:e, :].mean(axis=1)
-        self._in_shape = x.shape
+        self._cache = x.shape if training else None
         return out
 
     def backward(self, grad):
-        B, L, C = self._in_shape
+        B, L, C = self._saved()
         starts, ends = self._edges(L)
         gx = np.zeros((B, L, C), dtype=grad.dtype)
         for i, (s, e) in enumerate(zip(starts, ends)):
@@ -276,11 +284,11 @@ class AdaptiveAvgPool(Layer):
 
 class Flatten(Layer):
     def forward(self, x, training=False):
-        self._in_shape = x.shape
+        self._cache = x.shape if training else None
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._in_shape)
+        return grad.reshape(self._saved())
 
 
 class Dense(Layer):
@@ -304,11 +312,11 @@ class Dense(Layer):
     def forward(self, x, training=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"Dense expects (B, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._cache = x if training else None
         return x @ self.weight.T + self.bias
 
     def backward(self, grad):
-        self.wgrad += grad.T @ self._x
+        self.wgrad += grad.T @ self._saved()
         self.bgrad += grad.sum(axis=0)
         return grad @ self.weight
 

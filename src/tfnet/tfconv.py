@@ -51,6 +51,8 @@ class TFconvLayer:
     for post-step constraint projection.
     """
 
+    name = ""
+
     def __init__(
         self,
         params: KernelParams,
@@ -88,7 +90,11 @@ class TFconvLayer:
         return evaluate_kernels(self.kernel_params)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """(B, 1, L) or (B, L) input -> (B, C, L) feature map."""
+        """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
+
+        Only a training forward keeps the input, the correlation maps and the
+        kernel bank for ``backward``; an inference forward keeps nothing.
+        """
         out_dtype = np.asarray(x).dtype
         if out_dtype.kind != "f":
             out_dtype = np.dtype(np.float64)
@@ -115,7 +121,7 @@ class TFconvLayer:
         else:
             h = h_real
             out = h_real
-        self._cache = TFconvCache(x=x, h_real=h_real, h_img=h_img, h=h, kern=kern)
+        self._cache = TFconvCache(x, h_real, h_img, h, kern) if training else None
         return out.astype(out_dtype, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -126,7 +132,8 @@ class TFconvLayer:
         """
         cache = self._cache
         if cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(
+                f"{self.name or type(self).__name__}: backward needs forward(training=True) first")
         grad_dtype = np.asarray(grad_out).dtype
         if grad_dtype.kind != "f":
             grad_dtype = np.dtype(np.float64)

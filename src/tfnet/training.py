@@ -142,6 +142,8 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     if x.shape[0] != y.shape[0]:
         raise ValueError("signals and labels disagree on sample count")
     check_labels(y, model.n_classes)
+    if (test_signals is None) != (test_labels is None):
+        raise ValueError("test_signals and test_labels must be given together")
     if test_signals is not None:
         check_labels(test_labels, model.n_classes)
     model.dtype = dtype

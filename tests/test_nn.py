@@ -5,6 +5,8 @@ layers use internally; model tests go through the channels-first public
 boundary.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ class TestConv1d:
         w = rng_(8).normal(size=(2, 12, 3))
 
         def loss():
-            return float(np.sum(w * conv.forward(x)))
+            return float(np.sum(w * conv.forward(x, training=True)))
 
         loss()
         conv.zero_grad()
@@ -139,7 +141,7 @@ class TestPoolingAndActivation:
     def test_relu(self):
         layer = ReLU()
         x = np.array([[[-1.0, 0.0], [2.0, -3.0]]])
-        np.testing.assert_array_equal(layer.forward(x), [[[0.0, 0.0], [2.0, 0.0]]])
+        np.testing.assert_array_equal(layer.forward(x, training=True), [[[0.0, 0.0], [2.0, 0.0]]])
         g = np.ones_like(x)
         np.testing.assert_array_equal(layer.backward(g), [[[0.0, 0.0], [1.0, 0.0]]])
 
@@ -152,7 +154,7 @@ class TestPoolingAndActivation:
     def test_maxpool_tie_routes_to_earlier_slot(self):
         layer = MaxPool(2)
         x = np.array([[[4.0], [4.0]]])
-        layer.forward(x)
+        layer.forward(x, training=True)
         gx = layer.backward(np.array([[[1.0]]]))
         np.testing.assert_array_equal(gx[:, :, 0], [[1.0, 0.0]])
 
@@ -165,7 +167,7 @@ class TestPoolingAndActivation:
     def test_maxpool_backward_routes_to_argmax(self):
         layer = MaxPool(2)
         x = rng_(15).normal(size=(3, 10, 2))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         g = rng_(16).normal(size=out.shape)
         gx = layer.backward(g)
         assert gx.shape == x.shape
@@ -194,7 +196,7 @@ class TestPoolingAndActivation:
         w = rng_(20).normal(size=(2, 3, 2))
 
         def loss():
-            return float(np.sum(w * layer.forward(x)))
+            return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
         gx = layer.backward(w)
@@ -224,7 +226,7 @@ class TestDenseAndFlatten:
         w = rng_(26).normal(size=(5, 3))
 
         def loss():
-            return float(np.sum(w * layer.forward(x)))
+            return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
         layer.zero_grad()
@@ -236,7 +238,7 @@ class TestDenseAndFlatten:
     def test_flatten_round_trip(self):
         layer = Flatten()
         x = rng_(27).normal(size=(3, 4, 5))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (3, 20)
         np.testing.assert_array_equal(layer.backward(out), x)
 
@@ -258,7 +260,7 @@ class TestResidual:
         w = rng_(30).normal(size=(2, 10, 2))
 
         def loss():
-            return float(np.sum(w * block.forward(x)))
+            return float(np.sum(w * block.forward(x, training=True)))
 
         loss()
         block.zero_grad()
@@ -428,3 +430,67 @@ class TestAssembly:
         assert [layer for layer, _, _ in trace] == model.layers
         assert trace[0][1:] == ("0.tfconvlayer", (1, 1024, 8))
         assert trace[-1][2] == (1, 5) == out.shape
+
+
+class TestInferenceKeepsNothing:
+    """``forward(training=False)`` keeps no backward state; ``backward`` then raises."""
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Conv1d(2, 3, 3, rng_(41)), (2, 8, 2)),
+        (lambda: BatchNorm1d(2), (2, 8, 2)),
+        (lambda: ReLU(), (2, 8, 2)),
+        (lambda: MaxPool(2), (2, 8, 2)),
+        (lambda: MaxPool(3), (2, 9, 2)),
+        (lambda: AdaptiveAvgPool(2), (2, 8, 2)),
+        (lambda: Flatten(), (2, 8, 2)),
+        (lambda: Dense(4, 3, rng_(41)), (2, 4)),
+        (lambda: TFconvLayer(init_params(KernelFamily.STTF, 2)), (2, 32)),
+    ], ids=["conv1d", "batchnorm1d", "relu", "maxpool2", "maxpool3", "adaptiveavgpool",
+            "flatten", "dense", "tfconv"])
+    def test_backward_needs_training_forward(self, make, shape):
+        layer = make()
+        x = rng_(42).normal(size=shape)
+        grad = np.ones_like(make().forward(x, training=True))
+        needs = r"backward needs forward\(training=True\) first"
+        with pytest.raises(RuntimeError, match=needs):
+            layer.backward(grad)  # no forward yet
+        layer.forward(x, training=False)
+        with pytest.raises(RuntimeError, match=needs):
+            layer.backward(grad)
+        layer.forward(x, training=True)
+        layer.forward(x, training=False)  # drops the training forward's state
+        with pytest.raises(RuntimeError, match=needs):
+            layer.backward(grad)
+        layer.forward(x, training=True)
+        assert layer.backward(grad).size == x.size  # TFconv returns (B, 1, L)
+
+    def test_error_names_the_layer(self):
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
+        x = rng_(43).normal(size=(2, 1, 64))
+        out = model.forward(x, training=False)
+        with pytest.raises(RuntimeError, match=r"^11\.dense: backward needs forward"):
+            model.backward(np.ones_like(out))
+        with pytest.raises(RuntimeError, match=r"^0\.tfconvlayer: backward needs forward"):
+            model.tfconv.backward(np.ones((2, 2, 64)))
+
+    @pytest.mark.parametrize("mode, backbone, family", [
+        ("tfn-add", "paper-cnn", "sttf"),
+        ("tfn-replace", "resnet-1d", "morlet"),
+    ])
+    def test_inference_forward_holds_no_memory(self, mode, backbone, family):
+        model = assemble_model(mode, backbone=backbone, family=family)
+        x = rng_(44).normal(size=(4, 1, 256))
+        model.forward(x, training=False)  # any first-call allocation happens here
+
+        def bytes_held_after(training):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = model.forward(x, training=training)
+                del out
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        assert bytes_held_after(training=False) < 64 * 1024
+        assert bytes_held_after(training=True) > 1024 * 1024

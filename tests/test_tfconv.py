@@ -103,7 +103,7 @@ class TestBackward:
         w = rng.normal(size=(3, 2, 80))  # random linear readout
 
         def loss():
-            return float(np.sum(w * layer.forward(x)))
+            return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
         layer.zero_grad()
@@ -126,7 +126,7 @@ class TestBackward:
         w = rng.normal(size=(2, 2, 60))
 
         def loss():
-            return float(np.sum(w * layer.forward(x)))
+            return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
         layer.zero_grad()
@@ -150,7 +150,7 @@ class TestBackward:
         layer = make_layer(family, n_channels=2)
         x = rng.normal(size=(2, 60))
         w = rng.normal(size=(2, 2, 60))
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad_x = layer.backward(w)[:, 0, :]
         # d(corr_c[l])/d(x[j]) from the direct (non-FFT) path, one column
         # per unit input, chained through the modulus by hand
@@ -171,7 +171,7 @@ class TestBackward:
         w = rng.normal(size=(2, 2, 50))
 
         def loss():
-            return float(np.sum(w * layer.forward(x)))
+            return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
         layer.zero_grad()
@@ -187,10 +187,10 @@ class TestBackward:
         layer = make_layer(KernelFamily.STTF)
         x = rng.normal(size=(1, 40))
         g = rng.normal(size=(1, 3, 40))
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(g)
         once = layer.grad_theta.copy()
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(g)
         np.testing.assert_allclose(layer.grad_theta, 2.0 * once, rtol=1e-12)
         layer.zero_grad()
@@ -203,7 +203,7 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         layer = make_layer(KernelFamily.STTF)
-        layer.forward(np.zeros((1, 16)) + 1.0)
+        layer.forward(np.zeros((1, 16)) + 1.0, training=True)
         with pytest.raises(ValueError):
             layer.backward(np.zeros((1, 3, 99)))
 

@@ -233,6 +233,17 @@ class TestTrainLoop:
         for p, p0 in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, p0)
 
+    @pytest.mark.parametrize("given", ["signals", "labels"])
+    def test_half_a_test_set_rejected(self, given):
+        x, y = tone_problem(n_per_class=2)
+        model = micro_backbone(seed=11)
+        before = [p.copy() for p in model.parameters()]
+        test = (x, None) if given == "signals" else (None, y)
+        with pytest.raises(ValueError, match="must be given together"):
+            train(model, x, y, *test, config=TrainConfig(epochs=1))
+        for p, p0 in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p, p0)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             train(micro_backbone(), np.zeros((1, 64)), np.zeros(1, dtype=int),
