@@ -9,10 +9,12 @@ zero padding) and outputs the pointwise modulus:
     h[k]      = sqrt(h_real^2 + h_img^2 + eps)
 
 where (*) is cross-correlation.  The trainable weights are the kernel
-control parameters, not the taps; the backward pass chains the upstream
-gradient through the modulus and the analytic kernel derivatives back to
-those parameters.  A small eps inside the square root keeps the modulus
-differentiable at zero.
+control parameters, not the taps.  The backward pass chains the upstream
+gradient through the modulus, takes one FFT of it to get both the input
+gradient and the gradient with respect to the taps, and then maps the tap
+gradient onto the parameters through the analytic kernel derivatives
+d(psi)/d(theta), the same way for every kernel family.  A small eps inside
+the square root keeps the modulus differentiable at zero.
 
 The ``modulus=False`` variant keeps only the real-kernel correlation with
 no modulus, approximating wavelet-kernel comparison layers.
@@ -22,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
-from tfnet.kernels import (
-    KernelFamily,
-    KernelParams,
-    clamp_params,
-    evaluate_kernels,
-    kernel_param_grad,
-)
+from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
+from tfnet.kernels import KernelParams, clamp_params, evaluate_kernels, kernel_param_grad
 
 
 @dataclass
@@ -70,10 +66,6 @@ class TFconvLayer:
         self._cache: TFconvCache | None = None
 
     # -- layer protocol -------------------------------------------------
-    @property
-    def n_channels(self) -> int:
-        return self.kernel_params.n_channels
-
     @property
     def params(self) -> list[np.ndarray]:
         return [self.kernel_params.theta]
@@ -128,7 +120,9 @@ class TFconvLayer:
         """Upstream (B, C, L) gradient -> input gradient (B, 1, L).
 
         Accumulates the control-parameter gradient (summed over batch and
-        time) into ``grad_theta``.
+        time) into ``grad_theta``: the gradient with respect to the taps, then
+        ``grad_theta[c, p] = Re sum_k dpsi[c, p, k] * taps[c, k]`` through
+        d(psi)/d(theta), the same for every family.
         """
         cache = self._cache
         if cache is None:
@@ -137,8 +131,7 @@ class TFconvLayer:
         grad_dtype = np.asarray(grad_out).dtype
         if grad_dtype.kind != "f":
             grad_dtype = np.dtype(np.float64)
-        compute = cache.x.dtype.type
-        grad_out = np.asarray(grad_out, dtype=compute)
+        grad_out = np.asarray(grad_out, dtype=cache.x.dtype)
         if grad_out.shape != cache.h.shape:
             raise ValueError(
                 f"grad_out shape {grad_out.shape} != forward output shape {cache.h.shape}"
@@ -146,56 +139,14 @@ class TFconvLayer:
         if self.modulus:
             ghr = grad_out * (cache.h_real / cache.h)
             ghi = grad_out * (cache.h_img / cache.h)
+            # Re{(ghr - j*ghi) * z} == ghr*Re(z) + ghi*Im(z)
+            grad_x, taps = batch_conv_full_slice(ghr - 1j * ghi, cache.x, cache.kern)
         else:
-            ghr = grad_out
-            ghi = None
-
-        fam = self.kernel_params.family
-        theta = self.kernel_params.theta
-        grid = self.kernel_params.grid
-        C = self.n_channels
-        B, L = cache.x.shape
-        K = len(grid)
-
-        if fam is KernelFamily.RANDOM:
-            self.grad_theta += self._random_tap_grads(cache.x, ghr, ghi, K, L)
-        else:
-            P = theta.shape[1]
-            dpsi = np.concatenate(
-                [kernel_param_grad(fam, theta[c], grid) for c in range(C)]
-            )  # (C*P, K)
-            if compute is np.float32:
-                dpsi = dpsi.astype(np.complex64)
-            d_corr = batch_correlate_same(cache.x, dpsi).reshape(B, C, P, L)
-            gt = np.einsum("bcl,bcpl->cp", ghr, d_corr.real)
-            if ghi is not None:
-                gt += np.einsum("bcl,bcpl->cp", ghi, d_corr.imag)
-            self.grad_theta += gt
-
-        kern = cache.kern
-        if ghi is None:
-            grad_x = batch_conv_full_slice(ghr + 0j, kern.real + 0j, L).real
-        else:
-            # Re{(ghr - j*ghi) * psi} summed over channels recovers
-            # ghr (*) Re(psi)-adjoint + ghi (*) Im(psi)-adjoint in one pass.
-            grad_x = batch_conv_full_slice(ghr - 1j * ghi, kern, L).real
-        return np.ascontiguousarray(grad_x.astype(grad_dtype, copy=False))[:, None, :]
-
-    def _random_tap_grads(self, x, ghr, ghi, K, L):
-        B = x.shape[0]
-        C = ghr.shape[1]
-        left, right = same_pad_widths(K)
-        xp = np.pad(x, ((0, 0), (left, right)))
-        windows = np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(xp, K, axis=1)
-        ).reshape(B * L, K)
-        # grad[c, k] = sum_{b,l} gh[b, c, l] * x_pad[b, l + k], as one GEMM
-        g_re = np.ascontiguousarray(ghr.transpose(1, 0, 2)).reshape(C, B * L) @ windows
-        if ghi is None:
-            g_im = np.zeros_like(g_re)
-        else:
-            g_im = np.ascontiguousarray(ghi.transpose(1, 0, 2)).reshape(C, B * L) @ windows
-        return np.concatenate([g_re, g_im], axis=1)
+            grad_x, taps = batch_conv_full_slice(grad_out, cache.x, cache.kern.real)
+        kp = self.kernel_params
+        dpsi = np.stack([kernel_param_grad(kp.family, t, kp.grid) for t in kp.theta])  # (C, P, K)
+        self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
+        return np.ascontiguousarray(grad_x.real.astype(grad_dtype, copy=False))[:, None, :]
 
     def zero_grad(self):
         self.grad_theta[...] = 0.0

@@ -194,4 +194,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         if tf_layer is not None:
             history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
         lr *= cfg.lr_decay
+    # the last step's backward state is not needed once training ends
+    for layer in model.walk_layers():
+        layer._cache = None
     return history

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tfnet import cli
+from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tfnet.nn import assemble_model
 
 GEN_ARGS = ["--set", "samples_per_class=6", "--set", "sample_length=128"]
 TRAIN_ARGS = ["--set", "epochs=2", "--set", "batch_size=4", "--set", "channels=2"]
@@ -189,6 +191,13 @@ class TestEval:
         code = main(["eval", "--set", f"checkpoint={tmp_path / 'no.tfn'}",
                      "--set", f"dataset={data_dir}"])
         assert code == EXIT_CONFIG
+
+    def test_too_few_model_classes_rejected(self, tmp_path, data_dir, capsys):
+        ckpt = tmp_path / "three.tfn"
+        save_model(assemble_model("backbone-only", backbone="lenet-1d", n_classes=3), ckpt)
+        code = main(["eval", "--set", f"checkpoint={ckpt}", "--set", f"dataset={data_dir}"])
+        assert code == EXIT_CONFIG
+        assert "labels must lie in [0, 3)" in capsys.readouterr().err
 
 
 class TestFreqResponse:

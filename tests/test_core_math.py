@@ -130,7 +130,8 @@ class TestBatchCorrelateSame:
 class TestBatchConvFullSlice:
     def test_adjoint_of_batch_correlate(self):
         # <Re corr, gr> + <Im corr, gi> == <x, Re full_conv(gr - 1j*gi, k)>,
-        # the identity the modulus-layer backward pass leans on
+        # the identity the modulus-layer backward pass leans on; on the kernel
+        # side, <Re corr(x, d), gr> + <Im corr(x, d), gi> == Re sum(taps * d)
         rng = np.random.default_rng(9)
         B, C, L, K = 3, 2, 50, 9
         x = rng.normal(size=(B, L))
@@ -139,10 +140,17 @@ class TestBatchConvFullSlice:
         gi = rng.normal(size=(B, C, L))
         fwd = batch_correlate_same(x, kernels)
         lhs = np.sum(fwd.real * gr) + np.sum(fwd.imag * gi)
-        back = batch_conv_full_slice(gr - 1j * gi, kernels, L)
+        back, taps = batch_conv_full_slice(gr - 1j * gi, x, kernels)
         rhs = np.sum(x * back.real)
         assert np.isclose(lhs, rhs, rtol=1e-10)
+        delta = rng.normal(size=(C, K)) + 1j * rng.normal(size=(C, K))
+        fwd = batch_correlate_same(x, delta)
+        lhs = np.sum(fwd.real * gr) + np.sum(fwd.imag * gi)
+        assert np.isclose(lhs, np.sum(taps * delta).real, rtol=1e-10)
 
     def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_conv_full_slice(np.zeros((1, 2, 10)), np.zeros((3, 5)), 10)
+        # a kernel bank with the wrong channel count, then a signal whose
+        # batch size or length disagrees with the gradient's
+        for x_shape, kernel_shape in [((1, 10), (3, 5)), ((2, 10), (2, 5)), ((1, 9), (2, 5))]:
+            with pytest.raises(ValueError):
+                batch_conv_full_slice(np.zeros((1, 2, 10)), np.zeros(x_shape), np.zeros(kernel_shape))

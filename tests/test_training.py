@@ -161,6 +161,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             _ = hist.final_test_acc
 
+    def test_no_backward_state_kept_after_training(self):
+        # without a test set no inference forward runs after the last step
+        x, y = tone_problem(n_per_class=3)
+        model = micro_tfn(seed=2)
+        train(model, x, y, config=TrainConfig(epochs=1, batch_size=4))
+        with pytest.raises(RuntimeError, match="dense: backward needs forward"):
+            model.backward(np.zeros((4, 3)))
+        with pytest.raises(RuntimeError, match="tfconvlayer: backward needs forward"):
+            model.tfconv.backward(np.zeros((4, 2, 128)))
+
     def test_backbone_history_has_no_theta(self):
         x, y = tone_problem(n_per_class=3)
         hist = train(micro_backbone(seed=3), x, y, config=TrainConfig(epochs=2, batch_size=4))
