@@ -55,36 +55,28 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def batch_conv_full_slice(g: np.ndarray, x: np.ndarray, kernels: np.ndarray):
-    """Adjoint of :func:`batch_correlate_same` in both the signal and the kernels.
+def batch_conv_full_slice(g: np.ndarray, x: np.ndarray, kernel_len: int) -> np.ndarray:
+    """Adjoint of :func:`batch_correlate_same` in its kernels: the per-tap gradient.
 
-    From one FFT of the (B, C, L) upstream gradient ``g`` (real or complex),
-    with ``x`` the real (B, L) signal and ``kernels`` the (C, K) bank, returns
-    ``(grad_x, taps)``: ``grad_x`` (B, L, complex; the caller takes the real
-    part it needs) is sum_c full_convolution(g[:, c], kernels[c]) sliced to
-    length L from floor((K-1)/2); ``taps`` (C, K, real iff ``g`` is) is
-    taps[c, k] = sum_{b,l} g[b, c, l] * x_pad[b, l + k] with ``x_pad`` padded
-    as in the forward, read from IFFT(sum_b G * conj(X)) at lags
-    (left - k) mod n.  FFT round-off is absolute, as in the forward: about
-    ``eps * sum_c ||g[b, c]|| * ||kernels[c]||`` for ``grad_x[b]`` and ``eps *
-    sum_b ||g[b, c]|| * ||x[b]||`` for ``taps[c]``.  The name predates
-    ``taps``; the benchmark's per-layer trace looks it up by name.
+    For the (B, C, L) upstream gradient ``g`` (real or complex) and the real
+    (B, L) signal ``x``, returns the (C, ``kernel_len``) array ``taps``
+    (real iff ``g`` is), taps[c, k] = sum_{b,l} g[b, c, l] * x_pad[b, l + k]
+    with ``x_pad`` padded as in the forward, read from IFFT(sum_b G * conj(X))
+    at lags (left - k) mod n.  FFT round-off is absolute, as in the forward:
+    about ``eps * sum_b ||g[b, c]|| * ||x[b]||`` for ``taps[c]``.  There is no
+    signal-side half: the layer that calls this is always the model's front
+    layer, whose input gradient nothing reads.  The name predates that; the
+    benchmark's per-layer trace looks the function up by it.
     """
     g = np.asarray(g)
     x = np.asarray(x)
-    kernels = np.asarray(kernels)
     B, C, L = g.shape
-    K = kernels.shape[1]
-    if kernels.shape[0] != C:
-        raise ValueError("batch_conv_full_slice: channel mismatch")
     if x.shape != (B, L):
         raise ValueError(f"batch_conv_full_slice: x shape {x.shape} != {(B, L)}")
-    left, _right = same_pad_widths(K)
-    n = scipy.fft.next_fast_len(L + K - 1)
+    left, _right = same_pad_widths(kernel_len)
+    n = scipy.fft.next_fast_len(L + kernel_len - 1)
     Gf = scipy.fft.fft(g, n)
-    Kf = scipy.fft.fft(kernels, n)
-    full = scipy.fft.ifft(np.einsum("bcn,cn->bn", Gf, Kf), axis=-1)
     Xf = scipy.fft.fft(x, n)
     cross = scipy.fft.ifft(np.einsum("bcn,bn->cn", Gf, Xf.conj()), axis=-1)
-    taps = cross[:, (left - np.arange(K)) % n]
-    return full[:, left : left + L], (taps if np.iscomplexobj(g) else taps.real)
+    taps = cross[:, (left - np.arange(kernel_len)) % n]
+    return taps if np.iscomplexobj(g) else taps.real

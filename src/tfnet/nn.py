@@ -399,14 +399,17 @@ class Model:
         return _swap_length_channels(out)
 
     def backward(self, grad):
+        """Accumulate every layer's parameter gradients from the logits' ``grad``.
+
+        Returns nothing: a TFconv front layer stops at its parameters, and no
+        caller reads a gradient with respect to the model's input.
+        """
         g = _swap_length_channels(np.asarray(grad))
         front, body = self._front_split()
         for layer in reversed(body):
             g = layer.backward(g)
-        g = _swap_length_channels(g)
         if front is not None:
-            g = front.backward(g)
-        return g
+            front.backward(_swap_length_channels(g))
 
     def zero_grad(self):
         for layer in self.walk_layers():

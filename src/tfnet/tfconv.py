@@ -10,11 +10,12 @@ zero padding) and outputs the pointwise modulus:
 
 where (*) is cross-correlation.  The trainable weights are the kernel
 control parameters, not the taps.  The backward pass chains the upstream
-gradient through the modulus, takes one FFT of it to get both the input
-gradient and the gradient with respect to the taps, and then maps the tap
-gradient onto the parameters through the analytic kernel derivatives
-d(psi)/d(theta), the same way for every kernel family.  A small eps inside
-the square root keeps the modulus differentiable at zero.
+gradient through the modulus, takes one FFT of it to get the gradient with
+respect to the taps, and then maps the tap gradient onto the parameters
+through the analytic kernel derivatives d(psi)/d(theta), the same way for
+every kernel family.  The layer is always a model's front layer, so the
+backward stops at its parameters: there is no input gradient.  A small eps
+inside the square root keeps the modulus differentiable at zero.
 
 The ``modulus=False`` variant keeps only the real-kernel correlation with
 no modulus, approximating wavelet-kernel comparison layers.
@@ -33,10 +34,9 @@ class TFconvCache:
     """Stored activations for the backward pass."""
 
     x: np.ndarray        # (B, L) input
-    h_real: np.ndarray   # (B, C, L)
-    h_img: np.ndarray    # (B, C, L)
+    h_real: np.ndarray   # (B, C, L), a view of the complex correlation
+    h_img: np.ndarray    # (B, C, L), a view of the complex correlation
     h: np.ndarray        # (B, C, L) modulus output
-    kern: np.ndarray     # (C, K) kernel bank, complex64 for float32 input
 
 
 class TFconvLayer:
@@ -84,8 +84,8 @@ class TFconvLayer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
 
-        Only a training forward keeps the input, the correlation maps and the
-        kernel bank for ``backward``; an inference forward keeps nothing.
+        Only a training forward keeps the input and the correlation maps for
+        ``backward``; an inference forward keeps nothing.
         """
         out_dtype = np.asarray(x).dtype
         if out_dtype.kind != "f":
@@ -105,48 +105,49 @@ class TFconvLayer:
         if compute is np.float32:
             kern = kern.astype(np.complex64)
         corr = batch_correlate_same(x, kern)
-        h_real = np.ascontiguousarray(corr.real)
-        h_img = np.ascontiguousarray(corr.imag)
+        h_real, h_img = corr.real, corr.imag
         if self.modulus:
-            h = np.sqrt(h_real**2 + h_img**2 + self.eps_modulus)
-            out = h
+            # sqrt(h_real**2 + h_img**2 + eps) in one full-size buffer
+            h = np.square(h_real)
+            h += np.square(h_img)
+            h += self.eps_modulus
+            np.sqrt(h, out=h)
         else:
             h = h_real
-            out = h_real
-        self._cache = TFconvCache(x, h_real, h_img, h, kern) if training else None
-        return out.astype(out_dtype, copy=False)
+        self._cache = TFconvCache(x, h_real, h_img, h) if training else None
+        return np.ascontiguousarray(h, dtype=out_dtype)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Upstream (B, C, L) gradient -> input gradient (B, 1, L).
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate the gradient of the upstream (B, C, L) ``grad_out`` into ``grad_theta``.
 
-        Accumulates the control-parameter gradient (summed over batch and
-        time) into ``grad_theta``: the gradient with respect to the taps, then
-        ``grad_theta[c, p] = Re sum_k dpsi[c, p, k] * taps[c, k]`` through
-        d(psi)/d(theta), the same for every family.
+        The control-parameter gradient is summed over batch and time: the
+        gradient with respect to the taps, then ``grad_theta[c, p] = Re sum_k
+        dpsi[c, p, k] * taps[c, k]`` through d(psi)/d(theta), the same for
+        every family.  The layer is always a model's front layer, so nothing
+        reads a gradient with respect to its input and none is computed.
         """
         cache = self._cache
         if cache is None:
             raise RuntimeError(
                 f"{self.name or type(self).__name__}: backward needs forward(training=True) first")
-        grad_dtype = np.asarray(grad_out).dtype
-        if grad_dtype.kind != "f":
-            grad_dtype = np.dtype(np.float64)
         grad_out = np.asarray(grad_out, dtype=cache.x.dtype)
         if grad_out.shape != cache.h.shape:
             raise ValueError(
                 f"grad_out shape {grad_out.shape} != forward output shape {cache.h.shape}"
             )
-        if self.modulus:
-            ghr = grad_out * (cache.h_real / cache.h)
-            ghi = grad_out * (cache.h_img / cache.h)
-            # Re{(ghr - j*ghi) * z} == ghr*Re(z) + ghi*Im(z)
-            grad_x, taps = batch_conv_full_slice(ghr - 1j * ghi, cache.x, cache.kern)
-        else:
-            grad_x, taps = batch_conv_full_slice(grad_out, cache.x, cache.kern.real)
         kp = self.kernel_params
+        if self.modulus:
+            # g = ghr - j*ghi, so that Re{g * z} == ghr*Re(z) + ghi*Im(z); both
+            # halves are written in place, complex64 for a float32 forward
+            g = np.empty(grad_out.shape, np.result_type(grad_out, np.complex64))
+            np.multiply(grad_out, cache.h_real / cache.h, out=g.real)
+            np.multiply(grad_out, cache.h_img / cache.h, out=g.imag)
+            np.negative(g.imag, out=g.imag)
+        else:
+            g = grad_out
+        taps = batch_conv_full_slice(g, cache.x, len(kp.grid))
         dpsi = np.stack([kernel_param_grad(kp.family, t, kp.grid) for t in kp.theta])  # (C, P, K)
         self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
-        return np.ascontiguousarray(grad_x.real.astype(grad_dtype, copy=False))[:, None, :]
 
     def zero_grad(self):
         self.grad_theta[...] = 0.0

@@ -88,25 +88,6 @@ def relative_error(got: float, want: float, floor: float = 1e-8) -> float:
     return abs(got - want) / max(abs(got), abs(want), floor)
 
 
-def difference_resolution(terms, h: float) -> float:
-    """Derivative error below which a central difference of ``sum(terms)`` is noise.
-
-    Each evaluation of the summed loss carries an absolute round-off of a
-    few ``eps * sum(|terms|)``; the FFT round-off of a forward pass is also
-    absolute and stays within that.  :func:`central_difference` divides the
-    difference of two evaluations by ``2*h``, so it resolves a derivative
-    only to about ``eps * sum(|terms|) / h``.  The result is 16x that: the
-    measured error of TFconv input-gradient differences stayed below 4x it,
-    so 16 leaves a 4x margin.
-
-    Pass ``resolution / rel_tol`` as the ``floor`` of :func:`relative_error`:
-    entries whose derivative is below the floor are then checked to the
-    resolution in absolute terms, all others to ``rel_tol``.
-    """
-    terms = np.asarray(terms)
-    return 16.0 * float(np.finfo(terms.dtype).eps) * float(np.sum(np.abs(terms))) / h
-
-
 def model_loss_fn(model: Model, x: np.ndarray, y: np.ndarray, training: bool = True):
     """Closure computing the scalar training loss for gradient checks."""
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import (
-    central_difference,
-    cross_correlate_same,
-    difference_resolution,
-    reference_tft,
-    relative_error,
-)
+from helpers import central_difference, cross_correlate_same, reference_tft, relative_error
+from tfnet import tfconv
+from tfnet.core_math import batch_conv_full_slice
 from tfnet.kernels import KernelFamily, evaluate_kernels, init_params, kernel_param_grad
 from tfnet.tfconv import TFconvLayer
 
@@ -117,53 +113,6 @@ class TestBackward:
             numeric = central_difference(loss, theta, index, h=1e-6)
             assert relative_error(float(layer.grad_theta[index]), numeric) < 1e-4
 
-    @pytest.mark.parametrize("family", [KernelFamily.STTF, KernelFamily.LAPLACE,
-                                        KernelFamily.RANDOM])
-    def test_input_gradient_matches_finite_difference(self, family):
-        rng = np.random.default_rng(12)
-        layer = make_layer(family, n_channels=2)
-        x = rng.normal(size=(2, 60))
-        w = rng.normal(size=(2, 2, 60))
-
-        def loss():
-            return float(np.sum(w * layer.forward(x, training=True)))
-
-        loss()
-        layer.zero_grad()
-        grad_x = layer.backward(w)
-        assert grad_x.shape == (2, 1, 60)
-        # The one-sided laplace grid (0..150) reaches the last ~20 samples
-        # only through its far tail, so their gradients are ~1e-7..1e-5:
-        # 1e-4 of that is below what a float64 difference resolves.  Such
-        # entries are checked to the resolution (absolute), and
-        # test_input_gradient_matches_exact_jacobian checks them relatively.
-        floor = difference_resolution(w * layer.forward(x), h=1e-6) / 1e-4
-        for flat in rng.choice(x.size, size=20, replace=False):
-            index = np.unravel_index(int(flat), x.shape)
-            numeric = central_difference(loss, x, index, h=1e-6)
-            got = float(grad_x[index[0], 0, index[1]])
-            assert relative_error(got, numeric, floor=floor) < 1e-4
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_input_gradient_matches_exact_jacobian(self, family):
-        rng = np.random.default_rng(12)
-        layer = make_layer(family, n_channels=2)
-        x = rng.normal(size=(2, 60))
-        w = rng.normal(size=(2, 2, 60))
-        layer.forward(x, training=True)
-        grad_x = layer.backward(w)[:, 0, :]
-        # d(corr_c[l])/d(x[j]) from the direct (non-FFT) path, one column
-        # per unit input, chained through the modulus by hand
-        eye = np.eye(x.shape[1])
-        want = np.zeros_like(x)
-        for c, k in enumerate(layer.kernels()):
-            jac = np.stack([cross_correlate_same(e, k) for e in eye], axis=1)  # (l, j)
-            corr = x @ jac.T
-            h = np.sqrt(corr.real**2 + corr.imag**2 + layer.eps_modulus)
-            want += (w[:, c] * corr.real / h) @ jac.real + (w[:, c] * corr.imag / h) @ jac.imag
-        for index in np.ndindex(x.shape):
-            assert relative_error(float(grad_x[index]), float(want[index])) < 1e-4, index
-
     @pytest.mark.parametrize("modulus", [True, False])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_theta_gradient_matches_exact_direct_path(self, family, modulus):
@@ -204,12 +153,25 @@ class TestBackward:
 
         loss()
         layer.zero_grad()
-        grad_x = layer.backward(w)
+        assert layer.backward(w) is None  # the front layer stops at its parameters
         numeric = central_difference(loss, layer.kernel_params.theta, (0, 0), h=1e-6)
         assert relative_error(float(layer.grad_theta[0, 0]), numeric) < 1e-4
-        index = (1, 17)
-        numeric_x = central_difference(loss, x, index, h=1e-6)
-        assert relative_error(float(grad_x[1, 0, 17]), numeric_x) < 1e-4
+
+    @pytest.mark.parametrize("modulus, want", [(True, np.complex64), (False, np.float32)])
+    def test_float32_backward_stays_single_precision(self, monkeypatch, modulus, want):
+        # a complex128 assembly would stay correct but double the FFT cost
+        seen = []
+
+        def recording(g, x, kernel_len):
+            seen.append(g.dtype)
+            return batch_conv_full_slice(g, x, kernel_len)
+
+        monkeypatch.setattr(tfconv, "batch_conv_full_slice", recording)
+        layer = make_layer(KernelFamily.MORLET, n_channels=2, modulus=modulus)
+        x = np.random.default_rng(16).normal(size=(2, 64)).astype(np.float32)
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        assert seen == [np.dtype(want)]
 
     def test_gradients_accumulate_until_cleared(self):
         rng = np.random.default_rng(14)
