@@ -11,16 +11,8 @@ from tfnet.tfconv import TFconvLayer
 from tfnet.nn import Model, assemble_model, build_backbone
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
 from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
-from tfnet.interpret import (
-    BandReport,
-    FrequencyResponse,
-    band_coverage,
-    channel_frequency_response,
-    dataset_spectrum,
-    export_representations,
-    overall_frequency_response,
-    separability_ratio,
-)
+from tfnet.interpret import (BandReport, FrequencyResponse, band_coverage,
+                             channel_frequency_response, dataset_spectrum)
 from tfnet.checkpoint import load_model, save_model
 
 __version__ = "0.1.0"
@@ -43,11 +35,8 @@ __all__ = [
     "channel_frequency_response",
     "dataset_spectrum",
     "evaluate",
-    "export_representations",
     "load_model",
-    "overall_frequency_response",
     "save_model",
-    "separability_ratio",
     "split",
     "synth_generate",
     "synthbearing5",

@@ -81,10 +81,14 @@ def load_model(path) -> Model:
         header = json.loads(_read_exact(fh, hlen, p, "header"))
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(f"{p}: unsupported checkpoint version {header.get('version')}")
-        model = _rebuild(header)
+        try:
+            model = _rebuild(header)
+            block_names = header["blocks"]
+        except KeyError as exc:
+            raise ValueError(f"{p}: checkpoint header has no {exc.args[0]!r} entry") from None
         expected = dict(_named_blocks(model))
         seen = []
-        for _ in header["blocks"]:
+        for _ in block_names:
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, p, "block name length"))
             name = _read_exact(fh, nlen, p, "block name").decode()
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, p, "block rank"))

@@ -288,19 +288,21 @@ def _train_config(cfg: Config, seed: int) -> TrainConfig:
     )
 
 
-def _build_model(cfg: Config, mode: str, family: str, n_classes: int, seed: int):
-    backbone = cfg.get_str("backbone", "paper-cnn", choices=BACKBONES)
-    channels = cfg.get_int("channels", 8)
+def _model_settings(cfg: Config, tc: TrainConfig, train_ds) -> dict:
+    """Model keys shared by every model a command builds."""
+    # n_classes = 0 means "take the class count from the dataset"
+    n_req = cfg.get_int("n_classes", 0)
+    return {
+        "backbone": cfg.get_str("backbone", "paper-cnn", choices=BACKBONES),
+        "n_channels": cfg.get_int("channels", 8),
+        "n_classes": n_req if n_req > 0 else train_ds.n_classes,
+        "dtype": np.dtype(tc.dtype),
+    }
+
+
+def _build_model(settings: dict, mode: str, family: str, seed: int):
     try:
-        return assemble_model(
-            mode,
-            backbone=backbone,
-            n_classes=n_classes,
-            family=KernelFamily(family),
-            n_channels=channels,
-            seed=seed,
-            dtype=np.dtype(cfg.get_str("dtype", "float64")),
-        )
+        return assemble_model(mode, family=KernelFamily(family), seed=seed, **settings)
     except ValueError as exc:
         raise ConfigError(f"mode/family: {exc}") from exc
 
@@ -312,11 +314,8 @@ def cmd_train(cfg: Config) -> int:
     seed = cfg.get_seed()
     out = _prepare_out(cfg)
     train_ds, test_ds = _load_split_dataset(data_dir)
-    # n_classes = 0 means "take the class count from the dataset"
-    n_req = cfg.get_int("n_classes", 0)
-    n_classes = n_req if n_req > 0 else train_ds.n_classes
     tc = _train_config(cfg, seed)
-    model = _build_model(cfg, mode, family, n_classes, seed)
+    model = _build_model(_model_settings(cfg, tc, train_ds), mode, family, seed)
     cfg.ensure_consumed()
     try:
         history = train(model, train_ds.signals, train_ds.labels,
@@ -369,9 +368,9 @@ def cmd_freq_response(cfg: Config) -> int:
     out = _prepare_out(cfg)
     cfg.ensure_consumed()
     model = load_model(ckpt_path)
-    layer = model.first_filter_layer()
+    kernels = model.first_filter_layer().kernels()
     try:
-        resp = channel_frequency_response(layer, n_fft)
+        resp = channel_frequency_response(kernels, n_fft)
     except ValueError as exc:
         raise ConfigError(f"n_fft: {exc}") from exc
     write_cfr_csv(out / "cfr.csv", resp.freqs, resp.cfr)
@@ -395,25 +394,6 @@ def cmd_freq_response(cfg: Config) -> int:
     return EXIT_OK
 
 
-def _ablate_cell(args):
-    cfg_values, mode, family, seed, cell_dir = args
-    cfg = Config(cfg_values, "ablate-cell")
-    data_dir = cfg.get_path("dataset")
-    train_ds, test_ds = _load_split_dataset(data_dir)
-    n_req = cfg.get_int("n_classes", 0)
-    n_classes = n_req if n_req > 0 else train_ds.n_classes
-    tc = _train_config(cfg, seed)
-    model = _build_model(cfg, mode, family or "sttf", n_classes, seed)
-    history = train(model, train_ds.signals, train_ds.labels,
-                    test_ds.signals, test_ds.labels, tc)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    write_history_csv(cell_dir / "history.csv", history)
-    (cell_dir / "metrics.json").write_text(
-        json.dumps({"final_test_acc": history.test_acc[-1]}, indent=2, sort_keys=True) + "\n"
-    )
-    return history.test_acc[-1]
-
-
 def _n_threads() -> int:
     raw = os.environ.get("TFN_THREADS", "1")
     try:
@@ -426,18 +406,16 @@ def _n_threads() -> int:
 
 
 def cmd_ablate(cfg: Config) -> int:
-    cfg.get_path("dataset")
+    data_dir = cfg.get_path("dataset")
     families = cfg.get_list("families", "sttf",
                             choices=[f.value for f in KernelFamily if f.value != "random"])
     if not families:
         raise ConfigError("families: at least one kernel family is required")
     seeds = cfg.get_seeds(default="0,1,2")
     out = _prepare_out(cfg)
-    # resolve shared model/training keys once so the echo is complete
-    _train_config(cfg, seeds[0])
-    cfg.get_str("backbone", "paper-cnn", choices=BACKBONES)
-    cfg.get_int("channels", 8)
-    cfg.get_int("n_classes", 0)
+    train_ds, test_ds = _load_split_dataset(data_dir)
+    tc = _train_config(cfg, seeds[0])
+    settings = _model_settings(cfg, tc, train_ds)
     cfg.ensure_consumed()
     threads = _n_threads()
 
@@ -447,23 +425,31 @@ def cmd_ablate(cfg: Config) -> int:
             groups.append((mode, None))
         else:
             groups.extend((mode, fam) for fam in families)
-    cells = []
-    values = dict(cfg._values)
-    for mode, fam in groups:
-        for seed in seeds:
-            label = f"{mode}-{fam or 'none'}-s{seed}"
-            cells.append((values, mode, fam, seed, out / "cells" / label))
+    cells = [(f"{mode}-{fam or 'none'}-s{seed}", mode, fam, seed)
+             for mode, fam in groups for seed in seeds]
+
+    def run_cell(label, mode, fam, seed):
+        model = _build_model(settings, mode, fam or "sttf", seed)
+        history = train(model, train_ds.signals, train_ds.labels,
+                        test_ds.signals, test_ds.labels, dataclasses.replace(tc, seed=seed))
+        cell_dir = out / "cells" / label
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        write_history_csv(cell_dir / "history.csv", history)
+        (cell_dir / "metrics.json").write_text(
+            json.dumps({"final_test_acc": history.test_acc[-1]}, indent=2, sort_keys=True) + "\n"
+        )
+        return history.test_acc[-1]
 
     results: dict[int, float] = {}
     failure = None
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_ablate_cell, cell): i for i, cell in enumerate(cells)}
-        for fut, i in futures.items():
+        futures = [pool.submit(run_cell, *cell) for cell in cells]
+        for i, fut in enumerate(futures):
             try:
                 results[i] = fut.result()
             except Exception as exc:  # keep the other cells' results below
                 if failure is None:
-                    failure = exc
+                    failure = f"ablation cell {cells[i][0]} failed ({exc})"
 
     rows = []
     for gi, (mode, fam) in enumerate(groups):
@@ -478,9 +464,7 @@ def cmd_ablate(cfg: Config) -> int:
     for mode, fam, mean, var in rows:
         print(f"{mode:14s} {fam:10s} mean_acc={mean:.4f} variance={var:.6f}")
     if failure is not None:
-        raise RuntimeError(
-            f"ablation cell failed ({failure}); partial results kept in {out / 'results.csv'}"
-        )
+        raise RuntimeError(f"{failure}; partial results kept in {out / 'results.csv'}")
     return EXIT_OK
 
 
@@ -498,7 +482,7 @@ def cmd_export_kernels(cfg: Config) -> int:
             raise RuntimeError(f"checkpoint {path} has no time-frequency layer to export")
         write_kernel_taps_csv(out / f"{prefix}kernel_taps.csv", layer)
         try:
-            resp = channel_frequency_response(layer, n_fft)
+            resp = channel_frequency_response(layer.kernels(), n_fft)
         except ValueError as exc:
             raise ConfigError(f"n_fft: {exc}") from exc
         write_cfr_csv(out / f"{prefix}kernel_fft.csv", resp.freqs, resp.cfr)

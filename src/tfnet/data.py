@@ -321,8 +321,10 @@ def load_dataset(directory) -> Dataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path}: invalid JSON manifest: {exc}") from exc
-    count = int(meta["count"])
-    length = int(meta["length"])
+    try:
+        count, length = int(meta["count"]), int(meta["length"])
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: manifest has no {exc.args[0]!r} entry") from None
     raw = (d / "samples.f64le").read_bytes()
     expected = count * length * 8
     if len(raw) != expected:

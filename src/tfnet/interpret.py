@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet.nn import Conv1d, Flatten, Model
-from tfnet.tfconv import TFconvLayer
 from tfnet.training import standardize
 
 
@@ -27,28 +25,13 @@ class FrequencyResponse:
     ofr: np.ndarray    # (n_freqs,)
 
 
-def _layer_kernels(layer) -> np.ndarray:
-    """Kernel bank (C, K) of a first-layer filter; complex for TFconv."""
-    if isinstance(layer, TFconvLayer):
-        return layer.kernels()
-    if isinstance(layer, Conv1d):
-        # input-channel-summed kernels; first layers have one input anyway
-        return layer.weight.sum(axis=1)
-    if isinstance(layer, np.ndarray):
-        if layer.ndim != 2:
-            raise ValueError(f"kernel bank must be 2D (channels, taps), got {layer.shape}")
-        return layer
-    raise TypeError(f"cannot read kernels from {type(layer).__name__}")
-
-
-def channel_frequency_response(layer, n_fft: int = 1024) -> FrequencyResponse:
-    """FFT magnitude of each channel's zero-padded kernel.
+def channel_frequency_response(kernels: np.ndarray, n_fft: int = 1024) -> FrequencyResponse:
+    """FFT magnitude of each channel's zero-padded kernel in a (C, K) bank.
 
     The two half-spectra are folded by pointwise maximum, so the result
     is invariant under kernel conjugation and real kernels are unchanged.
     """
-    kernels = _layer_kernels(layer)
-    C, K = kernels.shape
+    K = kernels.shape[1]
     if n_fft < K:
         raise ValueError(f"n_fft={n_fft} shorter than kernel length {K}")
     mag = np.abs(np.fft.fft(kernels, n_fft, axis=1))
@@ -56,15 +39,7 @@ def channel_frequency_response(layer, n_fft: int = 1024) -> FrequencyResponse:
     mirror = mag[:, (-np.arange(half)) % n_fft]
     cfr = np.maximum(mag[:, :half], mirror)
     freqs = np.arange(half) / n_fft
-    return FrequencyResponse(freqs=freqs, cfr=cfr, ofr=overall_frequency_response(cfr))
-
-
-def overall_frequency_response(cfr: np.ndarray) -> np.ndarray:
-    """Channel mean of the C-FR matrix."""
-    cfr = np.asarray(cfr)
-    if cfr.ndim != 2 or cfr.shape[0] < 1:
-        raise ValueError(f"cfr must be (n_channels >= 1, n_freqs), got {cfr.shape}")
-    return cfr.mean(axis=0)
+    return FrequencyResponse(freqs=freqs, cfr=cfr, ofr=cfr.mean(axis=0))
 
 
 def spectrum_freqs(length: int) -> np.ndarray:
@@ -73,18 +48,13 @@ def spectrum_freqs(length: int) -> np.ndarray:
 
 
 def dataset_spectrum(dataset) -> np.ndarray:
-    """Mean magnitude spectrum of per-sample standardized signals.
+    """Mean magnitude spectrum of a Dataset's per-sample standardized signals.
 
-    Accepts a Dataset or a raw (N, L) array; returns the non-negative
-    half spectrum (length L//2 + 1).
+    Returns the non-negative half spectrum (length L//2 + 1).
     """
-    signals = dataset.signals if hasattr(dataset, "signals") else np.asarray(dataset)
-    signals = np.atleast_2d(np.asarray(signals, dtype=np.float64))
-    if signals.ndim == 3:
-        signals = signals[:, 0, :]
-    if signals.shape[0] == 0:
+    if dataset.n_samples == 0:
         raise ValueError("cannot take the spectrum of an empty dataset")
-    z = standardize(signals)
+    z = standardize(dataset.signals)
     return np.abs(np.fft.rfft(z, axis=1)).mean(axis=0)
 
 
@@ -159,71 +129,6 @@ def band_coverage(ofr, freqs, bands, threshold_factor: float = 1.5) -> BandRepor
         k = peak_pool[np.argmax(ofr[peak_pool])]
         results.append(BandPeak((lo, hi), float(freqs[k]), float(ofr[k]), hit))
     return BandReport(tuple(results), ofr_median=median, threshold_factor=threshold_factor)
-
-
-def export_representations(model: Model, signals, batch_size: int = 256,
-                           labels=None, csv_path=None) -> np.ndarray:
-    """Inference-mode activations at the first Flatten layer, (N, features).
-
-    With ``csv_path`` (requires ``labels``) also writes a
-    ``label,f1..fD`` CSV.
-    """
-    flatten = next((layer for layer in model.layers if isinstance(layer, Flatten)), None)
-    if flatten is None:
-        raise ValueError("model has no Flatten layer")
-    x = np.asarray(signals)
-    if x.ndim == 2:
-        x = x[:, None, :]
-    reps = []
-
-    def keep_flatten_output(layer, out):
-        if layer is flatten:
-            reps.append(out)
-
-    for start in range(0, x.shape[0], batch_size):
-        xb = standardize(x[start : start + batch_size], dtype=model.dtype)
-        model.forward(xb, training=False, hook=keep_flatten_output)
-    reps = np.concatenate(reps, axis=0)
-    if csv_path is not None:
-        if labels is None:
-            raise ValueError("csv export needs labels")
-        write_representations_csv(csv_path, reps, labels)
-    return reps
-
-
-def write_representations_csv(path, reps: np.ndarray, labels) -> None:
-    reps = np.asarray(reps)
-    labels = np.asarray(labels)
-    if reps.shape[0] != labels.shape[0]:
-        raise ValueError("representations and labels disagree on sample count")
-    header = "label," + ",".join(f"f{i + 1}" for i in range(reps.shape[1]))
-    with Path(path).open("w") as fh:
-        fh.write(header + "\n")
-        for lab, row in zip(labels, reps):
-            fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def separability_ratio(reps: np.ndarray, labels) -> float:
-    """Mean inter-class centroid distance over mean intra-class spread."""
-    reps = np.asarray(reps, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise ValueError("separability needs at least two classes")
-    centroids = np.stack([reps[labels == c].mean(axis=0) for c in classes])
-    spreads = [
-        float(np.linalg.norm(reps[labels == c] - centroids[i], axis=1).mean())
-        for i, c in enumerate(classes)
-    ]
-    inter = [
-        float(np.linalg.norm(centroids[i] - centroids[j]))
-        for i in range(classes.size)
-        for j in range(i + 1, classes.size)
-    ]
-    intra = float(np.mean(spreads))
-    if intra == 0.0:
-        return float("inf")
-    return float(np.mean(inter)) / intra
 
 
 def write_ofr_csv(path, freqs, ofr) -> None:

@@ -99,6 +99,10 @@ class Conv1d(Layer):
     def grads(self):
         return [self.wgrad, self.bgrad]
 
+    def kernels(self) -> np.ndarray:
+        """Input-channel-summed kernel bank, shape (out, taps)."""
+        return self.weight.sum(axis=1)
+
     def _w2(self):
         """(taps*in, out) GEMM operand matching the im2col column order."""
         K = self.kernel_size

@@ -20,12 +20,8 @@ class TrainConfig:
     batch_size: int = 64
     initial_lr: float = 1e-3
     lr_decay: float = 0.96
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     dtype: str = "float64"
-    eval_batch_size: int = 256
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -36,14 +32,8 @@ class TrainConfig:
             raise ValueError("initial_lr must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be positive")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be 'float64' or 'float32'")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
 
 
 @dataclass
@@ -64,11 +54,12 @@ class TrainHistory:
 class Adam:
     """Adam with bias correction; updates parameter arrays in place."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -146,7 +137,6 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         raise ValueError("test_signals and test_labels must be given together")
     if test_signals is not None:
         check_labels(test_labels, model.n_classes)
-    model.dtype = dtype
     tf_layer = model.tfconv
     # kernel control parameters always live in float64; only backbone
     # weights must match the configured dtype
@@ -154,9 +144,10 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     for p in model.parameters():
         if id(p) not in exempt and p.dtype != dtype and p.dtype.kind == "f":
             raise ValueError("model dtype does not match config dtype; rebuild the model")
+    model.dtype = dtype
 
     rng = derive_rng(cfg.seed, "train.shuffle")
-    opt = Adam(model.parameters(), beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    opt = Adam(model.parameters())
     history = TrainHistory()
     if tf_layer is not None:
         history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
@@ -187,8 +178,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         history.train_loss.append(loss_sum / seen)
         history.train_acc.append(correct / seen)
         if test_signals is not None:
-            acc, _ = evaluate(model, test_signals, test_labels,
-                              batch_size=cfg.eval_batch_size)
+            acc, _ = evaluate(model, test_signals, test_labels)
             history.test_acc.append(acc)
         history.lr.append(lr)
         if tf_layer is not None:

@@ -162,6 +162,16 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="shape"):
             load_model(path)
 
+    def test_header_without_mode_names_file_and_key(self, tmp_path):
+        path, raw = self.checkpoint_bytes(tmp_path)
+        hlen = struct.unpack("<I", raw[4:8])[0]
+        header = json.loads(raw[8 : 8 + hlen])
+        del header["mode"]
+        payload = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+        with pytest.raises(ValueError, match=r"m\.tfn: checkpoint header has no 'mode' entry"):
+            load_model(path)
+
     def test_missing_block_detected(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
         hlen = struct.unpack("<I", raw[4:8])[0]

@@ -281,7 +281,7 @@ class TestAblate:
         assert (serial / "results.csv").read_text() == \
             (threaded / "results.csv").read_text()
 
-    def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, monkeypatch):
+    def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, monkeypatch, capsys):
         clean = tmp_path / "clean"
         assert self.run_ablate(clean, data_dir) == EXIT_OK
         real_train = cli.train
@@ -294,10 +294,17 @@ class TestAblate:
         monkeypatch.setattr(cli, "train", train)
         failed = tmp_path / "failed"
         assert self.run_ablate(failed, data_dir) == EXIT_RUNTIME
+        assert "ablation cell tfn-replace-sttf-s0 failed" in capsys.readouterr().err
         want = [ln for ln in (clean / "results.csv").read_text().splitlines()
                 if not ln.startswith("tfn-replace,")]
         assert len(want) == 1 + 4
         assert (failed / "results.csv").read_text().splitlines() == want
+
+    def test_plain_directory_is_rejected_before_any_cell(self, tmp_path):
+        (tmp_path / "junk").mkdir()
+        out = tmp_path / "x"
+        assert self.run_ablate(out, tmp_path / "junk") == EXIT_CONFIG
+        assert not (out / "results.csv").exists() and not (out / "cells").exists()
 
     def test_random_family_not_ablatable(self, tmp_path, data_dir):
         code = self.run_ablate(tmp_path / "x", data_dir,

@@ -275,6 +275,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="JSON"):
             load_dataset(tmp_path)
 
+    def test_manifest_without_count_names_file_and_key(self, tiny_dataset, tmp_path):
+        save_dataset(tiny_dataset, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta["count"]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: manifest has no 'count' entry"):
+            load_dataset(tmp_path)
+
     def test_truncated_samples_rejected(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path)
         raw = (tmp_path / "samples.f64le").read_bytes()

@@ -3,30 +3,19 @@
 import numpy as np
 import pytest
 
-from tfnet.data import SynthSpec, ClassSpec, synth_generate
+from tfnet.data import ClassSpec, Dataset, SynthSpec, synth_generate
 from tfnet.interpret import (
     band_coverage,
     channel_frequency_response,
     dataset_spectrum,
-    export_representations,
-    overall_frequency_response,
-    separability_ratio,
     spectrum_freqs,
     write_band_report,
     write_cfr_csv,
     write_ofr_csv,
 )
 from tfnet.kernels import KernelFamily, init_params
-from tfnet.nn import AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU
+from tfnet.nn import Conv1d, Dense, Flatten, Model, ReLU, assemble_model
 from tfnet.tfconv import TFconvLayer
-
-
-def toy_model(with_flatten=True, seed=0):
-    rng = np.random.default_rng(seed)
-    layers = [Conv1d(1, 3, 5, rng), ReLU(), AdaptiveAvgPool(4)]
-    if with_flatten:
-        layers += [Flatten(), Dense(12, 2, rng)]
-    return Model(layers, mode="backbone-only", backbone="toy", n_classes=2)
 
 
 class TestChannelFrequencyResponse:
@@ -64,45 +53,25 @@ class TestChannelFrequencyResponse:
 
     def test_analytic_kernel_peaks_at_its_frequency(self):
         layer = TFconvLayer(init_params(KernelFamily.STTF, 4))
-        fr = channel_frequency_response(layer, n_fft=512)
+        fr = channel_frequency_response(layer.kernels(), n_fft=512)
         np.testing.assert_array_equal(fr.cfr.argmax(axis=1), [32, 96, 160, 224])
 
     def test_conv_layer_kernels_are_input_summed(self):
         rng = np.random.default_rng(3)
         conv = Conv1d(2, 3, 5, rng)
-        fr = channel_frequency_response(conv, n_fft=64)
-        direct = channel_frequency_response(conv.weight.sum(axis=1), n_fft=64)
-        np.testing.assert_array_equal(fr.cfr, direct.cfr)
+        np.testing.assert_array_equal(conv.kernels(), conv.weight[:, 0] + conv.weight[:, 1])
 
     def test_delta_conv_kernel_is_flat(self):
         rng = np.random.default_rng(4)
         conv = Conv1d(1, 1, 5, rng)
         conv.weight[...] = 0.0
         conv.weight[0, 0, 2] = 1.0
-        fr = channel_frequency_response(conv, n_fft=64)
+        fr = channel_frequency_response(conv.kernels(), n_fft=64)
         np.testing.assert_allclose(fr.cfr, 1.0, atol=1e-12)
 
     def test_fft_length_must_cover_kernel(self):
         with pytest.raises(ValueError):
             channel_frequency_response(np.ones((1, 51)), n_fft=32)
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            channel_frequency_response(np.ones(5), n_fft=32)
-        with pytest.raises(TypeError):
-            channel_frequency_response("kernels", n_fft=32)
-
-
-class TestOverallFrequencyResponse:
-    def test_mean(self):
-        cfr = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(overall_frequency_response(cfr), [2.0, 3.0])
-
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            overall_frequency_response(np.ones(4))
-        with pytest.raises(ValueError):
-            overall_frequency_response(np.ones((0, 4)))
 
 
 class TestModelFrequencyResponse:
@@ -128,19 +97,20 @@ class TestModelFrequencyResponse:
         with pytest.raises(ValueError, match="no convolutional first layer"):
             model.first_filter_layer()
 
+    # sttf front layer: 8 channels x 51 taps; paper-cnn's first conv: 16 x 15
+    @pytest.mark.parametrize("mode, shape", [("tfn-add", (8, 51)), ("backbone-only", (16, 15))])
+    def test_first_layer_kernels_are_a_channel_bank(self, mode, shape):
+        model = assemble_model(mode, n_classes=5, n_channels=8, seed=0)
+        assert model.first_filter_layer().kernels().shape == shape
+
 
 class TestDatasetSpectrum:
     def test_tone_dominates_its_bin(self):
         t = np.arange(128)
         signals = np.sin(2 * np.pi * (16 / 128) * t)[None, :] * np.ones((3, 1))
-        spectrum = dataset_spectrum(signals)
+        spectrum = dataset_spectrum(Dataset(signals, [0, 0, 0]))
         assert spectrum.argmax() == 16
         assert spectrum.shape == (65,)
-
-    def test_accepts_dataset_and_array(self, tiny_dataset):
-        a = dataset_spectrum(tiny_dataset)
-        b = dataset_spectrum(tiny_dataset.signals)
-        np.testing.assert_array_equal(a, b)
 
     def test_bearing_spectrum_peaks_in_every_band(self, tiny_dataset):
         spectrum = dataset_spectrum(tiny_dataset)
@@ -159,7 +129,7 @@ class TestDatasetSpectrum:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            dataset_spectrum(np.zeros((0, 64)))
+            dataset_spectrum(Dataset(np.zeros((0, 64)), []))
 
     def test_freq_axis_matches(self):
         freqs = spectrum_freqs(128)
@@ -238,56 +208,6 @@ class TestBandCoverage:
             band_coverage(np.ones(65), self.FREQS, [(0.1, 0.2)], threshold_factor=0.0)
         with pytest.raises(ValueError):
             band_coverage(np.ones(0), np.ones(0), [(0.1, 0.2)])
-
-
-class TestRepresentations:
-    def test_shape_and_batching(self):
-        model = toy_model()
-        x = np.random.default_rng(0).normal(size=(10, 40))
-        reps = export_representations(model, x, batch_size=3)
-        assert reps.shape == (10, 12)
-        whole = export_representations(model, x, batch_size=100)
-        np.testing.assert_allclose(reps, whole, atol=1e-12)
-
-    def test_model_without_flatten_rejected(self):
-        model = toy_model(with_flatten=False)
-        with pytest.raises(ValueError):
-            export_representations(model, np.zeros((2, 40)))
-
-    def test_csv_export(self, tmp_path):
-        model = toy_model()
-        x = np.random.default_rng(1).normal(size=(4, 40))
-        path = tmp_path / "reps.csv"
-        reps = export_representations(model, x, labels=[0, 1, 0, 1], csv_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "label," + ",".join(f"f{i + 1}" for i in range(12))
-        assert len(lines) == 5
-        got = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
-        np.testing.assert_array_equal(got, reps)
-
-    def test_csv_needs_labels(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_representations(toy_model(), np.zeros((2, 40)),
-                                   csv_path=tmp_path / "r.csv")
-
-    def test_separability_orders_cluster_quality(self):
-        rng = np.random.default_rng(2)
-        labels = np.repeat([0, 1], 50)
-        tight = np.concatenate([
-            rng.normal(0.0, 0.1, size=(50, 3)),
-            rng.normal(5.0, 0.1, size=(50, 3)),
-        ])
-        loose = np.concatenate([
-            rng.normal(0.0, 2.0, size=(50, 3)),
-            rng.normal(1.0, 2.0, size=(50, 3)),
-        ])
-        assert separability_ratio(tight, labels) > separability_ratio(loose, labels)
-
-    def test_separability_degenerate_cases(self):
-        labels = np.array([0, 0, 1, 1])
-        assert separability_ratio(np.repeat([[0.0], [1.0]], 2, axis=0), labels) == np.inf
-        with pytest.raises(ValueError):
-            separability_ratio(np.zeros((3, 2)), [0, 0, 0])
 
 
 class TestCsvWriters:
