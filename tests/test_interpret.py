@@ -74,6 +74,15 @@ class TestChannelFrequencyResponse:
             channel_frequency_response(np.ones((1, 51)), n_fft=32)
 
 
+class TestOverallFrequencyResponse:
+    def test_mean(self):
+        # single-tap kernels have flat responses |a|, so the O-FR is the
+        # mean tap magnitude at every frequency
+        fr = channel_frequency_response(np.array([[1.0], [-3.0]]), n_fft=8)
+        np.testing.assert_allclose(fr.cfr, [[1.0] * 5, [3.0] * 5], atol=1e-12)
+        np.testing.assert_allclose(fr.ofr, [2.0] * 5, atol=1e-12)
+
+
 class TestModelFrequencyResponse:
     """``freq-response`` reads the layer ``Model.first_filter_layer`` picks."""
 
