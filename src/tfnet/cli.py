@@ -26,7 +26,7 @@ from tfnet.interpret import (band_coverage, channel_frequency_response,
                              dataset_spectrum, spectrum_freqs, write_band_report,
                              write_cfr_csv, write_ofr_csv)
 from tfnet.kernels import KernelFamily
-from tfnet.nn import BACKBONES, MODES, assemble_model
+from tfnet.nn import BACKBONES, MODES, assemble_model, check_labels
 from tfnet.training import TrainConfig, evaluate, train
 
 EXIT_OK = 0
@@ -278,14 +278,17 @@ def cmd_gen_data(cfg: Config) -> int:
 
 
 def _train_config(cfg: Config, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.get_int("epochs", 50),
-        batch_size=cfg.get_int("batch_size", 64),
-        initial_lr=cfg.get_float("lr", 1e-3),
-        lr_decay=cfg.get_float("lr_decay", 0.96),
-        seed=seed,
-        dtype=cfg.get_str("dtype", "float64", choices=("float64", "float32")),
-    )
+    try:
+        return TrainConfig(
+            epochs=cfg.get_int("epochs", 50),
+            batch_size=cfg.get_int("batch_size", 64),
+            initial_lr=cfg.get_float("lr", 1e-3),
+            lr_decay=cfg.get_float("lr_decay", 0.96),
+            seed=seed,
+            dtype=cfg.get_str("dtype", "float64", choices=("float64", "float32")),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _model_settings(cfg: Config, tc: TrainConfig, train_ds) -> dict:
@@ -418,6 +421,13 @@ def cmd_ablate(cfg: Config) -> int:
     settings = _model_settings(cfg, tc, train_ds)
     cfg.ensure_consumed()
     threads = _n_threads()
+    # settings and labels that every cell would reject fail here, before any cell runs
+    _build_model(settings, "tfn-add", families[0], seeds[0])
+    try:
+        check_labels(train_ds.labels, settings["n_classes"])
+        check_labels(test_ds.labels, settings["n_classes"])
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
 
     groups = []  # (mode, family-or-None)
     for mode in ABLATE_MODES:

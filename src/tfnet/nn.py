@@ -14,9 +14,12 @@ inference: no layer keeps anything, and ``backward`` after it raises.
 Model inputs and outputs use the (batch, channels, length) convention.
 Internally the convolutional stack runs channels-last, (batch, length,
 channels), which keeps the im2col buffers and every elementwise pass
-contiguous.  ``Model.forward`` is the one loop over a model's layers: it
-converts at the boundary, right after the channels-first time-frequency
-front layer, and can hand each layer's output to a hook.
+contiguous.  ``Conv1d`` runs its forward and input-gradient GEMMs a few
+samples at a time; its weight gradient, which sums over the batch, is its
+one full-batch GEMM.  A model's first layer accumulates only its parameter
+gradients (``param_backward``).  ``Model.forward`` is the one loop over a
+model's layers: it converts at the boundary, right after the channels-first
+time-frequency front layer, and can hand each layer's output to a hook.
 ``Model.walk_layers`` is the one place residual blocks are expanded into
 leaf layers.  All arithmetic is float64 unless a model is built with an
 explicit float32 switch.
@@ -62,6 +65,10 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def param_backward(self, grad: np.ndarray) -> None:
+        """Accumulate parameter gradients only, as the first layer of a model."""
+        self.backward(grad)
+
     def _saved(self):
         if self._cache is None:
             raise RuntimeError(
@@ -69,12 +76,38 @@ class Layer:
         return self._cache
 
 
+# On AVX-512 hosts OpenBLAS runs a GEMM with M*N*K <= 100**3 through
+# small-matrix kernels whose sums depend on the matrix size, so a GEMM split
+# into pieces that small would change the last bits of its rows.  Conv1d
+# splits its GEMMs only into pieces above that size.
+_SMALL_GEMM = 100**3
+
+
+def _sample_groups(n_samples, work_per_sample):
+    """[lo, hi) sample ranges, each the fewest samples whose GEMM exceeds ``_SMALL_GEMM``.
+
+    The last range also takes the remainder; one range covers the whole
+    batch when the whole batch's GEMM is no larger than that.
+    """
+    per = min(n_samples, _SMALL_GEMM // work_per_sample + 1)
+    edges = [i * per for i in range(n_samples // per)] + [n_samples]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class Conv1d(Layer):
     """Stride-1 cross-correlation, valid padding by default.
 
-    Forward runs as a single GEMM over the im2col matrix, which a training
-    forward keeps for the weight-gradient GEMM in backward.  Activations are
-    (batch, length, channels); the stored weight is (out, in, taps).
+    Both passes run a few samples at a time as GEMMs over those samples'
+    im2col rows (Chellapilla et al., 2006), so no full-batch temporary is
+    built beyond what training keeps.  A training forward writes every
+    sample's rows into the (B*L_out, taps*in) matrix that the weight-gradient
+    GEMM reads; an inference forward reuses one group's buffer.  The weight
+    gradient is the one full-batch GEMM, because it sums over the batch.  The
+    input gradient adds each tap's product for one group of samples into a
+    contiguous block of its rows.  Splitting a GEMM by rows changes no dot
+    product as long as every piece stays above ``_SMALL_GEMM``, so both
+    passes keep the full-batch GEMM's bits.  Activations are (batch, length,
+    channels); the stored weight is (out, in, taps).
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, rng, padding="valid",
@@ -115,28 +148,60 @@ class Conv1d(Layer):
             raise ValueError(f"Conv1d expects {self.in_channels} input channels, got {C}")
         if self.padding == "same":
             x = np.pad(x, ((0, 0), same_pad_widths(self.kernel_size), (0, 0)))
-        K = self.kernel_size
+        K, O = self.kernel_size, self.out_channels
         L_out = x.shape[1] - K + 1
         if L_out < 1:
             raise ValueError(f"input length {L} shorter than kernel {K}")
-        win = np.lib.stride_tricks.sliding_window_view(x, (K, C), axis=(1, 2))
-        cols = np.ascontiguousarray(win).reshape(B * L_out, K * C)
-        out = cols @ self._w2()
+        win = np.lib.stride_tricks.sliding_window_view(x, (K, C), axis=(1, 2))[:, :, 0]
+        w2 = self._w2()
+        groups = _sample_groups(B, L_out * K * C * O)
+        # training keeps every sample's im2col rows; inference reuses one group's
+        n_cols = B if training else max(hi - lo for lo, hi in groups)
+        cols = np.empty((n_cols * L_out, K * C), dtype=x.dtype)
+        out = np.empty((B * L_out, O), dtype=np.result_type(x, w2))
+        for lo, hi in groups:
+            start = lo * L_out if training else 0
+            piece = cols[start : start + (hi - lo) * L_out]
+            piece.reshape(hi - lo, L_out, K, C)[...] = win[lo:hi]
+            np.matmul(piece, w2, out=out[lo * L_out : hi * L_out])
         out += self.bias
-        self._cache = (cols, B, L_out, x.shape[1]) if training else None
-        return out.reshape(B, L_out, self.out_channels)
+        self._cache = (cols, x.shape[1]) if training else None
+        return out.reshape(B, L_out, O)
+
+    def param_backward(self, grad):
+        """Accumulate the weight and bias gradients; no input gradient is computed."""
+        cols, _ = self._saved()
+        O = self.out_channels
+        g2 = np.ascontiguousarray(grad).reshape(-1, O)
+        self.bgrad += g2.sum(axis=0)
+        self.wgrad += (g2.T @ cols).reshape(O, self.kernel_size, self.in_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
-        cols, B, L_out, L_pad = self._saved()
-        C, K, O = self.in_channels, self.kernel_size, self.out_channels
-        g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
-        self.bgrad += g2.sum(axis=0)
-        self.wgrad += (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
-        # col2im one tap at a time: no (B*L_out, K*C) column-gradient matrix
+        _, L_pad = self._saved()
+        self.param_backward(grad)
+        B, L_out, O = grad.shape
+        C, K = self.in_channels, self.kernel_size
+        dtype = self.weight.dtype
+        groups = _sample_groups(B, L_pad * C * O)
+        widest = max(hi - lo for lo, hi in groups)
+        # Sample lo+j's upstream rows start at row j*L_pad of its group's GEMM,
+        # zeros filling the gaps, so each tap's product lands on one contiguous
+        # block of gx rows; the product buffer holds one group's rows.
+        gx = np.zeros((B * L_pad, C), dtype=dtype)
+        spread = np.zeros((widest * L_pad, O), dtype=dtype)
+        product = np.empty(((widest - 1) * L_pad + L_out, C), dtype=dtype)
         w_taps = np.ascontiguousarray(self.weight.transpose(2, 0, 1))  # (K, O, C)
-        gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
-        for m in range(K):
-            gx[:, m : m + L_out, :] += (g2 @ w_taps[m]).reshape(B, L_out, C)
+        for lo, hi in groups:
+            top, n = lo * L_pad, (hi - lo - 1) * L_pad + L_out
+            if hi - lo == 1:
+                g = grad[lo]
+            else:
+                spread[: (hi - lo) * L_pad].reshape(hi - lo, L_pad, O)[:, :L_out] = grad[lo:hi]
+                g = spread[:n]
+            for m in range(K):
+                np.matmul(g, w_taps[m], out=product[:n])
+                gx[top + m : top + m + n] += product[:n]
+        gx = gx.reshape(B, L_pad, C)
         if self.padding == "same":
             left, right = same_pad_widths(K)
             gx = gx[:, left : L_pad - right, :]
@@ -405,15 +470,18 @@ class Model:
     def backward(self, grad):
         """Accumulate every layer's parameter gradients from the logits' ``grad``.
 
-        Returns nothing: a TFconv front layer stops at its parameters, and no
-        caller reads a gradient with respect to the model's input.
+        Returns nothing.  The first layer, a TFconv front layer or the
+        backbone's first ``Conv1d``, runs only ``param_backward``: no caller
+        reads a gradient with respect to the model's input, so none is
+        computed.
         """
         g = _swap_length_channels(np.asarray(grad))
-        front, body = self._front_split()
-        for layer in reversed(body):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             g = layer.backward(g)
-        if front is not None:
-            front.backward(_swap_length_channels(g))
+        if first is self.tfconv:
+            g = _swap_length_channels(g)
+        first.param_backward(g)
 
     def zero_grad(self):
         for layer in self.walk_layers():

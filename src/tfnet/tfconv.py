@@ -149,5 +149,9 @@ class TFconvLayer:
         dpsi = np.stack([kernel_param_grad(kp.family, t, kp.grid) for t in kp.theta])  # (C, P, K)
         self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
 
+    def param_backward(self, grad_out: np.ndarray) -> None:
+        """What a model runs on its first layer: ``backward``, which stops at the parameters."""
+        self.backward(grad_out)
+
     def zero_grad(self):
         self.grad_theta[...] = 0.0

@@ -69,6 +69,29 @@ def reference_tft(
     return np.stack(rows)
 
 
+def conv1d_input_grad_per_tap(weight: np.ndarray, grad: np.ndarray, padding: str = "valid"):
+    """Input gradient of a stride-1 ``Conv1d``, one full-batch GEMM per tap.
+
+    ``weight`` is (out, in, taps) and ``grad`` the (B, L_out, out) upstream
+    gradient.  For each tap m the (B*L_out, in) product ``grad @ weight[:, :, m]``
+    is built and added into rows m..m+L_out of every sample, then same
+    padding is cropped off.  The reference for ``Conv1d.backward``'s input
+    gradient, which works a group of samples at a time.
+    """
+    B, L_out, O = grad.shape
+    _, C, K = weight.shape
+    L_pad = L_out + K - 1
+    g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
+    w_taps = np.ascontiguousarray(weight.transpose(2, 0, 1))  # (K, O, C)
+    gx = np.zeros((B, L_pad, C), dtype=weight.dtype)
+    for m in range(K):
+        gx[:, m : m + L_out, :] += (g2 @ w_taps[m]).reshape(B, L_out, C)
+    if padding == "same":
+        left, right = same_pad_widths(K)
+        gx = gx[:, left : L_pad - right, :]
+    return gx
+
+
 def central_difference(fn, arr: np.ndarray, index, h: float = 1e-6) -> float:
     """Central finite difference of scalar ``fn`` wrt one entry of ``arr``.
 

@@ -140,6 +140,14 @@ class TestTrain:
                      *TRAIN_ARGS])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("setting", ["epochs=0", "lr_decay=1.5"])
+    def test_out_of_range_training_setting_rejected(self, tmp_path, data_dir, capsys, setting):
+        code = main(["train", "--out", str(tmp_path / "x"), "--seed", "0",
+                     "--set", f"dataset={data_dir}", *TRAIN_ARGS, "--set", setting])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "x" / "model.tfn").exists()
+
     def test_missing_dataset_rejected(self, tmp_path):
         code = main(["train", "--out", str(tmp_path / "x"),
                      "--set", f"dataset={tmp_path / 'absent'}", *TRAIN_ARGS])
@@ -304,6 +312,17 @@ class TestAblate:
         (tmp_path / "junk").mkdir()
         out = tmp_path / "x"
         assert self.run_ablate(out, tmp_path / "junk") == EXIT_CONFIG
+        assert not (out / "results.csv").exists() and not (out / "cells").exists()
+
+    @pytest.mark.parametrize("setting", ["channels=0", "n_classes=2", "epochs=0"])
+    def test_setting_train_rejects_fails_before_any_cell(self, tmp_path, data_dir, monkeypatch,
+                                                         setting):
+        def train(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "x"
+        assert self.run_ablate(out, data_dir, ("--set", setting)) == EXIT_CONFIG
         assert not (out / "results.csv").exists() and not (out / "cells").exists()
 
     def test_random_family_not_ablatable(self, tmp_path, data_dir):

@@ -10,7 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import central_difference, check_model_gradients, relative_error
+from helpers import (central_difference, check_model_gradients, conv1d_input_grad_per_tap,
+                     relative_error)
+from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
     BACKBONES,
@@ -87,6 +89,84 @@ class TestConv1d:
                 index = np.unravel_index(int(flat), arr.shape)
                 numeric = central_difference(loss, arr, index)
                 assert relative_error(float(grads[index]), numeric) < 1e-6
+
+
+class TestConv1dBySample:
+    """Both passes run a few samples per GEMM and keep the full-batch GEMM's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_channels", [1, 2, 8])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_inference_forward_equals_training_forward(self, dtype, in_channels, padding, batch):
+        conv = Conv1d(in_channels, 6, 5, rng_(50), padding=padding, dtype=dtype)
+        conv.bias[:] = rng_(51).normal(size=6)
+        x = rng_(52).normal(size=(batch, 300, in_channels)).astype(dtype)
+        inference = conv.forward(x)
+        training = conv.forward(x, training=True)
+        assert inference.dtype == training.dtype == dtype
+        np.testing.assert_array_equal(inference, training)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_full_batch_gemm(self, dtype):
+        # one sample's GEMM here is below nn._SMALL_GEMM and the batch's above it
+        conv = Conv1d(8, 6, 5, rng_(65), dtype=dtype)
+        conv.bias[:] = rng_(66).normal(size=6)
+        x = rng_(67).normal(size=(32, 1024, 8)).astype(dtype)
+        cols = np.lib.stride_tricks.sliding_window_view(x, (5, 8), axis=(1, 2))
+        want = np.ascontiguousarray(cols).reshape(32 * 1020, 40) @ conv._w2()
+        want += conv.bias
+        for training in (False, True):
+            np.testing.assert_array_equal(conv.forward(x, training=training),
+                                          want.reshape(32, 1020, 6))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_channels, out_channels, length", [(2, 64, 2700), (8, 32, 1400)])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_input_gradient_equals_per_tap_col2im(self, dtype, in_channels, out_channels,
+                                                  length, padding):
+        # the batch's GEMMs are above nn._SMALL_GEMM, where BLAS keeps one
+        # summation order whatever the row count
+        conv = Conv1d(in_channels, out_channels, 3, rng_(53), padding=padding, dtype=dtype)
+        x = rng_(54).normal(size=(3, length, in_channels)).astype(dtype)
+        grad = rng_(55).normal(size=conv.forward(x, training=True).shape).astype(dtype)
+        assert grad.size * in_channels > nn._SMALL_GEMM
+        gx = conv.backward(grad)
+        np.testing.assert_array_equal(gx, conv1d_input_grad_per_tap(conv.weight, grad, padding))
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-5), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("in_channels, out_channels", [(2, 3), (2, 32), (8, 16)])
+    def test_small_input_gradient_matches_per_tap_col2im(self, dtype, bound, in_channels,
+                                                         out_channels):
+        # below nn._SMALL_GEMM OpenBLAS's small-matrix kernels may sum in an
+        # order that depends on the row count, so only the last bits may differ
+        conv = Conv1d(in_channels, out_channels, 3, rng_(56), padding="same", dtype=dtype)
+        x = rng_(57).normal(size=(3, 40, in_channels)).astype(dtype)
+        grad = rng_(58).normal(size=conv.forward(x, training=True).shape).astype(dtype)
+        want = conv1d_input_grad_per_tap(conv.weight, grad, "same")
+        gx = conv.backward(grad)
+        np.testing.assert_allclose(gx, want, rtol=0, atol=bound * np.abs(want).max())
+
+    def test_float32_gradient_stays_float32(self):
+        conv = Conv1d(4, 8, 3, rng_(59), dtype=np.float32)
+        x = rng_(60).normal(size=(2, 30, 4)).astype(np.float32)
+        out = conv.forward(x, training=True)
+        assert out.dtype == np.float32
+        assert conv.backward(np.ones_like(out)).dtype == np.float32
+        assert conv.wgrad.dtype == conv.bgrad.dtype == np.float32
+
+    def test_inference_forward_builds_no_full_column_matrix(self):
+        conv = Conv1d(8, 16, 15, rng_(61))
+        x = rng_(62).normal(size=(16, 1024, 8))
+        conv.forward(x)  # any first-call allocation happens here
+        tracemalloc.start()
+        try:
+            out = conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = np.empty((16 * out.shape[1], 15 * 8)).nbytes
+        assert peak < columns
 
 
 class TestBatchNorm:
@@ -362,6 +442,45 @@ class TestModelContainer:
         # leave stale gradients in every layer, residual sublayers included
         model.backward(softmax_cross_entropy(model.forward(x, training=True), y)[1])
         check_model_gradients(model, x, y, rel_tol=1e-4, rng=rng_(42))
+
+
+    @pytest.mark.parametrize("backbone", ["lenet-1d", "paper-cnn"])
+    def test_first_conv_accumulates_only_parameter_gradients(self, backbone, monkeypatch):
+        model = build_backbone(backbone, n_classes=5, seed=0)
+        x = rng_(43).normal(size=(4, 1, 256))
+        _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1, 2, 3]))
+        # every layer's full backward, the first conv's input gradient included
+        model.zero_grad()
+        g = grad
+        for layer in reversed(model.layers):
+            g = layer.backward(g)
+        assert g.shape == (4, 256, 1)
+        want = [a.copy() for a in model.gradients()]
+
+        first = model.layers[0]
+
+        def no_input_gradient(grad):
+            raise AssertionError("the first conv computed an input gradient")
+
+        monkeypatch.setattr(first, "backward", no_input_gradient)
+        model.zero_grad()
+        assert model.backward(grad) is None
+        for got, expected in zip(model.gradients(), want):
+            np.testing.assert_array_equal(got, expected)
+
+
+    def test_front_tfconv_step_goes_through_its_backward(self):
+        # per-layer tracing wraps each layer's ``backward`` on the instance
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
+        x = rng_(44).normal(size=(2, 1, 64))
+        _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1]))
+        front = model.tfconv
+        seen = []
+        real = front.backward
+        front.backward = lambda g: seen.append(g.shape) or real(g)
+        model.backward(grad)
+        assert seen == [(2, 2, 64)]
+        assert np.any(front.grad_theta != 0)
 
 
 class TestAssembly:
