@@ -92,6 +92,21 @@ def conv1d_input_grad_per_tap(weight: np.ndarray, grad: np.ndarray, padding: str
     return gx
 
 
+def maxpool_input_grad_where(choice: np.ndarray, grad: np.ndarray, length: int) -> np.ndarray:
+    """Input gradient of pair max pooling, routed with ``np.where`` into a zeroed array.
+
+    ``choice`` is the (B, L_out, C) mask of pairs whose right slot won and
+    ``grad`` the upstream gradient; ``length`` is the input length, whose odd
+    trailing sample gets 0.  The reference for ``MaxPool.backward``, which
+    routes by multiplying.
+    """
+    B, L_out, C = grad.shape
+    gx = np.zeros((B, length, C), dtype=grad.dtype)
+    gx[:, 0 : 2 * L_out : 2, :] = np.where(choice, 0.0, grad)
+    gx[:, 1 : 2 * L_out : 2, :] = np.where(choice, grad, 0.0)
+    return gx
+
+
 def central_difference(fn, arr: np.ndarray, index, h: float = 1e-6) -> float:
     """Central finite difference of scalar ``fn`` wrt one entry of ``arr``.
 

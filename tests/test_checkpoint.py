@@ -66,6 +66,42 @@ class TestSaveLoadRoundTrip:
         for a, b in zip(params_of(model), params_of(loaded)):
             np.testing.assert_array_equal(a, b)
 
+    # Top-level index and kind of each layer with checkpoint blocks, as saved
+    # by earlier versions.  Reordering parameter-free layers (MaxPool ahead of
+    # ReLU) must keep these names, or older checkpoints stop loading.
+    SAVED_LAYERS = {
+        ("backbone-only", "paper-cnn"): "0.conv1d 1.batchnorm1d 3.conv1d 4.batchnorm1d 7.conv1d "
+                                        "8.batchnorm1d 10.conv1d 11.batchnorm1d 15.dense "
+                                        "16.dense 17.dense 18.dense",
+        ("tfn-add", "paper-cnn"): "0.tfconvlayer 1.conv1d 2.batchnorm1d 4.conv1d 5.batchnorm1d "
+                                  "8.conv1d 9.batchnorm1d 11.conv1d 12.batchnorm1d 16.dense "
+                                  "17.dense 18.dense 19.dense",
+        ("tfn-replace", "paper-cnn"): "0.tfconvlayer 1.batchnorm1d 3.conv1d 4.batchnorm1d "
+                                      "7.conv1d 8.batchnorm1d 10.conv1d 11.batchnorm1d "
+                                      "15.dense 16.dense 17.dense 18.dense",
+        ("backbone-only", "lenet-1d"): "0.conv1d 3.conv1d 8.dense 9.dense 10.dense",
+        ("tfn-add", "lenet-1d"): "0.tfconvlayer 1.conv1d 4.conv1d 9.dense 10.dense 11.dense",
+        ("tfn-replace", "lenet-1d"): "0.tfconvlayer 3.conv1d 8.dense 9.dense 10.dense",
+    }
+    BLOCK_SUFFIXES = {
+        "tfconvlayer": ("theta",),
+        "conv1d": ("weight", "bias"),
+        "dense": ("weight", "bias"),
+        "batchnorm1d": ("gamma", "beta", "running_mean", "running_var"),
+    }
+
+    @pytest.mark.parametrize("mode, backbone", list(SAVED_LAYERS),
+                             ids=[f"{m}-{b}" for m, b in SAVED_LAYERS])
+    def test_block_names_match_saved_checkpoints(self, tmp_path, mode, backbone):
+        model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3)
+        path = tmp_path / "m.tfn"
+        save_model(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        want = [f"{layer}.{suffix}" for layer in self.SAVED_LAYERS[mode, backbone].split()
+                for suffix in self.BLOCK_SUFFIXES[layer.split(".")[1]]]
+        assert json.loads(raw[8 : 8 + hlen])["blocks"] == want
+
     def test_trained_model_evaluates_identically(self, tmp_path):
         x, y = small_signals()
         model = assemble_model("tfn-add", n_classes=5, seed=1)

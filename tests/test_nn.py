@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (central_difference, check_model_gradients, conv1d_input_grad_per_tap,
-                     relative_error)
+                     maxpool_input_grad_where, relative_error)
 from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
@@ -226,26 +226,20 @@ class TestPoolingAndActivation:
         np.testing.assert_array_equal(layer.backward(g), [[[0.0, 0.0], [1.0, 0.0]]])
 
     def test_maxpool_width_two(self):
-        layer = MaxPool(2)
+        layer = MaxPool()
         x = np.array([[[1.0], [3.0], [2.0], [2.0], [5.0]]])
         out = layer.forward(x)
         np.testing.assert_array_equal(out[:, :, 0], [[3.0, 2.0]])  # remainder dropped
 
     def test_maxpool_tie_routes_to_earlier_slot(self):
-        layer = MaxPool(2)
+        layer = MaxPool()
         x = np.array([[[4.0], [4.0]]])
         layer.forward(x, training=True)
         gx = layer.backward(np.array([[[1.0]]]))
         np.testing.assert_array_equal(gx[:, :, 0], [[1.0, 0.0]])
 
-    def test_maxpool_general_width_matches_reduce(self):
-        layer = MaxPool(3)
-        x = rng_(14).normal(size=(2, 9, 4))
-        out = layer.forward(x)
-        np.testing.assert_allclose(out, x.reshape(2, 3, 3, 4).max(axis=2))
-
     def test_maxpool_backward_routes_to_argmax(self):
-        layer = MaxPool(2)
+        layer = MaxPool()
         x = rng_(15).normal(size=(3, 10, 2))
         out = layer.forward(x, training=True)
         g = rng_(16).normal(size=out.shape)
@@ -253,6 +247,54 @@ class TestPoolingAndActivation:
         assert gx.shape == x.shape
         np.testing.assert_allclose(gx.sum(axis=1), g.sum(axis=1), rtol=1e-12)
         assert np.count_nonzero(gx) == g.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [10, 11], ids=["even", "odd"])
+    def test_maxpool_backward_equals_where_routing(self, dtype, length):
+        """Value-equal to ``np.where`` routing into a zeroed array, ties included.
+
+        A slot that lost its pair gets ``grad * 0``, a zero with the sign of
+        ``grad``, where ``np.where`` writes +0.  ``array_equal`` counts the
+        two zeros as equal; a zero's sign changes no parameter update.
+        """
+        layer = MaxPool()
+        x = rng_(50).normal(size=(4, length, 8)).round(1).astype(dtype)
+        left, right = x[:, 0 : length - 1 : 2], x[:, 1:length:2]
+        assert np.any(left == right)  # ties go to the left slot
+        out = layer.forward(x, training=True)
+        g = rng_(51).normal(size=out.shape).astype(dtype)
+        gx = layer.backward(g)
+        assert gx.dtype == dtype
+        np.testing.assert_array_equal(gx, maxpool_input_grad_where(right > left, g, length))
+        if length % 2:
+            assert np.all(gx[:, -1] == 0.0)  # the dropped sample
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [10, 11], ids=["even", "odd"])
+    def test_pooling_before_relu_changes_no_value(self, dtype, length):
+        """``MaxPool, ReLU`` gives the outputs and input gradients of ``ReLU, MaxPool``."""
+        rng = rng_(52)
+        x = rng.integers(-2, 3, size=(4, length, 8)).astype(dtype)
+        left, right = x[:, 0 : length - 1 : 2], x[:, 1:length:2]
+        assert np.any((left == right) & (left > 0))  # positive ties
+        assert np.any((left == 0) & (right == 0))  # zero ties
+        assert np.any((left < 0) & (right < 0))  # pairs ReLU clears
+        g = rng.normal(size=(4, length // 2, 8)).astype(dtype)
+
+        def run(layers):
+            out = x
+            for layer in layers:
+                out = layer.forward(out, training=True)
+            gx = g
+            for layer in reversed(layers):
+                gx = layer.backward(gx)
+            return out, gx
+
+        relu_first = run([ReLU(), MaxPool()])
+        pool_first = run([MaxPool(), ReLU()])
+        for a, b in zip(relu_first, pool_first):
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_adaptive_pool_divisible(self):
         layer = AdaptiveAvgPool(4)
@@ -330,7 +372,7 @@ class TestResidual:
         np.testing.assert_array_equal(block.forward(x), [[[-2.0], [6.0]]])
 
     def test_shape_change_rejected(self):
-        block = Residual([MaxPool(2)])
+        block = Residual([MaxPool()])
         with pytest.raises(ValueError):
             block.forward(np.zeros((1, 8, 1)))
 
@@ -408,7 +450,7 @@ class TestModelContainer:
             Conv1d(1, 3, 5, rng),
             BatchNorm1d(3),
             ReLU(),
-            MaxPool(2),
+            MaxPool(),
             Conv1d(3, 4, 3, rng),
             ReLU(),
             AdaptiveAvgPool(2),
@@ -558,14 +600,13 @@ class TestInferenceKeepsNothing:
         (lambda: Conv1d(2, 3, 3, rng_(41)), (2, 8, 2)),
         (lambda: BatchNorm1d(2), (2, 8, 2)),
         (lambda: ReLU(), (2, 8, 2)),
-        (lambda: MaxPool(2), (2, 8, 2)),
-        (lambda: MaxPool(3), (2, 9, 2)),
+        (lambda: MaxPool(), (2, 8, 2)),
         (lambda: AdaptiveAvgPool(2), (2, 8, 2)),
         (lambda: Flatten(), (2, 8, 2)),
         (lambda: Dense(4, 3, rng_(41)), (2, 4)),
         (lambda: TFconvLayer(init_params(KernelFamily.STTF, 2)), (2, 32)),
-    ], ids=["conv1d", "batchnorm1d", "relu", "maxpool2", "maxpool3", "adaptiveavgpool",
-            "flatten", "dense", "tfconv"])
+    ], ids=["conv1d", "batchnorm1d", "relu", "maxpool2", "adaptiveavgpool", "flatten",
+            "dense", "tfconv"])
     def test_backward_needs_training_forward(self, make, shape):
         layer = make()
         x = rng_(42).normal(size=shape)
