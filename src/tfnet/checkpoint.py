@@ -78,7 +78,13 @@ def load_model(path) -> Model:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{p}: not a model checkpoint (bad magic)")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, p, "header length"))
-        header = json.loads(_read_exact(fh, hlen, p, "header"))
+        raw_header = _read_exact(fh, hlen, p, "header")
+        try:
+            header = json.loads(raw_header)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{p}: invalid JSON checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{p}: checkpoint header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(f"{p}: unsupported checkpoint version {header.get('version')}")
         try:

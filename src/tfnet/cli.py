@@ -371,22 +371,20 @@ def cmd_freq_response(cfg: Config) -> int:
     out = _prepare_out(cfg)
     cfg.ensure_consumed()
     model = load_model(ckpt_path)
-    kernels = model.first_filter_layer().kernels()
+    kernels = model.layers[0].kernels()
     try:
         resp = channel_frequency_response(kernels, n_fft)
     except ValueError as exc:
         raise ConfigError(f"n_fft: {exc}") from exc
     write_cfr_csv(out / "cfr.csv", resp.freqs, resp.cfr)
     write_ofr_csv(out / "ofr.csv", resp.freqs, resp.ofr)
+    if model.tfconv is not None:
+        write_kernel_taps_csv(out / "kernel_taps.csv", model.tfconv)
     bands = list(bands_text)
     if data_dir is not None:
         ds = _load_eval_dataset(data_dir)
-        spectrum = dataset_spectrum(ds)
-        freqs = spectrum_freqs(ds.length)
-        with (out / "dataset_spectrum.csv").open("w") as fh:
-            fh.write("freq,magnitude\n")
-            for f, v in zip(freqs, spectrum):
-                fh.write(f"{repr(float(f))},{repr(float(v))}\n")
+        write_ofr_csv(out / "dataset_spectrum.csv", spectrum_freqs(ds.length),
+                      dataset_spectrum(ds), column="magnitude")
         if not bands:
             bands = [tuple(b) for b in ds.meta.get("information_bands", [])]
     if bands:
@@ -478,40 +476,12 @@ def cmd_ablate(cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_export_kernels(cfg: Config) -> int:
-    ckpt_path = cfg.get_path("checkpoint")
-    baseline = cfg.get_path("baseline", default="", must_exist=True)
-    n_fft = cfg.get_int("n_fft", 1024)
-    out = _prepare_out(cfg)
-    cfg.ensure_consumed()
-
-    def export(path, prefix):
-        model = load_model(path)
-        layer = model.tfconv
-        if layer is None:
-            raise RuntimeError(f"checkpoint {path} has no time-frequency layer to export")
-        write_kernel_taps_csv(out / f"{prefix}kernel_taps.csv", layer)
-        try:
-            resp = channel_frequency_response(layer.kernels(), n_fft)
-        except ValueError as exc:
-            raise ConfigError(f"n_fft: {exc}") from exc
-        write_cfr_csv(out / f"{prefix}kernel_fft.csv", resp.freqs, resp.cfr)
-
-    export(ckpt_path, "")
-    if baseline is not None:
-        export(baseline, "baseline_")
-    _write_echo(cfg, out)
-    print(f"kernel CSVs written to {out}")
-    return EXIT_OK
-
-
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "train": cmd_train,
     "eval": cmd_eval,
     "freq-response": cmd_freq_response,
     "ablate": cmd_ablate,
-    "export-kernels": cmd_export_kernels,
 }
 
 

@@ -131,10 +131,11 @@ def band_coverage(ofr, freqs, bands, threshold_factor: float = 1.5) -> BandRepor
     return BandReport(tuple(results), ofr_median=median, threshold_factor=threshold_factor)
 
 
-def write_ofr_csv(path, freqs, ofr) -> None:
+def write_ofr_csv(path, freqs, values, column="ofr") -> None:
+    """Two-column spectrum CSV: ``freq`` and ``column``."""
     with Path(path).open("w") as fh:
-        fh.write("freq,ofr\n")
-        for f, v in zip(freqs, ofr):
+        fh.write(f"freq,{column}\n")
+        for f, v in zip(freqs, values):
             fh.write(f"{repr(float(f))},{repr(float(v))}\n")
 
 

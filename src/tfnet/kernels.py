@@ -3,11 +3,8 @@
 Each family generates a complex discrete kernel from a handful of control
 parameters (center frequency f, chirp rate alpha, or wavelet scale s) on a
 fixed integer grid.  The control parameters are the only trainable weights
-of the layer, each confined to a hard box:
-
-    f     in [0, 0.5)      (normalized frequency, Nyquist-meaningful range)
-    alpha in [-0.005, 0.005]
-    s     in [0.4, 10]
+of the layer, each confined to the hard box ``BOXES`` gives it: f (normalized
+frequency) in [0, 0.5 - 1e-6], alpha in [-0.005, 0.005], s in [0.4, 10].
 
 Families
 --------
@@ -53,11 +50,13 @@ class KernelFamily(str, Enum):
     RANDOM = "random"
 
 
-PARAM_NAMES = {
-    KernelFamily.STTF: ("f",),
-    KernelFamily.CHIRPLET: ("f", "alpha"),
-    KernelFamily.MORLET: ("s",),
-    KernelFamily.LAPLACE: ("s",),
+# (name, lo, hi) per theta column: the one table that evaluation checks and
+# projection clamps against; random taps have no box
+BOXES = {
+    KernelFamily.STTF: (("f", 0.0, F_MAX),),
+    KernelFamily.CHIRPLET: (("f", 0.0, F_MAX), ("alpha", -ALPHA_MAX, ALPHA_MAX)),
+    KernelFamily.MORLET: (("s", S_MIN, S_MAX),),
+    KernelFamily.LAPLACE: (("s", S_MIN, S_MAX),),
 }
 
 
@@ -124,7 +123,7 @@ class KernelParams:
 def n_params(family: KernelFamily, kernel_len: int) -> int:
     if family is KernelFamily.RANDOM:
         return 2 * kernel_len
-    return len(PARAM_NAMES[family])
+    return len(BOXES[family])
 
 
 def param_names(family: KernelFamily, kernel_len: int) -> tuple[str, ...]:
@@ -132,7 +131,7 @@ def param_names(family: KernelFamily, kernel_len: int) -> tuple[str, ...]:
         return tuple(f"w_re_{i}" for i in range(kernel_len)) + tuple(
             f"w_im_{i}" for i in range(kernel_len)
         )
-    return PARAM_NAMES[family]
+    return tuple(name for name, _, _ in BOXES[family])
 
 
 def _check_grid(family: KernelFamily, grid: KernelGrid) -> np.ndarray:
@@ -144,18 +143,10 @@ def _check_grid(family: KernelFamily, grid: KernelGrid) -> np.ndarray:
 def _check_theta(family: KernelFamily, theta: np.ndarray):
     if not np.all(np.isfinite(theta)):
         raise ConstraintError("kernel parameters must be finite")
-    if family in (KernelFamily.STTF, KernelFamily.CHIRPLET):
-        f = theta[..., 0]
-        if np.any(f < 0.0) or np.any(f >= 0.5):
-            raise ConstraintError(f"frequency out of [0, 0.5): {f}")
-    if family is KernelFamily.CHIRPLET:
-        a = theta[..., 1]
-        if np.any(np.abs(a) > ALPHA_MAX):
-            raise ConstraintError(f"chirp rate out of [-{ALPHA_MAX}, {ALPHA_MAX}]: {a}")
-    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
-        s = theta[..., 0]
-        if np.any(s < S_MIN) or np.any(s > S_MAX):
-            raise ConstraintError(f"scale out of [{S_MIN}, {S_MAX}]: {s}")
+    for j, (name, lo, hi) in enumerate(BOXES.get(family, ())):
+        v = theta[..., j]
+        if np.any(v < lo) or np.any(v > hi):
+            raise ConstraintError(f"{name} out of [{lo}, {hi}]: {v}")
 
 
 def _mother(m: np.ndarray) -> np.ndarray:
@@ -226,13 +217,8 @@ def evaluate_kernels(params: KernelParams) -> np.ndarray:
 def clamp_params(params: KernelParams) -> KernelParams:
     """Project every control parameter onto its closed box (total, idempotent)."""
     theta = params.theta.copy()
-    fam = params.family
-    if fam in (KernelFamily.STTF, KernelFamily.CHIRPLET):
-        theta[:, 0] = np.clip(theta[:, 0], 0.0, F_MAX)
-    if fam is KernelFamily.CHIRPLET:
-        theta[:, 1] = np.clip(theta[:, 1], -ALPHA_MAX, ALPHA_MAX)
-    if fam in (KernelFamily.MORLET, KernelFamily.LAPLACE):
-        theta[:, 0] = np.clip(theta[:, 0], S_MIN, S_MAX)
+    for j, (_, lo, hi) in enumerate(BOXES.get(params.family, ())):
+        theta[:, j] = np.clip(theta[:, j], lo, hi)
     return replace(params, theta=theta)
 
 

@@ -418,6 +418,9 @@ class Residual(Layer):
 class Model:
     """Ordered layer stack with assembly metadata.
 
+    ``layers[0]`` is the model's first filter bank: the TFconv front layer
+    (also ``tfconv``) or the backbone's first ``Conv1d``.
+
     ``forward(x, hook=fn)`` calls ``fn(layer, out)`` after each top-level
     layer with the channels-last array the walker holds; the front layer's
     output is transposed before the hook sees it, as (batch, length, channels).
@@ -437,11 +440,6 @@ class Model:
                 for j, sub in enumerate(layer.sublayers):
                     sub.name = f"{i}.res{j}.{type(sub).__name__.lower()}"
 
-    def _front_split(self):
-        if self.layers and isinstance(self.layers[0], TFconvLayer):
-            return self.layers[0], self.layers[1:]
-        return None, self.layers
-
     def walk_layers(self):
         """Leaf layers in order, each residual block replaced by its sublayers."""
         for layer in self.layers:
@@ -451,7 +449,7 @@ class Model:
                 yield layer
 
     def forward(self, x, training=False, hook=None):
-        front, _ = self._front_split()
+        front = self.tfconv
         out = np.asarray(x, dtype=self.dtype)
         if front is None:
             out = _channels_last(out)
@@ -484,9 +482,8 @@ class Model:
             layer.zero_grad()
 
     def project_params(self):
-        front, _ = self._front_split()
-        if front is not None:
-            front.project_params()
+        if self.tfconv is not None:
+            self.tfconv.project_params()
 
     def parameters(self):
         return [p for layer in self.walk_layers() for p in layer.params]
@@ -496,14 +493,8 @@ class Model:
 
     @property
     def tfconv(self) -> TFconvLayer | None:
-        return self._front_split()[0]
-
-    def first_filter_layer(self):
-        """First TFconv or Conv1d layer (interpretability target)."""
-        for layer in self.layers:
-            if isinstance(layer, (TFconvLayer, Conv1d)):
-                return layer
-        raise ValueError("model has no convolutional first layer")
+        first = self.layers[0]
+        return first if isinstance(first, TFconvLayer) else None
 
 
 def _swap_length_channels(a):

@@ -208,6 +208,18 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=r"m\.tfn: checkpoint header has no 'mode' entry"):
             load_model(path)
 
+    @pytest.mark.parametrize("payload, message", [
+        (b"{not json", "invalid JSON checkpoint header"),
+        (b'{"mode": "\xff"}', "invalid JSON checkpoint header"),  # not UTF-8
+        (b'["mode", "tfn-add"]', "checkpoint header is not a JSON object"),
+    ], ids=["not-json", "not-utf8", "not-an-object"])
+    def test_corrupt_header_names_file(self, tmp_path, payload, message):
+        path, raw = self.checkpoint_bytes(tmp_path)
+        hlen = struct.unpack("<I", raw[4:8])[0]
+        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+        with pytest.raises(ValueError, match=r"m\.tfn: " + message):
+            load_model(path)
+
     def test_missing_block_detected(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
         hlen = struct.unpack("<I", raw[4:8])[0]

@@ -34,6 +34,15 @@ def trained_dir(tmp_path_factory, data_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def backbone_dir(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("cli-train") / "backbone"
+    code = main(["train", "--out", str(out), "--seed", "0",
+                 "--set", f"dataset={data_dir}", "--set", "mode=backbone-only", *TRAIN_ARGS])
+    assert code == EXIT_OK
+    return out
+
+
 class TestGenData:
     def test_outputs(self, data_dir):
         manifest = read_json(data_dir / "manifest.json")
@@ -103,13 +112,8 @@ class TestTrain:
         # initial state + 2 epochs, 2 channels, 1 parameter each
         assert len(lines) == 1 + 3 * 2 * 1
 
-    def test_backbone_mode_has_no_trajectory(self, tmp_path, data_dir):
-        out = tmp_path / "run"
-        code = main(["train", "--out", str(out), "--seed", "0",
-                     "--set", f"dataset={data_dir}", "--set", "mode=backbone-only",
-                     *TRAIN_ARGS])
-        assert code == EXIT_OK
-        assert not (out / "theta_trajectory.csv").exists()
+    def test_backbone_mode_has_no_trajectory(self, backbone_dir):
+        assert not (backbone_dir / "theta_trajectory.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, data_dir, trained_dir):
         out = tmp_path / "again"
@@ -249,6 +253,38 @@ class TestFreqResponse:
                      "--set", "bands=0.2-0.3"])
         assert code == EXIT_CONFIG
 
+    def test_kernel_taps_and_cfr(self, tmp_path, trained_dir):
+        out = tmp_path / "fr"
+        code = main(["freq-response", "--out", str(out),
+                     "--set", f"checkpoint={trained_dir / 'model.tfn'}",
+                     "--set", "n_fft=256"])
+        assert code == EXIT_OK
+        taps = (out / "kernel_taps.csv").read_text().splitlines()
+        assert taps[0] == "channel,n,real,imag"
+        assert len(taps) == 1 + 2 * 51  # two channels, 51 taps
+        assert len((out / "cfr.csv").read_text().splitlines()) == 1 + 2 * 129
+
+    def test_backbone_checkpoint_reads_stem_conv(self, tmp_path, backbone_dir):
+        out = tmp_path / "fr"
+        code = main(["freq-response", "--out", str(out),
+                     "--set", f"checkpoint={backbone_dir / 'model.tfn'}"])
+        assert code == EXIT_OK
+        # paper-cnn's stem Conv1d has 16 output channels
+        assert len((out / "cfr.csv").read_text().splitlines()) == 1 + 16 * 513
+        assert not (out / "kernel_taps.csv").exists()
+
+    def test_force_rerun_is_byte_identical(self, tmp_path, data_dir, trained_dir):
+        out = tmp_path / "fr"
+        args = ["freq-response", "--out", str(out), "--force",
+                "--set", f"checkpoint={trained_dir / 'model.tfn'}",
+                "--set", f"dataset={data_dir}"]
+        assert main(args) == EXIT_OK
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert {"cfr.csv", "ofr.csv", "kernel_taps.csv", "dataset_spectrum.csv",
+                "band_report.txt", "config.echo"} == set(first)
+        assert main(args) == EXIT_OK
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
 
 class TestAblate:
     def run_ablate(self, out, data_dir, extra=()):
@@ -334,39 +370,6 @@ class TestAblate:
     def test_bad_thread_env_rejected(self, tmp_path, data_dir, monkeypatch, value):
         monkeypatch.setenv("TFN_THREADS", value)
         assert self.run_ablate(tmp_path / "x", data_dir) == EXIT_CONFIG
-
-
-class TestExportKernels:
-    def test_taps_and_fft(self, tmp_path, trained_dir):
-        out = tmp_path / "kernels"
-        code = main(["export-kernels", "--out", str(out),
-                     "--set", f"checkpoint={trained_dir / 'model.tfn'}",
-                     "--set", "n_fft=256"])
-        assert code == EXIT_OK
-        taps = (out / "kernel_taps.csv").read_text().splitlines()
-        assert len(taps) == 1 + 2 * 51  # two channels, 51 taps
-        fft = (out / "kernel_fft.csv").read_text().splitlines()
-        assert len(fft) == 1 + 2 * 129
-
-    def test_baseline_export(self, tmp_path, trained_dir):
-        out = tmp_path / "kernels"
-        code = main(["export-kernels", "--out", str(out),
-                     "--set", f"checkpoint={trained_dir / 'model.tfn'}",
-                     "--set", f"baseline={trained_dir / 'model.tfn'}"])
-        assert code == EXIT_OK
-        assert (out / "baseline_kernel_taps.csv").exists()
-        assert (out / "kernel_taps.csv").read_text() == \
-            (out / "baseline_kernel_taps.csv").read_text()
-
-    def test_backbone_checkpoint_is_runtime_error(self, tmp_path, data_dir):
-        run = tmp_path / "run"
-        code = main(["train", "--out", str(run), "--seed", "0",
-                     "--set", f"dataset={data_dir}", "--set", "mode=backbone-only",
-                     *TRAIN_ARGS])
-        assert code == EXIT_OK
-        code = main(["export-kernels", "--out", str(tmp_path / "kernels"),
-                     "--set", f"checkpoint={run / 'model.tfn'}"])
-        assert code == EXIT_RUNTIME
 
 
 class TestArgumentPlumbing:

@@ -14,7 +14,7 @@ from tfnet.interpret import (
     write_ofr_csv,
 )
 from tfnet.kernels import KernelFamily, init_params
-from tfnet.nn import Conv1d, Dense, Flatten, Model, ReLU, assemble_model
+from tfnet.nn import Conv1d, assemble_model
 from tfnet.tfconv import TFconvLayer
 
 
@@ -84,33 +84,13 @@ class TestOverallFrequencyResponse:
 
 
 class TestModelFrequencyResponse:
-    """``freq-response`` reads the layer ``Model.first_filter_layer`` picks."""
-
-    def test_uses_front_layer_when_present(self):
-        front = TFconvLayer(init_params(KernelFamily.STTF, 2))
-        model = Model([front, Conv1d(2, 3, 3, np.random.default_rng(0))],
-                      mode="tfn-add", backbone="toy", n_classes=2)
-        assert model.first_filter_layer() is front
-
-    def test_falls_back_to_first_conv(self):
-        rng = np.random.default_rng(0)
-        first = Conv1d(1, 3, 5, rng)
-        model = Model([ReLU(), first, Conv1d(3, 2, 3, rng)],
-                      mode="backbone-only", backbone="toy", n_classes=2)
-        assert model.first_filter_layer() is first
-
-    def test_model_without_filters_rejected(self):
-        rng = np.random.default_rng(0)
-        model = Model([Flatten(), Dense(8, 2, rng)],
-                      mode="backbone-only", backbone="toy", n_classes=2)
-        with pytest.raises(ValueError, match="no convolutional first layer"):
-            model.first_filter_layer()
+    """``freq-response`` reads ``Model.layers[0]``, the model's first filter bank."""
 
     # sttf front layer: 8 channels x 51 taps; paper-cnn's first conv: 16 x 15
     @pytest.mark.parametrize("mode, shape", [("tfn-add", (8, 51)), ("backbone-only", (16, 15))])
     def test_first_layer_kernels_are_a_channel_bank(self, mode, shape):
         model = assemble_model(mode, n_classes=5, n_channels=8, seed=0)
-        assert model.first_filter_layer().kernels().shape == shape
+        assert model.layers[0].kernels().shape == shape
 
 
 class TestDatasetSpectrum:

@@ -157,7 +157,15 @@ class TestConstraints:
             evaluate_kernel(KernelFamily.STTF, [0.5])
         with pytest.raises(ConstraintError):
             evaluate_kernel(KernelFamily.STTF, [-0.01])
+        with pytest.raises(ConstraintError):  # above the box clamp_params projects onto
+            evaluate_kernel(KernelFamily.STTF, [0.5 - 1e-7])
         evaluate_kernel(KernelFamily.STTF, [F_MAX])  # boundary is legal
+
+    @pytest.mark.parametrize("family", PARAMETRIC)
+    def test_clamped_extremes_evaluate(self, family):
+        P = n_params(family, len(default_grid(family)))
+        params = KernelParams(family, np.array([[-1e3] * P, [1e3] * P]))
+        evaluate_kernels(clamp_params(params))
 
     def test_chirp_rate_box(self):
         with pytest.raises(ConstraintError):

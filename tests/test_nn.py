@@ -549,7 +549,7 @@ class TestAssembly:
     def test_backbone_only_has_no_front_layer(self):
         model = assemble_model("backbone-only")
         assert model.tfconv is None
-        assert isinstance(model.first_filter_layer(), Conv1d)
+        assert isinstance(model.layers[0], Conv1d)
 
     def test_wkn_modes_drop_modulus(self):
         for mode in ("wkn-add", "wkn-replace"):
