@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet.kernels import KernelFamily, KernelGrid, param_names
+from tfnet.kernels import KernelFamily, KernelGrid, check_theta, param_names
 from tfnet.nn import BatchNorm1d, Model, assemble_model
 from tfnet.tfconv import TFconvLayer
 from tfnet.training import TrainHistory
@@ -90,8 +90,12 @@ def load_model(path) -> Model:
         try:
             model = _rebuild(header)
             block_names = header["blocks"]
+            if not isinstance(block_names, list):
+                raise TypeError(f"'blocks' must be a list, got {type(block_names).__name__}")
         except KeyError as exc:
             raise ValueError(f"{p}: checkpoint header has no {exc.args[0]!r} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{p}: invalid checkpoint header: {exc}") from None
         expected = dict(_named_blocks(model))
         seen = []
         for _ in block_names:
@@ -116,6 +120,12 @@ def load_model(path) -> Model:
             raise ValueError(f"{p}: missing parameter blocks {sorted(missing)}")
         if fh.read(1):
             raise ValueError(f"{p}: trailing bytes after final block")
+    if model.tfconv is not None:
+        params = model.tfconv.kernel_params
+        try:
+            check_theta(params.family, params.theta)
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
     return model
 
 
@@ -124,6 +134,8 @@ def _rebuild(header: dict) -> Model:
     backbone = header["backbone"]
     n_classes = int(header["n_classes"])
     dtype = np.dtype(header.get("dtype", "float64"))
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype.name}")
     tf = header.get("tfconv")
     if mode == "backbone-only" or tf is None:
         model = assemble_model("backbone-only", backbone=backbone, n_classes=n_classes,

@@ -140,7 +140,8 @@ def _check_grid(family: KernelFamily, grid: KernelGrid) -> np.ndarray:
     return grid.indices.astype(np.float64)
 
 
-def _check_theta(family: KernelFamily, theta: np.ndarray):
+def check_theta(family: KernelFamily, theta: np.ndarray):
+    """Raise ``ConstraintError`` unless every parameter is finite and inside its ``BOXES`` box."""
     if not np.all(np.isfinite(theta)):
         raise ConstraintError("kernel parameters must be finite")
     for j, (name, lo, hi) in enumerate(BOXES.get(family, ())):
@@ -164,7 +165,7 @@ def evaluate_kernel(family: KernelFamily, theta, grid: KernelGrid | None = None)
         grid = default_grid(family)
     n = _check_grid(family, grid)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    _check_theta(family, theta)
+    check_theta(family, theta)
     env = np.exp(-0.5 * (n / ENVELOPE_SIGMA) ** 2)
     if family is KernelFamily.STTF:
         (f,) = theta

@@ -9,15 +9,19 @@ ablation variants.
 
 ``forward(x, training=True)`` is a training forward: each layer keeps what
 its ``backward`` reads until the next forward.  ``training=False`` is
-inference: no layer keeps anything, and ``backward`` after it raises.
+inference: no layer keeps anything, and ``backward`` after it raises.  With
+``overwrite=True`` an inference forward may write its output into ``x``;
+``Model.forward`` and ``Residual`` pass it only for arrays nothing else reads.
 
 Model inputs and outputs use the (batch, channels, length) convention.
 Internally the convolutional stack runs channels-last, (batch, length,
 channels), which keeps the im2col buffers and every elementwise pass
 contiguous.  ``Conv1d`` runs its forward and input-gradient GEMMs a few
-samples at a time; its weight gradient, which sums over the batch, is its
-one full-batch GEMM.  A model's first layer accumulates only its parameter
-gradients (``param_backward``).  ``Model.forward`` is the one loop over a
+samples at a time and keeps only its padded input for training; its weight
+gradient, which sums over the batch, rebuilds the full-batch im2col matrix
+for its one GEMM and drops it, so backward holds one such matrix at a time.
+A model's first layer accumulates only its parameter gradients
+(``param_backward``).  ``Model.forward`` is the one loop over a
 model's layers: it converts at the boundary, right after the channels-first
 time-frequency front layer, and can hand each layer's output to a hook.
 ``Model.walk_layers`` is the one place residual blocks are expanded into
@@ -46,6 +50,10 @@ class Layer:
     A subclass's ``forward`` sets ``_cache`` to what its ``backward`` needs
     when ``training`` is true and to ``None`` otherwise; ``backward`` reads
     it through ``_saved``, which raises unless a training forward came first.
+
+    An inference forward called with ``overwrite=True`` may overwrite its
+    input ``x`` with its output (``BatchNorm1d`` and ``ReLU`` do); pass it
+    only for an array no caller reads again.  The default never writes ``x``.
     """
 
     name = ""
@@ -63,7 +71,8 @@ class Layer:
         for g in self.grads:
             g[...] = 0.0
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                overwrite: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -98,20 +107,27 @@ def _sample_groups(n_samples, work_per_sample):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _windows(x, taps):
+    """(B, L_out, taps, C) im2col view of a (B, L, C) array; reshaping it copies."""
+    return np.lib.stride_tricks.sliding_window_view(x, (taps, x.shape[2]), axis=(1, 2))[:, :, 0]
+
+
 class Conv1d(Layer):
     """Stride-1 cross-correlation, valid padding by default.
 
-    Both passes run a few samples at a time as GEMMs over those samples'
-    im2col rows (Chellapilla et al., 2006), so no full-batch temporary is
-    built beyond what training keeps.  A training forward writes every
-    sample's rows into the (B*L_out, taps*in) matrix that the weight-gradient
-    GEMM reads; an inference forward reuses one group's buffer.  The weight
-    gradient is the one full-batch GEMM, because it sums over the batch.  The
-    input gradient adds each tap's product for one group of samples into a
-    contiguous block of its rows.  Splitting a GEMM by rows changes no dot
-    product as long as every piece stays above ``_SMALL_GEMM``, so both
-    passes keep the full-batch GEMM's bits.  Activations are (batch, length,
-    channels); the stored weight is (out, in, taps).
+    The forward copies one group of samples' im2col rows (Chellapilla et
+    al., 2006) into one reused buffer and runs one GEMM per group, in
+    training and inference alike, so no full-batch matrix is built.  A
+    training forward keeps only its (padded) input.  The weight gradient
+    sums over the batch, so ``param_backward`` rebuilds the full-batch
+    (B*L_out, taps*in) matrix from that input, runs the one GEMM and drops
+    the matrix: a strided copy recomputed instead of a matrix stored from
+    forward to backward (Chen et al., 2016).  The input gradient adds each
+    tap's product for one group of samples into a contiguous block of its
+    rows.  Splitting a GEMM by rows changes no dot product as long as every
+    piece stays above ``_SMALL_GEMM``, so both passes keep the full-batch
+    GEMM's bits.  Activations are (batch, length, channels); the stored
+    weight is (out, in, taps).
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, rng, padding="valid",
@@ -146,7 +162,7 @@ class Conv1d(Layer):
         return np.ascontiguousarray(self.weight.transpose(2, 1, 0)).reshape(
             K * self.in_channels, self.out_channels)
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         B, L, C = x.shape
         if C != self.in_channels:
             raise ValueError(f"Conv1d expects {self.in_channels} input channels, got {C}")
@@ -156,32 +172,35 @@ class Conv1d(Layer):
         L_out = x.shape[1] - K + 1
         if L_out < 1:
             raise ValueError(f"input length {L} shorter than kernel {K}")
-        win = np.lib.stride_tricks.sliding_window_view(x, (K, C), axis=(1, 2))[:, :, 0]
+        win = _windows(x, K)
         w2 = self._w2()
         groups = _sample_groups(B, L_out * K * C * O)
-        # training keeps every sample's im2col rows; inference reuses one group's
-        n_cols = B if training else max(hi - lo for lo, hi in groups)
-        cols = np.empty((n_cols * L_out, K * C), dtype=x.dtype)
+        cols = np.empty((max(hi - lo for lo, hi in groups) * L_out, K * C), dtype=x.dtype)
         out = np.empty((B * L_out, O), dtype=np.result_type(x, w2))
         for lo, hi in groups:
-            start = lo * L_out if training else 0
-            piece = cols[start : start + (hi - lo) * L_out]
+            piece = cols[: (hi - lo) * L_out]
             piece.reshape(hi - lo, L_out, K, C)[...] = win[lo:hi]
             np.matmul(piece, w2, out=out[lo * L_out : hi * L_out])
         out += self.bias
-        self._cache = (cols, x.shape[1]) if training else None
+        self._cache = x if training else None
         return out.reshape(B, L_out, O)
 
     def param_backward(self, grad):
-        """Accumulate the weight and bias gradients; no input gradient is computed."""
-        cols, _ = self._saved()
-        O = self.out_channels
+        """Accumulate the weight and bias gradients; no input gradient is computed.
+
+        The full-batch im2col matrix is rebuilt from the kept input for the
+        one weight-gradient GEMM and dropped when it returns.
+        """
+        x = self._saved()
+        B, L_pad, C = x.shape
+        K, O = self.kernel_size, self.out_channels
+        cols = _windows(x, K).reshape(B * (L_pad - K + 1), K * C)
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
         self.bgrad += g2.sum(axis=0)
-        self.wgrad += (g2.T @ cols).reshape(O, self.kernel_size, self.in_channels).transpose(0, 2, 1)
+        self.wgrad += (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
 
     def backward(self, grad):
-        _, L_pad = self._saved()
+        L_pad = self._saved().shape[1]
         self.param_backward(grad)
         B, L_out, O = grad.shape
         C, K = self.in_channels, self.kernel_size
@@ -234,7 +253,7 @@ class BatchNorm1d(Layer):
     def grads(self):
         return [self.ggrad, self.bgrad]
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         B, L, C = x.shape
         if C != self.channels:
             raise ValueError(f"BatchNorm1d expects {self.channels} channels, got {C}")
@@ -258,7 +277,7 @@ class BatchNorm1d(Layer):
         self._cache = None
         istd = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gamma * istd
-        out = scale * x
+        out = np.multiply(scale, x, out=x if overwrite else None)
         out += self.beta - scale * self.running_mean
         return out
 
@@ -276,9 +295,9 @@ class BatchNorm1d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         self._cache = x > 0.0 if training else None
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x if overwrite and not training else None)
 
     def backward(self, grad):
         return grad * self._saved()
@@ -291,7 +310,7 @@ class MaxPool(Layer):
     than ``np.where``; a slot that lost gets ``grad * 0``, signed like ``grad``.
     """
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         L_out = x.shape[1] // 2
         m0 = x[:, 0 : 2 * L_out : 2, :]
         m1 = x[:, 1 : 2 * L_out : 2, :]
@@ -327,7 +346,7 @@ class AdaptiveAvgPool(Layer):
         ends = [int(np.ceil((i + 1) * L / n)) for i in range(n)]
         return starts, ends
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         B, L, C = x.shape
         if L < self.bins:
             raise ValueError(f"cannot pool length {L} into {self.bins} bins")
@@ -348,7 +367,7 @@ class AdaptiveAvgPool(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         self._cache = x.shape if training else None
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
@@ -374,7 +393,7 @@ class Dense(Layer):
     def grads(self):
         return [self.wgrad, self.bgrad]
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"Dense expects (B, {self.in_features}), got {x.shape}")
         self._cache = x if training else None
@@ -400,10 +419,11 @@ class Residual(Layer):
     def grads(self):
         return [g for layer in self.sublayers for g in layer.grads]
 
-    def forward(self, x, training=False):
+    def forward(self, x, training=False, overwrite=False):
         out = x
         for layer in self.sublayers:
-            out = layer.forward(out, training=training)
+            # the skip input is read again below, so only the branch's own arrays are overwritten
+            out = layer.forward(out, training=training, overwrite=out is not x)
         if out.shape != x.shape:
             raise ValueError("residual branch changed shape; identity skip impossible")
         return out + x
@@ -424,6 +444,10 @@ class Model:
     ``forward(x, hook=fn)`` calls ``fn(layer, out)`` after each top-level
     layer with the channels-last array the walker holds; the front layer's
     output is transposed before the hook sees it, as (batch, length, channels).
+
+    ``forward`` never writes ``x``, but at inference a later layer may
+    overwrite the array the layer before it returned, so a hook that keeps
+    an array must copy it.
     """
 
     def __init__(self, layers, mode, backbone, n_classes, tfconv_config=None,
@@ -450,11 +474,13 @@ class Model:
 
     def forward(self, x, training=False, hook=None):
         front = self.tfconv
-        out = np.asarray(x, dtype=self.dtype)
+        held = out = np.asarray(x, dtype=self.dtype)
         if front is None:
             out = _channels_last(out)
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            # any array but the caller's (or a view of it) is the walker's to overwrite
+            out = layer.forward(out, training=training,
+                                overwrite=not np.may_share_memory(out, held))
             if layer is front:
                 out = _channels_last(out)
             if hook is not None:

@@ -81,7 +81,8 @@ class TFconvLayer:
         """Current complex kernel bank, shape (C, K)."""
         return evaluate_kernels(self.kernel_params)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                overwrite: bool = False) -> np.ndarray:
         """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
 
         Only a training forward keeps the input and the correlation maps for

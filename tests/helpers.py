@@ -92,6 +92,49 @@ def conv1d_input_grad_per_tap(weight: np.ndarray, grad: np.ndarray, padding: str
     return gx
 
 
+def conv1d_grads_full_batch_im2col(conv, x: np.ndarray, grad: np.ndarray):
+    """(weight, bias, input) gradients of ``conv`` from one full-batch im2col matrix.
+
+    ``x`` is the (B, L, in) input and ``grad`` the (B, L_out, out) upstream
+    gradient.  The (B*L_out, taps*in) matrix of every sample's windows is
+    built at once, the way a training forward once kept it, and the weight
+    gradient is its one GEMM with ``grad``; the input gradient is
+    ``conv1d_input_grad_per_tap``.  The reference for ``Conv1d``, which
+    keeps only its padded input and rebuilds the matrix in backward.
+    """
+    K, O = conv.kernel_size, conv.out_channels
+    if conv.padding == "same":
+        x = np.pad(x, ((0, 0), same_pad_widths(K), (0, 0)))
+    B, L_pad, C = x.shape
+    L_out = L_pad - K + 1
+    cols = np.empty((B * L_out, K * C), dtype=x.dtype)
+    for b in range(B):
+        for t in range(L_out):
+            cols[b * L_out + t] = x[b, t : t + K].reshape(-1)
+    g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
+    wgrad = (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
+    return wgrad, g2.sum(axis=0), conv1d_input_grad_per_tap(conv.weight, grad, conv.padding)
+
+
+def forward_out_of_place(model: Model, x: np.ndarray) -> np.ndarray:
+    """Inference logits of ``model`` with no layer allowed to overwrite its input.
+
+    Every leaf layer's ``forward`` is wrapped to pass ``overwrite=False``
+    for the duration of the call, so each layer writes a new array.  The
+    reference for ``Model.forward``, whose inference layers may write into
+    the arrays the walker owns.
+    """
+    layers = list(model.walk_layers())
+    for layer in layers:
+        layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
+                         f(x, training=training))
+    try:
+        return model.forward(x, training=False)
+    finally:
+        for layer in layers:
+            vars(layer).pop("forward", None)
+
+
 def maxpool_input_grad_where(choice: np.ndarray, grad: np.ndarray, length: int) -> np.ndarray:
     """Input gradient of pair max pooling, routed with ``np.where`` into a zeroed array.
 

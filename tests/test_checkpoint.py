@@ -220,6 +220,36 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=r"m\.tfn: " + message):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_classes", "x", "invalid literal for int"),
+        ("tfconv", ["sttf"], "list indices"),
+        ("tfconv.family", "bogus", "'bogus' is not a valid KernelFamily"),
+        ("blocks", 3, "'blocks' must be a list, got int"),
+        ("dtype", "int32", "dtype must be float32 or float64, got int32"),
+    ], ids=["n_classes-not-int", "tfconv-a-list", "unknown-family", "blocks-an-int",
+            "integer-dtype"])
+    def test_header_value_of_wrong_type_names_file(self, tmp_path, key, value, message):
+        path, raw = self.checkpoint_bytes(tmp_path)
+        hlen = struct.unpack("<I", raw[4:8])[0]
+        header = json.loads(raw[8 : 8 + hlen])
+        *parents, last = key.split(".")
+        entry = header
+        for name in parents:
+            entry = entry[name]
+        entry[last] = value
+        payload = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+        with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: .*" + message):
+            load_model(path)
+
+    def test_theta_outside_its_box_names_file(self, tmp_path):
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
+        model.tfconv.kernel_params.theta[0, 0] = 0.7
+        path = tmp_path / "m.tfn"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=r"m\.tfn: f out of \[0\.0, 0\.49"):
+            load_model(path)
+
     def test_missing_block_detected(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
         hlen = struct.unpack("<I", raw[4:8])[0]

@@ -212,6 +212,18 @@ class TestEval:
         assert "labels must lie in [0, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "freq-response"])
+def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys, command):
+    model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
+    model.tfconv.kernel_params.theta[0, 0] = 0.7
+    ckpt = tmp_path / "bad.tfn"
+    save_model(model, ckpt)
+    code = main([command, "--out", str(tmp_path / "out"), "--set", f"checkpoint={ckpt}",
+                 "--set", f"dataset={data_dir}"])
+    assert code == EXIT_RUNTIME
+    assert f"error: {ckpt}: f out of [0.0, 0.49" in capsys.readouterr().err
+
+
 class TestFreqResponse:
     def test_response_without_dataset(self, tmp_path, trained_dir):
         out = tmp_path / "fr"

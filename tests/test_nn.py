@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (central_difference, check_model_gradients, conv1d_input_grad_per_tap,
-                     maxpool_input_grad_where, relative_error)
+from helpers import (central_difference, check_model_gradients, conv1d_grads_full_batch_im2col,
+                     conv1d_input_grad_per_tap, forward_out_of_place, maxpool_input_grad_where,
+                     relative_error)
 from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
@@ -167,6 +168,99 @@ class TestConv1dBySample:
             tracemalloc.stop()
         columns = np.empty((16 * out.shape[1], 15 * 8)).nbytes
         assert peak < columns
+
+
+class TestConv1dKeepsItsInput:
+    """A training forward keeps the padded input; backward rebuilds the im2col matrix."""
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_training_forward_keeps_no_more_than_its_padded_input(self, backbone, monkeypatch):
+        model = build_backbone(backbone, n_classes=5, seed=0)
+        convs = [layer for layer in model.walk_layers() if isinstance(layer, Conv1d)]
+        padded = {}
+        for conv in convs:
+            def record(x, training=False, overwrite=False, conv=conv, real=conv.forward):
+                pad = conv.kernel_size - 1 if conv.padding == "same" else 0
+                padded[conv] = x.nbytes // x.shape[1] * (x.shape[1] + pad)
+                return real(x, training=training, overwrite=overwrite)
+            monkeypatch.setattr(conv, "forward", record)
+        model.forward(rng_(70).normal(size=(4, 1, 512)), training=True)
+        assert len(padded) == len(convs)
+        for conv in convs:
+            assert conv._cache.nbytes <= padded[conv], conv.name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("batch, split", [(6, True), (1, False)], ids=["groups", "one-group"])
+    def test_gradients_equal_full_batch_im2col(self, dtype, padding, batch, split):
+        # every GEMM here is above nn._SMALL_GEMM, where BLAS keeps one
+        # summation order whatever the row count
+        conv = Conv1d(8, 16, 3, rng_(71), padding=padding, dtype=dtype)
+        x = rng_(72).normal(size=(batch, 1400, 8)).astype(dtype)
+        out = conv.forward(x, training=True)
+        B, L_out, O = out.shape
+        assert (len(nn._sample_groups(B, L_out * 3 * 8 * O)) > 1) == split
+        grad = rng_(73).normal(size=out.shape).astype(dtype)
+        conv.zero_grad()
+        gx = conv.backward(grad)
+        want = conv1d_grads_full_batch_im2col(conv, x, grad)
+        for got, expected in zip((conv.wgrad, conv.bgrad, gx), want):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestInferenceOverwrites:
+    """Inference BN and ReLU write into arrays the walker owns, never into a caller's."""
+
+    @pytest.mark.parametrize("make", [lambda: BatchNorm1d(3), ReLU], ids=["batchnorm1d", "relu"])
+    def test_overwrite_only_when_told_and_only_at_inference(self, make):
+        layer = make()
+        x = rng_(74).normal(size=(2, 8, 3))
+        for training, overwrite in ((True, True), (False, False)):
+            held = x.copy()
+            layer.forward(held, training=training, overwrite=overwrite)
+            np.testing.assert_array_equal(held, x)
+        want = layer.forward(x)
+        held = x.copy()
+        out = layer.forward(held, overwrite=True)
+        assert out is held
+        np.testing.assert_array_equal(out, want)
+
+    def test_walker_overwrites_only_its_own_arrays(self):
+        # the first layer gets (a view of) the caller's array, the rest the walker's
+        rng = rng_(77)
+        layers = [ReLU(), BatchNorm1d(1), ReLU(), Flatten(), Dense(16, 3, rng)]
+        model = Model(layers, mode="backbone-only", backbone="micro", n_classes=3)
+        model.layers[1].running_mean[:] = 0.25
+        x = rng.normal(size=(2, 1, 16))
+        x0 = x.copy()
+        logits = model.forward(x)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(logits, forward_out_of_place(model, x0))
+
+    @pytest.mark.parametrize("mode, backbone, dtype", [
+        ("backbone-only", "paper-cnn", np.float64),
+        ("tfn-add", "paper-cnn", np.float32),
+        ("tfn-replace", "lenet-1d", np.float32),
+        ("backbone-only", "resnet-1d", np.float64),
+    ])
+    def test_model_forward_keeps_its_argument(self, mode, backbone, dtype):
+        model = assemble_model(mode, backbone=backbone, n_channels=4, dtype=dtype)
+        x = rng_(75).normal(size=(3, 1, 512)).astype(dtype)
+        x0 = x.copy()
+        logits = model.forward(x, training=False)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(logits, forward_out_of_place(model, x0))
+
+    def test_residual_keeps_its_skip_input(self):
+        block = Residual([ReLU(), BatchNorm1d(2), ReLU()])
+        block.sublayers[1].running_mean[:] = [0.5, -0.5]
+        x = rng_(76).normal(size=(2, 6, 2))
+        x0 = x.copy()
+        out = block.forward(x, overwrite=True)
+        np.testing.assert_array_equal(x, x0)
+        branch = np.maximum(block.sublayers[1].forward(np.maximum(x0, 0.0)), 0.0)
+        np.testing.assert_array_equal(out, branch + x0)
 
 
 class TestBatchNorm:
