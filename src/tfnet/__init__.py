@@ -6,9 +6,8 @@ trains it with hand-rolled backprop and Adam, and inspects what it learned
 through the FIR frequency response of its first-layer kernels.
 """
 
-from tfnet.kernels import KernelFamily, KernelGrid, KernelParams
-from tfnet.tfconv import TFconvLayer
-from tfnet.nn import Model, assemble_model, build_backbone
+from tfnet.kernels import KernelFamily, KernelParams
+from tfnet.nn import Model, TFconvLayer, assemble_model, build_backbone
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
 from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
 from tfnet.interpret import (BandReport, FrequencyResponse, band_coverage,
@@ -22,7 +21,6 @@ __all__ = [
     "Dataset",
     "FrequencyResponse",
     "KernelFamily",
-    "KernelGrid",
     "KernelParams",
     "Model",
     "SynthSpec",

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet.kernels import KernelFamily, KernelGrid, check_theta, param_names
-from tfnet.nn import BatchNorm1d, Model, assemble_model
-from tfnet.tfconv import TFconvLayer
+from tfnet.kernels import KernelFamily, check_theta, default_grid, param_names
+from tfnet.nn import BatchNorm1d, Model, TFconvLayer, assemble_model
 from tfnet.training import TrainHistory
 
 MAGIC = b"TFN1"
@@ -130,36 +129,18 @@ def load_model(path) -> Model:
 
 
 def _rebuild(header: dict) -> Model:
-    mode = header["mode"]
-    backbone = header["backbone"]
-    n_classes = int(header["n_classes"])
+    """The model the header describes; its ``tfconv`` entry must be the one that model writes."""
     dtype = np.dtype(header.get("dtype", "float64"))
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype.name}")
     tf = header.get("tfconv")
-    if mode == "backbone-only" or tf is None:
-        model = assemble_model("backbone-only", backbone=backbone, n_classes=n_classes,
-                               dtype=dtype)
-        model.mode = mode
-        return model
-    family = KernelFamily(tf["family"])
-    K = int(tf["kernel_length"])
-    grid = None
-    if family is KernelFamily.RANDOM:
-        if K % 2 != 1:
-            raise ValueError(f"checkpoint kernel length {K} must be odd")
-        half = K // 2
-        grid = KernelGrid(np.arange(-half, half + 1))
-    return assemble_model(
-        mode,
-        backbone=backbone,
-        n_classes=n_classes,
-        family=family,
-        n_channels=int(tf["n_channels"]),
-        kernel_grid=grid,
-        eps_modulus=float(tf["eps_modulus"]),
-        dtype=dtype,
-    )
+    front = {} if tf is None else {"family": tf["family"], "n_channels": int(tf["n_channels"])}
+    model = assemble_model(header["mode"], backbone=header["backbone"],
+                           n_classes=int(header["n_classes"]), dtype=dtype, **front)
+    if tf != model.tfconv_config:
+        raise ValueError(f"'tfconv' entry {tf} does not match mode {model.mode!r}, "
+                         f"which writes {model.tfconv_config}")
+    return model
 
 
 def write_history_csv(path, history: TrainHistory) -> None:
@@ -177,8 +158,7 @@ def write_theta_trajectory_csv(path, history: TrainHistory, family) -> None:
     if not history.theta_snapshots:
         raise ValueError("history carries no kernel parameter snapshots")
     C, P = history.theta_snapshots[0].shape
-    # random kernels store P = 2K raw taps; parametric families ignore the length
-    names = param_names(family, P // 2 if family is KernelFamily.RANDOM else P)
+    names = param_names(family)
     if len(names) != P:
         raise ValueError(f"{P} parameters but {len(names)} names for family {family.value}")
     with Path(path).open("w") as fh:
@@ -192,7 +172,7 @@ def write_theta_trajectory_csv(path, history: TrainHistory, family) -> None:
 def write_kernel_taps_csv(path, layer: TFconvLayer) -> None:
     """Complex kernel taps: channel, index, real, imag."""
     kernels = layer.kernels()
-    grid = layer.kernel_params.grid.indices
+    grid = default_grid(layer.kernel_params.family)
     with Path(path).open("w") as fh:
         fh.write("channel,n,real,imag\n")
         for c in range(kernels.shape[0]):

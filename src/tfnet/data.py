@@ -4,7 +4,9 @@ The synthetic generator produces labeled one-channel signals from a small
 vocabulary of components (steady tones, amplitude-modulated tones, damped
 impulse trains) plus Gaussian noise.  Each class recipe places its
 discriminative energy inside declared information bands, which downstream
-interpretability checks score against.
+interpretability checks score against.  Each component class gives the one
+frequency the bands must hold (``freq``) and draws its sample from the
+sample's random stream (``render``).
 
 On disk a dataset is a directory: ``meta.json`` (manifest), ``samples.f64le``
 (row-major little-endian float64) and ``labels.u32le``.
@@ -26,6 +28,10 @@ class Tone:
     freq: float
     amplitude: float = 1.0
 
+    def render(self, n, rng):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        return self.amplitude * np.sin(2.0 * np.pi * self.freq * n + phase)
+
 
 @dataclass(frozen=True)
 class AMTone:
@@ -35,6 +41,16 @@ class AMTone:
     mod_freq: float
     amplitude: float = 1.0
     depth: float = 0.5
+
+    @property
+    def freq(self):
+        return self.carrier
+
+    def render(self, n, rng):
+        phase_c = rng.uniform(0.0, 2.0 * np.pi)
+        phase_m = rng.uniform(0.0, 2.0 * np.pi)
+        envelope = 1.0 + self.depth * np.sin(2.0 * np.pi * self.mod_freq * n + phase_m)
+        return self.amplitude * envelope * np.sin(2.0 * np.pi * self.carrier * n + phase_c)
 
 
 @dataclass(frozen=True)
@@ -50,21 +66,22 @@ class ImpulseTrain:
     damping: float
     amplitude: float = 3.0
 
+    @property
+    def freq(self):
+        return self.resonance
+
+    def render(self, n, rng):
+        offset = int(rng.integers(0, self.period))
+        comb = np.zeros(n.size)
+        comb[offset :: self.period] = self.amplitude
+        resonance = np.exp(-self.damping * n) * np.cos(2.0 * np.pi * self.resonance * n)
+        return np.convolve(comb, resonance)[: n.size]
+
 
 @dataclass(frozen=True)
 class ClassSpec:
     name: str
     components: tuple = ()
-
-
-def _component_freqs(component):
-    if isinstance(component, Tone):
-        return [component.freq]
-    if isinstance(component, AMTone):
-        return [component.carrier]
-    if isinstance(component, ImpulseTrain):
-        return [component.resonance]
-    raise TypeError(f"unknown component type {type(component).__name__}")
 
 
 @dataclass(frozen=True)
@@ -101,15 +118,13 @@ class SynthSpec:
                 raise ValueError("information bands must be disjoint")
         for cls in self.classes:
             for comp in cls.components:
-                for f in _component_freqs(comp):
-                    if not (0.0 < f < 0.5):
-                        raise ValueError(
-                            f"class {cls.name!r}: frequency {f} outside (0, 0.5)"
-                        )
-                    if bands and not any(lo <= f <= hi for lo, hi in bands):
-                        raise ValueError(
-                            f"class {cls.name!r}: frequency {f} lies in no information band"
-                        )
+                f = comp.freq
+                if not (0.0 < f < 0.5):
+                    raise ValueError(f"class {cls.name!r}: frequency {f} outside (0, 0.5)")
+                if bands and not any(lo <= f <= hi for lo, hi in bands):
+                    raise ValueError(
+                        f"class {cls.name!r}: frequency {f} lies in no information band"
+                    )
                 if isinstance(comp, ImpulseTrain):
                     if comp.period < 2 or comp.period >= self.sample_length:
                         raise ValueError(
@@ -193,25 +208,6 @@ class Dataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def _render_component(component, n, rng):
-    if isinstance(component, Tone):
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        return component.amplitude * np.sin(2.0 * np.pi * component.freq * n + phase)
-    if isinstance(component, AMTone):
-        phase_c = rng.uniform(0.0, 2.0 * np.pi)
-        phase_m = rng.uniform(0.0, 2.0 * np.pi)
-        envelope = 1.0 + component.depth * np.sin(2.0 * np.pi * component.mod_freq * n + phase_m)
-        return component.amplitude * envelope * np.sin(2.0 * np.pi * component.carrier * n + phase_c)
-    if isinstance(component, ImpulseTrain):
-        L = n.size
-        offset = int(rng.integers(0, component.period))
-        comb = np.zeros(L)
-        comb[offset :: component.period] = component.amplitude
-        resonance = np.exp(-component.damping * n) * np.cos(2.0 * np.pi * component.resonance * n)
-        return np.convolve(comb, resonance)[:L]
-    raise TypeError(f"unknown component type {type(component).__name__}")
-
-
 def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
     """Generate the labeled dataset described by ``spec``.
 
@@ -230,7 +226,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
             rng = derive_rng(seed, "synth", c, i)
             x = np.zeros(L)
             for comp in cls.components:
-                x += _render_component(comp, n, rng)
+                x += comp.render(n, rng)
             if spec.noise_sigma > 0:
                 x += rng.normal(0.0, spec.noise_sigma, L)
             samples[row, 0] = x
@@ -323,8 +319,12 @@ def load_dataset(directory) -> Dataset:
         raise ValueError(f"{meta_path}: invalid JSON manifest: {exc}") from exc
     try:
         count, length = int(meta["count"]), int(meta["length"])
+        if count < 0 or length < 0:
+            raise ValueError(f"count {count} and length {length} must be non-negative")
     except KeyError as exc:
         raise ValueError(f"{meta_path}: manifest has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: invalid manifest: {exc}") from None
     raw = (d / "samples.f64le").read_bytes()
     expected = count * length * 8
     if len(raw) != expected:

@@ -15,6 +15,8 @@ import numpy as np
 
 from tfnet.training import standardize
 
+THRESHOLD_FACTOR = 1.5  # a band peak must reach this multiple of the O-FR median
+
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -70,11 +72,10 @@ class BandPeak:
 class BandReport:
     bands: tuple[BandPeak, ...]
     ofr_median: float
-    threshold_factor: float = 1.5
 
     @property
     def threshold(self) -> float:
-        return self.threshold_factor * self.ofr_median
+        return THRESHOLD_FACTOR * self.ofr_median
 
     @property
     def n_hits(self) -> int:
@@ -95,21 +96,19 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ge_left & ge_right)
 
 
-def band_coverage(ofr, freqs, bands, threshold_factor: float = 1.5) -> BandReport:
+def band_coverage(ofr, freqs, bands) -> BandReport:
     """Score the O-FR against information bands.
 
     A band is hit when some local maximum inside it reaches
-    ``threshold_factor`` times the O-FR median (and is positive, so a
+    ``THRESHOLD_FACTOR`` times the O-FR median (and is positive, so a
     flat zero response never scores).
     """
     ofr = np.asarray(ofr, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
     if ofr.shape != freqs.shape or ofr.ndim != 1 or ofr.size == 0:
         raise ValueError("ofr and freqs must be equal-length non-empty 1D arrays")
-    if threshold_factor <= 0:
-        raise ValueError("threshold_factor must be positive")
     median = float(np.median(ofr))
-    threshold = threshold_factor * median
+    threshold = THRESHOLD_FACTOR * median
     maxima = _local_maxima(ofr)
     results = []
     for band in bands:
@@ -128,7 +127,7 @@ def band_coverage(ofr, freqs, bands, threshold_factor: float = 1.5) -> BandRepor
         peak_pool = band_max if band_max.size else in_band
         k = peak_pool[np.argmax(ofr[peak_pool])]
         results.append(BandPeak((lo, hi), float(freqs[k]), float(ofr[k]), hit))
-    return BandReport(tuple(results), ofr_median=median, threshold_factor=threshold_factor)
+    return BandReport(tuple(results), ofr_median=median)
 
 
 def write_ofr_csv(path, freqs, values, column="ofr") -> None:
@@ -150,7 +149,7 @@ def write_cfr_csv(path, freqs, cfr) -> None:
 def write_band_report(path, report: BandReport) -> None:
     """Plain-text manifest of a band coverage report."""
     lines = [
-        f"threshold_factor: {report.threshold_factor}",
+        f"threshold_factor: {THRESHOLD_FACTOR}",
         f"ofr_median: {repr(report.ofr_median)}",
         f"threshold: {repr(report.threshold)}",
         f"hits: {report.n_hits}/{len(report.bands)}",

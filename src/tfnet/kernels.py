@@ -1,10 +1,12 @@
 """Kernel-function families for the time-frequency convolutional layer.
 
 Each family generates a complex discrete kernel from a handful of control
-parameters (center frequency f, chirp rate alpha, or wavelet scale s) on a
-fixed integer grid.  The control parameters are the only trainable weights
-of the layer, each confined to the hard box ``BOXES`` gives it: f (normalized
-frequency) in [0, 0.5 - 1e-6], alpha in [-0.005, 0.005], s in [0.4, 10].
+parameters (center frequency f, chirp rate alpha, or wavelet scale s) on
+the one integer grid ``default_grid`` gives the family, so the family alone
+fixes the kernel length.  The control parameters are the only trainable
+weights of the layer, each confined to the hard box ``BOXES`` gives it: f
+(normalized frequency) in [0, 0.5 - 1e-6], alpha in [-0.005, 0.005], s in
+[0.4, 10].
 
 Families
 --------
@@ -16,15 +18,16 @@ morlet     scaled mother window (1/sqrt(s)) * Psi(n/s) on n in -150..150,
            0.2/s.
 laplace    same mother window and scaling as morlet but on the one-sided
            grid n in 0..150 (asymmetry comes from the one-sided support).
-random     unconstrained raw taps (real and imaginary), trained like plain
-           convolution weights; only legal in the random-kernel ablation.
+random     unconstrained raw taps (real and imaginary) on n in -25..25,
+           trained like plain convolution weights; only legal in the
+           random-kernel ablation.
 
 The complex-exponential sign is positive for every family; for real inputs
 the modulus feature map is invariant under kernel conjugation, so the
 choice is observationally neutral and keeps chirplet(alpha=0) == sttf.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,32 +63,14 @@ BOXES = {
 }
 
 
-@dataclass(frozen=True)
-class KernelGrid:
-    """Integer sample grid a kernel family is evaluated on."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KernelGrid) and np.array_equal(self.indices, other.indices)
-
-
-def default_grid(family: KernelFamily) -> KernelGrid:
+def default_grid(family: KernelFamily) -> np.ndarray:
+    """Integer sample indices of the family's kernels, the one grid it is evaluated on."""
     family = KernelFamily(family)
-    if family in (KernelFamily.STTF, KernelFamily.CHIRPLET, KernelFamily.RANDOM):
-        return KernelGrid(np.arange(-25, 26))
     if family is KernelFamily.MORLET:
-        return KernelGrid(np.arange(-150, 151))
+        return np.arange(-150, 151)
     if family is KernelFamily.LAPLACE:
-        return KernelGrid(np.arange(0, 151))
-    raise ValueError(f"unknown family {family!r}")
+        return np.arange(0, 151)
+    return np.arange(-25, 26)
 
 
 @dataclass
@@ -99,16 +84,13 @@ class KernelParams:
 
     family: KernelFamily
     theta: np.ndarray
-    grid: KernelGrid = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.family = KernelFamily(self.family)
-        if self.grid is None:
-            self.grid = default_grid(self.family)
         self.theta = np.atleast_2d(np.asarray(self.theta, dtype=np.float64))
         if not np.all(np.isfinite(self.theta)):
             raise ConstraintError("kernel parameters must be finite")
-        expected = n_params(self.family, len(self.grid))
+        expected = n_params(self.family)
         if self.theta.shape[1] != expected:
             raise ValueError(
                 f"{self.family.value} expects {expected} parameters per channel, "
@@ -120,24 +102,15 @@ class KernelParams:
         return self.theta.shape[0]
 
 
-def n_params(family: KernelFamily, kernel_len: int) -> int:
-    if family is KernelFamily.RANDOM:
-        return 2 * kernel_len
-    return len(BOXES[family])
+def n_params(family: KernelFamily) -> int:
+    return len(param_names(family))
 
 
-def param_names(family: KernelFamily, kernel_len: int) -> tuple[str, ...]:
+def param_names(family: KernelFamily) -> tuple[str, ...]:
     if family is KernelFamily.RANDOM:
-        return tuple(f"w_re_{i}" for i in range(kernel_len)) + tuple(
-            f"w_im_{i}" for i in range(kernel_len)
-        )
+        K = len(default_grid(family))
+        return tuple(f"w_re_{i}" for i in range(K)) + tuple(f"w_im_{i}" for i in range(K))
     return tuple(name for name, _, _ in BOXES[family])
-
-
-def _check_grid(family: KernelFamily, grid: KernelGrid) -> np.ndarray:
-    if family is not KernelFamily.RANDOM and grid != default_grid(family):
-        raise ValueError(f"grid does not match family {family.value}")
-    return grid.indices.astype(np.float64)
 
 
 def check_theta(family: KernelFamily, theta: np.ndarray):
@@ -158,12 +131,10 @@ def _mother_deriv(m: np.ndarray) -> np.ndarray:
     return (-m / ENVELOPE_SIGMA**2 + 2j * np.pi * MOTHER_FREQ) * _mother(m)
 
 
-def evaluate_kernel(family: KernelFamily, theta, grid: KernelGrid | None = None) -> np.ndarray:
+def evaluate_kernel(family: KernelFamily, theta) -> np.ndarray:
     """Complex kernel taps for one channel's parameters."""
     family = KernelFamily(family)
-    if grid is None:
-        grid = default_grid(family)
-    n = _check_grid(family, grid)
+    n = default_grid(family).astype(np.float64)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     check_theta(family, theta)
     env = np.exp(-0.5 * (n / ENVELOPE_SIGMA) ** 2)
@@ -178,21 +149,19 @@ def evaluate_kernel(family: KernelFamily, theta, grid: KernelGrid | None = None)
         (s,) = theta
         return _mother(n / s) / np.sqrt(s)
     if family is KernelFamily.RANDOM:
-        K = len(grid)
+        K = n.size
         if theta.size != 2 * K:
             raise ValueError("random kernel expects 2*K raw taps")
         return theta[:K] + 1j * theta[K:]
     raise ValueError(f"unknown family {family!r}")
 
 
-def kernel_param_grad(family: KernelFamily, theta, grid: KernelGrid | None = None) -> np.ndarray:
+def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
     """Analytic d(kernel)/d(theta_p), shape (P, K) complex."""
     family = KernelFamily(family)
-    if grid is None:
-        grid = default_grid(family)
-    n = _check_grid(family, grid)
+    n = default_grid(family).astype(np.float64)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    psi = evaluate_kernel(family, theta, grid)
+    psi = evaluate_kernel(family, theta)
     if family is KernelFamily.STTF:
         return (2j * np.pi * n * psi)[None, :]
     if family is KernelFamily.CHIRPLET:
@@ -202,8 +171,7 @@ def kernel_param_grad(family: KernelFamily, theta, grid: KernelGrid | None = Non
         d = -psi / (2.0 * s) - (n / s**2) * _mother_deriv(n / s) / np.sqrt(s)
         return d[None, :]
     if family is KernelFamily.RANDOM:
-        K = len(grid)
-        eye = np.eye(K)
+        eye = np.eye(n.size)
         return np.concatenate([eye, 1j * eye]).astype(np.complex128)
     raise ValueError(f"unknown family {family!r}")
 
@@ -211,7 +179,7 @@ def kernel_param_grad(family: KernelFamily, theta, grid: KernelGrid | None = Non
 def evaluate_kernels(params: KernelParams) -> np.ndarray:
     """Kernel bank for all channels, shape (n_channels, K) complex."""
     return np.stack(
-        [evaluate_kernel(params.family, params.theta[c], params.grid) for c in range(params.n_channels)]
+        [evaluate_kernel(params.family, params.theta[c]) for c in range(params.n_channels)]
     )
 
 
@@ -227,7 +195,6 @@ def init_params(
     family: KernelFamily,
     n_channels: int,
     seed: int = 0,
-    grid: KernelGrid | None = None,
 ) -> KernelParams:
     """Per-channel parameters whose focusing frequencies tile the usable band.
 
@@ -239,8 +206,6 @@ def init_params(
     family = KernelFamily(family)
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    if grid is None:
-        grid = default_grid(family)
     centers = (np.arange(n_channels) + 0.5) / n_channels
     if family is KernelFamily.STTF:
         theta = (0.5 * centers)[:, None]
@@ -250,10 +215,10 @@ def init_params(
         freqs = 0.02 + (0.5 - 0.02) * centers
         theta = (MOTHER_FREQ / freqs)[:, None]
     elif family is KernelFamily.RANDOM:
-        K = len(grid)
+        K = len(default_grid(family))
         bound = np.sqrt(6.0 / K)
         rng = derive_rng(seed, "kernel-init")
         theta = rng.uniform(-bound, bound, size=(n_channels, 2 * K))
     else:
         raise ValueError(f"unknown family {family!r}")
-    return KernelParams(family=family, theta=theta, grid=grid)
+    return KernelParams(family=family, theta=theta)

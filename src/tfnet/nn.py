@@ -1,11 +1,12 @@
 """Minimal trainable 1D CNN engine with hand-written backprop.
 
-The layer set is fixed (Conv1d, BatchNorm1d, ReLU, MaxPool, AdaptiveAvgPool,
-Flatten, Dense, Residual, plus the time-frequency layer) and each layer
-implements its own backward pass, so no general autodiff is needed.  Three
-backbones of different depths are provided, and ``assemble_model`` combines
-a backbone with a time-frequency front layer in the add/replace/real-only
-ablation variants.
+The layer set is fixed (the time-frequency layer ``TFconvLayer``, Conv1d,
+BatchNorm1d, ReLU, MaxPool, AdaptiveAvgPool, Flatten, Dense, Residual) and
+each layer implements its own backward pass, so no general autodiff is
+needed.  Every layer is a ``Layer``.  Three backbones of different depths
+are provided, and ``assemble_model`` combines a backbone with a
+time-frequency front layer, whose kernel family alone fixes its kernel bank,
+in the add/replace/real-only ablation variants.
 
 ``forward(x, training=True)`` is a training forward: each layer keeps what
 its ``backward`` reads until the next forward.  ``training=False`` is
@@ -35,10 +36,10 @@ samples with every output and gradient value unchanged.
 
 import numpy as np
 
-from tfnet.core_math import same_pad_widths
-from tfnet.kernels import KernelFamily, KernelGrid, init_params
+from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
+from tfnet.kernels import (KernelFamily, KernelParams, clamp_params, default_grid,
+                           evaluate_kernels, init_params, kernel_param_grad)
 from tfnet.seeding import derive_rng
-from tfnet.tfconv import TFconvLayer
 
 MODES = ("backbone-only", "tfn-add", "tfn-replace", "wkn-add", "wkn-replace", "random-tfn")
 BACKBONES = ("paper-cnn", "lenet-1d", "resnet-1d")
@@ -234,10 +235,11 @@ class Conv1d(Layer):
 class BatchNorm1d(Layer):
     """Channel-wise normalization over (batch, time) with learnable affine."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float64):
+    eps = 1e-5        # added to the variance under the square root
+    momentum = 0.1    # weight of the latest batch in the running statistics
+
+    def __init__(self, channels, dtype=np.float64):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.ggrad = np.zeros_like(self.gamma)
@@ -433,6 +435,114 @@ class Residual(Layer):
         for layer in reversed(self.sublayers):
             g = layer.backward(g)
         return g + grad
+
+
+EPS_MODULUS = 1e-12  # keeps the TFconv modulus differentiable at zero
+
+
+class TFconvLayer(Layer):
+    """Time-frequency convolutional layer: complex correlation, then modulus.
+
+    The layer correlates its 1-channel input with the real and imaginary
+    parts of a bank of kernel-function-generated complex kernels
+    (length-preserving zero padding) and outputs the pointwise modulus:
+
+        h_real[k] = Re(psi_k) (*) x
+        h_img[k]  = Im(psi_k) (*) x
+        h[k]      = sqrt(h_real^2 + h_img^2 + EPS_MODULUS)
+
+    where (*) is cross-correlation.  The trainable weights are the kernel
+    control parameters, not the taps.  The backward pass chains the upstream
+    gradient through the modulus, takes one FFT of it to get the gradient
+    with respect to the taps, and then maps the tap gradient onto the
+    parameters through the analytic kernel derivatives d(psi)/d(theta), the
+    same way for every kernel family.  The layer is always a model's front
+    layer, so the backward stops at its parameters: there is no input
+    gradient.  ``modulus=False`` keeps only the real-kernel correlation with
+    no modulus, approximating wavelet-kernel comparison layers.
+    """
+
+    def __init__(self, params: KernelParams, modulus: bool = True):
+        self.kernel_params = params
+        self.modulus = bool(modulus)
+        self.grad_theta = np.zeros_like(params.theta)
+
+    @property
+    def params(self):
+        return [self.kernel_params.theta]
+
+    @property
+    def grads(self):
+        return [self.grad_theta]
+
+    def project_params(self):
+        """Clamp the control parameters onto their boxes after an optimizer step."""
+        self.kernel_params.theta[...] = clamp_params(self.kernel_params).theta
+
+    def kernels(self) -> np.ndarray:
+        """Current complex kernel bank, shape (C, K)."""
+        return evaluate_kernels(self.kernel_params)
+
+    def forward(self, x, training=False, overwrite=False):
+        """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
+
+        A training forward keeps the input, the complex correlation and the
+        output for ``backward``.
+        """
+        out_dtype = np.asarray(x).dtype
+        if out_dtype.kind != "f":
+            out_dtype = np.dtype(np.float64)
+        # float32 models run the whole layer in single precision
+        compute = np.float32 if out_dtype == np.float32 else np.float64
+        x = np.asarray(x, dtype=compute)
+        if x.ndim == 3:
+            if x.shape[1] != 1:
+                raise ValueError(f"TFconv expects a single input channel, got {x.shape[1]}")
+            x = x[:, 0, :]
+        if x.ndim != 2:
+            raise ValueError(f"TFconv expects (B, L) or (B, 1, L) input, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("TFconv input contains non-finite values")
+        kern = self.kernels()
+        if compute is np.float32:
+            kern = kern.astype(np.complex64)
+        corr = batch_correlate_same(x, kern)
+        if self.modulus:
+            # sqrt(h_real**2 + h_img**2 + eps) in one full-size buffer
+            h = np.square(corr.real)
+            h += np.square(corr.imag)
+            h += EPS_MODULUS
+            np.sqrt(h, out=h)
+        else:
+            h = corr.real
+        self._cache = (x, corr, h) if training else None
+        return np.ascontiguousarray(h, dtype=out_dtype)
+
+    def backward(self, grad):
+        """Accumulate the gradient of the upstream (B, C, L) ``grad`` into ``grad_theta``.
+
+        The control-parameter gradient is summed over batch and time: the
+        gradient with respect to the taps, then ``grad_theta[c, p] = Re sum_k
+        dpsi[c, p, k] * taps[c, k]`` through d(psi)/d(theta), the same for
+        every family.  Returns nothing: no gradient reaches the input.
+        """
+        x, corr, h = self._saved()
+        grad = np.asarray(grad, dtype=x.dtype)
+        if grad.shape != h.shape:
+            raise ValueError(f"grad shape {grad.shape} != forward output shape {h.shape}")
+        kp = self.kernel_params
+        if self.modulus:
+            # g = ghr - j*ghi, so that Re{g * z} == ghr*Re(z) + ghi*Im(z); both
+            # halves are written in place, complex64 for a float32 forward
+            g = np.empty(grad.shape, np.result_type(grad, np.complex64))
+            np.multiply(grad, corr.real / h, out=g.real)
+            np.multiply(grad, corr.imag / h, out=g.imag)
+            np.negative(g.imag, out=g.imag)
+        else:
+            g = grad
+        taps = batch_conv_full_slice(g, x, len(default_grid(kp.family)))
+        dpsi = np.stack([kernel_param_grad(kp.family, t) for t in kp.theta])  # (C, P, K)
+        self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
 
 
 class Model:
@@ -658,8 +768,6 @@ def assemble_model(
     family=KernelFamily.STTF,
     n_channels=8,
     seed=0,
-    kernel_grid: KernelGrid | None = None,
-    eps_modulus=1e-12,
     dtype=np.float64,
 ) -> Model:
     """Combine a backbone with a time-frequency front layer.
@@ -681,14 +789,13 @@ def assemble_model(
     if mode == "backbone-only":
         return build_backbone(backbone, n_classes, in_channels=1, seed=seed, dtype=dtype)
 
-    params = init_params(family, n_channels, seed=seed, grid=kernel_grid)
     modulus = mode not in ("wkn-add", "wkn-replace")
-    front = TFconvLayer(params, eps_modulus=eps_modulus, modulus=modulus)
+    front = TFconvLayer(init_params(family, n_channels, seed=seed), modulus=modulus)
     cfg = {
         "family": family.value,
         "n_channels": n_channels,
-        "kernel_length": len(params.grid),
-        "eps_modulus": eps_modulus,
+        "kernel_length": len(default_grid(family)),
+        "eps_modulus": EPS_MODULUS,
         "modulus": modulus,
     }
 

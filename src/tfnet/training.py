@@ -12,6 +12,7 @@ from tfnet.nn import Model, check_labels, softmax_cross_entropy
 from tfnet.seeding import derive_rng
 
 STD_GUARD = 1e-8  # keeps flat signals finite after standardization
+EVAL_BATCH = 256  # samples per inference forward in ``evaluate``
 
 
 @dataclass
@@ -96,7 +97,7 @@ def _as_batch(signals) -> np.ndarray:
     return x
 
 
-def evaluate(model: Model, signals, labels, batch_size=256):
+def evaluate(model: Model, signals, labels):
     """Accuracy and confusion matrix (rows true, columns predicted)."""
     signals = _as_batch(signals)
     labels = np.asarray(labels)
@@ -107,10 +108,10 @@ def evaluate(model: Model, signals, labels, batch_size=256):
     n = model.n_classes
     check_labels(labels, n)
     confusion = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, signals.shape[0], batch_size):
-        xb = standardize(signals[start : start + batch_size], dtype=model.dtype)
+    for start in range(0, signals.shape[0], EVAL_BATCH):
+        xb = standardize(signals[start : start + EVAL_BATCH], dtype=model.dtype)
         logits = model.forward(xb, training=False)
-        np.add.at(confusion, (labels[start : start + batch_size], logits.argmax(axis=1)), 1)
+        np.add.at(confusion, (labels[start : start + EVAL_BATCH], logits.argmax(axis=1)), 1)
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion
 

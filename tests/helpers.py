@@ -3,7 +3,7 @@
 import numpy as np
 
 from tfnet.core_math import same_pad_widths
-from tfnet.kernels import KernelFamily, KernelGrid, default_grid, evaluate_kernel
+from tfnet.kernels import KernelFamily, evaluate_kernel
 from tfnet.nn import Model, softmax_cross_entropy
 
 
@@ -48,12 +48,7 @@ def cross_correlate_same(x, k) -> np.ndarray:
     return cross_correlate_valid(padded, ka)
 
 
-def reference_tft(
-    x: np.ndarray,
-    family: KernelFamily,
-    thetas,
-    grid: KernelGrid | None = None,
-) -> np.ndarray:
+def reference_tft(x: np.ndarray, family: KernelFamily, thetas) -> np.ndarray:
     """Direct time-frequency transform of one signal, row per parameter set.
 
     Row i is the length-preserving correlation of ``x`` with the kernel
@@ -62,10 +57,7 @@ def reference_tft(
     FFT-based layer forward, so the two can check each other.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    family = KernelFamily(family)
-    if grid is None:
-        grid = default_grid(family)
-    rows = [cross_correlate_same(x, evaluate_kernel(family, t, grid)) for t in np.atleast_2d(thetas)]
+    rows = [cross_correlate_same(x, evaluate_kernel(family, t)) for t in np.atleast_2d(thetas)]
     return np.stack(rows)
 
 

@@ -15,8 +15,7 @@ from tfnet.checkpoint import (
     write_theta_trajectory_csv,
 )
 from tfnet.kernels import KernelFamily, init_params
-from tfnet.nn import BatchNorm1d, assemble_model
-from tfnet.tfconv import TFconvLayer
+from tfnet.nn import BatchNorm1d, TFconvLayer, assemble_model
 from tfnet.training import TrainConfig, TrainHistory, train
 
 
@@ -139,9 +138,8 @@ class TestSaveLoadRoundTrip:
         model = assemble_model("random-tfn", n_classes=5, seed=5)
         save_model(model, tmp_path / "m.tfn")
         loaded = load_model(tmp_path / "m.tfn")
-        np.testing.assert_array_equal(
-            loaded.tfconv.kernel_params.grid.indices,
-            model.tfconv.kernel_params.grid.indices)
+        assert loaded.tfconv_config["kernel_length"] == 51
+        np.testing.assert_array_equal(loaded.tfconv.kernels(), model.tfconv.kernels())
         np.testing.assert_array_equal(
             loaded.tfconv.kernel_params.theta, model.tfconv.kernel_params.theta)
 
@@ -226,8 +224,14 @@ class TestLoadValidation:
         ("tfconv.family", "bogus", "'bogus' is not a valid KernelFamily"),
         ("blocks", 3, "'blocks' must be a list, got int"),
         ("dtype", "int32", "dtype must be float32 or float64, got int32"),
+        # the rebuilt model fixes every tfconv entry; an edited one must not load
+        ("tfconv.eps_modulus", 1e-6, "'tfconv' entry .* does not match mode 'tfn-add'"),
+        ("tfconv.kernel_length", 31, "'tfconv' entry .* does not match mode 'tfn-add'"),
+        ("tfconv.modulus", False, "'tfconv' entry .* does not match mode 'tfn-add'"),
+        ("tfconv", None, "'tfconv' entry None does not match mode 'tfn-add'"),
     ], ids=["n_classes-not-int", "tfconv-a-list", "unknown-family", "blocks-an-int",
-            "integer-dtype"])
+            "integer-dtype", "edited-eps", "edited-kernel-length", "edited-modulus",
+            "tfn-add-without-tfconv"])
     def test_header_value_of_wrong_type_names_file(self, tmp_path, key, value, message):
         path, raw = self.checkpoint_bytes(tmp_path)
         hlen = struct.unpack("<I", raw[4:8])[0]
@@ -307,12 +311,12 @@ class TestThetaTrajectoryCsv:
         assert [ln.split(",")[2] for ln in lines[1:]] == ["f", "alpha"]
 
     def test_random_taps_named_individually(self, tmp_path):
-        theta = np.zeros((1, 10))  # five taps -> re/im pairs
+        theta = np.zeros((1, 102))  # 51 taps -> re/im pairs
         hist = TrainHistory(theta_snapshots=[theta])
         path = tmp_path / "theta.csv"
         write_theta_trajectory_csv(path, hist, "random")
         names = [ln.split(",")[2] for ln in path.read_text().splitlines()[1:]]
-        assert names == [f"w_re_{i}" for i in range(5)] + [f"w_im_{i}" for i in range(5)]
+        assert names == [f"w_re_{i}" for i in range(51)] + [f"w_im_{i}" for i in range(51)]
 
     def test_empty_snapshots_rejected(self, tmp_path):
         with pytest.raises(ValueError):

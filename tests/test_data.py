@@ -283,6 +283,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"meta\.json: manifest has no 'count' entry"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: [1, 2], "list indices must be integers"),
+        (lambda meta: {**meta, "count": "twelve"}, "invalid literal for int"),
+        (lambda meta: {**meta, "length": None}, r"int\(\) argument must be .* not 'NoneType'"),
+        (lambda meta: {**meta, "count": -2, "length": -16}, "count -2 and length -16 must be"),
+    ], ids=["not-an-object", "count-not-an-integer", "null-length", "negative-sizes"])
+    def test_invalid_manifest_names_file(self, tiny_dataset, tmp_path, edit, message):
+        save_dataset(tiny_dataset, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps(edit(meta)))
+        with pytest.raises(ValueError, match=r"meta\.json: invalid manifest: " + message):
+            load_dataset(tmp_path)
+
     def test_truncated_samples_rejected(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path)
         raw = (tmp_path / "samples.f64le").read_bytes()

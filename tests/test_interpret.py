@@ -5,6 +5,7 @@ import pytest
 
 from tfnet.data import ClassSpec, Dataset, SynthSpec, synth_generate
 from tfnet.interpret import (
+    THRESHOLD_FACTOR,
     band_coverage,
     channel_frequency_response,
     dataset_spectrum,
@@ -14,8 +15,7 @@ from tfnet.interpret import (
     write_ofr_csv,
 )
 from tfnet.kernels import KernelFamily, init_params
-from tfnet.nn import Conv1d, assemble_model
-from tfnet.tfconv import TFconvLayer
+from tfnet.nn import Conv1d, TFconvLayer, assemble_model
 
 
 class TestChannelFrequencyResponse:
@@ -145,8 +145,9 @@ class TestBandCoverage:
 
     def test_threshold_is_factor_times_median(self):
         ofr = self.bump(0.25) + 1.0
-        report = band_coverage(ofr, self.FREQS, [(0.2, 0.3)], threshold_factor=2.0)
-        assert report.threshold == 2.0 * np.median(ofr)
+        report = band_coverage(ofr, self.FREQS, [(0.2, 0.3)])
+        assert THRESHOLD_FACTOR == 1.5
+        assert report.threshold == THRESHOLD_FACTOR * np.median(ofr)
         assert report.ofr_median == np.median(ofr)
 
     def test_sub_threshold_peak_misses(self):
@@ -193,8 +194,6 @@ class TestBandCoverage:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             band_coverage(np.ones(64), self.FREQS, [(0.1, 0.2)])
-        with pytest.raises(ValueError):
-            band_coverage(np.ones(65), self.FREQS, [(0.1, 0.2)], threshold_factor=0.0)
         with pytest.raises(ValueError):
             band_coverage(np.ones(0), np.ones(0), [(0.1, 0.2)])
 

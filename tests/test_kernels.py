@@ -14,7 +14,6 @@ from tfnet.kernels import (
     S_MIN,
     ConstraintError,
     KernelFamily,
-    KernelGrid,
     KernelParams,
     clamp_params,
     default_grid,
@@ -49,11 +48,11 @@ class TestGridsAndShapes:
         assert len(default_grid(KernelFamily.LAPLACE)) == 151
 
     def test_grid_endpoints(self):
-        assert default_grid(KernelFamily.STTF).indices[0] == -25
-        assert default_grid(KernelFamily.STTF).indices[-1] == 25
-        assert default_grid(KernelFamily.MORLET).indices[0] == -150
-        assert default_grid(KernelFamily.LAPLACE).indices[0] == 0
-        assert default_grid(KernelFamily.LAPLACE).indices[-1] == 150
+        assert default_grid(KernelFamily.STTF)[0] == -25
+        assert default_grid(KernelFamily.STTF)[-1] == 25
+        assert default_grid(KernelFamily.MORLET)[0] == -150
+        assert default_grid(KernelFamily.LAPLACE)[0] == 0
+        assert default_grid(KernelFamily.LAPLACE)[-1] == 150
 
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_kernel_length_matches_grid(self, family):
@@ -62,22 +61,18 @@ class TestGridsAndShapes:
         assert psi.dtype == np.complex128
 
     def test_n_params(self):
-        assert n_params(KernelFamily.STTF, 51) == 1
-        assert n_params(KernelFamily.CHIRPLET, 51) == 2
-        assert n_params(KernelFamily.MORLET, 301) == 1
-        assert n_params(KernelFamily.LAPLACE, 151) == 1
-        assert n_params(KernelFamily.RANDOM, 51) == 102
+        assert n_params(KernelFamily.STTF) == 1
+        assert n_params(KernelFamily.CHIRPLET) == 2
+        assert n_params(KernelFamily.MORLET) == 1
+        assert n_params(KernelFamily.LAPLACE) == 1
+        assert n_params(KernelFamily.RANDOM) == 102
 
     def test_param_names(self):
-        assert param_names(KernelFamily.STTF, 51) == ("f",)
-        assert param_names(KernelFamily.CHIRPLET, 51) == ("f", "alpha")
-        assert param_names(KernelFamily.MORLET, 301) == ("s",)
-        names = param_names(KernelFamily.RANDOM, 3)
-        assert names == ("w_re_0", "w_re_1", "w_re_2", "w_im_0", "w_im_1", "w_im_2")
-
-    def test_wrong_grid_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_kernel(KernelFamily.STTF, [0.1], KernelGrid(np.arange(-10, 11)))
+        assert param_names(KernelFamily.STTF) == ("f",)
+        assert param_names(KernelFamily.CHIRPLET) == ("f", "alpha")
+        assert param_names(KernelFamily.MORLET) == ("s",)
+        names = param_names(KernelFamily.RANDOM)
+        assert names == tuple(f"w_re_{i}" for i in range(51)) + tuple(f"w_im_{i}" for i in range(51))
 
 
 class TestClosedForms:
@@ -163,7 +158,7 @@ class TestConstraints:
 
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_clamped_extremes_evaluate(self, family):
-        P = n_params(family, len(default_grid(family)))
+        P = n_params(family)
         params = KernelParams(family, np.array([[-1e3] * P, [1e3] * P]))
         evaluate_kernels(clamp_params(params))
 

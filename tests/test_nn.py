@@ -27,11 +27,11 @@ from tfnet.nn import (
     Model,
     ReLU,
     Residual,
+    TFconvLayer,
     assemble_model,
     build_backbone,
     softmax_cross_entropy,
 )
-from tfnet.tfconv import TFconvLayer
 
 
 def rng_(seed=0):
@@ -272,7 +272,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.std(axis=(0, 1)), 1.0, atol=1e-3)
 
     def test_running_stats_track_batches(self):
-        bn = BatchNorm1d(2, momentum=0.1)
+        bn = BatchNorm1d(2)
         x = rng_(11).normal(loc=5.0, size=(16, 8, 2))
         bn.forward(x, training=True)
         want_mean = 0.1 * x.mean(axis=(0, 1))

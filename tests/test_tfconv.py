@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import central_difference, cross_correlate_same, reference_tft, relative_error
-from tfnet import tfconv
+from tfnet import nn
 from tfnet.core_math import batch_conv_full_slice
 from tfnet.kernels import KernelFamily, evaluate_kernels, init_params, kernel_param_grad
-from tfnet.tfconv import TFconvLayer
+from tfnet.nn import EPS_MODULUS, TFconvLayer
 
 FAMILIES = [KernelFamily.STTF, KernelFamily.CHIRPLET, KernelFamily.MORLET,
             KernelFamily.LAPLACE, KernelFamily.RANDOM]
@@ -31,15 +31,14 @@ class TestForward:
         x = rng.normal(size=(4, 200))
         out = layer.forward(x)
         for b in range(4):
-            ref = reference_tft(x[b], family, layer.kernel_params.theta,
-                                layer.kernel_params.grid)
-            want = np.sqrt(np.abs(ref) ** 2 + layer.eps_modulus)
+            ref = reference_tft(x[b], family, layer.kernel_params.theta)
+            want = np.sqrt(np.abs(ref) ** 2 + EPS_MODULUS)
             assert np.max(np.abs(out[b] - want)) < 1e-9
 
     def test_zero_input_gives_epsilon_floor(self):
         layer = make_layer(KernelFamily.STTF)
         out = layer.forward(np.zeros((1, 32)))
-        np.testing.assert_allclose(out, np.sqrt(layer.eps_modulus), rtol=1e-12)
+        np.testing.assert_allclose(out, np.sqrt(EPS_MODULUS), rtol=1e-12)
 
     def test_output_positive(self):
         layer = make_layer(KernelFamily.MORLET)
@@ -131,9 +130,9 @@ class TestBackward:
                 corr = cross_correlate_same(x[b], k)
                 ghr, ghi = w[b, c], 0.0
                 if modulus:
-                    h = np.sqrt(corr.real**2 + corr.imag**2 + layer.eps_modulus)
+                    h = np.sqrt(corr.real**2 + corr.imag**2 + EPS_MODULUS)
                     ghr, ghi = w[b, c] * corr.real / h, w[b, c] * corr.imag / h
-                for p, dpsi in enumerate(kernel_param_grad(kp.family, theta, kp.grid)):
+                for p, dpsi in enumerate(kernel_param_grad(kp.family, theta)):
                     d = cross_correlate_same(x[b], dpsi)
                     want[c, p] += np.sum(ghr * d.real + ghi * d.imag)
         # FFT round-off is absolute, so the bound is on the largest entry's
@@ -166,7 +165,7 @@ class TestBackward:
             seen.append(g.dtype)
             return batch_conv_full_slice(g, x, kernel_len)
 
-        monkeypatch.setattr(tfconv, "batch_conv_full_slice", recording)
+        monkeypatch.setattr(nn, "batch_conv_full_slice", recording)
         layer = make_layer(KernelFamily.MORLET, n_channels=2, modulus=modulus)
         x = np.random.default_rng(16).normal(size=(2, 64)).astype(np.float32)
         out = layer.forward(x, training=True)
@@ -210,17 +209,6 @@ class TestLayerProtocol:
         layer.kernel_params.theta[0, 0] = 0.9
         layer.project_params()
         assert layer.kernel_params.theta[0, 0] == pytest.approx(0.5 - 1e-6)
-
-    def test_even_grid_rejected(self):
-        from tfnet.kernels import KernelGrid, KernelParams
-        params = KernelParams(KernelFamily.RANDOM, np.zeros((1, 8)),
-                              grid=KernelGrid(np.arange(-2, 2)))
-        with pytest.raises(ValueError):
-            TFconvLayer(params)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            TFconvLayer(init_params(KernelFamily.STTF, 2), eps_modulus=0.0)
 
 
 class TestReferenceTransform:

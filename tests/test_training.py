@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tfnet.kernels import KernelFamily, clamp_params, init_params
-from tfnet.nn import AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU
-from tfnet.tfconv import TFconvLayer
+from tfnet import training
+from tfnet.nn import AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU, TFconvLayer
 from tfnet.training import Adam, TrainConfig, evaluate, standardize, train
 
 
@@ -280,11 +280,13 @@ class TestEvaluate:
         # rows are true labels: each row sums to the per-class count
         np.testing.assert_array_equal(confusion.sum(axis=1), [6, 6, 6])
 
-    def test_batching_does_not_change_result(self):
+    def test_batching_does_not_change_result(self, monkeypatch):
         x, y = tone_problem(n_per_class=5)
         model = micro_backbone(seed=13)
-        acc1, c1 = evaluate(model, x, y, batch_size=4)
-        acc2, c2 = evaluate(model, x, y, batch_size=100)
+        monkeypatch.setattr(training, "EVAL_BATCH", 4)
+        acc1, c1 = evaluate(model, x, y)
+        monkeypatch.setattr(training, "EVAL_BATCH", 100)
+        acc2, c2 = evaluate(model, x, y)
         assert acc1 == acc2
         np.testing.assert_array_equal(c1, c2)
 
