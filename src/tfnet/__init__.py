@@ -6,7 +6,7 @@ trains it with hand-rolled backprop and Adam, and inspects what it learned
 through the FIR frequency response of its first-layer kernels.
 """
 
-from tfnet.kernels import KernelFamily, KernelParams
+from tfnet.kernels import KernelFamily
 from tfnet.nn import Model, TFconvLayer, assemble_model, build_backbone
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
 from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
@@ -21,7 +21,6 @@ __all__ = [
     "Dataset",
     "FrequencyResponse",
     "KernelFamily",
-    "KernelParams",
     "Model",
     "SynthSpec",
     "TFconvLayer",

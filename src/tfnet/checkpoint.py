@@ -25,7 +25,7 @@ def _named_blocks(model: Model):
     """(name, array) pairs covering parameters and BN running stats."""
     for layer in model.walk_layers():
         if isinstance(layer, TFconvLayer):
-            yield f"{layer.name}.theta", layer.kernel_params.theta
+            yield f"{layer.name}.theta", layer.theta
         elif isinstance(layer, BatchNorm1d):
             yield f"{layer.name}.gamma", layer.gamma
             yield f"{layer.name}.beta", layer.beta
@@ -120,9 +120,8 @@ def load_model(path) -> Model:
         if fh.read(1):
             raise ValueError(f"{p}: trailing bytes after final block")
     if model.tfconv is not None:
-        params = model.tfconv.kernel_params
         try:
-            check_theta(params.family, params.theta)
+            check_theta(model.tfconv.family, model.tfconv.theta)
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
     return model
@@ -172,7 +171,7 @@ def write_theta_trajectory_csv(path, history: TrainHistory, family) -> None:
 def write_kernel_taps_csv(path, layer: TFconvLayer) -> None:
     """Complex kernel taps: channel, index, real, imag."""
     kernels = layer.kernels()
-    grid = default_grid(layer.kernel_params.family)
+    grid = default_grid(layer.family)
     with Path(path).open("w") as fh:
         fh.write("channel,n,real,imag\n")
         for c in range(kernels.shape[0]):

@@ -174,14 +174,17 @@ class Config:
         self.effective[key] = ",".join(items)
         return items
 
-    def get_path(self, key, default=None, must_exist=True) -> Path | None:
+    def get_path(self, key, default=None) -> Path | None:
+        """An existing path; an empty value is None for an optional key and an error otherwise."""
         raw = self._raw(key, default)
         value = default if raw is None else raw
-        if value in (None, ""):
+        if value == "":
+            if default is None:
+                raise ConfigError(f"{key}: a path is required, got an empty value")
             self.effective[key] = ""
             return None
         p = Path(value)
-        if must_exist and not p.exists():
+        if not p.exists():
             raise ConfigError(f"{key}: path {p} does not exist")
         self.effective[key] = str(p)
         return p
@@ -292,13 +295,11 @@ def _train_config(cfg: Config, seed: int) -> TrainConfig:
 
 
 def _model_settings(cfg: Config, tc: TrainConfig, train_ds) -> dict:
-    """Model keys shared by every model a command builds."""
-    # n_classes = 0 means "take the class count from the dataset"
-    n_req = cfg.get_int("n_classes", 0)
+    """Model keys shared by every model a command builds; the class count is the dataset's."""
     return {
         "backbone": cfg.get_str("backbone", "paper-cnn", choices=BACKBONES),
         "n_channels": cfg.get_int("channels", 8),
-        "n_classes": n_req if n_req > 0 else train_ds.n_classes,
+        "n_classes": train_ds.n_classes,
         "dtype": np.dtype(tc.dtype),
     }
 
@@ -328,9 +329,7 @@ def cmd_train(cfg: Config) -> int:
     save_model(model, out / "model.tfn")
     write_history_csv(out / "history.csv", history)
     if model.tfconv is not None:
-        write_theta_trajectory_csv(
-            out / "theta_trajectory.csv", history, model.tfconv.kernel_params.family
-        )
+        write_theta_trajectory_csv(out / "theta_trajectory.csv", history, model.tfconv.family)
     metrics = {
         "final_test_acc": history.test_acc[-1],
         "final_train_acc": history.train_acc[-1],
@@ -365,7 +364,7 @@ def cmd_eval(cfg: Config) -> int:
 
 def cmd_freq_response(cfg: Config) -> int:
     ckpt_path = cfg.get_path("checkpoint")
-    data_dir = cfg.get_path("dataset", default="", must_exist=True)
+    data_dir = cfg.get_path("dataset", default="")
     n_fft = cfg.get_int("n_fft", 1024)
     bands_text = cfg.get_bands("bands", "")
     out = _prepare_out(cfg)

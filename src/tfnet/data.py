@@ -107,8 +107,8 @@ class SynthSpec:
             raise ValueError("samples_per_class must be >= 1")
         if self.sample_length < 16:
             raise ValueError("sample_length must be >= 16")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         bands = [tuple(float(v) for v in b) for b in self.information_bands]
         for lo, hi in bands:
             if not (0.0 <= lo < hi <= 0.5):

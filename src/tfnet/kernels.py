@@ -1,12 +1,15 @@
 """Kernel-function families for the time-frequency convolutional layer.
 
-Each family generates a complex discrete kernel from a handful of control
-parameters (center frequency f, chirp rate alpha, or wavelet scale s) on
-the one integer grid ``default_grid`` gives the family, so the family alone
-fixes the kernel length.  The control parameters are the only trainable
-weights of the layer, each confined to the hard box ``BOXES`` gives it: f
-(normalized frequency) in [0, 0.5 - 1e-6], alpha in [-0.005, 0.005], s in
-[0.4, 10].
+A kernel bank is a pair ``(family, theta)``.  The family fixes the kernel
+function and the one integer grid ``default_grid`` gives it, so the family
+alone fixes the kernel length.  ``theta`` is a (C, P) float64 array: one
+row of P control parameters (center frequency f, chirp rate alpha, or
+wavelet scale s) per channel, named by ``param_names``.  These are the only
+trainable weights of the layer, each confined to the hard box ``BOXES``
+gives it: f (normalized frequency) in [0, 0.5 - 1e-6], alpha in
+[-0.005, 0.005], s in [0.4, 10].  ``evaluate_kernels`` gives the (C, K)
+bank and ``kernel_param_grad`` its (C, P, K) derivatives, every channel at
+once; ``clamp_params`` projects theta onto the boxes in place.
 
 Families
 --------
@@ -18,16 +21,15 @@ morlet     scaled mother window (1/sqrt(s)) * Psi(n/s) on n in -150..150,
            0.2/s.
 laplace    same mother window and scaling as morlet but on the one-sided
            grid n in 0..150 (asymmetry comes from the one-sided support).
-random     unconstrained raw taps (real and imaginary) on n in -25..25,
-           trained like plain convolution weights; only legal in the
-           random-kernel ablation.
+random     unconstrained raw taps, P = 2K (real taps, then imaginary taps)
+           on n in -25..25, trained like plain convolution weights; only
+           legal in the random-kernel ablation.
 
 The complex-exponential sign is positive for every family; for real inputs
 the modulus feature map is invariant under kernel conjugation, so the
 choice is observationally neutral and keeps chirplet(alpha=0) == sttf.
 """
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -73,39 +75,6 @@ def default_grid(family: KernelFamily) -> np.ndarray:
     return np.arange(-25, 26)
 
 
-@dataclass
-class KernelParams:
-    """Per-channel control parameters for one kernel family.
-
-    ``theta`` has shape (n_channels, P): P=1 for sttf (f) and the wavelets
-    (s), P=2 for chirplet (f, alpha), P=2K for random (real taps then
-    imaginary taps).
-    """
-
-    family: KernelFamily
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.family = KernelFamily(self.family)
-        self.theta = np.atleast_2d(np.asarray(self.theta, dtype=np.float64))
-        if not np.all(np.isfinite(self.theta)):
-            raise ConstraintError("kernel parameters must be finite")
-        expected = n_params(self.family)
-        if self.theta.shape[1] != expected:
-            raise ValueError(
-                f"{self.family.value} expects {expected} parameters per channel, "
-                f"got {self.theta.shape[1]}"
-            )
-
-    @property
-    def n_channels(self) -> int:
-        return self.theta.shape[0]
-
-
-def n_params(family: KernelFamily) -> int:
-    return len(param_names(family))
-
-
 def param_names(family: KernelFamily) -> tuple[str, ...]:
     if family is KernelFamily.RANDOM:
         K = len(default_grid(family))
@@ -114,11 +83,20 @@ def param_names(family: KernelFamily) -> tuple[str, ...]:
 
 
 def check_theta(family: KernelFamily, theta: np.ndarray):
-    """Raise ``ConstraintError`` unless every parameter is finite and inside its ``BOXES`` box."""
+    """Raise unless ``theta`` is a (C, P) array of finite values inside their ``BOXES`` boxes.
+
+    P is the family's parameter count, ``len(param_names(family))``: the wrong
+    shape raises ``ValueError``, a value outside its box ``ConstraintError``.
+    """
+    family = KernelFamily(family)
+    P = len(param_names(family))
+    if theta.ndim != 2 or theta.shape[1] != P:
+        raise ValueError(f"{family.value} expects {P} parameters per channel, "
+                         f"got a theta of shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ConstraintError("kernel parameters must be finite")
     for j, (name, lo, hi) in enumerate(BOXES.get(family, ())):
-        v = theta[..., j]
+        v = theta[:, j]
         if np.any(v < lo) or np.any(v > hi):
             raise ConstraintError(f"{name} out of [{lo}, {hi}]: {v}")
 
@@ -131,72 +109,52 @@ def _mother_deriv(m: np.ndarray) -> np.ndarray:
     return (-m / ENVELOPE_SIGMA**2 + 2j * np.pi * MOTHER_FREQ) * _mother(m)
 
 
-def evaluate_kernel(family: KernelFamily, theta) -> np.ndarray:
-    """Complex kernel taps for one channel's parameters."""
+def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
+    """Complex kernel bank, shape (C, K), of a (C, P) parameter array."""
     family = KernelFamily(family)
-    n = default_grid(family).astype(np.float64)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    theta = np.asarray(theta, dtype=np.float64)
     check_theta(family, theta)
+    n = default_grid(family).astype(np.float64)
+    if family is KernelFamily.RANDOM:
+        return theta[:, : n.size] + 1j * theta[:, n.size :]
+    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
+        s = theta[:, :1]
+        return _mother(n / s) / np.sqrt(s)
     env = np.exp(-0.5 * (n / ENVELOPE_SIGMA) ** 2)
+    f = theta[:, :1]
     if family is KernelFamily.STTF:
-        (f,) = theta
         # phase grouped as (f*n) so a zero-rate chirplet reproduces this bitwise
         return env * np.exp(2j * np.pi * (f * n))
-    if family is KernelFamily.CHIRPLET:
-        f, alpha = theta
-        return env * np.exp(2j * np.pi * (0.5 * alpha * n**2 + f * n))
-    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
-        (s,) = theta
-        return _mother(n / s) / np.sqrt(s)
-    if family is KernelFamily.RANDOM:
-        K = n.size
-        if theta.size != 2 * K:
-            raise ValueError("random kernel expects 2*K raw taps")
-        return theta[:K] + 1j * theta[K:]
-    raise ValueError(f"unknown family {family!r}")
+    alpha = theta[:, 1:]
+    return env * np.exp(2j * np.pi * (0.5 * alpha * n**2 + f * n))
 
 
 def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
-    """Analytic d(kernel)/d(theta_p), shape (P, K) complex."""
+    """Analytic d(kernel)/d(theta), shape (C, P, K) complex, of a (C, P) parameter array."""
     family = KernelFamily(family)
+    theta = np.asarray(theta, dtype=np.float64)
+    psi = evaluate_kernels(family, theta)
     n = default_grid(family).astype(np.float64)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    psi = evaluate_kernel(family, theta)
-    if family is KernelFamily.STTF:
-        return (2j * np.pi * n * psi)[None, :]
-    if family is KernelFamily.CHIRPLET:
-        return np.stack([2j * np.pi * n * psi, 1j * np.pi * n**2 * psi])
-    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
-        (s,) = theta
-        d = -psi / (2.0 * s) - (n / s**2) * _mother_deriv(n / s) / np.sqrt(s)
-        return d[None, :]
     if family is KernelFamily.RANDOM:
         eye = np.eye(n.size)
-        return np.concatenate([eye, 1j * eye]).astype(np.complex128)
-    raise ValueError(f"unknown family {family!r}")
+        return np.repeat(np.concatenate([eye, 1j * eye])[None], len(theta), axis=0)
+    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
+        s = theta[:, :1]
+        d = -psi / (2.0 * s) - (n / s**2) * _mother_deriv(n / s) / np.sqrt(s)
+        return d[:, None, :]
+    if family is KernelFamily.STTF:
+        return (2j * np.pi * n * psi)[:, None, :]
+    return np.stack([2j * np.pi * n * psi, 1j * np.pi * n**2 * psi], axis=1)
 
 
-def evaluate_kernels(params: KernelParams) -> np.ndarray:
-    """Kernel bank for all channels, shape (n_channels, K) complex."""
-    return np.stack(
-        [evaluate_kernel(params.family, params.theta[c]) for c in range(params.n_channels)]
-    )
+def clamp_params(family: KernelFamily, theta: np.ndarray):
+    """Project every column of a (C, P) parameter array onto its closed box, in place."""
+    for j, (_, lo, hi) in enumerate(BOXES.get(KernelFamily(family), ())):
+        np.clip(theta[:, j], lo, hi, out=theta[:, j])
 
 
-def clamp_params(params: KernelParams) -> KernelParams:
-    """Project every control parameter onto its closed box (total, idempotent)."""
-    theta = params.theta.copy()
-    for j, (_, lo, hi) in enumerate(BOXES.get(params.family, ())):
-        theta[:, j] = np.clip(theta[:, j], lo, hi)
-    return replace(params, theta=theta)
-
-
-def init_params(
-    family: KernelFamily,
-    n_channels: int,
-    seed: int = 0,
-) -> KernelParams:
-    """Per-channel parameters whose focusing frequencies tile the usable band.
+def init_params(family: KernelFamily, n_channels: int, seed: int = 0) -> np.ndarray:
+    """(n_channels, P) parameters whose focusing frequencies tile the usable band.
 
     sttf/chirplet channels get center frequencies at the midpoints of
     n_channels equal slices of [0, 0.5]; wavelet channels get scales whose
@@ -208,17 +166,12 @@ def init_params(
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
     centers = (np.arange(n_channels) + 0.5) / n_channels
     if family is KernelFamily.STTF:
-        theta = (0.5 * centers)[:, None]
-    elif family is KernelFamily.CHIRPLET:
-        theta = np.stack([0.5 * centers, np.zeros(n_channels)], axis=1)
-    elif family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
+        return (0.5 * centers)[:, None]
+    if family is KernelFamily.CHIRPLET:
+        return np.stack([0.5 * centers, np.zeros(n_channels)], axis=1)
+    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
         freqs = 0.02 + (0.5 - 0.02) * centers
-        theta = (MOTHER_FREQ / freqs)[:, None]
-    elif family is KernelFamily.RANDOM:
-        K = len(default_grid(family))
-        bound = np.sqrt(6.0 / K)
-        rng = derive_rng(seed, "kernel-init")
-        theta = rng.uniform(-bound, bound, size=(n_channels, 2 * K))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return KernelParams(family=family, theta=theta)
+        return (MOTHER_FREQ / freqs)[:, None]
+    K = len(default_grid(family))
+    bound = np.sqrt(6.0 / K)
+    return derive_rng(seed, "kernel-init").uniform(-bound, bound, size=(n_channels, 2 * K))

@@ -5,8 +5,8 @@ BatchNorm1d, ReLU, MaxPool, AdaptiveAvgPool, Flatten, Dense, Residual) and
 each layer implements its own backward pass, so no general autodiff is
 needed.  Every layer is a ``Layer``.  Three backbones of different depths
 are provided, and ``assemble_model`` combines a backbone with a
-time-frequency front layer, whose kernel family alone fixes its kernel bank,
-in the add/replace/real-only ablation variants.
+time-frequency front layer, whose kernel bank is a kernel family and a
+(C, P) parameter array, in the add/replace/real-only ablation variants.
 
 ``forward(x, training=True)`` is a training forward: each layer keeps what
 its ``backward`` reads until the next forward.  ``training=False`` is
@@ -37,7 +37,7 @@ samples with every output and gradient value unchanged.
 import numpy as np
 
 from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
-from tfnet.kernels import (KernelFamily, KernelParams, clamp_params, default_grid,
+from tfnet.kernels import (KernelFamily, check_theta, clamp_params, default_grid,
                            evaluate_kernels, init_params, kernel_param_grad)
 from tfnet.seeding import derive_rng
 
@@ -451,25 +451,30 @@ class TFconvLayer(Layer):
         h_img[k]  = Im(psi_k) (*) x
         h[k]      = sqrt(h_real^2 + h_img^2 + EPS_MODULUS)
 
-    where (*) is cross-correlation.  The trainable weights are the kernel
-    control parameters, not the taps.  The backward pass chains the upstream
-    gradient through the modulus, takes one FFT of it to get the gradient
-    with respect to the taps, and then maps the tap gradient onto the
-    parameters through the analytic kernel derivatives d(psi)/d(theta), the
-    same way for every kernel family.  The layer is always a model's front
-    layer, so the backward stops at its parameters: there is no input
-    gradient.  ``modulus=False`` keeps only the real-kernel correlation with
-    no modulus, approximating wavelet-kernel comparison layers.
+    where (*) is cross-correlation.  The kernel bank is the pair
+    ``(family, theta)``: the family fixes the kernel function and its grid,
+    and ``theta``, a (C, P) float64 array, holds each channel's P control
+    parameters, the layer's only trainable weights.  The backward pass
+    chains the upstream gradient through the modulus, takes one FFT of it to
+    get the gradient with respect to the taps, and then maps the tap
+    gradient onto the parameters through the (C, P, K) analytic kernel
+    derivatives d(psi)/d(theta), the same way for every kernel family.  The
+    layer is always a model's front layer, so the backward stops at its
+    parameters: there is no input gradient.  ``modulus=False`` keeps only
+    the real-kernel correlation with no modulus, approximating
+    wavelet-kernel comparison layers.
     """
 
-    def __init__(self, params: KernelParams, modulus: bool = True):
-        self.kernel_params = params
+    def __init__(self, family: KernelFamily, theta, modulus: bool = True):
+        self.family = KernelFamily(family)
+        self.theta = np.asarray(theta, dtype=np.float64)
+        check_theta(self.family, self.theta)
         self.modulus = bool(modulus)
-        self.grad_theta = np.zeros_like(params.theta)
+        self.grad_theta = np.zeros_like(self.theta)
 
     @property
     def params(self):
-        return [self.kernel_params.theta]
+        return [self.theta]
 
     @property
     def grads(self):
@@ -477,11 +482,11 @@ class TFconvLayer(Layer):
 
     def project_params(self):
         """Clamp the control parameters onto their boxes after an optimizer step."""
-        self.kernel_params.theta[...] = clamp_params(self.kernel_params).theta
+        clamp_params(self.family, self.theta)
 
     def kernels(self) -> np.ndarray:
         """Current complex kernel bank, shape (C, K)."""
-        return evaluate_kernels(self.kernel_params)
+        return evaluate_kernels(self.family, self.theta)
 
     def forward(self, x, training=False, overwrite=False):
         """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
@@ -530,7 +535,6 @@ class TFconvLayer(Layer):
         grad = np.asarray(grad, dtype=x.dtype)
         if grad.shape != h.shape:
             raise ValueError(f"grad shape {grad.shape} != forward output shape {h.shape}")
-        kp = self.kernel_params
         if self.modulus:
             # g = ghr - j*ghi, so that Re{g * z} == ghr*Re(z) + ghi*Im(z); both
             # halves are written in place, complex64 for a float32 forward
@@ -540,8 +544,8 @@ class TFconvLayer(Layer):
             np.negative(g.imag, out=g.imag)
         else:
             g = grad
-        taps = batch_conv_full_slice(g, x, len(default_grid(kp.family)))
-        dpsi = np.stack([kernel_param_grad(kp.family, t) for t in kp.theta])  # (C, P, K)
+        taps = batch_conv_full_slice(g, x, len(default_grid(self.family)))
+        dpsi = kernel_param_grad(self.family, self.theta)
         self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
 
 
@@ -668,7 +672,8 @@ def softmax_cross_entropy(logits, labels):
     return loss, (grad / B).astype(logits.dtype)
 
 
-def _paper_cnn(rng, in_channels, n_classes, first_out, dtype):
+def _stem(rng, in_channels, first_out, dtype):
+    """The three-conv front of paper-cnn and resnet-1d."""
     c1 = first_out if first_out is not None else 16
     return [
         Conv1d(in_channels, c1, 15, rng, dtype=dtype),
@@ -681,6 +686,12 @@ def _paper_cnn(rng, in_channels, n_classes, first_out, dtype):
         Conv1d(32, 64, 3, rng, dtype=dtype),
         BatchNorm1d(64, dtype=dtype),
         ReLU(),
+    ]
+
+
+def _head(rng, n_classes, dtype):
+    """The last conv and dense classifier of paper-cnn and resnet-1d."""
+    return [
         Conv1d(64, 128, 3, rng, dtype=dtype),
         BatchNorm1d(128, dtype=dtype),
         ReLU(),
@@ -691,6 +702,10 @@ def _paper_cnn(rng, in_channels, n_classes, first_out, dtype):
         Dense(256, 64, rng, dtype=dtype),
         Dense(64, n_classes, rng, dtype=dtype),
     ]
+
+
+def _paper_cnn(rng, in_channels, n_classes, first_out, dtype):
+    return _stem(rng, in_channels, first_out, dtype) + _head(rng, n_classes, dtype)
 
 
 def _lenet_1d(rng, in_channels, n_classes, first_out, dtype):
@@ -722,30 +737,9 @@ def _resnet_1d(rng, in_channels, n_classes, first_out, dtype):
             BatchNorm1d(64, dtype=dtype),
         ])
 
-    c1 = first_out if first_out is not None else 16
-    return [
-        Conv1d(in_channels, c1, 15, rng, dtype=dtype),
-        BatchNorm1d(c1, dtype=dtype),
-        ReLU(),
-        Conv1d(c1, 32, 3, rng, dtype=dtype),
-        BatchNorm1d(32, dtype=dtype),
-        MaxPool(),
-        ReLU(),
-        Conv1d(32, 64, 3, rng, dtype=dtype),
-        BatchNorm1d(64, dtype=dtype),
-        ReLU(),
-        res_block(),
-        res_block(),
-        Conv1d(64, 128, 3, rng, dtype=dtype),
-        BatchNorm1d(128, dtype=dtype),
-        ReLU(),
-        AdaptiveAvgPool(4),
-        Flatten(),
-        Dense(512, 512, rng, dtype=dtype),
-        Dense(512, 256, rng, dtype=dtype),
-        Dense(256, 64, rng, dtype=dtype),
-        Dense(64, n_classes, rng, dtype=dtype),
-    ]
+    # operands build left to right, so the weights draw from rng in layer order
+    return (_stem(rng, in_channels, first_out, dtype) + [res_block(), res_block()]
+            + _head(rng, n_classes, dtype))
 
 
 _BUILDERS = {"paper-cnn": _paper_cnn, "lenet-1d": _lenet_1d, "resnet-1d": _resnet_1d}
@@ -790,7 +784,7 @@ def assemble_model(
         return build_backbone(backbone, n_classes, in_channels=1, seed=seed, dtype=dtype)
 
     modulus = mode not in ("wkn-add", "wkn-replace")
-    front = TFconvLayer(init_params(family, n_channels, seed=seed), modulus=modulus)
+    front = TFconvLayer(family, init_params(family, n_channels, seed=seed), modulus=modulus)
     cfg = {
         "family": family.value,
         "n_channels": n_channels,

@@ -29,8 +29,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs it)")
-        if not 0.0 < self.initial_lr:
-            raise ValueError("initial_lr must be positive")
+        if not 0.0 < self.initial_lr < np.inf:
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.dtype not in ("float64", "float32"):
@@ -151,7 +151,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     opt = Adam(model.parameters())
     history = TrainHistory()
     if tf_layer is not None:
-        history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
+        history.theta_snapshots.append(tf_layer.theta.copy())
 
     lr = cfg.initial_lr
     n = x.shape[0]
@@ -183,7 +183,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
             history.test_acc.append(acc)
         history.lr.append(lr)
         if tf_layer is not None:
-            history.theta_snapshots.append(tf_layer.kernel_params.theta.copy())
+            history.theta_snapshots.append(tf_layer.theta.copy())
         lr *= cfg.lr_decay
     # the last step's backward state is not needed once training ends
     for layer in model.walk_layers():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tfnet.core_math import same_pad_widths
-from tfnet.kernels import KernelFamily, evaluate_kernel
+from tfnet.kernels import KernelFamily, evaluate_kernels
 from tfnet.nn import Model, softmax_cross_entropy
 
 
@@ -57,7 +57,7 @@ def reference_tft(x: np.ndarray, family: KernelFamily, thetas) -> np.ndarray:
     FFT-based layer forward, so the two can check each other.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    rows = [cross_correlate_same(x, evaluate_kernel(family, t)) for t in np.atleast_2d(thetas)]
+    rows = [cross_correlate_same(x, psi) for psi in evaluate_kernels(family, np.atleast_2d(thetas))]
     return np.stack(rows)
 
 

@@ -130,9 +130,9 @@ class TestSaveLoadRoundTrip:
         loaded = load_model(tmp_path / "m.tfn")
         assert loaded.dtype == np.dtype(np.float32)
         # kernel control parameters stay double precision
-        assert loaded.tfconv.kernel_params.theta.dtype == np.float64
+        assert loaded.tfconv.theta.dtype == np.float64
         np.testing.assert_array_equal(
-            loaded.tfconv.kernel_params.theta, model.tfconv.kernel_params.theta)
+            loaded.tfconv.theta, model.tfconv.theta)
 
     def test_random_kernel_grid_rebuilt(self, tmp_path):
         model = assemble_model("random-tfn", n_classes=5, seed=5)
@@ -141,7 +141,7 @@ class TestSaveLoadRoundTrip:
         assert loaded.tfconv_config["kernel_length"] == 51
         np.testing.assert_array_equal(loaded.tfconv.kernels(), model.tfconv.kernels())
         np.testing.assert_array_equal(
-            loaded.tfconv.kernel_params.theta, model.tfconv.kernel_params.theta)
+            loaded.tfconv.theta, model.tfconv.theta)
 
 
 class TestLoadValidation:
@@ -248,7 +248,7 @@ class TestLoadValidation:
 
     def test_theta_outside_its_box_names_file(self, tmp_path):
         model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
-        model.tfconv.kernel_params.theta[0, 0] = 0.7
+        model.tfconv.theta[0, 0] = 0.7
         path = tmp_path / "m.tfn"
         save_model(model, path)
         with pytest.raises(ValueError, match=r"m\.tfn: f out of \[0\.0, 0\.49"):
@@ -325,7 +325,7 @@ class TestThetaTrajectoryCsv:
 
 class TestKernelTapsCsv:
     def test_short_grid_layout(self, tmp_path):
-        layer = TFconvLayer(init_params(KernelFamily.STTF, 2))
+        layer = TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2))
         path = tmp_path / "taps.csv"
         write_kernel_taps_csv(path, layer)
         lines = path.read_text().splitlines()
@@ -338,7 +338,7 @@ class TestKernelTapsCsv:
         assert got == complex(kernels[0, 0])
 
     def test_long_grid_row_count(self, tmp_path):
-        layer = TFconvLayer(init_params(KernelFamily.MORLET, 1))
+        layer = TFconvLayer(KernelFamily.MORLET, init_params(KernelFamily.MORLET, 1))
         path = tmp_path / "taps.csv"
         write_kernel_taps_csv(path, layer)
         assert len(path.read_text().splitlines()) == 1 + 301

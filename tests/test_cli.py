@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on small synthetic datasets."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestGenData:
                      "--set", override])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, capsys, sigma):
+        code = main(["gen-data", "--out", str(tmp_path / "x"), *GEN_ARGS,
+                     "--set", f"noise_sigma={sigma}"])
+        assert code == EXIT_CONFIG
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "train").exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained_dir):
@@ -138,11 +147,27 @@ class TestTrain:
                      *TRAIN_ARGS])
         assert code == EXIT_OK
 
-    def test_too_few_classes_rejected(self, tmp_path, data_dir):
+    def test_too_few_classes_rejected(self, tmp_path, data_dir, capsys):
+        # the class count is the dataset's: a manifest naming 3 classes
+        # under labels that reach 4 fails as a configuration error
+        copy = tmp_path / "ds"
+        shutil.copytree(data_dir, copy)
+        meta = read_json(copy / "train" / "meta.json")
+        meta["class_names"] = meta["class_names"][:3]
+        (copy / "train" / "meta.json").write_text(json.dumps(meta))
         code = main(["train", "--out", str(tmp_path / "x"), "--seed", "0",
-                     "--set", f"dataset={data_dir}", "--set", "n_classes=3",
-                     *TRAIN_ARGS])
+                     "--set", f"dataset={copy}", *TRAIN_ARGS])
         assert code == EXIT_CONFIG
+        assert "labels must lie in [0, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
+    def test_infinite_learning_rate_rejected(self, tmp_path, data_dir, capsys, mode):
+        code = main(["train", "--out", str(tmp_path / "x"), "--seed", "0",
+                     "--set", f"dataset={data_dir}", "--set", f"mode={mode}", *TRAIN_ARGS,
+                     "--set", "lr=inf"])
+        assert code == EXIT_CONFIG
+        assert "initial_lr must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "metrics.json").exists()
 
     @pytest.mark.parametrize("setting", ["epochs=0", "lr_decay=1.5"])
     def test_out_of_range_training_setting_rejected(self, tmp_path, data_dir, capsys, setting):
@@ -215,7 +240,7 @@ class TestEval:
 @pytest.mark.parametrize("command", ["eval", "freq-response"])
 def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys, command):
     model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
-    model.tfconv.kernel_params.theta[0, 0] = 0.7
+    model.tfconv.theta[0, 0] = 0.7
     ckpt = tmp_path / "bad.tfn"
     save_model(model, ckpt)
     code = main([command, "--out", str(tmp_path / "out"), "--set", f"checkpoint={ckpt}",
@@ -362,7 +387,7 @@ class TestAblate:
         assert self.run_ablate(out, tmp_path / "junk") == EXIT_CONFIG
         assert not (out / "results.csv").exists() and not (out / "cells").exists()
 
-    @pytest.mark.parametrize("setting", ["channels=0", "n_classes=2", "epochs=0"])
+    @pytest.mark.parametrize("setting", ["channels=0", "lr=inf", "epochs=0"])
     def test_setting_train_rejects_fails_before_any_cell(self, tmp_path, data_dir, monkeypatch,
                                                          setting):
         def train(*args, **kwargs):
@@ -406,6 +431,30 @@ class TestArgumentPlumbing:
     def test_bad_set_syntax(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),
                      "--set", "epochs"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, key, other", [
+        ("train", "dataset", None),
+        ("eval", "checkpoint", "dataset"),
+        ("eval", "dataset", "checkpoint"),
+        ("freq-response", "checkpoint", None),
+        ("ablate", "dataset", None),
+    ])
+    def test_required_path_set_empty_names_key(self, tmp_path, data_dir, trained_dir, capsys,
+                                               command, key, other):
+        paths = {"dataset": data_dir, "checkpoint": trained_dir / "model.tfn"}
+        args = [command, "--out", str(tmp_path / "x"), "--set", f"{key}="]
+        if other is not None:
+            args += ["--set", f"{other}={paths[other]}"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {key}: a path is required, got an empty value\n"
+
+    def test_optional_path_set_empty_is_skipped(self, tmp_path, trained_dir):
+        out = tmp_path / "fr"
+        code = main(["freq-response", "--out", str(out), "--set", "dataset=",
+                     "--set", f"checkpoint={trained_dir / 'model.tfn'}"])
+        assert code == EXIT_OK
+        assert not (out / "dataset_spectrum.csv").exists()
 
     def test_unknown_key_names_offender(self, tmp_path, capsys):
         code = main(["gen-data", "--out", str(tmp_path / "x"),

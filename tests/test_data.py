@@ -45,6 +45,8 @@ class TestSynthSpecValidation:
         {"samples_per_class": 0},
         {"sample_length": 8},
         {"noise_sigma": -1.0},
+        {"noise_sigma": float("nan")},  # once generated noise-free samples
+        {"noise_sigma": float("inf")},  # once generated non-finite samples
     ])
     def test_scalar_fields_validated(self, kwargs):
         with pytest.raises(ValueError):

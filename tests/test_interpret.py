@@ -52,7 +52,7 @@ class TestChannelFrequencyResponse:
         np.testing.assert_allclose(fr.cfr, 2.0, atol=1e-12)
 
     def test_analytic_kernel_peaks_at_its_frequency(self):
-        layer = TFconvLayer(init_params(KernelFamily.STTF, 4))
+        layer = TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 4))
         fr = channel_frequency_response(layer.kernels(), n_fft=512)
         np.testing.assert_array_equal(fr.cfr.argmax(axis=1), [32, 96, 160, 224])
 

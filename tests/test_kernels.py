@@ -14,14 +14,12 @@ from tfnet.kernels import (
     S_MIN,
     ConstraintError,
     KernelFamily,
-    KernelParams,
+    check_theta,
     clamp_params,
     default_grid,
-    evaluate_kernel,
     evaluate_kernels,
     init_params,
     kernel_param_grad,
-    n_params,
     param_names,
 )
 
@@ -56,16 +54,9 @@ class TestGridsAndShapes:
 
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_kernel_length_matches_grid(self, family):
-        psi = evaluate_kernel(family, mid_theta(family))
+        psi = evaluate_kernels(family, [mid_theta(family)])[0]
         assert psi.shape == (len(default_grid(family)),)
         assert psi.dtype == np.complex128
-
-    def test_n_params(self):
-        assert n_params(KernelFamily.STTF) == 1
-        assert n_params(KernelFamily.CHIRPLET) == 2
-        assert n_params(KernelFamily.MORLET) == 1
-        assert n_params(KernelFamily.LAPLACE) == 1
-        assert n_params(KernelFamily.RANDOM) == 102
 
     def test_param_names(self):
         assert param_names(KernelFamily.STTF) == ("f",)
@@ -80,7 +71,7 @@ class TestClosedForms:
         n = np.arange(-25, 26, dtype=float)
         f = 0.31
         want = np.exp(-0.5 * (n / 10.0) ** 2) * np.exp(2j * np.pi * f * n)
-        got = evaluate_kernel(KernelFamily.STTF, [f])
+        got = evaluate_kernels(KernelFamily.STTF, [[f]])[0]
         # The phase reaches |2*pi*f*n| ~ 49 rad, where one float64 ulp is
         # ~7e-15, so any float64 evaluation order is off from the true kernel
         # by a few ulp of the largest phase (program and formula alike).  A
@@ -89,7 +80,7 @@ class TestClosedForms:
         assert np.max(np.abs(got - want)) < 4 * np.finfo(float).eps * np.max(np.abs(phase))
 
     def test_sttf_zero_frequency_is_real_gaussian(self):
-        psi = evaluate_kernel(KernelFamily.STTF, [0.0])
+        psi = evaluate_kernels(KernelFamily.STTF, [[0.0]])[0]
         assert np.allclose(psi.imag, 0.0)
         assert psi.real.argmax() == 25  # centered
         assert np.all(psi.real > 0)
@@ -98,31 +89,31 @@ class TestClosedForms:
         n = np.arange(-25, 26, dtype=float)
         f, alpha = 0.12, 0.004
         want = np.exp(-0.5 * (n / 10.0) ** 2) * np.exp(2j * np.pi * (0.5 * alpha * n**2 + f * n))
-        got = evaluate_kernel(KernelFamily.CHIRPLET, [f, alpha])
+        got = evaluate_kernels(KernelFamily.CHIRPLET, [[f, alpha]])[0]
         assert np.max(np.abs(got - want)) < 1e-15
 
     def test_chirplet_zero_rate_equals_sttf_bitwise(self):
         for f in (0.0, 0.1, 0.23, 0.499):
-            sttf = evaluate_kernel(KernelFamily.STTF, [f])
-            chirp = evaluate_kernel(KernelFamily.CHIRPLET, [f, 0.0])
+            sttf = evaluate_kernels(KernelFamily.STTF, [[f]])[0]
+            chirp = evaluate_kernels(KernelFamily.CHIRPLET, [[f, 0.0]])[0]
             np.testing.assert_array_equal(sttf, chirp)
 
     def test_morlet_unit_scale_is_mother(self):
         n = np.arange(-150, 151, dtype=float)
         want = np.exp(-0.5 * (n / ENVELOPE_SIGMA) ** 2) * np.exp(2j * np.pi * MOTHER_FREQ * n)
-        got = evaluate_kernel(KernelFamily.MORLET, [1.0])
+        got = evaluate_kernels(KernelFamily.MORLET, [[1.0]])[0]
         assert np.max(np.abs(got - want)) < 1e-15
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
     def test_morlet_center_frequency_scales_inversely(self, s):
-        psi = evaluate_kernel(KernelFamily.MORLET, [s])
+        psi = evaluate_kernels(KernelFamily.MORLET, [[s]])[0]
         n_fft = 4096
         mag = np.abs(np.fft.fft(psi, n_fft))
         peak = mag[: n_fft // 2 + 1].argmax() / n_fft
         assert abs(peak - MOTHER_FREQ / s) < 2.0 / n_fft
 
     def test_laplace_support_is_one_sided(self):
-        psi = evaluate_kernel(KernelFamily.LAPLACE, [1.0])
+        psi = evaluate_kernels(KernelFamily.LAPLACE, [[1.0]])[0]
         assert psi.shape == (151,)
         assert abs(psi[0]) == pytest.approx(1.0)  # mother at m=0
         assert abs(psi[-1]) < 1e-15  # envelope has died off
@@ -131,77 +122,81 @@ class TestClosedForms:
         # 1/sqrt(s) prefactor: tap at n=0 has magnitude s**-0.5
         for fam in (KernelFamily.MORLET, KernelFamily.LAPLACE):
             for s in (0.5, 2.0, 8.0):
-                psi = evaluate_kernel(fam, [s])
+                psi = evaluate_kernels(fam, [[s]])[0]
                 center = 150 if fam is KernelFamily.MORLET else 0
                 assert abs(psi[center]) == pytest.approx(s**-0.5, rel=1e-12)
 
     def test_random_taps_pass_through(self):
         raw = np.arange(102, dtype=float)
-        psi = evaluate_kernel(KernelFamily.RANDOM, raw)
+        psi = evaluate_kernels(KernelFamily.RANDOM, [raw])[0]
         np.testing.assert_array_equal(psi.real, raw[:51])
         np.testing.assert_array_equal(psi.imag, raw[51:])
 
     def test_random_wrong_tap_count_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_kernel(KernelFamily.RANDOM, np.zeros(51))
+            evaluate_kernels(KernelFamily.RANDOM, [np.zeros(51)])
 
 
 class TestConstraints:
     def test_frequency_box(self):
         with pytest.raises(ConstraintError):
-            evaluate_kernel(KernelFamily.STTF, [0.5])
+            evaluate_kernels(KernelFamily.STTF, [[0.5]])
         with pytest.raises(ConstraintError):
-            evaluate_kernel(KernelFamily.STTF, [-0.01])
+            evaluate_kernels(KernelFamily.STTF, [[-0.01]])
         with pytest.raises(ConstraintError):  # above the box clamp_params projects onto
-            evaluate_kernel(KernelFamily.STTF, [0.5 - 1e-7])
-        evaluate_kernel(KernelFamily.STTF, [F_MAX])  # boundary is legal
+            evaluate_kernels(KernelFamily.STTF, [[0.5 - 1e-7]])
+        evaluate_kernels(KernelFamily.STTF, [[F_MAX]])  # boundary is legal
 
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_clamped_extremes_evaluate(self, family):
-        P = n_params(family)
-        params = KernelParams(family, np.array([[-1e3] * P, [1e3] * P]))
-        evaluate_kernels(clamp_params(params))
+        P = len(param_names(family))
+        theta = np.array([[-1e3] * P, [1e3] * P])
+        clamp_params(family, theta)
+        evaluate_kernels(family, theta)
 
     def test_chirp_rate_box(self):
         with pytest.raises(ConstraintError):
-            evaluate_kernel(KernelFamily.CHIRPLET, [0.1, ALPHA_MAX * 1.01])
-        evaluate_kernel(KernelFamily.CHIRPLET, [0.1, -ALPHA_MAX])
+            evaluate_kernels(KernelFamily.CHIRPLET, [[0.1, ALPHA_MAX * 1.01]])
+        evaluate_kernels(KernelFamily.CHIRPLET, [[0.1, -ALPHA_MAX]])
 
     def test_scale_box(self):
         for fam in (KernelFamily.MORLET, KernelFamily.LAPLACE):
             with pytest.raises(ConstraintError):
-                evaluate_kernel(fam, [S_MIN * 0.99])
+                evaluate_kernels(fam, [[S_MIN * 0.99]])
             with pytest.raises(ConstraintError):
-                evaluate_kernel(fam, [S_MAX * 1.01])
-            evaluate_kernel(fam, [S_MIN])
-            evaluate_kernel(fam, [S_MAX])
+                evaluate_kernels(fam, [[S_MAX * 1.01]])
+            evaluate_kernels(fam, [[S_MIN]])
+            evaluate_kernels(fam, [[S_MAX]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ConstraintError):
-            evaluate_kernel(KernelFamily.STTF, [np.nan])
+            evaluate_kernels(KernelFamily.STTF, [[np.nan]])
 
     def test_clamp_projects_to_box(self):
-        params = KernelParams(KernelFamily.CHIRPLET, np.array([[0.7, -0.02], [-0.3, 0.001]]))
-        clamped = clamp_params(params)
-        np.testing.assert_allclose(clamped.theta, [[F_MAX, -ALPHA_MAX], [0.0, 0.001]])
+        theta = np.array([[0.7, -0.02], [-0.3, 0.001], [0.2, 0.9]])
+        clamp_params(KernelFamily.CHIRPLET, theta)
+        np.testing.assert_allclose(theta, [[F_MAX, -ALPHA_MAX], [0.0, 0.001], [0.2, ALPHA_MAX]])
 
     def test_clamp_is_identity_inside_box(self):
         theta = np.array([[0.1], [0.49]])
-        params = KernelParams(KernelFamily.STTF, theta)
-        np.testing.assert_array_equal(clamp_params(params).theta, theta)
+        clamped = theta.copy()
+        clamp_params(KernelFamily.STTF, clamped)
+        np.testing.assert_array_equal(clamped, theta)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=2))
     @settings(max_examples=50, deadline=None)
     def test_clamp_idempotent(self, row):
-        params = KernelParams(KernelFamily.CHIRPLET, np.array([row]))
-        once = clamp_params(params).theta
-        twice = clamp_params(KernelParams(KernelFamily.CHIRPLET, once)).theta
+        once = np.array([row])
+        clamp_params(KernelFamily.CHIRPLET, once)
+        twice = once.copy()
+        clamp_params(KernelFamily.CHIRPLET, twice)
         np.testing.assert_array_equal(once, twice)
 
     def test_scale_clamp_idempotent(self):
-        params = KernelParams(KernelFamily.MORLET, np.array([[0.01], [99.0], [3.0]]))
-        once = clamp_params(params).theta
-        twice = clamp_params(KernelParams(KernelFamily.MORLET, once)).theta
+        once = np.array([[0.01], [99.0], [3.0]])
+        clamp_params(KernelFamily.MORLET, once)
+        twice = once.copy()
+        clamp_params(KernelFamily.MORLET, twice)
         np.testing.assert_array_equal(once, twice)
         assert once[0, 0] == S_MIN and once[1, 0] == S_MAX and once[2, 0] == 3.0
 
@@ -209,20 +204,20 @@ class TestConstraints:
 class TestAnalyticGradients:
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_matches_central_difference(self, family):
-        theta = np.asarray(mid_theta(family), dtype=float)
+        theta = np.array([mid_theta(family)])
         grad = kernel_param_grad(family, theta)
-        assert grad.shape == (theta.size, len(default_grid(family)))
+        assert grad.shape == (1, theta.shape[1], len(default_grid(family)))
         h = 1e-7
-        for p in range(theta.size):
+        for p in range(theta.shape[1]):
             tp, tm = theta.copy(), theta.copy()
-            tp[p] += h
-            tm[p] -= h
-            numeric = (evaluate_kernel(family, tp) - evaluate_kernel(family, tm)) / (2 * h)
+            tp[0, p] += h
+            tm[0, p] -= h
+            numeric = (evaluate_kernels(family, tp)[0] - evaluate_kernels(family, tm)[0]) / (2 * h)
             scale = max(np.max(np.abs(numeric)), 1.0)
-            assert np.max(np.abs(grad[p] - numeric)) / scale < 1e-6
+            assert np.max(np.abs(grad[0, p] - numeric)) / scale < 1e-6
 
     def test_random_gradient_is_tap_identity(self):
-        grad = kernel_param_grad(KernelFamily.RANDOM, np.zeros(102))
+        grad = kernel_param_grad(KernelFamily.RANDOM, np.zeros((1, 102)))[0]
         assert grad.shape == (102, 51)
         np.testing.assert_array_equal(grad[:51].real, np.eye(51))
         np.testing.assert_array_equal(grad[51:].imag, np.eye(51))
@@ -230,57 +225,100 @@ class TestAnalyticGradients:
 
 class TestInitialization:
     def test_sttf_grid_frequencies(self):
-        params = init_params(KernelFamily.STTF, 8)
+        theta = init_params(KernelFamily.STTF, 8)
         want = [0.03125, 0.09375, 0.15625, 0.21875, 0.28125, 0.34375, 0.40625, 0.46875]
-        np.testing.assert_allclose(params.theta[:, 0], want, atol=1e-15)
+        np.testing.assert_allclose(theta[:, 0], want, atol=1e-15)
 
     def test_chirplet_starts_with_zero_rate(self):
-        params = init_params(KernelFamily.CHIRPLET, 4)
-        np.testing.assert_allclose(params.theta[:, 0], [0.0625, 0.1875, 0.3125, 0.4375])
-        np.testing.assert_array_equal(params.theta[:, 1], 0.0)
+        theta = init_params(KernelFamily.CHIRPLET, 4)
+        np.testing.assert_allclose(theta[:, 0], [0.0625, 0.1875, 0.3125, 0.4375])
+        np.testing.assert_array_equal(theta[:, 1], 0.0)
 
     @pytest.mark.parametrize("family", [KernelFamily.MORLET, KernelFamily.LAPLACE])
     def test_wavelet_scales_tile_frequency_band(self, family):
         C = 8
-        params = init_params(family, C)
+        theta = init_params(family, C)
         centers = (np.arange(C) + 0.5) / C
         want = MOTHER_FREQ / (0.02 + 0.48 * centers)
-        np.testing.assert_allclose(params.theta[:, 0], want, rtol=1e-12)
-        assert np.all(params.theta[:, 0] >= S_MIN) and np.all(params.theta[:, 0] <= S_MAX)
+        np.testing.assert_allclose(theta[:, 0], want, rtol=1e-12)
+        assert np.all(theta[:, 0] >= S_MIN) and np.all(theta[:, 0] <= S_MAX)
 
     def test_random_init_is_seeded_and_bounded(self):
         a = init_params(KernelFamily.RANDOM, 4, seed=3)
         b = init_params(KernelFamily.RANDOM, 4, seed=3)
         c = init_params(KernelFamily.RANDOM, 4, seed=4)
-        np.testing.assert_array_equal(a.theta, b.theta)
-        assert not np.array_equal(a.theta, c.theta)
-        assert np.max(np.abs(a.theta)) <= np.sqrt(6.0 / 51)
+        assert a.shape == (4, 102)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.max(np.abs(a)) <= np.sqrt(6.0 / 51)
 
     def test_init_inside_constraint_box(self):
         for family in PARAMETRIC:
-            params = init_params(family, 32)
-            np.testing.assert_array_equal(clamp_params(params).theta, params.theta)
+            theta = init_params(family, 32)
+            clamped = theta.copy()
+            clamp_params(family, clamped)
+            np.testing.assert_array_equal(clamped, theta)
 
     def test_bad_channel_count_rejected(self):
         with pytest.raises(ValueError):
             init_params(KernelFamily.STTF, 0)
 
 
+# three channels with distinct rows, so a bank that applies one row's
+# parameters to every channel fails
+DISTINCT_ROWS = {
+    KernelFamily.STTF: [[0.05], [0.23], [0.41]],
+    KernelFamily.CHIRPLET: [[0.05, -0.003], [0.23, 0.0017], [0.41, 0.004]],
+    KernelFamily.MORLET: [[0.6], [2.3], [7.5]],
+    KernelFamily.LAPLACE: [[0.5], [1.7], [9.0]],
+}
+
+
 class TestKernelParams:
-    def test_theta_coerced_to_2d_float64(self):
-        params = KernelParams(KernelFamily.STTF, [0.2])
-        assert params.theta.shape == (1, 1)
-        assert params.theta.dtype == np.float64
+    """A bank is a (family, theta) pair; every function broadcasts over theta's rows."""
 
     def test_wrong_param_count_rejected(self):
-        with pytest.raises(ValueError):
-            KernelParams(KernelFamily.CHIRPLET, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="chirplet expects 2 parameters per channel"):
+            check_theta(KernelFamily.CHIRPLET, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="random expects 102 parameters per channel"):
+            evaluate_kernels(KernelFamily.RANDOM, np.zeros((2, 51)))
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):  # one row, but not (C, P)
+            check_theta(KernelFamily.STTF, np.array([0.2]))
 
     def test_evaluate_kernels_stacks_channels(self):
-        params = init_params(KernelFamily.STTF, 5)
-        bank = evaluate_kernels(params)
+        theta = init_params(KernelFamily.STTF, 5)
+        bank = evaluate_kernels(KernelFamily.STTF, theta)
         assert bank.shape == (5, 51)
         for c in range(5):
             np.testing.assert_array_equal(
-                bank[c], evaluate_kernel(KernelFamily.STTF, params.theta[c])
+                bank[c], evaluate_kernels(KernelFamily.STTF, theta[c : c + 1])[0]
             )
+
+    @pytest.mark.parametrize("family", PARAMETRIC)
+    def test_distinct_rows_evaluate_row_by_row(self, family):
+        theta = np.array(DISTINCT_ROWS[family])
+        bank = evaluate_kernels(family, theta)
+        grad = kernel_param_grad(family, theta)
+        K = len(default_grid(family))
+        assert bank.shape == (3, K) and grad.shape == (3, theta.shape[1], K)
+        for c in range(3):
+            np.testing.assert_array_equal(bank[c], evaluate_kernels(family, theta[c : c + 1])[0])
+            np.testing.assert_array_equal(grad[c], kernel_param_grad(family, theta[c : c + 1])[0])
+        assert not np.array_equal(bank[1], bank[0]) and not np.array_equal(bank[2], bank[0])
+
+    @pytest.mark.parametrize("family", PARAMETRIC)
+    def test_grad_matches_per_row_central_difference(self, family):
+        theta = np.array(DISTINCT_ROWS[family])
+        grad = kernel_param_grad(family, theta)
+        h = 1e-7
+        for c in range(theta.shape[0]):
+            for p in range(theta.shape[1]):
+                tp, tm = theta.copy(), theta.copy()
+                tp[c, p] += h
+                tm[c, p] -= h
+                diff = evaluate_kernels(family, tp) - evaluate_kernels(family, tm)
+                # moving row c leaves every other row's kernel untouched
+                np.testing.assert_array_equal(np.delete(diff, c, axis=0), 0.0)
+                numeric = diff[c] / (2 * h)
+                scale = max(np.max(np.abs(numeric)), 1.0)
+                assert np.max(np.abs(grad[c, p] - numeric)) / scale < 1e-6

@@ -559,7 +559,7 @@ class TestModelContainer:
 
     def test_front_layer_model_gradients(self):
         rng = rng_(37)
-        front = TFconvLayer(init_params(KernelFamily.STTF, 2))
+        front = TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2))
         layers = [front, Conv1d(2, 3, 3, rng), ReLU(), AdaptiveAvgPool(2),
                   Flatten(), Dense(6, 4, rng)]
         model = Model(layers, mode="tfn-add", backbone="micro", n_classes=4)
@@ -652,7 +652,7 @@ class TestAssembly:
 
     def test_random_mode_forces_random_family(self):
         model = assemble_model("random-tfn", family="sttf", n_channels=4)
-        assert model.tfconv.kernel_params.family is KernelFamily.RANDOM
+        assert model.tfconv.family is KernelFamily.RANDOM
 
     def test_random_family_outside_random_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -675,7 +675,7 @@ class TestAssembly:
         x = rng_(40).normal(size=(2, 1, 256)).astype(np.float32)
         assert model.forward(x).dtype == np.float32
         # kernel control parameters stay float64 regardless
-        assert model.tfconv.kernel_params.theta.dtype == np.float64
+        assert model.tfconv.theta.dtype == np.float64
 
     def test_forward_hook_sees_each_layer_channels_last(self):
         model = assemble_model("tfn-add", n_channels=8)
@@ -698,7 +698,7 @@ class TestInferenceKeepsNothing:
         (lambda: AdaptiveAvgPool(2), (2, 8, 2)),
         (lambda: Flatten(), (2, 8, 2)),
         (lambda: Dense(4, 3, rng_(41)), (2, 4)),
-        (lambda: TFconvLayer(init_params(KernelFamily.STTF, 2)), (2, 32)),
+        (lambda: TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2)), (2, 32)),
     ], ids=["conv1d", "batchnorm1d", "relu", "maxpool2", "adaptiveavgpool", "flatten",
             "dense", "tfconv"])
     def test_backward_needs_training_forward(self, make, shape):

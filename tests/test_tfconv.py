@@ -14,7 +14,7 @@ FAMILIES = [KernelFamily.STTF, KernelFamily.CHIRPLET, KernelFamily.MORLET,
 
 
 def make_layer(family, n_channels=3, seed=0, **kwargs):
-    return TFconvLayer(init_params(family, n_channels, seed=seed), **kwargs)
+    return TFconvLayer(family, init_params(family, n_channels, seed=seed), **kwargs)
 
 
 class TestForward:
@@ -31,7 +31,7 @@ class TestForward:
         x = rng.normal(size=(4, 200))
         out = layer.forward(x)
         for b in range(4):
-            ref = reference_tft(x[b], family, layer.kernel_params.theta)
+            ref = reference_tft(x[b], family, layer.theta)
             want = np.sqrt(np.abs(ref) ** 2 + EPS_MODULUS)
             assert np.max(np.abs(out[b] - want)) < 1e-9
 
@@ -81,9 +81,9 @@ class TestForward:
         layer = make_layer(KernelFamily.MORLET, modulus=False)
         x = np.random.default_rng(5).normal(size=(2, 120))
         out = layer.forward(x)
-        bank = evaluate_kernels(layer.kernel_params)
+        bank = evaluate_kernels(layer.family, layer.theta)
         for b in range(2):
-            for c in range(layer.kernel_params.n_channels):
+            for c in range(len(layer.theta)):
                 want = cross_correlate_same(x[b], bank[c].real)
                 assert np.max(np.abs(out[b, c] - want)) < 1e-10
         assert np.any(out < 0)  # no modulus applied
@@ -103,7 +103,7 @@ class TestBackward:
         loss()
         layer.zero_grad()
         layer.backward(w)
-        theta = layer.kernel_params.theta
+        theta = layer.theta
         flat = np.arange(theta.size)
         if theta.size > 24:
             flat = rng.choice(theta.size, size=24, replace=False)
@@ -123,16 +123,15 @@ class TestBackward:
         layer.backward(w)
         # d(corr)/d(theta) from the direct (non-FFT) path, chained through
         # the modulus by hand; without it the output is Re(corr) alone
-        kp = layer.kernel_params
-        want = np.zeros_like(kp.theta)
-        for c, (theta, k) in enumerate(zip(kp.theta, layer.kernels())):
+        want = np.zeros_like(layer.theta)
+        for c, (theta, k) in enumerate(zip(layer.theta, layer.kernels())):
             for b in range(x.shape[0]):
                 corr = cross_correlate_same(x[b], k)
                 ghr, ghi = w[b, c], 0.0
                 if modulus:
                     h = np.sqrt(corr.real**2 + corr.imag**2 + EPS_MODULUS)
                     ghr, ghi = w[b, c] * corr.real / h, w[b, c] * corr.imag / h
-                for p, dpsi in enumerate(kernel_param_grad(kp.family, theta)):
+                for p, dpsi in enumerate(kernel_param_grad(layer.family, theta[None])[0]):
                     d = cross_correlate_same(x[b], dpsi)
                     want[c, p] += np.sum(ghr * d.real + ghi * d.imag)
         # FFT round-off is absolute, so the bound is on the largest entry's
@@ -153,7 +152,7 @@ class TestBackward:
         loss()
         layer.zero_grad()
         assert layer.backward(w) is None  # the front layer stops at its parameters
-        numeric = central_difference(loss, layer.kernel_params.theta, (0, 0), h=1e-6)
+        numeric = central_difference(loss, layer.theta, (0, 0), h=1e-6)
         assert relative_error(float(layer.grad_theta[0, 0]), numeric) < 1e-4
 
     @pytest.mark.parametrize("modulus, want", [(True, np.complex64), (False, np.float32)])
@@ -201,14 +200,14 @@ class TestBackward:
 class TestLayerProtocol:
     def test_params_and_grads_are_live_views(self):
         layer = make_layer(KernelFamily.CHIRPLET)
-        assert layer.params[0] is layer.kernel_params.theta
+        assert layer.params[0] is layer.theta
         assert layer.grads[0] is layer.grad_theta
 
     def test_project_params_clamps_in_place(self):
         layer = make_layer(KernelFamily.STTF)
-        layer.kernel_params.theta[0, 0] = 0.9
+        layer.theta[0, 0] = 0.9
         layer.project_params()
-        assert layer.kernel_params.theta[0, 0] == pytest.approx(0.5 - 1e-6)
+        assert layer.theta[0, 0] == pytest.approx(0.5 - 1e-6)
 
 
 class TestReferenceTransform:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tfnet.kernels import KernelFamily, clamp_params, init_params
+from tfnet.kernels import KernelFamily, check_theta, init_params
 from tfnet import training
 from tfnet.nn import AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU, TFconvLayer
 from tfnet.training import Adam, TrainConfig, evaluate, standardize, train
@@ -27,7 +27,7 @@ def micro_backbone(seed=0, n_classes=3, dtype=np.float64):
 def micro_tfn(seed=0, n_classes=3):
     rng = np.random.default_rng(seed)
     layers = [
-        TFconvLayer(init_params(KernelFamily.STTF, 2, seed=seed)),
+        TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2, seed=seed)),
         Conv1d(2, 4, 3, rng),
         ReLU(),
         AdaptiveAvgPool(4),
@@ -64,6 +64,9 @@ class TestTrainConfig:
         {"epochs": 0},
         {"batch_size": 1},
         {"initial_lr": 0.0},
+        {"initial_lr": float("inf")},
+        {"initial_lr": float("nan")},
+        {"lr_decay": float("nan")},
         {"lr_decay": 0.0},
         {"lr_decay": 1.5},
         {"dtype": "float16"},
@@ -209,15 +212,14 @@ class TestTrainLoop:
         model = micro_tfn(seed=7)
         train(model, x, y, config=TrainConfig(epochs=5, batch_size=6, seed=7,
                                               initial_lr=5e-2))
-        params = model.tfconv.kernel_params
-        np.testing.assert_array_equal(clamp_params(params).theta, params.theta)
+        check_theta(model.tfconv.family, model.tfconv.theta)
 
     def test_kernel_parameters_actually_move(self):
         x, y = tone_problem(n_per_class=4)
         model = micro_tfn(seed=8)
-        before = model.tfconv.kernel_params.theta.copy()
+        before = model.tfconv.theta.copy()
         train(model, x, y, config=TrainConfig(epochs=3, batch_size=6, seed=8))
-        assert not np.array_equal(before, model.tfconv.kernel_params.theta)
+        assert not np.array_equal(before, model.tfconv.theta)
 
     def test_dtype_mismatch_rejected(self):
         x, y = tone_problem(n_per_class=2)
