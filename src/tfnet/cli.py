@@ -21,7 +21,8 @@ import numpy as np
 
 from tfnet.checkpoint import (load_model, save_model, write_history_csv,
                               write_kernel_taps_csv, write_theta_trajectory_csv)
-from tfnet.data import load_dataset, save_dataset, split, synth_generate, synthbearing5
+from tfnet.data import (check_band, load_dataset, save_dataset, split, synth_generate,
+                        synthbearing5)
 from tfnet.interpret import (band_coverage, channel_frequency_response,
                              dataset_spectrum, spectrum_freqs, write_band_report,
                              write_cfr_csv, write_ofr_csv)
@@ -155,9 +156,10 @@ class Config:
                 lo, hi = float(lo_s), float(hi_s)
             except ValueError:
                 raise ConfigError(f"{key}: band {piece!r} is not numeric") from None
-            if not (0.0 <= lo < hi <= 0.5):
-                raise ConfigError(f"{key}: band [{lo}, {hi}] is not a subinterval of [0, 0.5]")
-            bands.append((lo, hi))
+            try:
+                bands.append(check_band((lo, hi)))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         self.effective[key] = ",".join(f"{lo}:{hi}" for lo, hi in bands)
         return tuple(bands)
 

@@ -8,8 +8,10 @@ interpretability checks score against.  Each component class gives the one
 frequency the bands must hold (``freq``) and draws its sample from the
 sample's random stream (``render``).
 
-On disk a dataset is a directory: ``meta.json`` (manifest), ``samples.f64le``
-(row-major little-endian float64) and ``labels.u32le``.
+In memory a dataset is a (count, length) float64 signal matrix, one row
+per sample, with its labels and manifest.  On disk it is a directory:
+``meta.json`` (manifest), ``samples.f64le`` (the signal matrix, row-major
+little-endian float64) and ``labels.u32le``.
 """
 
 import json
@@ -78,6 +80,14 @@ class ImpulseTrain:
         return np.convolve(comb, resonance)[: n.size]
 
 
+def check_band(band) -> tuple[float, float]:
+    """``band`` as a float pair; ``ValueError`` unless 0 <= lo < hi <= 0.5."""
+    lo, hi = (float(v) for v in band)
+    if not (0.0 <= lo < hi <= 0.5):
+        raise ValueError(f"band [{lo}, {hi}] is not a subinterval of [0, 0.5]")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     name: str
@@ -109,10 +119,7 @@ class SynthSpec:
             raise ValueError("sample_length must be >= 16")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        bands = [tuple(float(v) for v in b) for b in self.information_bands]
-        for lo, hi in bands:
-            if not (0.0 <= lo < hi <= 0.5):
-                raise ValueError(f"band [{lo}, {hi}] is not a subinterval of [0, 0.5]")
+        bands = [check_band(b) for b in self.information_bands]
         for (lo1, hi1), (lo2, hi2) in zip(sorted(bands), sorted(bands)[1:]):
             if lo2 < hi1:
                 raise ValueError("information bands must be disjoint")
@@ -171,34 +178,27 @@ def synthbearing5(samples_per_class: int = 200) -> SynthSpec:
 
 @dataclass
 class Dataset:
-    """Labeled sample matrix (count, 1, length) with a manifest dict."""
+    """Labeled (count, length) float64 signal matrix with a manifest dict."""
 
-    samples: np.ndarray
+    signals: np.ndarray
     labels: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.signals = np.asarray(self.signals, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.samples.ndim == 2:
-            self.samples = self.samples[:, None, :]
-        if self.samples.ndim != 3 or self.samples.shape[1] != 1:
-            raise ValueError(f"samples must be (count, 1, length), got {self.samples.shape}")
-        if self.labels.shape != (self.samples.shape[0],):
+        if self.signals.ndim != 2:
+            raise ValueError(f"signals must be (count, length), got shape {self.signals.shape}")
+        if self.labels.shape != (self.signals.shape[0],):
             raise ValueError("labels length does not match sample count")
 
     @property
-    def signals(self) -> np.ndarray:
-        """(count, length) view without the channel axis."""
-        return self.samples[:, 0, :]
-
-    @property
     def n_samples(self) -> int:
-        return self.samples.shape[0]
+        return self.signals.shape[0]
 
     @property
     def length(self) -> int:
-        return self.samples.shape[2]
+        return self.signals.shape[1]
 
     @property
     def n_classes(self) -> int:
@@ -218,7 +218,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
     L = spec.sample_length
     n = np.arange(L, dtype=np.float64)
     count = spec.n_classes * spec.samples_per_class
-    samples = np.empty((count, 1, L), dtype=np.float64)
+    signals = np.empty((count, L), dtype=np.float64)
     labels = np.empty(count, dtype=np.int64)
     row = 0
     for c, cls in enumerate(spec.classes):
@@ -229,7 +229,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
                 x += comp.render(n, rng)
             if spec.noise_sigma > 0:
                 x += rng.normal(0.0, spec.noise_sigma, L)
-            samples[row, 0] = x
+            signals[row] = x
             labels[row] = c
             row += 1
     meta = {
@@ -240,7 +240,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
         "seed": seed,
         "spec": _spec_manifest(spec),
     }
-    return Dataset(samples, labels, meta)
+    return Dataset(signals, labels, meta)
 
 
 def _spec_manifest(spec: SynthSpec) -> dict:
@@ -289,7 +289,7 @@ def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):
         meta = dict(dataset.meta)
         meta["split_role"] = role
         meta["split_seed"] = seed
-        return Dataset(dataset.samples[indices].copy(), labels[indices].copy(), meta)
+        return Dataset(dataset.signals[indices].copy(), labels[indices].copy(), meta)
 
     return _subset(train_idx, "train"), _subset(test_idx, "test")
 
@@ -303,7 +303,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
     meta["format"] = {"samples": "samples.f64le", "labels": "labels.u32le", "version": 1}
     (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     (d / "samples.f64le").write_bytes(
-        np.ascontiguousarray(dataset.samples, dtype="<f8").tobytes()
+        np.ascontiguousarray(dataset.signals, dtype="<f8").tobytes()
     )
     (d / "labels.u32le").write_bytes(dataset.labels.astype("<u4").tobytes())
 
@@ -332,10 +332,10 @@ def load_dataset(directory) -> Dataset:
             f"{d / 'samples.f64le'}: expected {expected} bytes for "
             f"{count}x{length} float64, found {len(raw)}"
         )
-    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, 1, length)
+    signals = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, length)
     rawl = (d / "labels.u32le").read_bytes()
     if len(rawl) != count * 4:
         raise ValueError(f"{d / 'labels.u32le'}: expected {count * 4} bytes, found {len(rawl)}")
     labels = np.frombuffer(rawl, dtype="<u4").astype(np.int64)
     meta = {k: v for k, v in meta.items() if k not in ("count", "length", "format")}
-    return Dataset(samples, labels, meta)
+    return Dataset(signals, labels, meta)

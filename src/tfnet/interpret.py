@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tfnet.data import check_band
 from tfnet.training import standardize
 
 THRESHOLD_FACTOR = 1.5  # a band peak must reach this multiple of the O-FR median
@@ -112,9 +113,7 @@ def band_coverage(ofr, freqs, bands) -> BandReport:
     maxima = _local_maxima(ofr)
     results = []
     for band in bands:
-        lo, hi = (float(v) for v in band)
-        if not (0.0 <= lo < hi <= 0.5):
-            raise ValueError(f"band [{lo}, {hi}] is not a subinterval of [0, 0.5]")
+        lo, hi = check_band(band)
         in_band = np.flatnonzero((freqs >= lo) & (freqs <= hi))
         if in_band.size == 0:
             results.append(BandPeak((lo, hi), (lo + hi) / 2, 0.0, False))

@@ -14,20 +14,21 @@ inference: no layer keeps anything, and ``backward`` after it raises.  With
 ``overwrite=True`` an inference forward may write its output into ``x``;
 ``Model.forward`` and ``Residual`` pass it only for arrays nothing else reads.
 
-Model inputs and outputs use the (batch, channels, length) convention.
-Internally the convolutional stack runs channels-last, (batch, length,
-channels), which keeps the im2col buffers and every elementwise pass
-contiguous.  ``Conv1d`` runs its forward and input-gradient GEMMs a few
-samples at a time and keeps only its padded input for training; its weight
-gradient, which sums over the batch, rebuilds the full-batch im2col matrix
-for its one GEMM and drops it, so backward holds one such matrix at a time.
-A model's first layer accumulates only its parameter gradients
-(``param_backward``).  ``Model.forward`` is the one loop over a
-model's layers: it converts at the boundary, right after the channels-first
-time-frequency front layer, and can hand each layer's output to a hook.
-``Model.walk_layers`` is the one place residual blocks are expanded into
-leaf layers.  All arithmetic is float64 unless a model is built with an
-explicit float32 switch.
+A model's input is a (batch, length) signal batch and its output is
+(batch, classes) logits.  Inside, the convolutional stack runs
+channels-last, (batch, length, channels), which keeps the im2col buffers
+and every elementwise pass contiguous.  ``Conv1d`` runs its forward and
+input-gradient GEMMs a few samples at a time and keeps only its padded
+input for training; its weight gradient, which sums over the batch,
+rebuilds the full-batch im2col matrix for its one GEMM and drops it, so
+backward holds one such matrix at a time.  A model's first layer
+accumulates only its parameter gradients (``param_backward``).
+``Model.forward`` is the one loop over a model's layers: it feeds a bare
+backbone's stem ``Conv1d`` the one-channel view (batch, length, 1),
+transposes the channels-first output of a time-frequency front layer once,
+and can hand each layer's output to a hook.  ``Model.walk_layers`` is the
+one place residual blocks are expanded into leaf layers.  All arithmetic is
+float64 unless a model is built with an explicit float32 switch.
 
 The backbones pool before ReLU: relu(max(a, b)) = max(relu a, relu b), and
 the gradient reaches the same slot either way, so ReLU runs on half the
@@ -489,7 +490,7 @@ class TFconvLayer(Layer):
         return evaluate_kernels(self.family, self.theta)
 
     def forward(self, x, training=False, overwrite=False):
-        """(B, 1, L) or (B, L) input -> (B, C, L) feature map.
+        """(B, L) input -> (B, C, L) feature map.
 
         A training forward keeps the input, the complex correlation and the
         output for ``backward``.
@@ -500,12 +501,8 @@ class TFconvLayer(Layer):
         # float32 models run the whole layer in single precision
         compute = np.float32 if out_dtype == np.float32 else np.float64
         x = np.asarray(x, dtype=compute)
-        if x.ndim == 3:
-            if x.shape[1] != 1:
-                raise ValueError(f"TFconv expects a single input channel, got {x.shape[1]}")
-            x = x[:, 0, :]
         if x.ndim != 2:
-            raise ValueError(f"TFconv expects (B, L) or (B, 1, L) input, got shape {x.shape}")
+            raise ValueError(f"TFconv expects (B, L) input, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("TFconv input contains non-finite values")
         kern = self.kernels()
@@ -550,10 +547,12 @@ class TFconvLayer(Layer):
 
 
 class Model:
-    """Ordered layer stack with assembly metadata.
+    """Ordered layer stack with its assembly recipe (mode and backbone).
 
     ``layers[0]`` is the model's first filter bank: the TFconv front layer
-    (also ``tfconv``) or the backbone's first ``Conv1d``.
+    (also ``tfconv``) or the backbone's first ``Conv1d``.  The final
+    ``Dense`` fixes ``n_classes`` and ``dtype``, and the front layer fixes
+    ``tfconv_config``; none of the three can be set apart from the layers.
 
     ``forward(x, hook=fn)`` calls ``fn(layer, out)`` after each top-level
     layer with the channels-last array the walker holds; the front layer's
@@ -564,19 +563,42 @@ class Model:
     an array must copy it.
     """
 
-    def __init__(self, layers, mode, backbone, n_classes, tfconv_config=None,
-                 dtype=np.float64):
+    def __init__(self, layers, mode, backbone):
         self.layers = list(layers)
         self.mode = mode
         self.backbone = backbone
-        self.n_classes = n_classes
-        self.tfconv_config = tfconv_config
-        self.dtype = np.dtype(dtype)
         for i, layer in enumerate(self.layers):
             layer.name = f"{i}.{type(layer).__name__.lower()}"
             if isinstance(layer, Residual):
                 for j, sub in enumerate(layer.sublayers):
                     sub.name = f"{i}.res{j}.{type(sub).__name__.lower()}"
+
+    @property
+    def n_classes(self) -> int:
+        return self.layers[-1].out_features
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[-1].weight.dtype
+
+    @property
+    def tfconv(self) -> TFconvLayer | None:
+        first = self.layers[0]
+        return first if isinstance(first, TFconvLayer) else None
+
+    @property
+    def tfconv_config(self) -> dict | None:
+        """The front layer's kernel configuration, as a checkpoint header records it."""
+        front = self.tfconv
+        if front is None:
+            return None
+        return {
+            "family": front.family.value,
+            "n_channels": front.theta.shape[0],
+            "kernel_length": len(default_grid(front.family)),
+            "eps_modulus": EPS_MODULUS,
+            "modulus": front.modulus,
+        }
 
     def walk_layers(self):
         """Leaf layers in order, each residual block replaced by its sublayers."""
@@ -587,19 +609,21 @@ class Model:
                 yield layer
 
     def forward(self, x, training=False, hook=None):
+        """(B, L) signals -> (B, n_classes) logits."""
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 2:
+            raise ValueError(f"model expects (B, L) signals, got shape {x.shape}")
         front = self.tfconv
-        held = out = np.asarray(x, dtype=self.dtype)
-        if front is None:
-            out = _channels_last(out)
+        out = x if front is not None else x[:, :, None]
         for layer in self.layers:
             # any array but the caller's (or a view of it) is the walker's to overwrite
             out = layer.forward(out, training=training,
-                                overwrite=not np.may_share_memory(out, held))
+                                overwrite=not np.may_share_memory(out, x))
             if layer is front:
-                out = _channels_last(out)
+                out = np.ascontiguousarray(out.transpose(0, 2, 1))
             if hook is not None:
                 hook(layer, out)
-        return _swap_length_channels(out)
+        return out
 
     def backward(self, grad):
         """Accumulate every layer's parameter gradients from the logits' ``grad``.
@@ -609,12 +633,12 @@ class Model:
         reads a gradient with respect to the model's input, so none is
         computed.
         """
-        g = _swap_length_channels(np.asarray(grad))
+        g = np.asarray(grad)
         first, *rest = self.layers
         for layer in reversed(rest):
             g = layer.backward(g)
         if first is self.tfconv:
-            g = _swap_length_channels(g)
+            g = g.transpose(0, 2, 1)
         first.param_backward(g)
 
     def zero_grad(self):
@@ -630,20 +654,6 @@ class Model:
 
     def gradients(self):
         return [g for layer in self.walk_layers() for g in layer.grads]
-
-    @property
-    def tfconv(self) -> TFconvLayer | None:
-        first = self.layers[0]
-        return first if isinstance(first, TFconvLayer) else None
-
-
-def _swap_length_channels(a):
-    """(B, C, L) <-> (B, L, C); arrays of other ranks pass through."""
-    return a.transpose(0, 2, 1) if a.ndim == 3 else a
-
-
-def _channels_last(a):
-    return np.ascontiguousarray(_swap_length_channels(a))
 
 
 def check_labels(labels, n_classes):
@@ -665,8 +675,10 @@ def softmax_cross_entropy(logits, labels):
     # softmax in float64 so the loss keeps full precision for float32 models
     z = logits.astype(np.float64) - logits.max(axis=1, keepdims=True).astype(np.float64)
     ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    loss = float(-np.log(p[np.arange(B), labels]).sum() / B)
+    total = ez.sum(axis=1, keepdims=True)
+    p = ez / total
+    # log-sum-exp: -log(p[label]) would take the log of an underflowed 0
+    loss = float((np.log(total[:, 0]) - z[np.arange(B), labels]).sum() / B)
     grad = p
     grad[np.arange(B), labels] -= 1.0
     return loss, (grad / B).astype(logits.dtype)
@@ -752,7 +764,7 @@ def build_backbone(name, n_classes, in_channels=1, seed=0, first_out_channels=No
         raise ValueError(f"unknown backbone {name!r}; choose from {BACKBONES}")
     rng = derive_rng(seed, f"backbone-init.{name}")
     layers = _BUILDERS[name](rng, in_channels, n_classes, first_out_channels, dtype)
-    return Model(layers, mode="backbone-only", backbone=name, n_classes=n_classes, dtype=dtype)
+    return Model(layers, mode="backbone-only", backbone=name)
 
 
 def assemble_model(
@@ -785,13 +797,6 @@ def assemble_model(
 
     modulus = mode not in ("wkn-add", "wkn-replace")
     front = TFconvLayer(family, init_params(family, n_channels, seed=seed), modulus=modulus)
-    cfg = {
-        "family": family.value,
-        "n_channels": n_channels,
-        "kernel_length": len(default_grid(family)),
-        "eps_modulus": EPS_MODULUS,
-        "modulus": modulus,
-    }
 
     if mode in ("tfn-add", "wkn-add", "random-tfn"):
         body = build_backbone(backbone, n_classes, in_channels=n_channels, seed=seed, dtype=dtype)
@@ -800,5 +805,4 @@ def assemble_model(
         body = build_backbone(backbone, n_classes, in_channels=1, seed=seed,
                               first_out_channels=n_channels, dtype=dtype)
         layers = [front] + body.layers[1:]
-    return Model(layers, mode=mode, backbone=backbone, n_classes=n_classes,
-                 tfconv_config=cfg, dtype=dtype)
+    return Model(layers, mode=mode, backbone=backbone)

@@ -87,19 +87,9 @@ def standardize(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     return (x - mean) / (std + STD_GUARD)
 
 
-def _as_batch(signals) -> np.ndarray:
-    """Coerce (N, L) or (N, 1, L) to (N, 1, L)."""
-    x = np.asarray(signals)
-    if x.ndim == 2:
-        x = x[:, None, :]
-    if x.ndim != 3 or x.shape[1] != 1:
-        raise ValueError(f"expected (N, L) or (N, 1, L) signals, got shape {x.shape}")
-    return x
-
-
 def evaluate(model: Model, signals, labels):
-    """Accuracy and confusion matrix (rows true, columns predicted)."""
-    signals = _as_batch(signals)
+    """Accuracy and confusion matrix (rows true, columns predicted) of (N, L) signals."""
+    signals = np.asarray(signals)
     labels = np.asarray(labels)
     if signals.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -118,7 +108,7 @@ def evaluate(model: Model, signals, labels):
 
 def train(model: Model, train_signals, train_labels, test_signals=None, test_labels=None,
           config: TrainConfig | None = None) -> TrainHistory:
-    """Mini-batch training with shuffling, projection and per-epoch metrics.
+    """Mini-batch training on (N, L) signals with shuffling, projection and per-epoch metrics.
 
     Only full batches run, so every step sees identical batch statistics
     (shuffling still cycles all samples across epochs); a dataset smaller
@@ -127,7 +117,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     """
     cfg = config or TrainConfig()
     dtype = np.dtype(cfg.dtype)
-    x = _as_batch(train_signals)
+    x = np.asarray(train_signals)
     y = np.asarray(train_labels)
     if x.shape[0] < 2:
         raise ValueError("need at least two training samples")
@@ -138,14 +128,9 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         raise ValueError("test_signals and test_labels must be given together")
     if test_signals is not None:
         check_labels(test_labels, model.n_classes)
+    if model.dtype != dtype:
+        raise ValueError("model dtype does not match config dtype; rebuild the model")
     tf_layer = model.tfconv
-    # kernel control parameters always live in float64; only backbone
-    # weights must match the configured dtype
-    exempt = set(id(p) for p in tf_layer.params) if tf_layer is not None else set()
-    for p in model.parameters():
-        if id(p) not in exempt and p.dtype != dtype and p.dtype.kind == "f":
-            raise ValueError("model dtype does not match config dtype; rebuild the model")
-    model.dtype = dtype
 
     rng = derive_rng(cfg.seed, "train.shuffle")
     opt = Adam(model.parameters())

@@ -65,6 +65,36 @@ class TestSaveLoadRoundTrip:
         for a, b in zip(params_of(model), params_of(loaded)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("mode, family, channels, n_classes, dtype, tfconv", [
+        ("backbone-only", "sttf", 4, 5, "float64", None),
+        ("backbone-only", "sttf", 4, 3, "float32", None),
+        ("tfn-add", "sttf", 8, 5, "float64", ("sttf", 8, 51, True)),
+        ("tfn-add", "morlet", 6, 4, "float32", ("morlet", 6, 301, True)),
+        ("tfn-replace", "laplace", 3, 3, "float32", ("laplace", 3, 151, True)),
+        ("tfn-replace", "chirplet", 4, 5, "float64", ("chirplet", 4, 51, True)),
+        ("wkn-add", "morlet", 4, 4, "float64", ("morlet", 4, 301, False)),
+        ("wkn-replace", "laplace", 5, 5, "float32", ("laplace", 5, 151, False)),
+        ("random-tfn", "random", 2, 2, "float32", ("random", 2, 51, True)),
+    ])
+    def test_header_records_what_the_layers_fix(self, tmp_path, mode, family, channels,
+                                                n_classes, dtype, tfconv):
+        # n_classes and dtype come from the final Dense and tfconv from the
+        # front layer; the literals are what checkpoints already on disk hold
+        model = assemble_model(mode, family=family, n_channels=channels, n_classes=n_classes,
+                               dtype=np.dtype(dtype))
+        save_model(model, tmp_path / "m.tfn")
+        raw = (tmp_path / "m.tfn").read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + hlen])
+        if tfconv is not None:
+            keys = ("family", "n_channels", "kernel_length", "modulus")
+            tfconv = dict(zip(keys, tfconv), eps_modulus=1e-12)
+        assert (header["tfconv"], header["n_classes"], header["dtype"]) == (
+            tfconv, n_classes, dtype)
+        loaded = load_model(tmp_path / "m.tfn")
+        assert (loaded.tfconv_config, loaded.n_classes, loaded.dtype.name) == (
+            tfconv, n_classes, dtype)
+
     # Top-level index and kind of each layer with checkpoint blocks, as saved
     # by earlier versions.  Reordering parameter-free layers (MaxPool ahead of
     # ReLU) must keep these names, or older checkpoints stop loading.
@@ -108,9 +138,8 @@ class TestSaveLoadRoundTrip:
         path = tmp_path / "m.tfn"
         save_model(model, path)
         loaded = load_model(path)
-        xb = x[:, None, :]
         np.testing.assert_array_equal(
-            model.forward(xb, training=False), loaded.forward(xb, training=False))
+            model.forward(x, training=False), loaded.forward(x, training=False))
 
     def test_batchnorm_running_stats_preserved(self, tmp_path):
         x, y = small_signals(seed=2)

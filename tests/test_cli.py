@@ -96,6 +96,12 @@ class TestGenData:
                      "--set", override])
         assert code == EXIT_CONFIG
 
+    def test_bad_band_message_names_the_key(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "x"), "--set", "bands=0.3:0.2"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bands: band [0.3, 0.2] is not a subinterval of [0, 0.5]" in err
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_noise_rejected(self, tmp_path, capsys, sigma):
         code = main(["gen-data", "--out", str(tmp_path / "x"), *GEN_ARGS,

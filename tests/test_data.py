@@ -12,6 +12,7 @@ from tfnet.data import (
     ImpulseTrain,
     SynthSpec,
     Tone,
+    check_band,
     load_dataset,
     save_dataset,
     split,
@@ -61,6 +62,19 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(classes=(ClassSpec("a"),), information_bands=bands)
 
+    @pytest.mark.parametrize("band", [(0.3, 0.2), (-0.1, 0.2), (0.4, 0.6), (0.2, 0.2),
+                                      (float("nan"), 0.2)])
+    def test_band_rule_and_message_shared_with_the_spec(self, band):
+        message = rf"^band \[{band[0]}, {band[1]}\] is not a subinterval of \[0, 0.5\]$"
+        with pytest.raises(ValueError, match=message):
+            check_band(band)
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(classes=(ClassSpec("a"),), information_bands=(band,))
+
+    def test_band_check_returns_floats(self):
+        assert check_band((0, np.float32(0.5))) == (0.0, 0.5)
+        assert all(type(v) is float for v in check_band([0, 1 / 4]))
+
     def test_component_outside_all_bands_rejected(self):
         with pytest.raises(ValueError, match="no information band"):
             SynthSpec(
@@ -83,13 +97,13 @@ class TestSynthSpecValidation:
 
 class TestGeneration:
     def test_shapes_and_balance(self, tiny_dataset):
-        assert tiny_dataset.samples.shape == (60, 1, 1024)
+        assert tiny_dataset.signals.shape == (60, 1024)
         assert tiny_dataset.labels.shape == (60,)
         np.testing.assert_array_equal(np.bincount(tiny_dataset.labels), [12] * 5)
         assert tiny_dataset.n_classes == 5
 
     def test_values_finite_and_varying(self, tiny_dataset):
-        assert np.all(np.isfinite(tiny_dataset.samples))
+        assert np.all(np.isfinite(tiny_dataset.signals))
         assert np.all(tiny_dataset.signals.std(axis=-1) > 0.5)
 
     def test_meta_manifest(self, tiny_dataset):
@@ -102,12 +116,12 @@ class TestGeneration:
 
     def test_deterministic_in_spec_and_seed(self, tiny_dataset):
         again = synth_generate(synthbearing5(samples_per_class=12), seed=0)
-        np.testing.assert_array_equal(again.samples, tiny_dataset.samples)
+        np.testing.assert_array_equal(again.signals, tiny_dataset.signals)
         np.testing.assert_array_equal(again.labels, tiny_dataset.labels)
 
     def test_seed_changes_samples(self, tiny_dataset):
         other = synth_generate(synthbearing5(samples_per_class=12), seed=1)
-        assert not np.array_equal(other.samples, tiny_dataset.samples)
+        assert not np.array_equal(other.signals, tiny_dataset.signals)
 
     def test_per_sample_streams_survive_count_changes(self):
         # sample (class, i) must not depend on how many samples follow it
@@ -185,15 +199,14 @@ class TestSpectralContent:
 
 
 class TestDatasetContainer:
-    def test_2d_samples_promoted(self):
-        ds = Dataset(np.zeros((4, 16)), np.zeros(4, dtype=int))
-        assert ds.samples.shape == (4, 1, 16)
-        assert ds.signals.shape == (4, 16)
+    def test_one_channel_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"\(count, length\), got shape \(4, 1, 16\)"):
+            Dataset(np.zeros((4, 1, 16)), np.zeros(4, dtype=int))
 
-    def test_signals_is_a_view(self):
-        ds = Dataset(np.zeros((2, 1, 8)), np.zeros(2, dtype=int))
-        ds.signals[0, 0] = 7.0
-        assert ds.samples[0, 0, 0] == 7.0
+    def test_signals_are_count_by_length(self):
+        ds = Dataset(np.zeros((4, 16), dtype=np.float32), np.zeros(4, dtype=int))
+        assert ds.signals.shape == (4, 16) and ds.signals.dtype == np.float64
+        assert (ds.n_samples, ds.length) == (4, 16)
 
     def test_n_classes_prefers_meta(self):
         ds = Dataset(np.zeros((2, 8)), [0, 0], meta={"class_names": ["a", "b", "c"]})
@@ -228,12 +241,12 @@ class TestSplit:
 
     def test_same_seed_same_split(self, tiny_dataset, tiny_split):
         train2, test2 = split(tiny_dataset, train_frac=0.5, seed=0)
-        np.testing.assert_array_equal(train2.samples, tiny_split[0].samples)
+        np.testing.assert_array_equal(train2.signals, tiny_split[0].signals)
         np.testing.assert_array_equal(test2.labels, tiny_split[1].labels)
 
     def test_seed_changes_membership(self, tiny_dataset, tiny_split):
         train2, _ = split(tiny_dataset, train_frac=0.5, seed=9)
-        assert not np.array_equal(train2.samples, tiny_split[0].samples)
+        assert not np.array_equal(train2.signals, tiny_split[0].signals)
 
     def test_roles_recorded(self, tiny_split):
         train, test = tiny_split
@@ -263,7 +276,7 @@ class TestPersistence:
     def test_directory_round_trip(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path / "ds")
         loaded = load_dataset(tmp_path / "ds")
-        np.testing.assert_array_equal(loaded.samples, tiny_dataset.samples)
+        np.testing.assert_array_equal(loaded.signals, tiny_dataset.signals)
         np.testing.assert_array_equal(loaded.labels, tiny_dataset.labels)
         assert loaded.meta["name"] == tiny_dataset.meta["name"]
         assert loaded.meta["class_names"] == tiny_dataset.meta["class_names"]

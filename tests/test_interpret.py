@@ -187,8 +187,9 @@ class TestBandCoverage:
         assert report.bands[0].peak_magnitude == 0.0
 
     def test_malformed_bands_rejected(self):
+        message = r"^band \[.*\] is not a subinterval of \[0, 0.5\]$"
         for band in [(0.3, 0.2), (-0.1, 0.2), (0.4, 0.6)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 band_coverage(np.ones(65), self.FREQS, [band])
 
     def test_bad_arguments_rejected(self):

@@ -17,6 +17,7 @@ from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
     BACKBONES,
+    EPS_MODULUS,
     MODES,
     AdaptiveAvgPool,
     BatchNorm1d,
@@ -184,7 +185,7 @@ class TestConv1dKeepsItsInput:
                 padded[conv] = x.nbytes // x.shape[1] * (x.shape[1] + pad)
                 return real(x, training=training, overwrite=overwrite)
             monkeypatch.setattr(conv, "forward", record)
-        model.forward(rng_(70).normal(size=(4, 1, 512)), training=True)
+        model.forward(rng_(70).normal(size=(4, 512)), training=True)
         assert len(padded) == len(convs)
         for conv in convs:
             assert conv._cache.nbytes <= padded[conv], conv.name
@@ -230,9 +231,9 @@ class TestInferenceOverwrites:
         # the first layer gets (a view of) the caller's array, the rest the walker's
         rng = rng_(77)
         layers = [ReLU(), BatchNorm1d(1), ReLU(), Flatten(), Dense(16, 3, rng)]
-        model = Model(layers, mode="backbone-only", backbone="micro", n_classes=3)
+        model = Model(layers, mode="backbone-only", backbone="micro")
         model.layers[1].running_mean[:] = 0.25
-        x = rng.normal(size=(2, 1, 16))
+        x = rng.normal(size=(2, 16))
         x0 = x.copy()
         logits = model.forward(x)
         np.testing.assert_array_equal(x, x0)
@@ -246,7 +247,7 @@ class TestInferenceOverwrites:
     ])
     def test_model_forward_keeps_its_argument(self, mode, backbone, dtype):
         model = assemble_model(mode, backbone=backbone, n_channels=4, dtype=dtype)
-        x = rng_(75).normal(size=(3, 1, 512)).astype(dtype)
+        x = rng_(75).normal(size=(3, 512)).astype(dtype)
         x0 = x.copy()
         logits = model.forward(x, training=False)
         np.testing.assert_array_equal(x, x0)
@@ -521,10 +522,37 @@ class TestSoftmaxCrossEntropy:
         _, grad = softmax_cross_entropy(np.zeros((2, 3), dtype=np.float32), np.array([0, 1]))
         assert grad.dtype == np.float32
 
+    def test_large_logit_gap_gives_finite_loss(self):
+        # -log(softmax) once underflowed to log(0) = inf past a gap of ~745
+        logits = np.array([[0.0, 1000.0]])
+        loss, grad = softmax_cross_entropy(logits, np.array([0]))
+        assert loss == pytest.approx(1000.0, rel=1e-12)
+        ez = np.exp(logits - logits.max())
+        want = ez / ez.sum()
+        want[0, 0] -= 1.0
+        np.testing.assert_array_equal(grad, want)
+
 
 class TestModelContainer:
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
+    def test_one_channel_axis_rejected(self, mode):
+        model = assemble_model(mode, backbone="lenet-1d", n_channels=2)
+        with pytest.raises(ValueError, match=r"\(B, L\) signals, got shape \(2, 1, 64\)"):
+            model.forward(np.zeros((2, 1, 64)))
+
+    def test_layers_fix_class_count_dtype_and_kernel_config(self):
+        model = assemble_model("wkn-add", backbone="lenet-1d", family="morlet", n_classes=3,
+                               n_channels=2, dtype=np.float32)
+        assert (model.n_classes, model.dtype) == (3, np.float32)
+        assert model.tfconv_config == {"family": "morlet", "n_channels": 2, "kernel_length": 301,
+                                       "eps_modulus": EPS_MODULUS, "modulus": False}
+        for name in ("n_classes", "dtype", "tfconv_config"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, None)
+        assert build_backbone("lenet-1d", n_classes=4).tfconv_config is None
+
     def test_forward_shape_all_backbones(self):
-        x = rng_(34).normal(size=(2, 1, 1024))
+        x = rng_(34).normal(size=(2, 1024))
         for name in BACKBONES:
             model = build_backbone(name, n_classes=5, seed=0)
             assert model.forward(x).shape == (2, 5), name
@@ -551,8 +579,8 @@ class TestModelContainer:
             Flatten(),
             Dense(8, 5, rng),
         ]
-        model = Model(layers, mode="backbone-only", backbone="micro", n_classes=5)
-        x = rng.normal(size=(4, 1, 32))
+        model = Model(layers, mode="backbone-only", backbone="micro")
+        x = rng.normal(size=(4, 32))
         y = np.array([0, 2, 4, 1])
         check_model_gradients(model, x, y, rel_tol=1e-4,
                               max_entries_per_param=10, rng=rng_(36))
@@ -562,8 +590,8 @@ class TestModelContainer:
         front = TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2))
         layers = [front, Conv1d(2, 3, 3, rng), ReLU(), AdaptiveAvgPool(2),
                   Flatten(), Dense(6, 4, rng)]
-        model = Model(layers, mode="tfn-add", backbone="micro", n_classes=4)
-        x = rng.normal(size=(3, 1, 40))
+        model = Model(layers, mode="tfn-add", backbone="micro")
+        x = rng.normal(size=(3, 40))
         y = np.array([0, 1, 3])
         check_model_gradients(model, x, y, rel_tol=1e-4,
                               max_entries_per_param=8, rng=rng_(38))
@@ -572,8 +600,8 @@ class TestModelContainer:
         rng = rng_(41)
         layers = [Conv1d(1, 2, 3, rng), Residual([Conv1d(2, 2, 3, rng, padding="same"), ReLU()]),
                   AdaptiveAvgPool(2), Flatten(), Dense(4, 3, rng)]
-        model = Model(layers, mode="backbone-only", backbone="micro", n_classes=3)
-        x = rng.normal(size=(3, 1, 20))
+        model = Model(layers, mode="backbone-only", backbone="micro")
+        x = rng.normal(size=(3, 20))
         y = np.array([0, 1, 2])
         # leave stale gradients in every layer, residual sublayers included
         model.backward(softmax_cross_entropy(model.forward(x, training=True), y)[1])
@@ -583,7 +611,7 @@ class TestModelContainer:
     @pytest.mark.parametrize("backbone", ["lenet-1d", "paper-cnn"])
     def test_first_conv_accumulates_only_parameter_gradients(self, backbone, monkeypatch):
         model = build_backbone(backbone, n_classes=5, seed=0)
-        x = rng_(43).normal(size=(4, 1, 256))
+        x = rng_(43).normal(size=(4, 256))
         _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1, 2, 3]))
         # every layer's full backward, the first conv's input gradient included
         model.zero_grad()
@@ -608,7 +636,7 @@ class TestModelContainer:
     def test_front_tfconv_step_goes_through_its_backward(self):
         # per-layer tracing wraps each layer's ``backward`` on the instance
         model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
-        x = rng_(44).normal(size=(2, 1, 64))
+        x = rng_(44).normal(size=(2, 64))
         _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1]))
         front = model.tfconv
         seen = []
@@ -663,7 +691,7 @@ class TestAssembly:
             assemble_model("tfn-prepend")
 
     def test_all_front_modes_run_forward(self):
-        x = rng_(39).normal(size=(2, 1, 1024))
+        x = rng_(39).normal(size=(2, 1024))
         for mode in MODES:
             model = assemble_model(mode, n_channels=4, seed=0)
             out = model.forward(x)
@@ -672,7 +700,7 @@ class TestAssembly:
 
     def test_float32_assembly(self):
         model = assemble_model("tfn-add", n_channels=4, dtype=np.float32)
-        x = rng_(40).normal(size=(2, 1, 256)).astype(np.float32)
+        x = rng_(40).normal(size=(2, 256)).astype(np.float32)
         assert model.forward(x).dtype == np.float32
         # kernel control parameters stay float64 regardless
         assert model.tfconv.theta.dtype == np.float64
@@ -680,7 +708,7 @@ class TestAssembly:
     def test_forward_hook_sees_each_layer_channels_last(self):
         model = assemble_model("tfn-add", n_channels=8)
         trace = []
-        out = model.forward(np.zeros((1, 1, 1024)),
+        out = model.forward(np.zeros((1, 1024)),
                             hook=lambda layer, a: trace.append((layer, layer.name, a.shape)))
         assert [layer for layer, _, _ in trace] == model.layers
         assert trace[0][1:] == ("0.tfconvlayer", (1, 1024, 8))
@@ -723,7 +751,7 @@ class TestInferenceKeepsNothing:
 
     def test_error_names_the_layer(self):
         model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
-        x = rng_(43).normal(size=(2, 1, 64))
+        x = rng_(43).normal(size=(2, 64))
         out = model.forward(x, training=False)
         with pytest.raises(RuntimeError, match=r"^11\.dense: backward needs forward"):
             model.backward(np.ones_like(out))
@@ -736,7 +764,7 @@ class TestInferenceKeepsNothing:
     ])
     def test_inference_forward_holds_no_memory(self, mode, backbone, family):
         model = assemble_model(mode, backbone=backbone, family=family)
-        x = rng_(44).normal(size=(4, 1, 256))
+        x = rng_(44).normal(size=(4, 256))
         model.forward(x, training=False)  # any first-call allocation happens here
 
         def bytes_held_after(training):

@@ -18,11 +18,12 @@ def make_layer(family, n_channels=3, seed=0, **kwargs):
 
 
 class TestForward:
-    def test_output_shape_2d_and_3d_input(self):
+    def test_output_shape_and_one_channel_axis_rejected(self):
         layer = make_layer(KernelFamily.STTF, n_channels=4)
         x = np.random.default_rng(0).normal(size=(2, 64))
         assert layer.forward(x).shape == (2, 4, 64)
-        assert layer.forward(x[:, None, :]).shape == (2, 4, 64)
+        with pytest.raises(ValueError, match=r"\(B, L\) input, got shape \(2, 1, 64\)"):
+            layer.forward(x[:, None, :])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_reference_transform(self, family):

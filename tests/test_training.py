@@ -20,8 +20,7 @@ def micro_backbone(seed=0, n_classes=3, dtype=np.float64):
         Flatten(),
         Dense(16, n_classes, rng, dtype=dtype),
     ]
-    return Model(layers, mode="backbone-only", backbone="micro",
-                 n_classes=n_classes, dtype=dtype)
+    return Model(layers, mode="backbone-only", backbone="micro")
 
 
 def micro_tfn(seed=0, n_classes=3):
@@ -34,7 +33,7 @@ def micro_tfn(seed=0, n_classes=3):
         Flatten(),
         Dense(16, n_classes, rng),
     ]
-    return Model(layers, mode="tfn-add", backbone="micro", n_classes=n_classes)
+    return Model(layers, mode="tfn-add", backbone="micro")
 
 
 def tone_problem(n_per_class=12, length=128, seed=0):
@@ -258,6 +257,16 @@ class TestTrainLoop:
         for p, p0 in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, p0)
 
+    @pytest.mark.parametrize("make", [micro_backbone, micro_tfn], ids=["backbone", "tfn"])
+    def test_one_channel_axis_rejected(self, make):
+        x, y = tone_problem(n_per_class=2)
+        model = make(seed=11)
+        before = [p.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match=r"\(B, L\) signals, got shape \(6, 1, 128\)"):
+            train(model, x[:, None, :], y, config=TrainConfig(epochs=1))
+        for p, p0 in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p, p0)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             train(micro_backbone(), np.zeros((1, 64)), np.zeros(1, dtype=int),
@@ -291,6 +300,11 @@ class TestEvaluate:
         acc2, c2 = evaluate(model, x, y)
         assert acc1 == acc2
         np.testing.assert_array_equal(c1, c2)
+
+    def test_one_channel_axis_rejected(self):
+        x, y = tone_problem(n_per_class=2)
+        with pytest.raises(ValueError, match=r"\(B, L\) signals, got shape \(6, 1, 128\)"):
+            evaluate(micro_tfn(), x[:, None, :], y)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
