@@ -4,6 +4,11 @@ All "convolutions" in this package are cross-correlations (no kernel flip),
 the deep-learning convention.  Kernels may be complex; signals are real.
 Everything here is a pure function of its inputs and safe to call from any
 number of threads.
+
+Both functions transform at n = ``next_fast_len(L + K - 1, real=True)``,
+the shortest 5-smooth length holding the full correlation (1080 for L=1024,
+K=51; 4500 for L=4096, K=301).  The forward returns its signal batch's (B, n)
+spectrum too, and the adjoint takes it in place of the signal.
 """
 
 import numpy as np
@@ -15,7 +20,7 @@ def same_pad_widths(kernel_len: int) -> tuple[int, int]:
     return (kernel_len - 1) // 2, kernel_len - 1 - (kernel_len - 1) // 2
 
 
-def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FFT-based length-preserving correlation of a batch against a kernel bank.
 
     Parameters
@@ -25,16 +30,15 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    (B, C, L) array; complex iff ``kernels`` is complex.  Matches the
-    direct-path oracle ``cross_correlate_same(x[b], kernels[c])`` in
-    ``tests/helpers.py`` up to FFT round-off, which is absolute: every
-    output of row (b, c) is off by up to a small multiple of
+    ``(out, Xf)``: the (B, C, L) correlation, complex iff ``kernels`` is, and
+    the (B, n) spectrum of ``x`` that :func:`batch_conv_full_slice` takes.
+    ``out`` matches the direct-path oracle ``cross_correlate_same(x[b],
+    kernels[c])`` in ``tests/helpers.py`` up to FFT round-off, which is
+    absolute: every output of row (b, c) is off by up to a small multiple of
     ``eps * ||x[b]|| * ||kernels[c]||`` (2-norms), whatever its own size.
     Outputs far below that scale, such as those that only a kernel's tail
     reaches, have no relative accuracy.
     """
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
     if x.ndim != 2 or kernels.ndim != 2:
         raise ValueError("batch_correlate_same expects x:(B,L), kernels:(C,K)")
     B, L = x.shape
@@ -42,7 +46,7 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if K % 2 == 0:
         raise ValueError("batch_correlate_same: kernel length must be odd")
     left, _right = same_pad_widths(K)
-    n = scipy.fft.next_fast_len(L + K - 1)
+    n = scipy.fft.next_fast_len(L + K - 1, real=True)
     # correlation == full convolution with the reversed kernel; scipy.fft
     # keeps single-precision inputs single-precision
     Xf = scipy.fft.fft(x, n)
@@ -51,32 +55,32 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     start = K - 1 - left
     out = full[:, :, start : start + L]
     if not (np.iscomplexobj(x) or np.iscomplexobj(kernels)):
-        return np.ascontiguousarray(out.real)
-    return np.ascontiguousarray(out)
+        return np.ascontiguousarray(out.real), Xf
+    return np.ascontiguousarray(out), Xf
 
 
-def batch_conv_full_slice(g: np.ndarray, x: np.ndarray, kernel_len: int) -> np.ndarray:
+def batch_conv_full_slice(g: np.ndarray, Xf: np.ndarray, kernel_len: int) -> np.ndarray:
     """Adjoint of :func:`batch_correlate_same` in its kernels: the per-tap gradient.
 
-    For the (B, C, L) upstream gradient ``g`` (real or complex) and the real
-    (B, L) signal ``x``, returns the (C, ``kernel_len``) array ``taps``
-    (real iff ``g`` is), taps[c, k] = sum_{b,l} g[b, c, l] * x_pad[b, l + k]
-    with ``x_pad`` padded as in the forward, read from IFFT(sum_b G * conj(X))
-    at lags (left - k) mod n.  FFT round-off is absolute, as in the forward:
-    about ``eps * sum_b ||g[b, c]|| * ||x[b]||`` for ``taps[c]``.  There is no
-    signal-side half: the layer that calls this is always the model's front
-    layer, whose input gradient nothing reads.  The name predates that; the
-    benchmark's per-layer trace looks the function up by it.
+    For the (B, C, L) upstream gradient ``g`` (real or complex) and the
+    (B, n) spectrum ``Xf`` of the real signal batch ``x`` that
+    :func:`batch_correlate_same` returned, returns the (C, ``kernel_len``)
+    array ``taps`` (real iff ``g`` is), taps[c, k] = sum_{b,l} g[b, c, l] *
+    x_pad[b, l + k] with ``x_pad`` padded as in the forward, read from
+    IFFT(sum_b G * conj(X)) at lags (left - k) mod n.  FFT round-off is
+    absolute, as in the forward: about ``eps * sum_b ||g[b, c]|| * ||x[b]||``
+    for ``taps[c]``.  There is no signal-side half: the layer that calls
+    this is always the model's front layer, whose input gradient nothing
+    reads.  The name predates that; the benchmark's per-layer trace looks
+    the function up by it.
     """
-    g = np.asarray(g)
-    x = np.asarray(x)
     B, C, L = g.shape
-    if x.shape != (B, L):
-        raise ValueError(f"batch_conv_full_slice: x shape {x.shape} != {(B, L)}")
+    n = scipy.fft.next_fast_len(L + kernel_len - 1, real=True)
+    if Xf.shape != (B, n):
+        raise ValueError(f"batch_conv_full_slice: spectrum shape {Xf.shape} != {(B, n)}")
     left, _right = same_pad_widths(kernel_len)
-    n = scipy.fft.next_fast_len(L + kernel_len - 1)
     Gf = scipy.fft.fft(g, n)
-    Xf = scipy.fft.fft(x, n)
-    cross = scipy.fft.ifft(np.einsum("bcn,bn->cn", Gf, Xf.conj()), axis=-1)
+    Gf *= np.conjugate(Xf)[:, None, :]
+    cross = scipy.fft.ifft(Gf.sum(axis=0), axis=-1)
     taps = cross[:, (left - np.arange(kernel_len)) % n]
     return taps if np.iscomplexobj(g) else taps.real

@@ -321,6 +321,14 @@ def load_dataset(directory) -> Dataset:
         count, length = int(meta["count"]), int(meta["length"])
         if count < 0 or length < 0:
             raise ValueError(f"count {count} and length {length} must be non-negative")
+        names, bands = meta.get("class_names", []), meta.get("information_bands", [])
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"class_names {names!r} is not a list of strings")
+        try:
+            for band in bands if isinstance(bands, list) else [bands]:
+                check_band(band)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"information_bands {bands!r}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"{meta_path}: manifest has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:

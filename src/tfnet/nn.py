@@ -455,14 +455,16 @@ class TFconvLayer(Layer):
     where (*) is cross-correlation.  The kernel bank is the pair
     ``(family, theta)``: the family fixes the kernel function and its grid,
     and ``theta``, a (C, P) float64 array, holds each channel's P control
-    parameters, the layer's only trainable weights.  The backward pass
-    chains the upstream gradient through the modulus, takes one FFT of it to
-    get the gradient with respect to the taps, and then maps the tap
-    gradient onto the parameters through the (C, P, K) analytic kernel
-    derivatives d(psi)/d(theta), the same way for every kernel family.  The
-    layer is always a model's front layer, so the backward stops at its
-    parameters: there is no input gradient.  ``modulus=False`` keeps only
-    the real-kernel correlation with no modulus, approximating
+    parameters, the layer's only trainable weights.  A training forward
+    keeps the input's spectrum, not the input.  The backward chains the
+    upstream gradient through the modulus in one complex multiply, g =
+    conj(corr) * grad / h; one FFT of g times the kept conjugate spectrum,
+    summed over the batch, gives the gradient with respect to the taps; and
+    the (C, P, K) analytic kernel derivatives d(psi)/d(theta) map that onto
+    the parameters, the same way for every kernel family.  The layer is
+    always a model's front layer, so the backward stops at its parameters:
+    there is no input gradient.  ``modulus=False`` keeps only the
+    real-kernel correlation with no modulus, approximating
     wavelet-kernel comparison layers.
     """
 
@@ -492,8 +494,8 @@ class TFconvLayer(Layer):
     def forward(self, x, training=False, overwrite=False):
         """(B, L) input -> (B, C, L) feature map.
 
-        A training forward keeps the input, the complex correlation and the
-        output for ``backward``.
+        A training forward keeps the input's (B, n) spectrum, the complex
+        correlation and the output for ``backward``.
         """
         out_dtype = np.asarray(x).dtype
         if out_dtype.kind != "f":
@@ -508,7 +510,7 @@ class TFconvLayer(Layer):
         kern = self.kernels()
         if compute is np.float32:
             kern = kern.astype(np.complex64)
-        corr = batch_correlate_same(x, kern)
+        corr, Xf = batch_correlate_same(x, kern)
         if self.modulus:
             # sqrt(h_real**2 + h_img**2 + eps) in one full-size buffer
             h = np.square(corr.real)
@@ -517,7 +519,7 @@ class TFconvLayer(Layer):
             np.sqrt(h, out=h)
         else:
             h = corr.real
-        self._cache = (x, corr, h) if training else None
+        self._cache = (Xf, corr, h) if training else None
         return np.ascontiguousarray(h, dtype=out_dtype)
 
     def backward(self, grad):
@@ -528,20 +530,18 @@ class TFconvLayer(Layer):
         dpsi[c, p, k] * taps[c, k]`` through d(psi)/d(theta), the same for
         every family.  Returns nothing: no gradient reaches the input.
         """
-        x, corr, h = self._saved()
-        grad = np.asarray(grad, dtype=x.dtype)
+        Xf, corr, h = self._saved()
+        grad = np.asarray(grad, dtype=h.dtype)
         if grad.shape != h.shape:
             raise ValueError(f"grad shape {grad.shape} != forward output shape {h.shape}")
         if self.modulus:
-            # g = ghr - j*ghi, so that Re{g * z} == ghr*Re(z) + ghi*Im(z); both
-            # halves are written in place, complex64 for a float32 forward
-            g = np.empty(grad.shape, np.result_type(grad, np.complex64))
-            np.multiply(grad, corr.real / h, out=g.real)
-            np.multiply(grad, corr.imag / h, out=g.imag)
-            np.negative(g.imag, out=g.imag)
+            # g = conj(corr) * grad / h, so that Re{g * z} == grad * (Re(corr)
+            # Re(z) + Im(corr) Im(z)) / h; complex64 for a float32 forward
+            g = np.conjugate(corr)
+            g *= grad / h
         else:
             g = grad
-        taps = batch_conv_full_slice(g, x, len(default_grid(self.family)))
+        taps = batch_conv_full_slice(g, Xf, len(default_grid(self.family)))
         dpsi = kernel_param_grad(self.family, self.theta)
         self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
 

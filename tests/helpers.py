@@ -3,8 +3,8 @@
 import numpy as np
 
 from tfnet.core_math import same_pad_widths
-from tfnet.kernels import KernelFamily, evaluate_kernels
-from tfnet.nn import Model, softmax_cross_entropy
+from tfnet.kernels import KernelFamily, evaluate_kernels, kernel_param_grad
+from tfnet.nn import EPS_MODULUS, Model, softmax_cross_entropy
 
 
 def _as_1d(x, name: str) -> np.ndarray:
@@ -59,6 +59,129 @@ def reference_tft(x: np.ndarray, family: KernelFamily, thetas) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     rows = [cross_correlate_same(x, psi) for psi in evaluate_kernels(family, np.atleast_2d(thetas))]
     return np.stack(rows)
+
+
+def fft_roundoff(n: int, dtype) -> float:
+    """Normwise relative error bound of one length-``n`` FFT computed in ``dtype``.
+
+    ceil(log2 n) * eta with eta = mu + gamma_4 * (sqrt(2) + mu) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 24.2),
+    taking the twiddle factors' error mu as the unit roundoff u = eps/2 and
+    a mixed-radix length as ceil(log2 n) radix-2 stages.
+    """
+    u = np.finfo(dtype).eps / 2
+    gamma4 = 4 * u / (1 - 4 * u)
+    return float(np.ceil(np.log2(n)) * (u + gamma4 * (np.sqrt(2) + u)))
+
+
+def correlation_roundoff(a: np.ndarray, b: np.ndarray, n: int, dtype) -> tuple[float, float]:
+    """(bound, norm): the round-off of a length-``n`` FFT correlation of 1-D ``a`` with ``b``.
+
+    ``norm`` is the 2-norm of the exact full correlation and ``bound`` a
+    first-order bound on the 2-norm of the computed one's error over all n
+    lags, so also on any single output.  With rho = ``fft_roundoff(n,
+    dtype)``, u = eps/2 and A, B the length-n spectra: the FFT of ``a`` is
+    the exact transform of an input moved by rho*||a||, which moves the
+    output by at most rho*||a||*max|B| (Parseval), and likewise for ``b``;
+    rounding ``b`` to ``dtype`` (the kernel bank of a float32 layer) adds
+    u*||b||*max|A|; the complex products (sqrt(2)*gamma_2, Higham Lemma
+    3.5), the inverse FFT and its 1/n scaling add (rho + (2*sqrt(2) + 1)*u)
+    times ``norm``.  This is the ``eps * ||x|| * ||k||`` scale that
+    ``core_math`` documents, with the spectra's peaks in place of a constant.
+    """
+    u = np.finfo(dtype).eps / 2
+    rho = fft_roundoff(n, dtype)
+    A, B = np.fft.fft(a, n), np.fft.fft(b, n)
+    norm = float(np.linalg.norm(A * B) / np.sqrt(n))
+    peak_a, peak_b = np.abs(A).max(), np.abs(B).max()
+    bound = (rho * np.linalg.norm(a) * peak_b + (rho + u) * np.linalg.norm(b) * peak_a
+             + (rho + (2 * np.sqrt(2) + 1) * u) * norm)
+    return float(bound), norm
+
+
+def direct_roundoff(x: np.ndarray, k: np.ndarray) -> float:
+    """Bound on the 2-norm of the round-off of float64 ``cross_correlate_same(x, k)``.
+
+    Each output is a sum of K complex products, off by at most
+    gamma_{K+2} * sum |x||k|; over all outputs, (K+2)*u*||x|| * ||k||_1 (Young).
+    """
+    u = np.finfo(np.float64).eps / 2
+    return float((len(k) + 2) * u * np.linalg.norm(x) * np.abs(k).sum())
+
+
+def tfconv_modulus_with_bound(layer, x: np.ndarray, n: int):
+    """Direct-path (B, C, L) modulus of ``layer`` on ``x`` and a (B, C, 1) bound on its FFT forward.
+
+    ``x`` is in the layer's compute dtype and ``n`` is its FFT length.  The
+    modulus is 1-Lipschitz in the correlation, so the correlation's bound
+    carries over; computing sqrt(re^2 + im^2 + eps) adds 3u relative on each
+    side (the oracle's in float64), on h <= ||x|| * ||k|| + sqrt(eps).
+    """
+    dtype = np.dtype(x.dtype)
+    u, u64 = np.finfo(dtype).eps / 2, np.finfo(np.float64).eps / 2
+    x64 = x.astype(np.float64)
+    bank = layer.kernels()
+    want = np.stack([np.sqrt(np.abs(reference_tft(row, layer.family, layer.theta)) ** 2
+                             + EPS_MODULUS) for row in x64])
+    bound = np.empty(want.shape[:2] + (1,))
+    for b, row in enumerate(x64):
+        for c, k in enumerate(bank):
+            h_max = np.linalg.norm(row) * np.linalg.norm(k) + np.sqrt(EPS_MODULUS)
+            bound[b, c] = (correlation_roundoff(row, k, n, dtype)[0] + direct_roundoff(row, k)
+                           + 3 * (u + u64) * h_max)
+    return want, bound
+
+
+def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int):
+    """Direct-path theta gradient of sum(w * h) for a modulus ``layer``, and its FFT bound.
+
+    ``x`` is the (B, L) input and ``w`` the (B, C, L) upstream gradient,
+    both in the layer's compute dtype; ``n`` is its FFT length.  The oracle
+    chains the direct-path correlations z = corr(x, k) and d = corr(x, dpsi)
+    through the modulus in float64: grad[c, p] = sum_{b,l} w * Re(conj(z) *
+    d) / h, with g = conj(z) * w / h.  The (C, P) bound on |FFT gradient -
+    oracle| is first order in u and sums, over b:
+
+    - the error of g times |d|.  z is off by e, with |e_l| and ||e|| both
+      at most tau (the forward's ``correlation_roundoff`` plus the oracle's
+      ``direct_roundoff``); z / h moves by at most e_l / (h_l - e_l), and
+      never by more than 2, so by Cauchy-Schwarz the sum is at most tau *
+      ||w d / (h - tau)|| over samples with h > 1.5 tau, plus 2 |w d| over
+      the rest; computing g rounds it by 6u relative;
+    - the oracle's error in d, ||w|| * ``direct_roundoff(x, dpsi)``;
+    - the tap gradient's FFT correlation of g with x, whose error vector
+      over the taps meets dpsi in a dot product, so ||dpsi|| times its
+      ``correlation_roundoff``, plus (B-1)*u*||g (*) x|| for the sum over
+      the batch and K*u*||g (*) x|| for the float64 sum over taps;
+    - the oracle's float64 sums, (log2(B*L) + 3)*u * sum |w d|.
+    """
+    dtype = np.dtype(x.dtype)
+    u, u64 = np.finfo(dtype).eps / 2, np.finfo(np.float64).eps / 2
+    x64, w64 = x.astype(np.float64), w.astype(np.float64)
+    B, L = x64.shape
+    bank = layer.kernels()
+    dpsi = kernel_param_grad(layer.family, layer.theta)  # (C, P, K)
+    C, P, K = dpsi.shape
+    want = np.zeros((C, P))
+    bound = np.zeros((C, P))
+    for c in range(C):
+        for b in range(B):
+            z = cross_correlate_same(x64[b], bank[c])
+            h = np.sqrt(z.real**2 + z.imag**2 + EPS_MODULUS)
+            g = np.conj(z) * w64[b, c] / h
+            tau = correlation_roundoff(x64[b], bank[c], n, dtype)[0] + direct_roundoff(x64[b], bank[c])
+            taps_err, taps_norm = correlation_roundoff(x64[b], g, n, dtype)
+            far = h > 1.5 * tau
+            for p in range(P):
+                d = cross_correlate_same(x64[b], dpsi[c, p])
+                wd = np.abs(w64[b, c] * d)
+                want[c, p] += np.sum(w64[b, c] * (z.real * d.real + z.imag * d.imag) / h)
+                bound[c, p] += (tau * np.linalg.norm(wd[far] / (h[far] - tau))
+                                + 2 * np.sum(wd[~far]) + 6 * u * np.sum(wd)
+                                + np.linalg.norm(w64[b, c]) * direct_roundoff(x64[b], dpsi[c, p])
+                                + np.linalg.norm(dpsi[c, p]) * (taps_err + (B - 1 + K) * u * taps_norm)
+                                + (np.log2(B * L) + 3) * u64 * np.sum(wd))
+    return want, bound
 
 
 def conv1d_input_grad_per_tap(weight: np.ndarray, grad: np.ndarray, padding: str = "valid"):

@@ -255,6 +255,39 @@ def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys,
     assert f"error: {ckpt}: f out of [0.0, 0.49" in capsys.readouterr().err
 
 
+# one manifest edit per case; an invalid count is the reference for the exit code
+MANIFEST_EDITS = {
+    "count-not-an-integer": ("count", "twelve"),
+    "class-names-not-a-list": ("class_names", 5),
+    "band-without-upper-edge": ("information_bands", [[0.1]]),
+    "bands-not-a-list": ("information_bands", "x"),
+    "band-reversed": ("information_bands", [[0.3, 0.1]]),
+}
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("command", ["train", "freq-response"])
+    @pytest.mark.parametrize("key, value", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS)
+    def test_bad_manifest_fails_naming_it(self, tmp_path, data_dir, trained_dir, capsys,
+                                          command, key, value):
+        copy = tmp_path / "ds"
+        shutil.copytree(data_dir, copy)
+        for side in ("train", "test"):
+            meta = read_json(copy / side / "meta.json")
+            meta[key] = value
+            (copy / side / "meta.json").write_text(json.dumps(meta))
+        if command == "train":
+            args = ["train", "--seed", "0", *TRAIN_ARGS]
+        else:
+            args = ["freq-response", "--set", f"checkpoint={trained_dir / 'model.tfn'}"]
+        code = main([*args, "--out", str(tmp_path / "out"), "--set", f"dataset={copy}"])
+        assert code == EXIT_RUNTIME
+        # train reads train/ first; freq-response reads the test side
+        side = "train" if command == "train" else "test"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {copy / side / 'meta.json'}: invalid manifest: ")
+
+
 class TestFreqResponse:
     def test_response_without_dataset(self, tmp_path, trained_dir):
         out = tmp_path / "fr"

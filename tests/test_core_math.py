@@ -96,7 +96,7 @@ class TestBatchCorrelateSame:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 64))
         kernels = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
-        out = batch_correlate_same(x, kernels)
+        out, _ = batch_correlate_same(x, kernels)
         assert out.shape == (4, 3, 64)
         for b in range(4):
             for c in range(3):
@@ -107,7 +107,7 @@ class TestBatchCorrelateSame:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 40))
         kernels = rng.normal(size=(2, 7))
-        out = batch_correlate_same(x, kernels)
+        out, _ = batch_correlate_same(x, kernels)
         assert not np.iscomplexobj(out)
         for b in range(2):
             for c in range(2):
@@ -116,7 +116,8 @@ class TestBatchCorrelateSame:
     def test_single_precision_stays_single(self):
         x = np.zeros((2, 32), dtype=np.float32)
         kernels = np.ones((1, 5), dtype=np.complex64)
-        assert batch_correlate_same(x, kernels).dtype == np.complex64
+        out, Xf = batch_correlate_same(x, kernels)
+        assert out.dtype == Xf.dtype == np.complex64
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -137,14 +138,15 @@ class TestBatchConvFullSlice:
         rng.normal(size=(2, C, K))  # the kernel bank's draws: gr, gi and delta stay fixed
         gr = rng.normal(size=(B, C, L))
         gi = rng.normal(size=(B, C, L))
-        taps = batch_conv_full_slice(gr - 1j * gi, x, K)
         delta = rng.normal(size=(C, K)) + 1j * rng.normal(size=(C, K))
-        fwd = batch_correlate_same(x, delta)
+        fwd, Xf = batch_correlate_same(x, delta)
+        taps = batch_conv_full_slice(gr - 1j * gi, Xf, K)
         lhs = np.sum(fwd.real * gr) + np.sum(fwd.imag * gi)
         assert np.isclose(lhs, np.sum(taps * delta).real, rtol=1e-10)
 
     def test_channel_mismatch_rejected(self):
-        # a signal whose batch size or length disagrees with the gradient's
-        for x_shape in [(2, 10), (1, 9)]:
-            with pytest.raises(ValueError):
-                batch_conv_full_slice(np.zeros((1, 2, 10)), np.zeros(x_shape), 5)
+        # a spectrum whose batch size or FFT length (15 for L=10, K=5)
+        # disagrees with the gradient's
+        for spectrum_shape in [(2, 15), (1, 14)]:
+            with pytest.raises(ValueError, match=r"spectrum shape .* != \(1, 15\)"):
+                batch_conv_full_slice(np.zeros((1, 2, 10)), np.zeros(spectrum_shape, complex), 5)

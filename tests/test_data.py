@@ -311,6 +311,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"meta\.json: invalid manifest: " + message):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("class_names", 5, r"class_names 5 is not a list of strings"),
+        ("class_names", ["a", 1], r"class_names \['a', 1\] is not a list of strings"),
+        ("information_bands", [[0.1]],
+         r"information_bands \[\[0\.1\]\]: not enough values to unpack"),
+        ("information_bands", "x",
+         r"information_bands 'x': could not convert string to float: 'x'"),
+        ("information_bands", [[0.3, 0.1]], r"information_bands \[\[0\.3, 0\.1\]\]: "
+                                            r"band \[0\.3, 0\.1\] is not a subinterval of \[0, 0\.5\]"),
+    ], ids=["class-names-not-a-list", "class-name-not-a-string", "band-without-upper-edge",
+            "bands-not-a-list", "band-reversed"])
+    def test_invalid_class_names_or_bands_name_file(self, tiny_dataset, tmp_path, key, value,
+                                                     message):
+        save_dataset(tiny_dataset, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, key: value}))
+        with pytest.raises(ValueError, match=r"meta\.json: invalid manifest: " + message):
+            load_dataset(tmp_path)
+
     def test_truncated_samples_rejected(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path)
         raw = (tmp_path / "samples.f64le").read_bytes()

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import central_difference, cross_correlate_same, reference_tft, relative_error
-from tfnet import nn
-from tfnet.core_math import batch_conv_full_slice
+import scipy.fft
+
+from helpers import (central_difference, cross_correlate_same, reference_tft, relative_error,
+                     tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound)
+from tfnet import core_math, nn
+from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
 from tfnet.kernels import KernelFamily, evaluate_kernels, init_params, kernel_param_grad
 from tfnet.nn import EPS_MODULUS, TFconvLayer
 
@@ -161,9 +164,9 @@ class TestBackward:
         # a complex128 assembly would stay correct but double the FFT cost
         seen = []
 
-        def recording(g, x, kernel_len):
+        def recording(g, Xf, kernel_len):
             seen.append(g.dtype)
-            return batch_conv_full_slice(g, x, kernel_len)
+            return batch_conv_full_slice(g, Xf, kernel_len)
 
         monkeypatch.setattr(nn, "batch_conv_full_slice", recording)
         layer = make_layer(KernelFamily.MORLET, n_channels=2, modulus=modulus)
@@ -196,6 +199,70 @@ class TestBackward:
         layer.forward(np.zeros((1, 16)) + 1.0, training=True)
         with pytest.raises(ValueError):
             layer.backward(np.zeros((1, 3, 99)))
+
+
+class TestSpectralPath:
+    """The FFT path at the lengths the benchmark workloads use, against the direct path."""
+
+    # family, signal length, compute dtype, FFT length the 5-smooth rule picks
+    SETTINGS = [(KernelFamily.STTF, 1024, np.float64, 1080),
+                (KernelFamily.MORLET, 4096, np.float32, 4500)]
+    IDS = ["sttf-1024-float64", "morlet-4096-float32"]
+
+    @staticmethod
+    def setting(family, length, dtype, n):
+        layer = make_layer(family, n_channels=2)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, length)).astype(dtype)
+        w = rng.normal(size=(2, 2, length)).astype(dtype)
+        _, spectrum = batch_correlate_same(x, layer.kernels().astype(np.result_type(dtype, 1j)))
+        assert spectrum.shape == (2, n)
+        return layer, x, w
+
+    @pytest.mark.parametrize("family, length, dtype, n", SETTINGS, ids=IDS)
+    def test_forward_within_derived_bound(self, family, length, dtype, n):
+        layer, x, _ = self.setting(family, length, dtype, n)
+        want, bound = tfconv_modulus_with_bound(layer, x, n)
+        out = layer.forward(x)
+        assert out.dtype == dtype
+        assert np.all(np.abs(out - want) <= bound)
+
+    @pytest.mark.parametrize("family, length, dtype, n", SETTINGS, ids=IDS)
+    def test_theta_gradient_within_derived_bound(self, family, length, dtype, n):
+        layer, x, w = self.setting(family, length, dtype, n)
+        want, bound = tfconv_theta_gradient_with_bound(layer, x, w, n)
+        layer.forward(x, training=True)
+        layer.backward(w)
+        assert np.all(np.abs(layer.grad_theta - want) <= bound)
+
+    @pytest.mark.parametrize("length", [1024, 4096])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("family", [KernelFamily.STTF, KernelFamily.CHIRPLET,
+                                        KernelFamily.MORLET])
+    def test_impulse_response_peaks_at_the_impulse(self, family, dtype, length):
+        # the centred kernels' modulus peaks at their middle tap, so each
+        # row's impulse, near either end or inside, is where its output peaks
+        at = [7, length // 2 + 37, length - 8]
+        x = np.zeros((3, length), dtype)
+        x[[0, 1, 2], at] = 1.0
+        out = make_layer(family, n_channels=3).forward(x)
+        np.testing.assert_array_equal(out.argmax(axis=-1), np.array(at)[:, None].repeat(3, 1))
+
+    def test_training_step_transforms_the_signal_batch_once(self, monkeypatch):
+        shapes = []
+        fft = scipy.fft.fft
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(core_math.scipy.fft, "fft", counting)
+        layer = make_layer(KernelFamily.MORLET, n_channels=2)
+        x = np.random.default_rng(22).normal(size=(3, 200))
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        # the signal batch, the kernel bank and the upstream gradient
+        assert shapes == [(3, 200), (2, 301), (3, 2, 200)]
 
 
 class TestLayerProtocol:
