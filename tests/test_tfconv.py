@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-
 import scipy.fft
 
 from helpers import (central_difference, cross_correlate_same, reference_tft, relative_error,
