@@ -2,11 +2,16 @@
 
 Checkpoint layout: magic ``TFN1``, a little-endian u32 JSON header length,
 the JSON header (assembly recipe: mode, backbone, class count, kernel
-config, dtype), then named shape-tagged parameter blocks as little-endian
-float64.  Batch norm running statistics are stored alongside learnable
-parameters so a loaded model evaluates identically.
+config, dtype, block names), then one block per array that a layer's
+``state`` names: a u16 length, the name ``<layer.name>.<attribute>`` (such as
+``4.batchnorm1d.running_var``), a u8 rank, u32 dimensions and little-endian
+float64 values.  Batch norm running statistics are stored alongside learnable
+parameters so a loaded model evaluates identically.  The loader checks each
+block's name and shape against the rebuilt model before reading its values,
+and a malformed file raises ``ValueError`` naming the file.
 """
 
+import io
 import json
 import struct
 from pathlib import Path
@@ -14,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from tfnet.kernels import KernelFamily, check_theta, default_grid, param_names
-from tfnet.nn import BatchNorm1d, Model, TFconvLayer, assemble_model
+from tfnet.nn import Model, TFconvLayer, assemble_model
 from tfnet.training import TrainHistory
 
 MAGIC = b"TFN1"
@@ -22,19 +27,10 @@ FORMAT_VERSION = 1
 
 
 def _named_blocks(model: Model):
-    """(name, array) pairs covering parameters and BN running stats."""
+    """(``<layer.name>.<attribute>``, array) for every array a layer's ``state`` names."""
     for layer in model.walk_layers():
-        if isinstance(layer, TFconvLayer):
-            yield f"{layer.name}.theta", layer.theta
-        elif isinstance(layer, BatchNorm1d):
-            yield f"{layer.name}.gamma", layer.gamma
-            yield f"{layer.name}.beta", layer.beta
-            yield f"{layer.name}.running_mean", layer.running_mean
-            yield f"{layer.name}.running_var", layer.running_var
-        elif layer.params:
-            labels = ("weight", "bias")
-            for label, arr in zip(labels, layer.params):
-                yield f"{layer.name}.{label}", arr
+        for attr, _grad in layer.state:
+            yield f"{layer.name}.{attr}", getattr(layer, attr)
 
 
 def save_model(model: Model, path) -> None:
@@ -73,7 +69,8 @@ def load_model(path) -> Model:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"checkpoint {p} not found")
-    with p.open("rb") as fh:
+    # a checkpoint is a few MiB at most; in memory, a corrupt length reads short
+    with io.BytesIO(p.read_bytes()) as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{p}: not a model checkpoint (bad magic)")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, p, "header length"))
@@ -82,14 +79,14 @@ def load_model(path) -> Model:
             header = json.loads(raw_header)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValueError(f"{p}: invalid JSON checkpoint header: {exc}") from exc
-        if not isinstance(header, dict):
+        if type(header) is not dict:
             raise ValueError(f"{p}: checkpoint header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(f"{p}: unsupported checkpoint version {header.get('version')}")
         try:
             model = _rebuild(header)
             block_names = header["blocks"]
-            if not isinstance(block_names, list):
+            if type(block_names) is not list:
                 raise TypeError(f"'blocks' must be a list, got {type(block_names).__name__}")
         except KeyError as exc:
             raise ValueError(f"{p}: checkpoint header has no {exc.args[0]!r} entry") from None
@@ -99,20 +96,22 @@ def load_model(path) -> Model:
         seen = []
         for _ in block_names:
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, p, "block name length"))
-            name = _read_exact(fh, nlen, p, "block name").decode()
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, p, "block rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, p, "block shape"))
-            count = int(np.prod(shape)) if ndim else 1
-            raw = _read_exact(fh, count * 8, p, f"block {name}")
+            name = _read_exact(fh, nlen, p, "block name").decode(errors="backslashreplace")
             if name not in expected:
                 raise ValueError(f"{p}: unexpected parameter block {name!r}")
             target = expected[name]
-            if tuple(shape) != target.shape:
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, p, "block rank"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, p, "block shape"))
+            if shape != target.shape:
                 raise ValueError(
-                    f"{p}: block {name!r} has shape {tuple(shape)}, model expects {target.shape}"
-                )
-            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            target[...] = values.astype(target.dtype)
+                    f"{p}: block {name!r} has shape {shape}, model expects {target.shape}")
+            raw = _read_exact(fh, target.size * 8, p, f"block {name}")
+            try:
+                with np.errstate(over="raise"):
+                    target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except FloatingPointError:
+                raise ValueError(
+                    f"{p}: block {name!r} holds values beyond {target.dtype} range") from None
             seen.append(name)
         missing = set(expected) - set(seen)
         if missing:

@@ -26,18 +26,18 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray
     Parameters
     ----------
     x : (B, L) real array
-    kernels : (C, K) real or complex array, K odd
+    kernels : (C, K) complex array, K odd
 
     Returns
     -------
-    ``(out, Xf)``: the (B, C, L) correlation, complex iff ``kernels`` is, and
-    the (B, n) spectrum of ``x`` that :func:`batch_conv_full_slice` takes.
-    ``out`` matches the direct-path oracle ``cross_correlate_same(x[b],
-    kernels[c])`` in ``tests/helpers.py`` up to FFT round-off, which is
-    absolute: every output of row (b, c) is off by up to a small multiple of
-    ``eps * ||x[b]|| * ||kernels[c]||`` (2-norms), whatever its own size.
-    Outputs far below that scale, such as those that only a kernel's tail
-    reaches, have no relative accuracy.
+    ``(out, Xf)``: the (B, C, L) complex correlation and the (B, n) spectrum
+    of ``x`` that :func:`batch_conv_full_slice` takes.  ``out`` matches the
+    direct-path oracle ``cross_correlate_same(x[b], kernels[c])`` in
+    ``tests/helpers.py`` up to FFT round-off, which is absolute: every output
+    of row (b, c) is off by up to a small multiple of ``eps * ||x[b]|| *
+    ||kernels[c]||`` (2-norms), whatever its own size.  Outputs far below
+    that scale, such as those that only a kernel's tail reaches, have no
+    relative accuracy.
     """
     if x.ndim != 2 or kernels.ndim != 2:
         raise ValueError("batch_correlate_same expects x:(B,L), kernels:(C,K)")
@@ -53,10 +53,7 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray
     Kf = scipy.fft.fft(np.ascontiguousarray(kernels[:, ::-1]), n)
     full = scipy.fft.ifft(Xf[:, None, :] * Kf[None, :, :], axis=-1)
     start = K - 1 - left
-    out = full[:, :, start : start + L]
-    if not (np.iscomplexobj(x) or np.iscomplexobj(kernels)):
-        return np.ascontiguousarray(out.real), Xf
-    return np.ascontiguousarray(out), Xf
+    return np.ascontiguousarray(full[:, :, start : start + L]), Xf
 
 
 def batch_conv_full_slice(g: np.ndarray, Xf: np.ndarray, kernel_len: int) -> np.ndarray:

@@ -22,7 +22,7 @@ input-gradient GEMMs a few samples at a time and keeps only its padded
 input for training; its weight gradient, which sums over the batch,
 rebuilds the full-batch im2col matrix for its one GEMM and drops it, so
 backward holds one such matrix at a time.  A model's first layer
-accumulates only its parameter gradients (``param_backward``).
+computes only its parameter gradients (``param_backward``).
 ``Model.forward`` is the one loop over a model's layers: it feeds a bare
 backbone's stem ``Conv1d`` the one-channel view (batch, length, 1),
 transposes the channels-first output of a time-frequency front layer once,
@@ -47,7 +47,12 @@ BACKBONES = ("paper-cnn", "lenet-1d", "resnet-1d")
 
 
 class Layer:
-    """Base layer: no parameters, identity bookkeeping.
+    """Base layer: no arrays, identity bookkeeping.
+
+    ``state`` names each array a layer holds as an (array attribute, gradient
+    attribute or ``None``) pair; ``params`` and ``grads`` derive from it, and a
+    checkpoint stores each named array as ``<layer.name>.<attribute>``.  A
+    backward sets its gradients in place, so the arrays keep their identity.
 
     A subclass's ``forward`` sets ``_cache`` to what its ``backward`` needs
     when ``training`` is true and to ``None`` otherwise; ``backward`` reads
@@ -59,19 +64,16 @@ class Layer:
     """
 
     name = ""
+    state: tuple[tuple[str, str | None], ...] = ()
     _cache = None
 
     @property
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, attr) for attr, grad in self.state if grad is not None]
 
     @property
     def grads(self) -> list[np.ndarray]:
-        return []
-
-    def zero_grad(self):
-        for g in self.grads:
-            g[...] = 0.0
+        return [getattr(self, grad) for _attr, grad in self.state if grad is not None]
 
     def forward(self, x: np.ndarray, training: bool = False,
                 overwrite: bool = False) -> np.ndarray:
@@ -81,7 +83,7 @@ class Layer:
         raise NotImplementedError
 
     def param_backward(self, grad: np.ndarray) -> None:
-        """Accumulate parameter gradients only, as the first layer of a model."""
+        """Set parameter gradients only, as the first layer of a model."""
         self.backward(grad)
 
     def _saved(self):
@@ -132,6 +134,8 @@ class Conv1d(Layer):
     weight is (out, in, taps).
     """
 
+    state = (("weight", "wgrad"), ("bias", "bgrad"))
+
     def __init__(self, in_channels, out_channels, kernel_size, rng, padding="valid",
                  dtype=np.float64):
         if padding not in ("valid", "same"):
@@ -145,14 +149,6 @@ class Conv1d(Layer):
         self.bias = np.zeros(out_channels, dtype=dtype)
         self.wgrad = np.zeros_like(self.weight)
         self.bgrad = np.zeros_like(self.bias)
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self):
-        return [self.wgrad, self.bgrad]
 
     def kernels(self) -> np.ndarray:
         """Input-channel-summed kernel bank, shape (out, taps)."""
@@ -188,7 +184,7 @@ class Conv1d(Layer):
         return out.reshape(B, L_out, O)
 
     def param_backward(self, grad):
-        """Accumulate the weight and bias gradients; no input gradient is computed.
+        """Set the weight and bias gradients; no input gradient is computed.
 
         The full-batch im2col matrix is rebuilt from the kept input for the
         one weight-gradient GEMM and dropped when it returns.
@@ -198,8 +194,8 @@ class Conv1d(Layer):
         K, O = self.kernel_size, self.out_channels
         cols = _windows(x, K).reshape(B * (L_pad - K + 1), K * C)
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
-        self.bgrad += g2.sum(axis=0)
-        self.wgrad += (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
+        self.bgrad[...] = g2.sum(axis=0)
+        self.wgrad[...] = (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
 
     def backward(self, grad):
         L_pad = self._saved().shape[1]
@@ -238,6 +234,8 @@ class BatchNorm1d(Layer):
 
     eps = 1e-5        # added to the variance under the square root
     momentum = 0.1    # weight of the latest batch in the running statistics
+    state = (("gamma", "ggrad"), ("beta", "bgrad"),
+             ("running_mean", None), ("running_var", None))
 
     def __init__(self, channels, dtype=np.float64):
         self.channels = channels
@@ -247,14 +245,6 @@ class BatchNorm1d(Layer):
         self.bgrad = np.zeros_like(self.beta)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
-    @property
-    def grads(self):
-        return [self.ggrad, self.bgrad]
 
     def forward(self, x, training=False, overwrite=False):
         B, L, C = x.shape
@@ -288,8 +278,8 @@ class BatchNorm1d(Layer):
         xhat, istd, M = self._saved()
         sg = grad.sum(axis=(0, 1))
         sgx = np.einsum("blc,blc->c", grad, xhat)
-        self.ggrad += sgx
-        self.bgrad += sg
+        self.ggrad[...] = sgx
+        self.bgrad[...] = sg
         gx = xhat * (sgx / -M)
         gx += grad
         gx -= sg / M
@@ -379,6 +369,8 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
+    state = (("weight", "wgrad"), ("bias", "bgrad"))
+
     def __init__(self, in_features, out_features, rng, dtype=np.float64):
         self.in_features = in_features
         self.out_features = out_features
@@ -388,14 +380,6 @@ class Dense(Layer):
         self.wgrad = np.zeros_like(self.weight)
         self.bgrad = np.zeros_like(self.bias)
 
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self):
-        return [self.wgrad, self.bgrad]
-
     def forward(self, x, training=False, overwrite=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"Dense expects (B, {self.in_features}), got {x.shape}")
@@ -403,8 +387,8 @@ class Dense(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, grad):
-        self.wgrad += grad.T @ self._saved()
-        self.bgrad += grad.sum(axis=0)
+        self.wgrad[...] = grad.T @ self._saved()
+        self.bgrad[...] = grad.sum(axis=0)
         return grad @ self.weight
 
 
@@ -413,14 +397,6 @@ class Residual(Layer):
 
     def __init__(self, sublayers):
         self.sublayers = list(sublayers)
-
-    @property
-    def params(self):
-        return [p for layer in self.sublayers for p in layer.params]
-
-    @property
-    def grads(self):
-        return [g for layer in self.sublayers for g in layer.grads]
 
     def forward(self, x, training=False, overwrite=False):
         out = x
@@ -468,20 +444,14 @@ class TFconvLayer(Layer):
     wavelet-kernel comparison layers.
     """
 
+    state = (("theta", "grad_theta"),)
+
     def __init__(self, family: KernelFamily, theta, modulus: bool = True):
         self.family = KernelFamily(family)
         self.theta = np.asarray(theta, dtype=np.float64)
         check_theta(self.family, self.theta)
         self.modulus = bool(modulus)
         self.grad_theta = np.zeros_like(self.theta)
-
-    @property
-    def params(self):
-        return [self.theta]
-
-    @property
-    def grads(self):
-        return [self.grad_theta]
 
     def project_params(self):
         """Clamp the control parameters onto their boxes after an optimizer step."""
@@ -523,7 +493,7 @@ class TFconvLayer(Layer):
         return np.ascontiguousarray(h, dtype=out_dtype)
 
     def backward(self, grad):
-        """Accumulate the gradient of the upstream (B, C, L) ``grad`` into ``grad_theta``.
+        """Set ``grad_theta`` to the gradient of the upstream (B, C, L) ``grad``.
 
         The control-parameter gradient is summed over batch and time: the
         gradient with respect to the taps, then ``grad_theta[c, p] = Re sum_k
@@ -543,7 +513,7 @@ class TFconvLayer(Layer):
             g = grad
         taps = batch_conv_full_slice(g, Xf, len(default_grid(self.family)))
         dpsi = kernel_param_grad(self.family, self.theta)
-        self.grad_theta += np.einsum("cpk,ck->cp", dpsi, taps).real
+        self.grad_theta[...] = np.einsum("cpk,ck->cp", dpsi, taps).real
 
 
 class Model:
@@ -626,7 +596,7 @@ class Model:
         return out
 
     def backward(self, grad):
-        """Accumulate every layer's parameter gradients from the logits' ``grad``.
+        """Set every layer's parameter gradients from the logits' ``grad``.
 
         Returns nothing.  The first layer, a TFconv front layer or the
         backbone's first ``Conv1d``, runs only ``param_backward``: no caller
@@ -640,10 +610,6 @@ class Model:
         if first is self.tfconv:
             g = g.transpose(0, 2, 1)
         first.param_backward(g)
-
-    def zero_grad(self):
-        for layer in self.walk_layers():
-            layer.zero_grad()
 
     def project_params(self):
         if self.tfconv is not None:

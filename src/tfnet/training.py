@@ -154,7 +154,6 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
             yb = y[idx]
             logits = model.forward(xb, training=True)
             loss, gl = softmax_cross_entropy(logits, yb)
-            model.zero_grad()
             model.backward(gl)
             opt.step(model.gradients(), lr)
             model.project_params()

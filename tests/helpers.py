@@ -1,5 +1,7 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks."""
 
+import struct
+
 import numpy as np
 
 from tfnet.core_math import same_pad_widths
@@ -231,6 +233,62 @@ def conv1d_grads_full_batch_im2col(conv, x: np.ndarray, grad: np.ndarray):
     return wgrad, g2.sum(axis=0), conv1d_input_grad_per_tap(conv.weight, grad, conv.padding)
 
 
+def gamma(n: int, dtype) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u), u = eps/2 the unit roundoff of ``dtype``.
+
+    A sum of rounded products in which no term meets more than n roundings
+    (its product and its additions, in any order) is off by at most gamma_n
+    times the sum of the terms' absolute values (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and eq. 3.5).
+    """
+    u = float(np.finfo(dtype).eps) / 2
+    return n * u / (1 - n * u)
+
+
+def conv1d_direct(x: np.ndarray, weight: np.ndarray, padding: str = "valid") -> np.ndarray:
+    """Long-double stride-1 ``Conv1d`` without bias: one shifted product per tap.
+
+    ``x`` is (B, L, in), ``weight`` (out, in, taps); the result is (B, L_out, out).
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    weight = np.asarray(weight, dtype=np.longdouble)
+    K = weight.shape[2]
+    if padding == "same":
+        x = np.pad(x, ((0, 0), same_pad_widths(K), (0, 0)))
+    L_out = x.shape[1] - K + 1
+    out = np.zeros((x.shape[0], L_out, weight.shape[0]), dtype=np.longdouble)
+    for m in range(K):
+        out += np.einsum("blc,oc->blo", x[:, m : m + L_out], weight[:, :, m])
+    return out
+
+
+def adaptive_avg_pool_direct(x: np.ndarray, edges) -> np.ndarray:
+    """Long-double ``AdaptiveAvgPool`` of a (B, L, C) array over (start, end) bins."""
+    x = np.asarray(x, dtype=np.longdouble)
+    return np.stack([x[:, s:e].sum(axis=1) / (e - s) for s, e in edges], axis=1)
+
+
+def adjoint_gap_with_bound(apply, apply_abs, v, w, transposed, chain: int, n_terms: int):
+    """(gap, bound) of the dot-product test <A v, w> == <v, A^T w>.
+
+    ``apply`` maps a long-double ``v`` to A v, and ``apply_abs`` to |A| v
+    (every coefficient of A replaced by its absolute value), both in long
+    double; ``transposed`` is A^T w as a layer's float64 backward computed
+    it.  S = <|A| |v|, |w|> is the sum of the absolute values of the
+    ``n_terms`` products v_i A_ji w_j.  No entry of ``transposed`` meets more
+    than ``chain`` float64 roundings per term, so <v, A^T w> moves by at
+    most gamma_chain(float64) * S; each side's long-double sum meets at most
+    n_terms + 2 roundings per term.  ``bound`` is the sum of the three.
+    """
+    ld = np.longdouble
+    v, w = np.asarray(v, dtype=ld), np.asarray(w, dtype=ld)
+    lhs = np.sum(apply(v) * w)
+    rhs = np.sum(v * np.asarray(transposed, dtype=ld))
+    total = np.sum(apply_abs(np.abs(v)) * np.abs(w))
+    bound = (gamma(chain, np.float64) + 2 * gamma(n_terms + 2, ld)) * total
+    return float(abs(lhs - rhs)), float(bound)
+
+
 def forward_out_of_place(model: Model, x: np.ndarray) -> np.ndarray:
     """Inference logits of ``model`` with no layer allowed to overwrite its input.
 
@@ -307,7 +365,6 @@ def check_model_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     """
     logits = model.forward(x, training=True)
     _, grad_logits = softmax_cross_entropy(logits, y)
-    model.zero_grad()
     model.backward(grad_logits)
     analytic = [g.copy() for g in model.gradients()]
     fn = model_loss_fn(model, x, y)
@@ -326,3 +383,35 @@ def check_model_gradients(model: Model, x: np.ndarray, y: np.ndarray,
                 f"analytic {g[index]:.10g}, numeric {numeric:.10g}, rel err {err:.3g}"
             )
     return worst
+
+
+def checkpoint_block_offsets(raw: bytes) -> list[tuple[int, int, int]]:
+    """(start, rank offset, data offset) of every block of checkpoint bytes ``raw``."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    pos, blocks = 8 + hlen, []
+    while pos < len(raw):
+        (nlen,) = struct.unpack("<H", raw[pos : pos + 2])
+        rank_at = pos + 2 + nlen
+        data_at = rank_at + 1 + 4 * raw[rank_at]
+        shape = struct.unpack(f"<{raw[rank_at]}I", raw[rank_at + 1 : data_at])
+        blocks.append((pos, rank_at, data_at))
+        pos = data_at + 8 * int(np.prod(shape))
+    return blocks
+
+
+CHECKPOINT_CORRUPTIONS = ("name-not-utf8", "rank-4-dims-max")
+
+
+def corrupt_first_block(raw: bytes, case: str) -> bytes:
+    """Checkpoint bytes ``raw`` with the first block corrupted as ``case`` names.
+
+    ``name-not-utf8`` flips bit 7 of the block name's first byte;
+    ``rank-4-dims-max`` declares rank 4 with every dimension 0xFFFFFFFF, a
+    product that wraps.  The loader once read past both unchecked.
+    """
+    start, rank_at, _ = checkpoint_block_offsets(raw)[0]
+    if case == "name-not-utf8":
+        return raw[: start + 2] + bytes([raw[start + 2] ^ 0x80]) + raw[start + 3 :]
+    if case == "rank-4-dims-max":
+        return raw[:rank_at] + b"\x04" + b"\xff" * 16 + raw[rank_at + 1 + 4 * raw[rank_at] :]
+    raise ValueError(f"unknown corruption {case!r}")

@@ -5,7 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import CHECKPOINT_CORRUPTIONS, checkpoint_block_offsets, corrupt_first_block
 from tfnet.checkpoint import (
     MAGIC,
     load_model,
@@ -292,6 +295,64 @@ class TestLoadValidation:
         path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
         with pytest.raises(ValueError, match="missing|trailing"):
             load_model(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("name-not-utf8", r"unexpected parameter block '.*xb0\.tfconvlayer\.theta'"),
+        ("rank-4-dims-max", r"block '0\.tfconvlayer\.theta' has shape \(4294967295,"),
+    ], ids=CHECKPOINT_CORRUPTIONS)
+    def test_corrupt_first_block_names_file(self, tmp_path, case, message):
+        # each was read before it was checked: a UnicodeDecodeError and a
+        # negative read length, neither naming the file
+        path, raw = self.checkpoint_bytes(tmp_path, backbone="lenet-1d")
+        path.write_bytes(corrupt_first_block(raw, case))
+        with pytest.raises(ValueError, match=r"m\.tfn: " + message):
+            load_model(path)
+
+    def test_value_beyond_float32_names_file(self, tmp_path):
+        # the top exponent bit of the conv weight's first float64 value:
+        # finite in the file, beyond the float32 model's range
+        path, raw = self.checkpoint_bytes(tmp_path, backbone="lenet-1d", dtype=np.float32)
+        _, _, data_at = checkpoint_block_offsets(raw)[1]
+        path.write_bytes(raw[: data_at + 7] + bytes([raw[data_at + 7] ^ 0x40]) + raw[data_at + 8 :])
+        with pytest.raises(ValueError, match=r"m\.tfn: block '1\.conv1d\.weight' holds values "
+                                             r"beyond float32 range"):
+            load_model(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoints(tmp_path_factory):
+    """Small float64 and float32 checkpoints, each with the offsets of its non-data bytes."""
+    out = {}
+    for dtype in ("float64", "float32"):
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, n_classes=3,
+                               dtype=np.dtype(dtype))
+        path = tmp_path_factory.mktemp(dtype) / "m.tfn"
+        save_model(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        framing = list(range(8 + hlen)) + [
+            i for start, _, data_at in checkpoint_block_offsets(raw) for i in range(start, data_at)]
+        out[dtype] = path.with_name("fuzzed.tfn"), raw, framing
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bit_flip_or_truncation_loads_or_names_the_file(fuzz_checkpoints, data):
+    path, raw, framing = fuzz_checkpoints[data.draw(st.sampled_from(["float64", "float32"]))]
+    if data.draw(st.booleans()):
+        corrupt = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        # the header and block framing are a small share of the bytes, so
+        # half the flips are drawn from them
+        at = data.draw(st.one_of(st.sampled_from(framing), st.integers(0, len(raw) - 1)))
+        corrupt = bytearray(raw)
+        corrupt[at] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(corrupt)
+    try:
+        load_model(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
 
 
 class TestHistoryCsv:

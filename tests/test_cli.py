@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import CHECKPOINT_CORRUPTIONS, corrupt_first_block
 from tfnet import cli
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -253,6 +254,16 @@ def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys,
                  "--set", f"dataset={data_dir}"])
     assert code == EXIT_RUNTIME
     assert f"error: {ckpt}: f out of [0.0, 0.49" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", CHECKPOINT_CORRUPTIONS)
+def test_corrupt_checkpoint_block_blames_the_checkpoint(tmp_path, data_dir, capsys, case):
+    ckpt = tmp_path / "bad.tfn"
+    save_model(assemble_model("tfn-add", backbone="lenet-1d", n_channels=2), ckpt)
+    ckpt.write_bytes(corrupt_first_block(ckpt.read_bytes(), case))
+    code = main(["eval", "--set", f"checkpoint={ckpt}", "--set", f"dataset={data_dir}"])
+    assert code == EXIT_RUNTIME
+    assert f"error: {ckpt}: " in capsys.readouterr().err
 
 
 # one manifest edit per case; an invalid count is the reference for the exit code

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (central_difference, check_model_gradients, conv1d_grads_full_batch_im2col,
+from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
+                     check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
                      conv1d_input_grad_per_tap, forward_out_of_place, maxpool_input_grad_where,
                      relative_error)
 from tfnet import nn
@@ -84,7 +85,6 @@ class TestConv1d:
             return float(np.sum(w * conv.forward(x, training=True)))
 
         loss()
-        conv.zero_grad()
         gx = conv.backward(w)
         for arr, grads in ((conv.weight, conv.wgrad), (conv.bias, conv.bgrad), (x, gx)):
             for flat in rng_(9).choice(arr.size, size=min(12, arr.size), replace=False):
@@ -202,7 +202,6 @@ class TestConv1dKeepsItsInput:
         B, L_out, O = out.shape
         assert (len(nn._sample_groups(B, L_out * 3 * 8 * O)) > 1) == split
         grad = rng_(73).normal(size=out.shape).astype(dtype)
-        conv.zero_grad()
         gx = conv.backward(grad)
         want = conv1d_grads_full_batch_im2col(conv, x, grad)
         for got, expected in zip((conv.wgrad, conv.bgrad, gx), want):
@@ -303,7 +302,6 @@ class TestBatchNorm:
             return float(np.sum(w * bn.forward(x, training=True)))
 
         loss()
-        bn.zero_grad()
         gx = bn.backward(w)
         for arr, grads in ((bn.gamma, bn.ggrad), (bn.beta, bn.bgrad), (x, gx)):
             for flat in range(min(arr.size, 10)):
@@ -446,7 +444,6 @@ class TestDenseAndFlatten:
             return float(np.sum(w * layer.forward(x, training=True)))
 
         loss()
-        layer.zero_grad()
         gx = layer.backward(w)
         np.testing.assert_allclose(layer.wgrad, w.T @ x, rtol=1e-12)
         np.testing.assert_allclose(layer.bgrad, w.sum(axis=0), rtol=1e-12)
@@ -458,6 +455,84 @@ class TestDenseAndFlatten:
         out = layer.forward(x, training=True)
         assert out.shape == (3, 20)
         np.testing.assert_array_equal(layer.backward(out), x)
+
+
+class TestExactAdjoints:
+    """Dot-product tests <A v, w> == <v, A^T w>: A a long-double direct loop, A^T a backward.
+
+    Each bound is ``adjoint_gap_with_bound``'s, from eps and the sum of the
+    terms' absolute values; ``chain`` is the most float64 roundings one term
+    of a backward's output meets.
+    """
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("shape, split", [((2, 50, 2, 3, 5), False),
+                                              ((4, 2100, 8, 32, 3), True)],
+                             ids=["one-group", "groups"])
+    def test_conv1d_input_and_weight(self, padding, shape, split):
+        B, L, C, O, K = shape
+        conv = Conv1d(C, O, K, rng_(80), padding=padding)
+        conv.bias[:] = rng_(81).normal(size=O)
+        x = rng_(82).normal(size=(B, L, C))
+        v_weight = rng_(83).normal(size=conv.weight.shape)
+        w = rng_(84).normal(size=conv.forward(x, training=True).shape)
+        L_out = w.shape[1]
+        L_pad = L_out + K - 1
+        assert (len(nn._sample_groups(B, L_pad * C * O)) > 1) == split
+        gx = conv.backward(w)
+        n_terms = B * L_out * O * K * C
+        # each input-gradient entry sums K*O products; each weight-gradient entry B*L_out
+        gap, bound = adjoint_gap_with_bound(
+            lambda v: conv1d_direct(v, conv.weight, padding),
+            lambda v: conv1d_direct(v, np.abs(conv.weight), padding),
+            x, w, gx, chain=K * O, n_terms=n_terms)
+        assert gap <= bound
+        gap, bound = adjoint_gap_with_bound(
+            lambda v: conv1d_direct(x, v, padding),
+            lambda v: conv1d_direct(np.abs(x), v, padding),
+            v_weight, w, conv.wgrad, chain=B * L_out, n_terms=n_terms)
+        assert gap <= bound
+
+    def test_dense_input_and_weight(self):
+        B, I, O = 6, 40, 7
+        layer = Dense(I, O, rng_(85))
+        x = rng_(86).normal(size=(B, I))
+        v_weight = rng_(87).normal(size=(O, I))
+        w = rng_(88).normal(size=(B, O))
+        layer.forward(x, training=True)
+        gx = layer.backward(w)
+        weight = np.asarray(layer.weight, dtype=np.longdouble)
+        gap, bound = adjoint_gap_with_bound(lambda v: v @ weight.T, lambda v: v @ np.abs(weight).T,
+                                            x, w, gx, chain=O, n_terms=B * I * O)
+        assert gap <= bound
+        x_ld = np.asarray(x, dtype=np.longdouble)
+        gap, bound = adjoint_gap_with_bound(lambda v: x_ld @ v.T, lambda v: np.abs(x_ld) @ v.T,
+                                            v_weight, w, layer.wgrad, chain=B, n_terms=B * I * O)
+        assert gap <= bound
+
+    def test_adaptive_avg_pool_with_unequal_bins(self):
+        pool = AdaptiveAvgPool(4)
+        x = rng_(89).normal(size=(3, 11, 2))
+        edges = list(zip(*pool._edges(11)))
+        assert len({e - s for s, e in edges}) > 1 and edges[0][1] > edges[1][0]
+        w = rng_(90).normal(size=pool.forward(x, training=True).shape)
+        gx = pool.backward(w)
+        n_terms = 3 * 2 * sum(e - s for s, e in edges)
+        # a division and an addition per covering bin
+        gap, bound = adjoint_gap_with_bound(lambda v: adaptive_avg_pool_direct(v, edges),
+                                            lambda v: adaptive_avg_pool_direct(v, edges),
+                                            x, w, gx, chain=pool.bins, n_terms=n_terms)
+        assert gap <= bound
+
+    def test_flatten(self):
+        layer = Flatten()
+        x = rng_(91).normal(size=(3, 4, 5))
+        w = rng_(92).normal(size=(3, 20))
+        layer.forward(x, training=True)
+        gx = layer.backward(w)
+        gap, bound = adjoint_gap_with_bound(lambda v: v.reshape(3, 20), lambda v: v.reshape(3, 20),
+                                            x, w, gx, chain=0, n_terms=x.size)
+        assert gap <= bound
 
 
 class TestResidual:
@@ -480,7 +555,6 @@ class TestResidual:
             return float(np.sum(w * block.forward(x, training=True)))
 
         loss()
-        block.zero_grad()
         gx = block.backward(w)
         for flat in rng_(31).choice(x.size, size=8, replace=False):
             index = np.unravel_index(int(flat), x.shape)
@@ -596,7 +670,7 @@ class TestModelContainer:
         check_model_gradients(model, x, y, rel_tol=1e-4,
                               max_entries_per_param=8, rng=rng_(38))
 
-    def test_residual_model_gradients_after_zero_grad(self):
+    def test_residual_model_gradients_overwrite_stale_ones(self):
         rng = rng_(41)
         layers = [Conv1d(1, 2, 3, rng), Residual([Conv1d(2, 2, 3, rng, padding="same"), ReLU()]),
                   AdaptiveAvgPool(2), Flatten(), Dense(4, 3, rng)]
@@ -614,7 +688,6 @@ class TestModelContainer:
         x = rng_(43).normal(size=(4, 256))
         _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1, 2, 3]))
         # every layer's full backward, the first conv's input gradient included
-        model.zero_grad()
         g = grad
         for layer in reversed(model.layers):
             g = layer.backward(g)
@@ -627,11 +700,24 @@ class TestModelContainer:
             raise AssertionError("the first conv computed an input gradient")
 
         monkeypatch.setattr(first, "backward", no_input_gradient)
-        model.zero_grad()
         assert model.backward(grad) is None
         for got, expected in zip(model.gradients(), want):
             np.testing.assert_array_equal(got, expected)
 
+
+    @pytest.mark.parametrize("mode, backbone", [("tfn-add", "lenet-1d"),
+                                                ("backbone-only", "resnet-1d")])
+    def test_two_backward_passes_give_the_gradients_of_one(self, mode, backbone):
+        model = assemble_model(mode, backbone=backbone, n_channels=2)
+        held = model.gradients()
+        logits = model.forward(rng_(45).normal(size=(2, 128)), training=True)
+        _, grad = softmax_cross_entropy(logits, np.array([0, 1]))
+        model.backward(grad)
+        once = [g.copy() for g in held]
+        model.backward(grad)
+        for array, got, want in zip(held, model.gradients(), once, strict=True):
+            assert got is array  # set in place, so an optimizer's list stays live
+            np.testing.assert_array_equal(got, want)
 
     def test_front_tfconv_step_goes_through_its_backward(self):
         # per-layer tracing wraps each layer's ``backward`` on the instance
