@@ -1,17 +1,23 @@
 """Model checkpoints and training-history files.
 
-Checkpoint layout: magic ``TFN1``, a little-endian u32 JSON header length,
-the JSON header (assembly recipe: mode, backbone, class count, kernel
-config, dtype, block names), then one block per array that a layer's
-``state`` names: a u16 length, the name ``<layer.name>.<attribute>`` (such as
-``4.batchnorm1d.running_var``), a u8 rank, u32 dimensions and little-endian
-float64 values.  Batch norm running statistics are stored alongside learnable
-parameters so a loaded model evaluates identically.  The loader checks each
-block's name and shape against the rebuilt model before reading its values,
-and a malformed file raises ``ValueError`` naming the file.
+Checkpoint layout: the magic ``TFN2``, the 32-byte sha256 digest of
+everything after it, a little-endian u32 JSON header length, the JSON
+header (assembly recipe: mode, backbone, class count, kernel config, dtype,
+block names), then every array that a layer's ``state`` names, as
+little-endian float64 values back to back.  A block is named
+``<layer.name>.<attribute>`` (such as ``4.batchnorm1d.running_var``), and
+the model the header rebuilds fixes its shape.  Batch norm running
+statistics are stored alongside learnable parameters so a loaded model
+evaluates identically.
+
+The magic is the format's one version marker: a ``TFN1`` file (format
+version 1, with per-block framing) does not load.  The loader checks the
+magic, then the digest, then the header against the model it rebuilds and
+the payload's length against that model's arrays; a malformed file raises
+``ValueError`` naming the file.
 """
 
-import io
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -22,8 +28,7 @@ from tfnet.kernels import KernelFamily, check_theta, default_grid, param_names
 from tfnet.nn import Model, TFconvLayer, assemble_model
 from tfnet.training import TrainHistory
 
-MAGIC = b"TFN1"
-FORMAT_VERSION = 1
+MAGIC = b"TFN2"
 
 
 def _named_blocks(model: Model):
@@ -34,90 +39,64 @@ def _named_blocks(model: Model):
 
 
 def save_model(model: Model, path) -> None:
+    blocks = list(_named_blocks(model))
     header = {
-        "version": FORMAT_VERSION,
         "mode": model.mode,
         "backbone": model.backbone,
         "n_classes": model.n_classes,
         "dtype": model.dtype.name,
         "tfconv": model.tfconv_config,
+        "blocks": [name for name, _ in blocks],
     }
-    blocks = list(_named_blocks(model))
-    header["blocks"] = [name for name, _ in blocks]
     payload = json.dumps(header, sort_keys=True).encode()
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for name, arr in blocks:
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_exact(fh, n, path, what):
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError(f"{path}: truncated checkpoint while reading {what}")
-    return raw
+    body = b"".join([struct.pack("<I", len(payload)), payload,
+                     *(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in blocks)])
+    Path(path).write_bytes(MAGIC + hashlib.sha256(body).digest() + body)
 
 
 def load_model(path) -> Model:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"checkpoint {p} not found")
-    # a checkpoint is a few MiB at most; in memory, a corrupt length reads short
-    with io.BytesIO(p.read_bytes()) as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{p}: not a model checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, p, "header length"))
-        raw_header = _read_exact(fh, hlen, p, "header")
+    # a checkpoint is a few MiB at most; slices of the view copy nothing
+    raw = memoryview(p.read_bytes())
+    magic, digest, body = bytes(raw[:4]), raw[4:36], raw[36:]
+    if magic != MAGIC:
+        raise ValueError(f"{p}: bad magic {magic!r}, expected {MAGIC!r}: "
+                         "not a checkpoint of format version 2")
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError(f"{p}: checksum mismatch: the checkpoint is corrupt or truncated")
+    hlen = int.from_bytes(body[:4], "little")
+    try:
+        header = json.loads(bytes(body[4 : 4 + hlen]))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ValueError(f"{p}: invalid JSON checkpoint header: {exc}") from exc
+    if type(header) is not dict:
+        raise ValueError(f"{p}: checkpoint header is not a JSON object")
+    try:
+        model = _rebuild(header)
+        blocks = dict(_named_blocks(model))
+        if header["blocks"] != list(blocks):
+            raise ValueError(f"'blocks' entry {header['blocks']!r} does not match "
+                             f"the rebuilt model's {list(blocks)}")
+    except KeyError as exc:
+        raise ValueError(f"{p}: checkpoint header has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{p}: invalid checkpoint header: {exc}") from None
+    values = body[4 + hlen :]
+    need = 8 * sum(target.size for target in blocks.values())
+    if len(values) != need:
+        raise ValueError(f"{p}: parameter payload holds {len(values)} bytes, "
+                         f"the model needs {need}")
+    values = np.frombuffer(values, dtype="<f8")
+    for name, target in blocks.items():
         try:
-            header = json.loads(raw_header)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise ValueError(f"{p}: invalid JSON checkpoint header: {exc}") from exc
-        if type(header) is not dict:
-            raise ValueError(f"{p}: checkpoint header is not a JSON object")
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(f"{p}: unsupported checkpoint version {header.get('version')}")
-        try:
-            model = _rebuild(header)
-            block_names = header["blocks"]
-            if type(block_names) is not list:
-                raise TypeError(f"'blocks' must be a list, got {type(block_names).__name__}")
-        except KeyError as exc:
-            raise ValueError(f"{p}: checkpoint header has no {exc.args[0]!r} entry") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{p}: invalid checkpoint header: {exc}") from None
-        expected = dict(_named_blocks(model))
-        seen = []
-        for _ in block_names:
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, p, "block name length"))
-            name = _read_exact(fh, nlen, p, "block name").decode(errors="backslashreplace")
-            if name not in expected:
-                raise ValueError(f"{p}: unexpected parameter block {name!r}")
-            target = expected[name]
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, p, "block rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, p, "block shape"))
-            if shape != target.shape:
-                raise ValueError(
-                    f"{p}: block {name!r} has shape {shape}, model expects {target.shape}")
-            raw = _read_exact(fh, target.size * 8, p, f"block {name}")
-            try:
-                with np.errstate(over="raise"):
-                    target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            except FloatingPointError:
-                raise ValueError(
-                    f"{p}: block {name!r} holds values beyond {target.dtype} range") from None
-            seen.append(name)
-        missing = set(expected) - set(seen)
-        if missing:
-            raise ValueError(f"{p}: missing parameter blocks {sorted(missing)}")
-        if fh.read(1):
-            raise ValueError(f"{p}: trailing bytes after final block")
+            with np.errstate(over="raise"):
+                target[...] = values[: target.size].reshape(target.shape)
+        except FloatingPointError:
+            raise ValueError(
+                f"{p}: block {name!r} holds values beyond {target.dtype} range") from None
+        values = values[target.size :]
     if model.tfconv is not None:
         try:
             check_theta(model.tfconv.family, model.tfconv.theta)

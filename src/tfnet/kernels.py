@@ -20,7 +20,11 @@ morlet     scaled mother window (1/sqrt(s)) * Psi(n/s) on n in -150..150,
            Psi(m) = exp(-(m/10)^2/2) * exp(j*2*pi*0.2*m); center frequency
            0.2/s.
 laplace    same mother window and scaling as morlet but on the one-sided
-           grid n in 0..150 (asymmetry comes from the one-sided support).
+           grid n in 0..150 (asymmetry comes from the one-sided support),
+           so a half-Gaussian envelope.  WaveletKernelNet (Li et al.,
+           arXiv:1911.07925), which TFN compares against, defines its
+           Laplace wavelet as an exponentially damped sinusoid instead;
+           the shape here is kept as it is.
 random     unconstrained raw taps, P = 2K (real taps, then imaginary taps)
            on n in -25..25, trained like plain convolution weights; only
            legal in the random-kernel ablation.
@@ -121,11 +125,9 @@ def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
         s = theta[:, :1]
         return _mother(n / s) / np.sqrt(s)
     env = np.exp(-0.5 * (n / ENVELOPE_SIGMA) ** 2)
+    # sttf is the chirplet at rate 0; adding the zero chirp term leaves f*n bitwise
     f = theta[:, :1]
-    if family is KernelFamily.STTF:
-        # phase grouped as (f*n) so a zero-rate chirplet reproduces this bitwise
-        return env * np.exp(2j * np.pi * (f * n))
-    alpha = theta[:, 1:]
+    alpha = theta[:, 1:] if family is KernelFamily.CHIRPLET else 0.0
     return env * np.exp(2j * np.pi * (0.5 * alpha * n**2 + f * n))
 
 
@@ -142,9 +144,8 @@ def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
         s = theta[:, :1]
         d = -psi / (2.0 * s) - (n / s**2) * _mother_deriv(n / s) / np.sqrt(s)
         return d[:, None, :]
-    if family is KernelFamily.STTF:
-        return (2j * np.pi * n * psi)[:, None, :]
-    return np.stack([2j * np.pi * n * psi, 1j * np.pi * n**2 * psi], axis=1)
+    # d/df and d/dalpha of the chirplet; sttf keeps the first
+    return np.stack([2j * np.pi * n * psi, 1j * np.pi * n**2 * psi], axis=1)[:, : theta.shape[1]]
 
 
 def clamp_params(family: KernelFamily, theta: np.ndarray):

@@ -421,14 +421,17 @@ class TFconvLayer(Layer):
     """Time-frequency convolutional layer: complex correlation, then modulus.
 
     The layer correlates its 1-channel input with the real and imaginary
-    parts of a bank of kernel-function-generated complex kernels
-    (length-preserving zero padding) and outputs the pointwise modulus:
+    parts of a bank of kernel-function-generated complex kernels and
+    outputs the pointwise modulus:
 
         h_real[k] = Re(psi_k) (*) x
         h_img[k]  = Im(psi_k) (*) x
         h[k]      = sqrt(h_real^2 + h_img^2 + EPS_MODULUS)
 
-    where (*) is cross-correlation.  The kernel bank is the pair
+    where (*) is length-preserving cross-correlation, aligned by the
+    family's grid: output l reads x[l + n] through the tap at grid index
+    n, so the centred families pad both sides alike and the one-sided
+    laplace grid pads only the right.  The kernel bank is the pair
     ``(family, theta)``: the family fixes the kernel function and its grid,
     and ``theta``, a (C, P) float64 array, holds each channel's P control
     parameters, the layer's only trainable weights.  A training forward
@@ -480,7 +483,7 @@ class TFconvLayer(Layer):
         kern = self.kernels()
         if compute is np.float32:
             kern = kern.astype(np.complex64)
-        corr, Xf = batch_correlate_same(x, kern)
+        corr, Xf = batch_correlate_same(x, kern, default_grid(self.family))
         if self.modulus:
             # sqrt(h_real**2 + h_img**2 + eps) in one full-size buffer
             h = np.square(corr.real)
@@ -511,7 +514,7 @@ class TFconvLayer(Layer):
             g *= grad / h
         else:
             g = grad
-        taps = batch_conv_full_slice(g, Xf, len(default_grid(self.family)))
+        taps = batch_conv_full_slice(g, Xf, default_grid(self.family))
         dpsi = kernel_param_grad(self.family, self.theta)
         self.grad_theta[...] = np.einsum("cpk,ck->cp", dpsi, taps).real
 

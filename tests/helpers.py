@@ -1,11 +1,14 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks."""
 
+import hashlib
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from tfnet.core_math import same_pad_widths
-from tfnet.kernels import KernelFamily, evaluate_kernels, kernel_param_grad
+from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
 from tfnet.nn import EPS_MODULUS, Model, softmax_cross_entropy
 
 
@@ -34,16 +37,19 @@ def cross_correlate_valid(x, k) -> np.ndarray:
     return windows @ ka
 
 
-def cross_correlate_same(x, k) -> np.ndarray:
+def cross_correlate_same(x, k, grid=None) -> np.ndarray:
     """Length-preserving correlation: zero-pad, then valid correlation.
 
-    Pads floor((K-1)/2) zeros on the left and ceil((K-1)/2) on the right.
+    ``grid`` holds the kernel's integer tap indices, and output l reads
+    x[l + grid[m]] through tap m: the pads are -grid[0] zeros on the left
+    and grid[-1] on the right.  Without a grid the kernel is centred,
+    floor((K-1)/2) zeros on the left and ceil((K-1)/2) on the right.
     """
     xa = _as_1d(x, "x")
     ka = _as_1d(k, "k")
     if xa.size == 0:
         raise ValueError("cross_correlate_same: empty signal")
-    left, right = same_pad_widths(ka.size)
+    left, right = same_pad_widths(ka.size) if grid is None else (-grid[0], grid[-1])
     padded = np.concatenate(
         [np.zeros(left, dtype=xa.dtype), xa, np.zeros(right, dtype=xa.dtype)]
     )
@@ -54,12 +60,15 @@ def reference_tft(x: np.ndarray, family: KernelFamily, thetas) -> np.ndarray:
     """Direct time-frequency transform of one signal, row per parameter set.
 
     Row i is the length-preserving correlation of ``x`` with the kernel
-    generated from ``thetas[i]``; its modulus is the time-frequency
-    spectrum.  Uses the direct sliding-window path, independent of the
-    FFT-based layer forward, so the two can check each other.
+    generated from ``thetas[i]``, aligned by the family's grid; its modulus
+    is the time-frequency spectrum.  Uses the direct sliding-window path,
+    independent of the FFT-based layer forward, so the two can check each
+    other.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    rows = [cross_correlate_same(x, psi) for psi in evaluate_kernels(family, np.atleast_2d(thetas))]
+    grid = default_grid(family)
+    rows = [cross_correlate_same(x, psi, grid)
+            for psi in evaluate_kernels(family, np.atleast_2d(thetas))]
     return np.stack(rows)
 
 
@@ -162,20 +171,21 @@ def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int
     x64, w64 = x.astype(np.float64), w.astype(np.float64)
     B, L = x64.shape
     bank = layer.kernels()
+    grid = default_grid(layer.family)
     dpsi = kernel_param_grad(layer.family, layer.theta)  # (C, P, K)
     C, P, K = dpsi.shape
     want = np.zeros((C, P))
     bound = np.zeros((C, P))
     for c in range(C):
         for b in range(B):
-            z = cross_correlate_same(x64[b], bank[c])
+            z = cross_correlate_same(x64[b], bank[c], grid)
             h = np.sqrt(z.real**2 + z.imag**2 + EPS_MODULUS)
             g = np.conj(z) * w64[b, c] / h
             tau = correlation_roundoff(x64[b], bank[c], n, dtype)[0] + direct_roundoff(x64[b], bank[c])
             taps_err, taps_norm = correlation_roundoff(x64[b], g, n, dtype)
             far = h > 1.5 * tau
             for p in range(P):
-                d = cross_correlate_same(x64[b], dpsi[c, p])
+                d = cross_correlate_same(x64[b], dpsi[c, p], grid)
                 wd = np.abs(w64[b, c] * d)
                 want[c, p] += np.sum(w64[b, c] * (z.real * d.real + z.imag * d.imag) / h)
                 bound[c, p] += (tau * np.linalg.norm(wd[far] / (h[far] - tau))
@@ -385,33 +395,23 @@ def check_model_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     return worst
 
 
-def checkpoint_block_offsets(raw: bytes) -> list[tuple[int, int, int]]:
-    """(start, rank offset, data offset) of every block of checkpoint bytes ``raw``."""
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    pos, blocks = 8 + hlen, []
-    while pos < len(raw):
-        (nlen,) = struct.unpack("<H", raw[pos : pos + 2])
-        rank_at = pos + 2 + nlen
-        data_at = rank_at + 1 + 4 * raw[rank_at]
-        shape = struct.unpack(f"<{raw[rank_at]}I", raw[rank_at + 1 : data_at])
-        blocks.append((pos, rank_at, data_at))
-        pos = data_at + 8 * int(np.prod(shape))
-    return blocks
+def checkpoint_parts(raw: bytes) -> tuple[bytes, bytes]:
+    """(JSON header, parameter payload) of checkpoint bytes ``raw``, past its magic and digest."""
+    (hlen,) = struct.unpack("<I", raw[36:40])
+    return raw[40 : 40 + hlen], raw[40 + hlen :]
 
 
-CHECKPOINT_CORRUPTIONS = ("name-not-utf8", "rank-4-dims-max")
+def resign_checkpoint(path, header, values=None) -> None:
+    """Rewrite the checkpoint at ``path`` with ``header`` and a digest that matches.
 
-
-def corrupt_first_block(raw: bytes, case: str) -> bytes:
-    """Checkpoint bytes ``raw`` with the first block corrupted as ``case`` names.
-
-    ``name-not-utf8`` flips bit 7 of the block name's first byte;
-    ``rank-4-dims-max`` declares rank 4 with every dimension 0xFFFFFFFF, a
-    product that wraps.  The loader once read past both unchecked.
+    ``header`` is a dict, dumped as ``save_model`` dumps it, or raw bytes;
+    ``values`` replaces the parameter payload, which is kept by default.  An
+    edited file that is re-signed gets past the digest to the check after it.
     """
-    start, rank_at, _ = checkpoint_block_offsets(raw)[0]
-    if case == "name-not-utf8":
-        return raw[: start + 2] + bytes([raw[start + 2] ^ 0x80]) + raw[start + 3 :]
-    if case == "rank-4-dims-max":
-        return raw[:rank_at] + b"\x04" + b"\xff" * 16 + raw[rank_at + 1 + 4 * raw[rank_at] :]
-    raise ValueError(f"unknown corruption {case!r}")
+    raw = Path(path).read_bytes()
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True).encode()
+    if values is None:
+        values = checkpoint_parts(raw)[1]
+    body = struct.pack("<I", len(header)) + header + values
+    Path(path).write_bytes(raw[:4] + hashlib.sha256(body).digest() + body)

@@ -1,14 +1,14 @@
 """Checkpoint format and CSV artifact writers."""
 
+import hashlib
 import json
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CHECKPOINT_CORRUPTIONS, checkpoint_block_offsets, corrupt_first_block
+from helpers import checkpoint_parts, resign_checkpoint
 from tfnet.checkpoint import (
     MAGIC,
     load_model,
@@ -38,7 +38,19 @@ class TestSaveLoadRoundTrip:
         model = assemble_model("backbone-only", n_classes=5, seed=0)
         path = tmp_path / "m.tfn"
         save_model(model, path)
-        assert path.read_bytes()[:4] == MAGIC == b"TFN1"
+        assert path.read_bytes()[:4] == MAGIC == b"TFN2"
+
+    def test_layout_is_digest_header_and_flat_payload(self, tmp_path):
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, seed=0)
+        path = tmp_path / "m.tfn"
+        save_model(model, path)
+        raw = path.read_bytes()
+        assert raw[4:36] == hashlib.sha256(raw[36:]).digest()
+        header, values = checkpoint_parts(raw)
+        assert "version" not in json.loads(header)  # the magic is the version marker
+        arrays = [getattr(layer, attr).ravel() for layer in model.walk_layers()
+                  for attr, _ in layer.state]
+        np.testing.assert_array_equal(np.frombuffer(values, dtype="<f8"), np.concatenate(arrays))
 
     @pytest.mark.parametrize("mode,family,backbone", [
         pytest.param("backbone-only", None, "paper-cnn", id="backbone-only-None"),
@@ -53,9 +65,7 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3, **kwargs)
         path = tmp_path / "m.tfn"
         save_model(model, path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        blocks = json.loads(raw[8 : 8 + hlen])["blocks"]
+        blocks = json.loads(checkpoint_parts(path.read_bytes())[0])["blocks"]
         if backbone == "resnet-1d":
             # sublayer j of the residual block at top-level index i is "i.res<j>.<kind>"
             assert blocks[blocks.index("8.batchnorm1d.running_var") + 1] == "10.res0.conv1d.weight"
@@ -86,9 +96,7 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, family=family, n_channels=channels, n_classes=n_classes,
                                dtype=np.dtype(dtype))
         save_model(model, tmp_path / "m.tfn")
-        raw = (tmp_path / "m.tfn").read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8 : 8 + hlen])
+        header = json.loads(checkpoint_parts((tmp_path / "m.tfn").read_bytes())[0])
         if tfconv is not None:
             keys = ("family", "n_channels", "kernel_length", "modulus")
             tfconv = dict(zip(keys, tfconv), eps_modulus=1e-12)
@@ -128,11 +136,9 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3)
         path = tmp_path / "m.tfn"
         save_model(model, path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
         want = [f"{layer}.{suffix}" for layer in self.SAVED_LAYERS[mode, backbone].split()
                 for suffix in self.BLOCK_SUFFIXES[layer.split(".")[1]]]
-        assert json.loads(raw[8 : 8 + hlen])["blocks"] == want
+        assert json.loads(checkpoint_parts(path.read_bytes())[0])["blocks"] == want
 
     def test_trained_model_evaluates_identically(self, tmp_path):
         x, y = small_signals()
@@ -177,11 +183,19 @@ class TestSaveLoadRoundTrip:
 
 
 class TestLoadValidation:
+    """Each edit of a header or payload is re-signed, so that it reaches its own check."""
+
     def checkpoint_bytes(self, tmp_path, **kwargs):
         model = assemble_model("tfn-add", n_classes=5, seed=0, **kwargs)
         path = tmp_path / "m.tfn"
         save_model(model, path)
         return path, path.read_bytes()
+
+    @staticmethod
+    def edited_header(raw, edit):
+        header = json.loads(checkpoint_parts(raw)[0])
+        edit(header)
+        return header
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -194,47 +208,66 @@ class TestLoadValidation:
             load_model(path)
 
     def test_unsupported_version(self, tmp_path):
+        # version 1 files do not load; the magic alone decides, before the digest
         path, raw = self.checkpoint_bytes(tmp_path)
-        assert raw.count(b'"version": 1') == 1
-        path.write_bytes(raw.replace(b'"version": 1', b'"version": 2'))
-        with pytest.raises(ValueError, match="version"):
+        path.write_bytes(b"TFN1" + raw[4:])
+        with pytest.raises(ValueError, match=r"m\.tfn: bad magic b'TFN1', expected b'TFN2': "
+                                             r"not a checkpoint of format version 2"):
+            load_model(path)
+
+    @pytest.mark.parametrize("part", ["digest", "payload"])
+    def test_flipped_bit_fails_the_checksum(self, tmp_path, part):
+        path, raw = self.checkpoint_bytes(tmp_path)
+        at = 4 if part == "digest" else len(raw) - 3
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :])
+        with pytest.raises(ValueError, match=r"m\.tfn: checksum mismatch"):
             load_model(path)
 
     def test_truncated_stream(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
         path.write_bytes(raw[:-10])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=r"m\.tfn: checksum mismatch: .* truncated"):
+            load_model(path)
+        header, values = checkpoint_parts(raw)
+        resign_checkpoint(path, header, values[:-8])
+        with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values) - 8} "
+                                             rf"bytes, the model needs {len(values)}"):
             load_model(path)
 
     def test_trailing_bytes(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
         path.write_bytes(raw + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
+        with pytest.raises(ValueError, match=r"m\.tfn: checksum mismatch"):
+            load_model(path)
+        header, values = checkpoint_parts(raw)
+        resign_checkpoint(path, header, values + b"\x00")
+        with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values) + 1} "
+                                             rf"bytes, the model needs {len(values)}"):
             load_model(path)
 
     def test_unexpected_block_name(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
-        assert b"theta" in raw
-        path.write_bytes(raw.replace(b"theta", b"thetb"))
-        with pytest.raises(ValueError, match="unexpected parameter block"):
+        header = checkpoint_parts(raw)[0]
+        assert header.count(b"theta") == 1
+        resign_checkpoint(path, header.replace(b"theta", b"thetb"))
+        with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
+                                             r"\['0\.tfconvlayer\.thetb', .* does not match"):
             load_model(path)
 
     def test_shape_mismatch(self, tmp_path):
         # shrinking the declared channel count makes the rebuilt model
-        # expect a smaller theta block than the stream carries
+        # expect smaller theta and first-conv blocks than the payload carries
         path, raw = self.checkpoint_bytes(tmp_path)
-        assert raw.count(b'"n_channels": 8') == 1
-        path.write_bytes(raw.replace(b'"n_channels": 8', b'"n_channels": 4'))
-        with pytest.raises(ValueError, match="shape"):
+        header, values = checkpoint_parts(raw)
+        assert header.count(b'"n_channels": 8') == 1
+        resign_checkpoint(path, header.replace(b'"n_channels": 8', b'"n_channels": 4'))
+        with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values)} "
+                                             r"bytes, the model needs \d+"):
             load_model(path)
 
     def test_header_without_mode_names_file_and_key(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
-        hlen = struct.unpack("<I", raw[4:8])[0]
-        header = json.loads(raw[8 : 8 + hlen])
-        del header["mode"]
-        payload = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+        resign_checkpoint(path, self.edited_header(raw, lambda header: header.pop("mode")))
         with pytest.raises(ValueError, match=r"m\.tfn: checkpoint header has no 'mode' entry"):
             load_model(path)
 
@@ -244,9 +277,8 @@ class TestLoadValidation:
         (b'["mode", "tfn-add"]', "checkpoint header is not a JSON object"),
     ], ids=["not-json", "not-utf8", "not-an-object"])
     def test_corrupt_header_names_file(self, tmp_path, payload, message):
-        path, raw = self.checkpoint_bytes(tmp_path)
-        hlen = struct.unpack("<I", raw[4:8])[0]
-        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+        path, _ = self.checkpoint_bytes(tmp_path)
+        resign_checkpoint(path, payload)
         with pytest.raises(ValueError, match=r"m\.tfn: " + message):
             load_model(path)
 
@@ -254,7 +286,7 @@ class TestLoadValidation:
         ("n_classes", "x", "invalid literal for int"),
         ("tfconv", ["sttf"], "list indices"),
         ("tfconv.family", "bogus", "'bogus' is not a valid KernelFamily"),
-        ("blocks", 3, "'blocks' must be a list, got int"),
+        ("blocks", 3, "'blocks' entry 3 does not match the rebuilt model's"),
         ("dtype", "int32", "dtype must be float32 or float64, got int32"),
         # the rebuilt model fixes every tfconv entry; an edited one must not load
         ("tfconv.eps_modulus", 1e-6, "'tfconv' entry .* does not match mode 'tfn-add'"),
@@ -266,15 +298,14 @@ class TestLoadValidation:
             "tfn-add-without-tfconv"])
     def test_header_value_of_wrong_type_names_file(self, tmp_path, key, value, message):
         path, raw = self.checkpoint_bytes(tmp_path)
-        hlen = struct.unpack("<I", raw[4:8])[0]
-        header = json.loads(raw[8 : 8 + hlen])
-        *parents, last = key.split(".")
-        entry = header
-        for name in parents:
-            entry = entry[name]
-        entry[last] = value
-        payload = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
+
+        def edit(header):
+            *parents, last = key.split(".")
+            for name in parents:
+                header = header[name]
+            header[last] = value
+
+        resign_checkpoint(path, self.edited_header(raw, edit))
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: .*" + message):
             load_model(path)
 
@@ -288,71 +319,73 @@ class TestLoadValidation:
 
     def test_missing_block_detected(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
-        hlen = struct.unpack("<I", raw[4:8])[0]
-        header = json.loads(raw[8 : 8 + hlen])
-        header["blocks"] = header["blocks"][:-1]
-        payload = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload + raw[8 + hlen :])
-        with pytest.raises(ValueError, match="missing|trailing"):
-            load_model(path)
-
-    @pytest.mark.parametrize("case, message", [
-        ("name-not-utf8", r"unexpected parameter block '.*xb0\.tfconvlayer\.theta'"),
-        ("rank-4-dims-max", r"block '0\.tfconvlayer\.theta' has shape \(4294967295,"),
-    ], ids=CHECKPOINT_CORRUPTIONS)
-    def test_corrupt_first_block_names_file(self, tmp_path, case, message):
-        # each was read before it was checked: a UnicodeDecodeError and a
-        # negative read length, neither naming the file
-        path, raw = self.checkpoint_bytes(tmp_path, backbone="lenet-1d")
-        path.write_bytes(corrupt_first_block(raw, case))
-        with pytest.raises(ValueError, match=r"m\.tfn: " + message):
+        resign_checkpoint(path, self.edited_header(raw, lambda header: header["blocks"].pop()))
+        with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
+                                             r".* does not match the rebuilt model's"):
             load_model(path)
 
     def test_value_beyond_float32_names_file(self, tmp_path):
-        # the top exponent bit of the conv weight's first float64 value:
-        # finite in the file, beyond the float32 model's range
+        # the top exponent bit of the conv weight's first float64 value,
+        # just past the 8x1 theta block: finite in the file, beyond the
+        # float32 model's range
         path, raw = self.checkpoint_bytes(tmp_path, backbone="lenet-1d", dtype=np.float32)
-        _, _, data_at = checkpoint_block_offsets(raw)[1]
-        path.write_bytes(raw[: data_at + 7] + bytes([raw[data_at + 7] ^ 0x40]) + raw[data_at + 8 :])
+        header, values = checkpoint_parts(raw)
+        at = 8 * 8 + 7
+        resign_checkpoint(path, header, values[:at] + bytes([values[at] ^ 0x40]) + values[at + 1 :])
         with pytest.raises(ValueError, match=r"m\.tfn: block '1\.conv1d\.weight' holds values "
                                              r"beyond float32 range"):
             load_model(path)
 
 
+def lenet_checkpoint(directory, dtype):
+    model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, n_classes=3,
+                           dtype=np.dtype(dtype))
+    save_model(model, directory / "m.tfn")
+    return directory / "m.tfn", (directory / "m.tfn").read_bytes()
+
+
+def fails_naming(path, raw):
+    """Whether loading ``raw`` from ``path`` raises a ValueError naming the file."""
+    path.write_bytes(raw)
+    try:
+        load_model(path)
+    except ValueError as exc:
+        return str(path) in str(exc)
+    return False
+
+
 @pytest.fixture(scope="module")
 def fuzz_checkpoints(tmp_path_factory):
-    """Small float64 and float32 checkpoints, each with the offsets of its non-data bytes."""
+    """Small float64 and float32 checkpoints, each with its length up to the payload."""
     out = {}
     for dtype in ("float64", "float32"):
-        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, n_classes=3,
-                               dtype=np.dtype(dtype))
-        path = tmp_path_factory.mktemp(dtype) / "m.tfn"
-        save_model(model, path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        framing = list(range(8 + hlen)) + [
-            i for start, _, data_at in checkpoint_block_offsets(raw) for i in range(start, data_at)]
-        out[dtype] = path.with_name("fuzzed.tfn"), raw, framing
+        path, raw = lenet_checkpoint(tmp_path_factory.mktemp(dtype), dtype)
+        out[dtype] = path.with_name("fuzzed.tfn"), raw, 40 + len(checkpoint_parts(raw)[0])
     return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_bit_flip_or_truncation_loads_or_names_the_file(fuzz_checkpoints, data):
-    path, raw, framing = fuzz_checkpoints[data.draw(st.sampled_from(["float64", "float32"]))]
+def test_bit_flip_or_truncation_fails_naming_the_file(fuzz_checkpoints, data):
+    path, raw, prefix = fuzz_checkpoints[data.draw(st.sampled_from(["float64", "float32"]))]
     if data.draw(st.booleans()):
         corrupt = raw[: data.draw(st.integers(0, len(raw) - 1))]
     else:
-        # the header and block framing are a small share of the bytes, so
+        # the magic, digest and header are a small share of the bytes, so
         # half the flips are drawn from them
-        at = data.draw(st.one_of(st.sampled_from(framing), st.integers(0, len(raw) - 1)))
+        at = data.draw(st.one_of(st.integers(0, prefix - 1), st.integers(0, len(raw) - 1)))
         corrupt = bytearray(raw)
         corrupt[at] ^= 1 << data.draw(st.integers(0, 7))
-    path.write_bytes(corrupt)
-    try:
-        load_model(path)
-    except ValueError as exc:
-        assert str(path) in str(exc)
+    assert fails_naming(path, bytes(corrupt))
+
+
+def test_every_bit_flip_before_the_payload_fails_naming_the_file(tmp_path):
+    path, raw = lenet_checkpoint(tmp_path, "float64")
+    fuzzed = path.with_name("fuzzed.tfn")
+    prefix = 40 + len(checkpoint_parts(raw)[0])
+    loaded = [(at, bit) for at in range(prefix) for bit in range(8)
+              if not fails_naming(fuzzed, raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1 :])]
+    assert loaded == []
 
 
 class TestHistoryCsv:

@@ -6,7 +6,6 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import CHECKPOINT_CORRUPTIONS, corrupt_first_block
 from tfnet import cli
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -114,7 +113,7 @@ class TestGenData:
 
 class TestTrain:
     def test_artifacts(self, trained_dir):
-        assert (trained_dir / "model.tfn").read_bytes()[:4] == b"TFN1"
+        assert (trained_dir / "model.tfn").read_bytes()[:4] == b"TFN2"
         history = (trained_dir / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(history) == 3  # two epochs
@@ -256,14 +255,23 @@ def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys,
     assert f"error: {ckpt}: f out of [0.0, 0.49" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", CHECKPOINT_CORRUPTIONS)
-def test_corrupt_checkpoint_block_blames_the_checkpoint(tmp_path, data_dir, capsys, case):
+@pytest.mark.parametrize("case, message", [
+    ("payload-bit-flip", "checksum mismatch"),
+    # a version-1 file fails on its magic alone, whatever follows it
+    ("format-version-1", "bad magic b'TFN1', expected b'TFN2'"),
+], ids=["payload-bit-flip", "format-version-1"])
+def test_corrupt_checkpoint_blames_the_checkpoint(tmp_path, data_dir, capsys, case, message):
     ckpt = tmp_path / "bad.tfn"
     save_model(assemble_model("tfn-add", backbone="lenet-1d", n_channels=2), ckpt)
-    ckpt.write_bytes(corrupt_first_block(ckpt.read_bytes(), case))
+    raw = bytearray(ckpt.read_bytes())
+    if case == "payload-bit-flip":
+        raw[-3] ^= 0x10
+    else:
+        raw[:4] = b"TFN1"
+    ckpt.write_bytes(raw)
     code = main(["eval", "--set", f"checkpoint={ckpt}", "--set", f"dataset={data_dir}"])
     assert code == EXIT_RUNTIME
-    assert f"error: {ckpt}: " in capsys.readouterr().err
+    assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
 
 # one manifest edit per case; an invalid count is the reference for the exit code

@@ -8,7 +8,8 @@ from helpers import (central_difference, cross_correlate_same, reference_tft, re
                      tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound)
 from tfnet import core_math, nn
 from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
-from tfnet.kernels import KernelFamily, evaluate_kernels, init_params, kernel_param_grad
+from tfnet.kernels import (KernelFamily, default_grid, evaluate_kernels, init_params,
+                           kernel_param_grad)
 from tfnet.nn import EPS_MODULUS, TFconvLayer
 
 FAMILIES = [KernelFamily.STTF, KernelFamily.CHIRPLET, KernelFamily.MORLET,
@@ -87,7 +88,7 @@ class TestForward:
         bank = evaluate_kernels(layer.family, layer.theta)
         for b in range(2):
             for c in range(len(layer.theta)):
-                want = cross_correlate_same(x[b], bank[c].real)
+                want = cross_correlate_same(x[b], bank[c].real, default_grid(layer.family))
                 assert np.max(np.abs(out[b, c] - want)) < 1e-10
         assert np.any(out < 0)  # no modulus applied
 
@@ -126,15 +127,16 @@ class TestBackward:
         # d(corr)/d(theta) from the direct (non-FFT) path, chained through
         # the modulus by hand; without it the output is Re(corr) alone
         want = np.zeros_like(layer.theta)
+        grid = default_grid(family)
         for c, (theta, k) in enumerate(zip(layer.theta, layer.kernels())):
             for b in range(x.shape[0]):
-                corr = cross_correlate_same(x[b], k)
+                corr = cross_correlate_same(x[b], k, grid)
                 ghr, ghi = w[b, c], 0.0
                 if modulus:
                     h = np.sqrt(corr.real**2 + corr.imag**2 + EPS_MODULUS)
                     ghr, ghi = w[b, c] * corr.real / h, w[b, c] * corr.imag / h
                 for p, dpsi in enumerate(kernel_param_grad(layer.family, theta[None])[0]):
-                    d = cross_correlate_same(x[b], dpsi)
+                    d = cross_correlate_same(x[b], dpsi, grid)
                     want[c, p] += np.sum(ghr * d.real + ghi * d.imag)
         # FFT round-off is absolute, so the bound is on the largest entry's
         # scale; a parameter the output does not depend on (an imaginary tap
@@ -161,9 +163,9 @@ class TestBackward:
         # a complex128 assembly would stay correct but double the FFT cost
         seen = []
 
-        def recording(g, Xf, kernel_len):
+        def recording(g, Xf, grid):
             seen.append(g.dtype)
-            return batch_conv_full_slice(g, Xf, kernel_len)
+            return batch_conv_full_slice(g, Xf, grid)
 
         monkeypatch.setattr(nn, "batch_conv_full_slice", recording)
         layer = make_layer(KernelFamily.MORLET, n_channels=2, modulus=modulus)
@@ -212,7 +214,8 @@ class TestSpectralPath:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, length)).astype(dtype)
         w = rng.normal(size=(2, 2, length)).astype(dtype)
-        _, spectrum = batch_correlate_same(x, layer.kernels().astype(np.result_type(dtype, 1j)))
+        _, spectrum = batch_correlate_same(x, layer.kernels().astype(np.result_type(dtype, 1j)),
+                                           default_grid(family))
         assert spectrum.shape == (2, n)
         return layer, x, w
 
@@ -235,9 +238,10 @@ class TestSpectralPath:
     @pytest.mark.parametrize("length", [1024, 4096])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("family", [KernelFamily.STTF, KernelFamily.CHIRPLET,
-                                        KernelFamily.MORLET])
+                                        KernelFamily.MORLET, KernelFamily.LAPLACE])
     def test_impulse_response_peaks_at_the_impulse(self, family, dtype, length):
-        # the centred kernels' modulus peaks at their middle tap, so each
+        # every kernel's modulus peaks at its grid index 0 (the middle tap of
+        # a centred grid, the first of laplace's one-sided one), so each
         # row's impulse, near either end or inside, is where its output peaks
         at = [7, length // 2 + 37, length - 8]
         x = np.zeros((3, length), dtype)
