@@ -7,7 +7,7 @@ through the FIR frequency response of its first-layer kernels.
 """
 
 from tfnet.kernels import KernelFamily
-from tfnet.nn import Model, TFconvLayer, assemble_model, build_backbone
+from tfnet.nn import Model, TFconvLayer, assemble_model
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
 from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
 from tfnet.interpret import (BandReport, FrequencyResponse, band_coverage,
@@ -28,7 +28,6 @@ __all__ = [
     "TrainHistory",
     "assemble_model",
     "band_coverage",
-    "build_backbone",
     "channel_frequency_response",
     "dataset_spectrum",
     "evaluate",

@@ -1,4 +1,4 @@
-"""Model checkpoints and training-history files.
+"""Model checkpoints: one file holds a model's recipe and every array it keeps.
 
 Checkpoint layout: the magic ``TFN2``, the 32-byte sha256 digest of
 everything after it, a little-endian u32 JSON header length, the JSON
@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet.kernels import KernelFamily, check_theta, default_grid, param_names
-from tfnet.nn import Model, TFconvLayer, assemble_model
-from tfnet.training import TrainHistory
+from tfnet.kernels import check_theta
+from tfnet.nn import Model, assemble_model
 
 MAGIC = b"TFN2"
 
@@ -119,39 +118,3 @@ def _rebuild(header: dict) -> Model:
                          f"which writes {model.tfconv_config}")
     return model
 
-
-def write_history_csv(path, history: TrainHistory) -> None:
-    """CSV with one row per epoch: epoch, train_loss, train_acc, test_acc."""
-    with Path(path).open("w") as fh:
-        fh.write("epoch,train_loss,train_acc,test_acc\n")
-        rows = zip(history.train_loss, history.train_acc, history.test_acc)
-        for epoch, (loss, tr, te) in enumerate(rows, start=1):
-            fh.write(f"{epoch},{repr(loss)},{repr(tr)},{repr(te)}\n")
-
-
-def write_theta_trajectory_csv(path, history: TrainHistory, family) -> None:
-    """Kernel control parameters per epoch (epoch 0 is the initial state)."""
-    family = KernelFamily(family)
-    if not history.theta_snapshots:
-        raise ValueError("history carries no kernel parameter snapshots")
-    C, P = history.theta_snapshots[0].shape
-    names = param_names(family)
-    if len(names) != P:
-        raise ValueError(f"{P} parameters but {len(names)} names for family {family.value}")
-    with Path(path).open("w") as fh:
-        fh.write("epoch,channel,param,value\n")
-        for epoch, theta in enumerate(history.theta_snapshots):
-            for c in range(C):
-                for j, name in enumerate(names):
-                    fh.write(f"{epoch},{c},{name},{repr(float(theta[c, j]))}\n")
-
-
-def write_kernel_taps_csv(path, layer: TFconvLayer) -> None:
-    """Complex kernel taps: channel, index, real, imag."""
-    kernels = layer.kernels()
-    grid = default_grid(layer.family)
-    with Path(path).open("w") as fh:
-        fh.write("channel,n,real,imag\n")
-        for c in range(kernels.shape[0]):
-            for n, v in zip(grid, kernels[c]):
-                fh.write(f"{c},{int(n)},{repr(float(v.real))},{repr(float(v.imag))}\n")

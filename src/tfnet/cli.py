@@ -2,9 +2,20 @@
 
 Commands read a flat ``key = value`` config file; individual keys can be
 overridden with ``--set key=value`` and the common flags.  Every command
-echoes its fully resolved configuration into the output directory so a run
-can be reproduced from its artifacts alone.  Outputs carry no timestamps;
-identical config and seed give byte-identical files.
+echoes its fully resolved configuration into ``config.echo`` in the output
+directory so a run can be reproduced from its artifacts alone.  Outputs
+carry no timestamps; identical config and seed give byte-identical files.
+
+Artifacts: ``gen-data`` writes ``train/``, ``test/`` and ``manifest.json``;
+``train`` writes ``model.tfn``, ``history.csv``, ``metrics.json`` and, for a
+TFconv model, ``theta_trajectory.csv``; ``eval`` writes ``confusion.csv`` and
+``metrics.json``; ``freq-response`` writes ``cfr.csv``, ``ofr.csv``,
+``kernel_taps.csv`` (TFconv), ``dataset_spectrum.csv`` (with a dataset) and
+``band_report.txt`` (with bands); ``ablate`` writes ``results.csv`` and each
+cell's ``history.csv`` and ``metrics.json`` under ``cells/<label>/``.  Every
+CSV goes through ``_write_csv`` (a header line, then floats as
+``repr(float(v))``, an exact round trip) and every JSON file through
+``_write_json`` (indent 2, sorted keys, a final newline).
 
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 """
@@ -19,14 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet.checkpoint import (load_model, save_model, write_history_csv,
-                              write_kernel_taps_csv, write_theta_trajectory_csv)
+from tfnet.checkpoint import load_model, save_model
 from tfnet.data import (check_band, load_dataset, save_dataset, split, synth_generate,
                         synthbearing5)
-from tfnet.interpret import (band_coverage, channel_frequency_response,
-                             dataset_spectrum, spectrum_freqs, write_band_report,
-                             write_cfr_csv, write_ofr_csv)
-from tfnet.kernels import KernelFamily
+from tfnet.interpret import (THRESHOLD_FACTOR, band_coverage, channel_frequency_response,
+                             dataset_spectrum, spectrum_freqs)
+from tfnet.kernels import KernelFamily, default_grid, param_names
 from tfnet.nn import BACKBONES, MODES, assemble_model, check_labels
 from tfnet.training import TrainConfig, evaluate, train
 
@@ -213,6 +222,28 @@ def _prepare_out(cfg: Config, required=True) -> Path | None:
     return path
 
 
+def _write_csv(path: Path, header: str | None, rows) -> None:
+    """``header`` (if not None), then a line per row: floats as ``repr(float(v))``, the rest as is.
+
+    The ``float`` matters: numpy 2 writes ``repr(np.float64(0.1))`` as ``np.float64(0.1)``.
+    """
+    lines = [] if header is None else [header]
+    lines += [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                       for v in row) for row in rows]
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_history(path: Path, history) -> None:
+    """One row per epoch: epoch, train_loss, train_acc, test_acc."""
+    rows = zip(history.train_loss, history.train_acc, history.test_acc)
+    _write_csv(path, "epoch,train_loss,train_acc,test_acc",
+               ((epoch, *row) for epoch, row in enumerate(rows, start=1)))
+
+
 def _write_echo(cfg: Config, out: Path | None):
     if out is None:
         return
@@ -276,7 +307,7 @@ def cmd_gen_data(cfg: Config) -> int:
         "classes": list(spec.class_names),
         "information_bands": [list(b) for b in spec.information_bands],
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     _write_echo(cfg, out)
     print(f"wrote {train_ds.n_samples} train / {test_ds.n_samples} test samples to {out}")
     return EXIT_OK
@@ -329,15 +360,19 @@ def cmd_train(cfg: Config) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     save_model(model, out / "model.tfn")
-    write_history_csv(out / "history.csv", history)
+    _write_history(out / "history.csv", history)
     if model.tfconv is not None:
-        write_theta_trajectory_csv(out / "theta_trajectory.csv", history, model.tfconv.family)
-    metrics = {
+        # epoch 0 is the initial state
+        names = param_names(model.tfconv.family)
+        _write_csv(out / "theta_trajectory.csv", "epoch,channel,param,value",
+                   ((epoch, c, name, value)
+                    for epoch, theta in enumerate(history.theta_snapshots)
+                    for c, row in enumerate(theta) for name, value in zip(names, row)))
+    _write_json(out / "metrics.json", {
         "final_test_acc": history.test_acc[-1],
         "final_train_acc": history.train_acc[-1],
         "final_train_loss": history.train_loss[-1],
-    }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    })
     _write_echo(cfg, out)
     print(f"final test accuracy: {history.test_acc[-1]:.4f}")
     return EXIT_OK
@@ -356,10 +391,8 @@ def cmd_eval(cfg: Config) -> int:
         raise ConfigError(f"dataset: {exc}") from exc
     print(f"accuracy: {acc:.4f}")
     if out is not None:
-        np.savetxt(out / "confusion.csv", confusion, fmt="%d", delimiter=",")
-        (out / "metrics.json").write_text(
-            json.dumps({"accuracy": acc, "count": ds.n_samples}, indent=2, sort_keys=True) + "\n"
-        )
+        _write_csv(out / "confusion.csv", None, confusion)
+        _write_json(out / "metrics.json", {"accuracy": acc, "count": ds.n_samples})
         _write_echo(cfg, out)
     return EXIT_OK
 
@@ -377,20 +410,29 @@ def cmd_freq_response(cfg: Config) -> int:
         resp = channel_frequency_response(kernels, n_fft)
     except ValueError as exc:
         raise ConfigError(f"n_fft: {exc}") from exc
-    write_cfr_csv(out / "cfr.csv", resp.freqs, resp.cfr)
-    write_ofr_csv(out / "ofr.csv", resp.freqs, resp.ofr)
+    _write_csv(out / "cfr.csv", "channel,freq,magnitude",
+               ((c, f, v) for c, row in enumerate(resp.cfr) for f, v in zip(resp.freqs, row)))
+    _write_csv(out / "ofr.csv", "freq,ofr", zip(resp.freqs, resp.ofr))
     if model.tfconv is not None:
-        write_kernel_taps_csv(out / "kernel_taps.csv", model.tfconv)
+        grid = default_grid(model.tfconv.family)
+        _write_csv(out / "kernel_taps.csv", "channel,n,real,imag",
+                   ((c, n, v.real, v.imag) for c, row in enumerate(kernels)
+                    for n, v in zip(grid, row)))
     bands = list(bands_text)
     if data_dir is not None:
         ds = _load_eval_dataset(data_dir)
-        write_ofr_csv(out / "dataset_spectrum.csv", spectrum_freqs(ds.length),
-                      dataset_spectrum(ds), column="magnitude")
+        _write_csv(out / "dataset_spectrum.csv", "freq,magnitude",
+                   zip(spectrum_freqs(ds.length), dataset_spectrum(ds)))
         if not bands:
             bands = [tuple(b) for b in ds.meta.get("information_bands", [])]
     if bands:
         report = band_coverage(resp.ofr, resp.freqs, bands)
-        write_band_report(out / "band_report.txt", report)
+        lines = [f"threshold_factor: {THRESHOLD_FACTOR}", f"ofr_median: {report.ofr_median!r}",
+                 f"threshold: {report.threshold!r}", f"hits: {report.n_hits}/{len(report.bands)}"]
+        lines += [f"band [{b.band[0]}, {b.band[1]}]: peak_freq={b.peak_frequency!r} "
+                  f"peak_magnitude={b.peak_magnitude!r} hit={'yes' if b.hit else 'no'}"
+                  for b in report.bands]
+        (out / "band_report.txt").write_text("\n".join(lines) + "\n")
         print(f"band hits: {report.n_hits}/{len(report.bands)}")
     _write_echo(cfg, out)
     return EXIT_OK
@@ -443,10 +485,8 @@ def cmd_ablate(cfg: Config) -> int:
                         test_ds.signals, test_ds.labels, dataclasses.replace(tc, seed=seed))
         cell_dir = out / "cells" / label
         cell_dir.mkdir(parents=True, exist_ok=True)
-        write_history_csv(cell_dir / "history.csv", history)
-        (cell_dir / "metrics.json").write_text(
-            json.dumps({"final_test_acc": history.test_acc[-1]}, indent=2, sort_keys=True) + "\n"
-        )
+        _write_history(cell_dir / "history.csv", history)
+        _write_json(cell_dir / "metrics.json", {"final_test_acc": history.test_acc[-1]})
         return history.test_acc[-1]
 
     results: dict[int, float] = {}
@@ -465,10 +505,7 @@ def cmd_ablate(cfg: Config) -> int:
         accs = [results.get(gi * len(seeds) + si) for si in range(len(seeds))]
         if None not in accs:
             rows.append((mode, fam or "-", float(np.mean(accs)), float(np.var(accs))))
-    with (out / "results.csv").open("w") as fh:
-        fh.write("model,kernel,mean_acc,variance\n")
-        for mode, fam, mean, var in rows:
-            fh.write(f"{mode},{fam},{repr(mean)},{repr(var)}\n")
+    _write_csv(out / "results.csv", "model,kernel,mean_acc,variance", rows)
     _write_echo(cfg, out)
     for mode, fam, mean, var in rows:
         print(f"{mode:14s} {fam:10s} mean_acc={mean:.4f} variance={var:.6f}")

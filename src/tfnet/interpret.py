@@ -6,10 +6,12 @@ zero-padded kernel on the non-negative half axis; the overall response
 (O-FR) is the channel mean.  Band coverage scores the O-FR against
 declared information bands: a band is hit when a local maximum at least
 1.5x the O-FR median falls inside it.
+
+The module only computes, on arrays and datasets in memory; ``tfnet
+freq-response`` (``tfnet.cli``) writes the results to files.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -128,34 +130,3 @@ def band_coverage(ofr, freqs, bands) -> BandReport:
         results.append(BandPeak((lo, hi), float(freqs[k]), float(ofr[k]), hit))
     return BandReport(tuple(results), ofr_median=median)
 
-
-def write_ofr_csv(path, freqs, values, column="ofr") -> None:
-    """Two-column spectrum CSV: ``freq`` and ``column``."""
-    with Path(path).open("w") as fh:
-        fh.write(f"freq,{column}\n")
-        for f, v in zip(freqs, values):
-            fh.write(f"{repr(float(f))},{repr(float(v))}\n")
-
-
-def write_cfr_csv(path, freqs, cfr) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("channel,freq,magnitude\n")
-        for c in range(cfr.shape[0]):
-            for f, v in zip(freqs, cfr[c]):
-                fh.write(f"{c},{repr(float(f))},{repr(float(v))}\n")
-
-
-def write_band_report(path, report: BandReport) -> None:
-    """Plain-text manifest of a band coverage report."""
-    lines = [
-        f"threshold_factor: {THRESHOLD_FACTOR}",
-        f"ofr_median: {repr(report.ofr_median)}",
-        f"threshold: {repr(report.threshold)}",
-        f"hits: {report.n_hits}/{len(report.bands)}",
-    ]
-    for b in report.bands:
-        lines.append(
-            f"band [{b.band[0]}, {b.band[1]}]: peak_freq={repr(b.peak_frequency)} "
-            f"peak_magnitude={repr(b.peak_magnitude)} hit={'yes' if b.hit else 'no'}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

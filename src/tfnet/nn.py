@@ -470,18 +470,15 @@ class TFconvLayer(Layer):
         A training forward keeps the input's (B, n) spectrum, the complex
         correlation and the output for ``backward``.
         """
-        out_dtype = np.asarray(x).dtype
-        if out_dtype.kind != "f":
-            out_dtype = np.dtype(np.float64)
-        # float32 models run the whole layer in single precision
-        compute = np.float32 if out_dtype == np.float32 else np.float64
-        x = np.asarray(x, dtype=compute)
+        x = np.asarray(x)
+        # float32 input (a float32 model's) runs the whole layer in single precision
+        x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
         if x.ndim != 2:
             raise ValueError(f"TFconv expects (B, L) input, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("TFconv input contains non-finite values")
         kern = self.kernels()
-        if compute is np.float32:
+        if x.dtype == np.float32:
             kern = kern.astype(np.complex64)
         corr, Xf = batch_correlate_same(x, kern, default_grid(self.family))
         if self.modulus:
@@ -493,7 +490,7 @@ class TFconvLayer(Layer):
         else:
             h = corr.real
         self._cache = (Xf, corr, h) if training else None
-        return np.ascontiguousarray(h, dtype=out_dtype)
+        return np.ascontiguousarray(h)
 
     def backward(self, grad):
         """Set ``grad_theta`` to the gradient of the upstream (B, C, L) ``grad``.
@@ -726,16 +723,6 @@ def _resnet_1d(rng, in_channels, n_classes, first_out, dtype):
 _BUILDERS = {"paper-cnn": _paper_cnn, "lenet-1d": _lenet_1d, "resnet-1d": _resnet_1d}
 
 
-def build_backbone(name, n_classes, in_channels=1, seed=0, first_out_channels=None,
-                   dtype=np.float64):
-    """Plain CNN of the requested depth tier."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown backbone {name!r}; choose from {BACKBONES}")
-    rng = derive_rng(seed, f"backbone-init.{name}")
-    layers = _BUILDERS[name](rng, in_channels, n_classes, first_out_channels, dtype)
-    return Model(layers, mode="backbone-only", backbone=name)
-
-
 def assemble_model(
     mode,
     backbone="paper-cnn",
@@ -761,17 +748,18 @@ def assemble_model(
     elif family is KernelFamily.RANDOM:
         raise ValueError("random kernels are only legal in mode 'random-tfn'")
 
-    if mode == "backbone-only":
-        return build_backbone(backbone, n_classes, in_channels=1, seed=seed, dtype=dtype)
-
-    modulus = mode not in ("wkn-add", "wkn-replace")
-    front = TFconvLayer(family, init_params(family, n_channels, seed=seed), modulus=modulus)
-
-    if mode in ("tfn-add", "wkn-add", "random-tfn"):
-        body = build_backbone(backbone, n_classes, in_channels=n_channels, seed=seed, dtype=dtype)
-        layers = [front] + body.layers
-    else:  # *-replace: swap the backbone's first conv, keep its BN
-        body = build_backbone(backbone, n_classes, in_channels=1, seed=seed,
-                              first_out_channels=n_channels, dtype=dtype)
-        layers = [front] + body.layers[1:]
-    return Model(layers, mode=mode, backbone=backbone)
+    front, in_channels, first_out = [], 1, None
+    if mode != "backbone-only":
+        modulus = mode not in ("wkn-add", "wkn-replace")
+        front = [TFconvLayer(family, init_params(family, n_channels, seed=seed), modulus=modulus)]
+        if mode.endswith("-replace"):
+            first_out = n_channels
+        else:
+            in_channels = n_channels
+    if backbone not in _BUILDERS:
+        raise ValueError(f"unknown backbone {backbone!r}; choose from {BACKBONES}")
+    rng = derive_rng(seed, f"backbone-init.{backbone}")
+    layers = _BUILDERS[backbone](rng, in_channels, n_classes, first_out, dtype)
+    if mode.endswith("-replace"):
+        layers = layers[1:]  # the stem conv gives way to the front layer; its BN stays
+    return Model(front + layers, mode=mode, backbone=backbone)

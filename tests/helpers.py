@@ -1,4 +1,4 @@
-"""Shared test utilities: direct-path oracles, finite differences, gradient checks."""
+"""Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs."""
 
 import hashlib
 import json
@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from tfnet.checkpoint import save_model
+from tfnet.cli import EXIT_OK, main
 from tfnet.core_math import same_pad_widths
 from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
 from tfnet.nn import EPS_MODULUS, Model, softmax_cross_entropy
@@ -415,3 +417,18 @@ def resign_checkpoint(path, header, values=None) -> None:
         values = checkpoint_parts(raw)[1]
     body = struct.pack("<I", len(header)) + header + values
     Path(path).write_bytes(raw[:4] + hashlib.sha256(body).digest() + body)
+
+
+def csv_rows(path) -> tuple[str, list[list[str]]]:
+    """The header line and the comma-split rows of the CSV file at ``path``."""
+    header, *lines = Path(path).read_text().splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+def run_freq_response(model: Model, out: Path, *settings) -> Path:
+    """Save ``model`` next to ``out`` and run ``tfnet freq-response`` on it into ``out``."""
+    ckpt = out.with_name(out.name + ".tfn")
+    save_model(model, ckpt)
+    code = main(["freq-response", "--out", str(out), "--set", f"checkpoint={ckpt}", *settings])
+    assert code == EXIT_OK
+    return out

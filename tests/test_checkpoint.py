@@ -1,4 +1,4 @@
-"""Checkpoint format and CSV artifact writers."""
+"""Checkpoint format, and the CSV files that ``tfnet train`` and ``freq-response`` write."""
 
 import hashlib
 import json
@@ -8,17 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import checkpoint_parts, resign_checkpoint
-from tfnet.checkpoint import (
-    MAGIC,
-    load_model,
-    save_model,
-    write_history_csv,
-    write_kernel_taps_csv,
-    write_theta_trajectory_csv,
-)
+from helpers import checkpoint_parts, csv_rows, resign_checkpoint, run_freq_response
+from tfnet.checkpoint import MAGIC, load_model, save_model
+from tfnet.cli import EXIT_OK, _write_history, main
+from tfnet.data import save_dataset
 from tfnet.kernels import KernelFamily, init_params
-from tfnet.nn import BatchNorm1d, TFconvLayer, assemble_model
+from tfnet.nn import BatchNorm1d, assemble_model
 from tfnet.training import TrainConfig, TrainHistory, train
 
 
@@ -389,6 +384,8 @@ def test_every_bit_flip_before_the_payload_fails_naming_the_file(tmp_path):
 
 
 class TestHistoryCsv:
+    """``tfnet train`` and each ``ablate`` cell write their history through ``_write_history``."""
+
     def test_round_trip_is_exact(self, tmp_path):
         hist = TrainHistory(
             train_loss=[1.5, 0.25, 0.1 + 1e-16],
@@ -396,72 +393,73 @@ class TestHistoryCsv:
             test_acc=[0.4, 0.7, 0.95],
         )
         path = tmp_path / "history.csv"
-        write_history_csv(path, hist)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,train_acc,test_acc"
-        assert len(lines) == 4
-        rows = [line.split(",") for line in lines[1:]]
+        _write_history(path, hist)
+        header, rows = csv_rows(path)
+        assert header == "epoch,train_loss,train_acc,test_acc"
+        assert len(rows) == 3
         assert [int(r[0]) for r in rows] == [1, 2, 3]
         assert [float(r[1]) for r in rows] == hist.train_loss
         assert [float(r[2]) for r in rows] == hist.train_acc
         assert [float(r[3]) for r in rows] == hist.test_acc
 
-    def test_empty_history(self, tmp_path):
-        path = tmp_path / "history.csv"
-        write_history_csv(path, TrainHistory())
-        assert path.read_text() == "epoch,train_loss,train_acc,test_acc\n"
+
+@pytest.fixture(scope="module")
+def split_dir(tmp_path_factory, tiny_split):
+    """``tiny_split`` saved as a gen-data directory."""
+    out = tmp_path_factory.mktemp("split")
+    for side, ds in zip(("train", "test"), tiny_split):
+        save_dataset(ds, out / side)
+    return out
+
+
+def train_trajectory(out, split_dir, *settings):
+    """Header and rows of ``theta_trajectory.csv`` from a one-epoch, two-channel ``tfnet train``."""
+    code = main(["train", "--out", str(out), "--seed", "0", "--set", f"dataset={split_dir}",
+                 "--set", "backbone=lenet-1d", "--set", "epochs=1", "--set", "batch_size=10",
+                 "--set", "channels=2", *settings])
+    assert code == EXIT_OK
+    return csv_rows(out / "theta_trajectory.csv")
 
 
 class TestThetaTrajectoryCsv:
-    def test_row_layout(self, tmp_path):
-        hist = TrainHistory(theta_snapshots=[
-            np.array([[0.1], [0.2]]),
-            np.array([[0.15], [0.25]]),
-        ])
-        path = tmp_path / "theta.csv"
-        write_theta_trajectory_csv(path, hist, "sttf")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,channel,param,value"
-        assert len(lines) == 1 + 2 * 2 * 1
-        assert lines[1] == "0,0,f,0.1"
-        assert lines[-1] == "1,1,f,0.25"
+    """``tfnet train`` writes a TFconv model's kernel parameters per epoch, 0 the initial state."""
 
-    def test_chirplet_names_both_parameters(self, tmp_path):
-        hist = TrainHistory(theta_snapshots=[np.array([[0.1, 0.001]])])
-        path = tmp_path / "theta.csv"
-        write_theta_trajectory_csv(path, hist, KernelFamily.CHIRPLET)
-        lines = path.read_text().splitlines()
-        assert [ln.split(",")[2] for ln in lines[1:]] == ["f", "alpha"]
+    def test_row_layout(self, tmp_path, split_dir):
+        header, rows = train_trajectory(tmp_path / "run", split_dir)
+        assert header == "epoch,channel,param,value"
+        assert [r[:3] for r in rows] == [["0", "0", "f"], ["0", "1", "f"],
+                                         ["1", "0", "f"], ["1", "1", "f"]]
+        values = np.array([float(r[3]) for r in rows]).reshape(2, 2)
+        np.testing.assert_array_equal(values[0], init_params(KernelFamily.STTF, 2, seed=0)[:, 0])
+        trained = load_model(tmp_path / "run" / "model.tfn").tfconv.theta[:, 0]
+        np.testing.assert_array_equal(values[1], trained)
+        assert not np.array_equal(values[0], values[1])
 
-    def test_random_taps_named_individually(self, tmp_path):
-        theta = np.zeros((1, 102))  # 51 taps -> re/im pairs
-        hist = TrainHistory(theta_snapshots=[theta])
-        path = tmp_path / "theta.csv"
-        write_theta_trajectory_csv(path, hist, "random")
-        names = [ln.split(",")[2] for ln in path.read_text().splitlines()[1:]]
+    def test_chirplet_names_both_parameters(self, tmp_path, split_dir):
+        _, rows = train_trajectory(tmp_path / "run", split_dir, "--set", "family=chirplet")
+        assert [r[2] for r in rows if r[:2] == ["0", "0"]] == ["f", "alpha"]
+
+    def test_random_taps_named_individually(self, tmp_path, split_dir):
+        _, rows = train_trajectory(tmp_path / "run", split_dir, "--set", "mode=random-tfn")
+        names = [r[2] for r in rows if r[:2] == ["0", "0"]]  # 51 taps -> re/im pairs
         assert names == [f"w_re_{i}" for i in range(51)] + [f"w_im_{i}" for i in range(51)]
-
-    def test_empty_snapshots_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_theta_trajectory_csv(tmp_path / "t.csv", TrainHistory(), "sttf")
 
 
 class TestKernelTapsCsv:
+    """``tfnet freq-response`` writes a TFconv model's complex kernel taps."""
+
     def test_short_grid_layout(self, tmp_path):
-        layer = TFconvLayer(KernelFamily.STTF, init_params(KernelFamily.STTF, 2))
-        path = tmp_path / "taps.csv"
-        write_kernel_taps_csv(path, layer)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "channel,n,real,imag"
-        assert len(lines) == 1 + 2 * 51
-        first = lines[1].split(",")
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, seed=0)
+        out = run_freq_response(model, tmp_path / "fr")
+        header, rows = csv_rows(out / "kernel_taps.csv")
+        assert header == "channel,n,real,imag"
+        assert len(rows) == 2 * 51
+        first = rows[0]
         assert first[0] == "0" and first[1] == "-25"
-        kernels = layer.kernels()
         got = complex(float(first[2]), float(first[3]))
-        assert got == complex(kernels[0, 0])
+        assert got == complex(model.tfconv.kernels()[0, 0])
 
     def test_long_grid_row_count(self, tmp_path):
-        layer = TFconvLayer(KernelFamily.MORLET, init_params(KernelFamily.MORLET, 1))
-        path = tmp_path / "taps.csv"
-        write_kernel_taps_csv(path, layer)
-        assert len(path.read_text().splitlines()) == 1 + 301
+        model = assemble_model("tfn-add", backbone="lenet-1d", family="morlet", n_channels=1)
+        out = run_freq_response(model, tmp_path / "fr")
+        assert len((out / "kernel_taps.csv").read_text().splitlines()) == 1 + 301

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import csv_rows
 from tfnet import cli
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -42,6 +43,35 @@ def backbone_dir(tmp_path_factory, data_dir):
                  "--set", f"dataset={data_dir}", "--set", "mode=backbone-only", *TRAIN_ARGS])
     assert code == EXIT_OK
     return out
+
+
+class TestWriters:
+    """Every CSV and JSON artifact goes through ``_write_csv`` and ``_write_json``."""
+
+    def test_numpy_scalars_write_as_python_numbers(self, tmp_path):
+        scalars = [np.float64(0.1), np.float32(0.1), np.int64(3), np.float64(1e-300)]
+        plain = [float(np.float64(0.1)), float(np.float32(0.1)), 3, 1e-300]
+        cli._write_csv(tmp_path / "numpy.csv", "a,b,c,d", [scalars])
+        cli._write_csv(tmp_path / "plain.csv", "a,b,c,d", [plain])
+        text = (tmp_path / "numpy.csv").read_text()
+        assert text == (tmp_path / "plain.csv").read_text()
+        assert text == "a,b,c,d\n0.1,0.10000000149011612,3,1e-300\n"
+
+    def test_floats_round_trip_exactly(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=(4, 3)) * 10.0 ** np.arange(-150, 150, 100)
+        cli._write_csv(tmp_path / "v.csv", "x,y,z", values)
+        header, rows = csv_rows(tmp_path / "v.csv")
+        assert header == "x,y,z"
+        np.testing.assert_array_equal(np.array(rows, dtype=float), values)
+
+    def test_no_header_and_strings_as_they_are(self, tmp_path):
+        cli._write_csv(tmp_path / "c.csv", None, [["tfn-add", 2], ["-", 0.5]])
+        assert (tmp_path / "c.csv").read_text() == "tfn-add,2\n-,0.5\n"
+
+    def test_json_is_indented_sorted_and_ends_in_a_newline(self, tmp_path):
+        cli._write_json(tmp_path / "m.json", {"b": 0.1, "a": [1, 2]})
+        assert (tmp_path / "m.json").read_text() == \
+            '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 0.1\n}\n'
 
 
 class TestGenData:

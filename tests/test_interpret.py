@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import csv_rows, run_freq_response
 from tfnet.data import ClassSpec, Dataset, SynthSpec, synth_generate
 from tfnet.interpret import (
     THRESHOLD_FACTOR,
@@ -10,9 +11,6 @@ from tfnet.interpret import (
     channel_frequency_response,
     dataset_spectrum,
     spectrum_freqs,
-    write_band_report,
-    write_cfr_csv,
-    write_ofr_csv,
 )
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import Conv1d, TFconvLayer, assemble_model
@@ -200,35 +198,40 @@ class TestBandCoverage:
 
 
 class TestCsvWriters:
+    """``tfnet freq-response`` writes the responses and the band report of a model's bank."""
+
+    MODEL = dict(mode="tfn-add", backbone="lenet-1d", n_channels=2, seed=0)
+
+    def response(self, n_fft):
+        model = assemble_model(**self.MODEL)
+        return channel_frequency_response(model.layers[0].kernels(), n_fft)
+
     def test_ofr_round_trip(self, tmp_path):
-        freqs = np.arange(5) / 8
-        ofr = np.array([1.0, 2.5, 0.125, 4.0, 0.2])
-        path = tmp_path / "ofr.csv"
-        write_ofr_csv(path, freqs, ofr)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "freq,ofr"
-        got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        np.testing.assert_array_equal(got[:, 0], freqs)
-        np.testing.assert_array_equal(got[:, 1], ofr)
+        out = run_freq_response(assemble_model(**self.MODEL), tmp_path / "fr", "--set", "n_fft=64")
+        header, rows = csv_rows(out / "ofr.csv")
+        assert header == "freq,ofr"
+        got = np.array(rows, dtype=float)
+        resp = self.response(64)
+        np.testing.assert_array_equal(got[:, 0], resp.freqs)
+        np.testing.assert_array_equal(got[:, 1], resp.ofr)
 
     def test_cfr_layout(self, tmp_path):
-        freqs = np.arange(3) / 4
-        cfr = np.arange(6.0).reshape(2, 3)
-        path = tmp_path / "cfr.csv"
-        write_cfr_csv(path, freqs, cfr)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "channel,freq,magnitude"
-        assert len(lines) == 7
-        assert lines[1].split(",")[0] == "0" and lines[-1].split(",")[0] == "1"
+        out = run_freq_response(assemble_model(**self.MODEL), tmp_path / "fr", "--set", "n_fft=64")
+        header, rows = csv_rows(out / "cfr.csv")
+        assert header == "channel,freq,magnitude"
+        assert [r[0] for r in rows] == ["0"] * 33 + ["1"] * 33
+        resp = self.response(64)
+        np.testing.assert_array_equal([float(r[1]) for r in rows], np.tile(resp.freqs, 2))
+        np.testing.assert_array_equal([float(r[2]) for r in rows], resp.cfr.ravel())
 
     def test_band_report_text(self, tmp_path):
-        freqs = np.arange(65) / 128
-        ofr = np.ones(65)
-        ofr[32] = 10.0
-        report = band_coverage(ofr, freqs, [(0.2, 0.3), (0.4, 0.5)])
-        path = tmp_path / "bands.txt"
-        write_band_report(path, report)
-        text = path.read_text()
-        assert "hits: 1/2" in text
-        assert "hit=yes" in text and "hit=no" in text
-        assert f"threshold: {repr(report.threshold)}" in text
+        # the initial sttf centres are 0.125 and 0.375
+        out = run_freq_response(assemble_model(**self.MODEL), tmp_path / "fr",
+                                "--set", "bands=0.1:0.15,0.2:0.3")
+        resp = self.response(1024)
+        report = band_coverage(resp.ofr, resp.freqs, [(0.1, 0.15), (0.2, 0.3)])
+        assert [b.hit for b in report.bands] == [True, False]
+        lines = (out / "band_report.txt").read_text().splitlines()
+        assert f"threshold: {repr(report.threshold)}" in lines
+        assert "hits: 1/2" in lines
+        assert [ln.split(" hit=")[1] for ln in lines if ln.startswith("band [")] == ["yes", "no"]

@@ -31,7 +31,6 @@ from tfnet.nn import (
     Residual,
     TFconvLayer,
     assemble_model,
-    build_backbone,
     softmax_cross_entropy,
 )
 
@@ -176,7 +175,7 @@ class TestConv1dKeepsItsInput:
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_training_forward_keeps_no_more_than_its_padded_input(self, backbone, monkeypatch):
-        model = build_backbone(backbone, n_classes=5, seed=0)
+        model = assemble_model("backbone-only", backbone, n_classes=5, seed=0)
         convs = [layer for layer in model.walk_layers() if isinstance(layer, Conv1d)]
         padded = {}
         for conv in convs:
@@ -623,18 +622,18 @@ class TestModelContainer:
         for name in ("n_classes", "dtype", "tfconv_config"):
             with pytest.raises(AttributeError):
                 setattr(model, name, None)
-        assert build_backbone("lenet-1d", n_classes=4).tfconv_config is None
+        assert assemble_model("backbone-only", "lenet-1d", n_classes=4).tfconv_config is None
 
     def test_forward_shape_all_backbones(self):
         x = rng_(34).normal(size=(2, 1024))
         for name in BACKBONES:
-            model = build_backbone(name, n_classes=5, seed=0)
+            model = assemble_model("backbone-only", name, n_classes=5, seed=0)
             assert model.forward(x).shape == (2, 5), name
 
     def test_seeded_weights_reproducible(self):
-        a = build_backbone("paper-cnn", 5, seed=1)
-        b = build_backbone("paper-cnn", 5, seed=1)
-        c = build_backbone("paper-cnn", 5, seed=2)
+        a = assemble_model("backbone-only", "paper-cnn", 5, seed=1)
+        b = assemble_model("backbone-only", "paper-cnn", 5, seed=1)
+        c = assemble_model("backbone-only", "paper-cnn", 5, seed=2)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
         assert any(not np.array_equal(pa, pc)
@@ -684,7 +683,7 @@ class TestModelContainer:
 
     @pytest.mark.parametrize("backbone", ["lenet-1d", "paper-cnn"])
     def test_first_conv_accumulates_only_parameter_gradients(self, backbone, monkeypatch):
-        model = build_backbone(backbone, n_classes=5, seed=0)
+        model = assemble_model("backbone-only", backbone, n_classes=5, seed=0)
         x = rng_(43).normal(size=(4, 256))
         _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1, 2, 3]))
         # every layer's full backward, the first conv's input gradient included
