@@ -54,8 +54,12 @@ def parse_kv_file(path) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {p} not found")
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"config file {p}: {exc}") from None
     values = {}
-    for ln, raw in enumerate(p.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,12 +70,109 @@ def parse_kv_file(path) -> dict[str, str]:
     return values
 
 
+# A parser turns a key's text into (value, echo text) or raises ValueError;
+# the echo text parses back to the same value and echo text.
+
+def parse_int(text):
+    try:
+        return int(text), str(int(text))
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def parse_float(text):
+    try:
+        return float(text), repr(float(text))
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def parse_bool(text):
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True, "true"
+    if text.lower() in ("0", "false", "no", "off"):
+        return False, "false"
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def parse_seeds(text):
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ValueError(f"expected non-negative integers, got {text!r}")
+    return seeds, ",".join(str(s) for s in seeds)
+
+
+def parse_seed(text):
+    seeds, echo = parse_seeds(text)
+    if len(seeds) != 1:
+        raise ValueError(f"this command expects a single seed, got {len(seeds)}")
+    return seeds[0], echo
+
+
+def parse_bands(text):
+    """``lo:hi,lo:hi,...`` into a tuple of bands; an empty text is no band."""
+    bands = []
+    for piece in text.split(",") if text else ():
+        piece = piece.strip()
+        if ":" not in piece:
+            raise ValueError(f"band {piece!r} must be 'lo:hi'")
+        lo, _, hi = piece.partition(":")
+        try:
+            lo, hi = float(lo), float(hi)
+        except ValueError:
+            raise ValueError(f"band {piece!r} is not numeric") from None
+        bands.append(check_band((lo, hi)))
+    return tuple(bands), ",".join(f"{lo}:{hi}" for lo, hi in bands)
+
+
+def parse_path(text):
+    """An existing path."""
+    if text == "":
+        raise ValueError("a path is required, got an empty value")
+    if not Path(text).exists():
+        raise ValueError(f"path {Path(text)} does not exist")
+    return Path(text), str(Path(text))
+
+
+def parse_optional_path(text):
+    """An existing path, or None for an empty text."""
+    return (None, "") if text == "" else parse_path(text)
+
+
+def one_of(options):
+    """A parser for one of ``options``."""
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"invalid value {text!r}; choose from {', '.join(options)}")
+        return text, text
+    return parse
+
+
+def list_of(options):
+    """A parser for a comma-separated list of entries from ``options``."""
+    def parse(text):
+        items = [s.strip() for s in text.split(",") if s.strip()]
+        for item in items:
+            if item not in options:
+                raise ValueError(f"invalid entry {item!r}; choose from {', '.join(options)}")
+        return items, ",".join(items)
+    return parse
+
+
 class Config:
     """Resolved key-value settings with consumption tracking.
 
-    Every ``get_*`` call records the effective value, so after a handler
-    has pulled its keys the echo file and the unknown-key check both come
-    for free.
+    ``get(key, default, parse)`` marks the key used and takes its text, or
+    ``default`` when the key is unset (with no default the key is required).
+    It passes ``str(text)`` to ``parse`` (none keeps the text as is), records
+    the echo text it returns in ``effective`` and turns its ``ValueError``
+    into a ``ConfigError`` naming the key.  So after a handler has pulled its
+    keys, the echo file and the unknown-key check come for free.
     """
 
     def __init__(self, values: dict[str, str], command: str):
@@ -80,142 +181,34 @@ class Config:
         self._used: set[str] = set()
         self.effective: dict[str, str] = {}
 
-    def _raw(self, key: str, default):
+    def get(self, key: str, default=None, parse=None):
         self._used.add(key)
-        if key in self._values:
-            return self._values[key]
-        if default is None:
+        text = self._values.get(key, default)
+        if text is None:
             raise ConfigError(f"{self._command}: missing required config key {key!r}")
-        return None
-
-    def get_str(self, key, default=None, choices=None) -> str:
-        raw = self._raw(key, default)
-        value = default if raw is None else raw
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"{key}: invalid value {value!r}; choose from {', '.join(choices)}"
-            )
-        self.effective[key] = value
-        return value
-
-    def get_int(self, key, default=None) -> int:
-        raw = self._raw(key, default)
         try:
-            value = int(default if raw is None else raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-        self.effective[key] = str(value)
+            value, echo = parse(str(text)) if parse else (text, text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        self.effective[key] = echo
         return value
-
-    def get_float(self, key, default=None) -> float:
-        raw = self._raw(key, default)
-        try:
-            value = float(default if raw is None else raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        self.effective[key] = repr(value)
-        return value
-
-    def get_bool(self, key, default=False) -> bool:
-        self._used.add(key)
-        raw = self._values.get(key)
-        if raw is None:
-            value = default
-        elif raw.lower() in ("1", "true", "yes", "on"):
-            value = True
-        elif raw.lower() in ("0", "false", "no", "off"):
-            value = False
-        else:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-        self.effective[key] = "true" if value else "false"
-        return value
-
-    def get_seeds(self, key="seed", default="0") -> list[int]:
-        raw = self._raw(key, default)
-        text = default if raw is None else raw
-        try:
-            seeds = [int(s) for s in str(text).split(",") if s.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
-        if not seeds:
-            raise ConfigError(f"{key}: at least one seed is required")
-        self.effective[key] = ",".join(str(s) for s in seeds)
-        return seeds
-
-    def get_seed(self, key="seed", default="0") -> int:
-        seeds = self.get_seeds(key, default)
-        if len(seeds) != 1:
-            raise ConfigError(f"{key}: this command expects a single seed, got {len(seeds)}")
-        return seeds[0]
-
-    def get_bands(self, key, default=None):
-        """Parse ``lo:hi,lo:hi,...`` into band tuples."""
-        raw = self._raw(key, default)
-        text = default if raw is None else raw
-        if text == "":
-            self.effective[key] = ""
-            return ()
-        bands = []
-        for part in str(text).split(","):
-            piece = part.strip()
-            if ":" not in piece:
-                raise ConfigError(f"{key}: band {piece!r} must be 'lo:hi'")
-            lo_s, _, hi_s = piece.partition(":")
-            try:
-                lo, hi = float(lo_s), float(hi_s)
-            except ValueError:
-                raise ConfigError(f"{key}: band {piece!r} is not numeric") from None
-            try:
-                bands.append(check_band((lo, hi)))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        self.effective[key] = ",".join(f"{lo}:{hi}" for lo, hi in bands)
-        return tuple(bands)
-
-    def get_list(self, key, default="", choices=None) -> list[str]:
-        raw = self._raw(key, default)
-        text = default if raw is None else raw
-        items = [s.strip() for s in str(text).split(",") if s.strip()]
-        if choices is not None:
-            for item in items:
-                if item not in choices:
-                    raise ConfigError(
-                        f"{key}: invalid entry {item!r}; choose from {', '.join(choices)}"
-                    )
-        self.effective[key] = ",".join(items)
-        return items
-
-    def get_path(self, key, default=None) -> Path | None:
-        """An existing path; an empty value is None for an optional key and an error otherwise."""
-        raw = self._raw(key, default)
-        value = default if raw is None else raw
-        if value == "":
-            if default is None:
-                raise ConfigError(f"{key}: a path is required, got an empty value")
-            self.effective[key] = ""
-            return None
-        p = Path(value)
-        if not p.exists():
-            raise ConfigError(f"{key}: path {p} does not exist")
-        self.effective[key] = str(p)
-        return p
 
     def ensure_consumed(self):
         unknown = sorted(set(self._values) - self._used)
         if unknown:
-            raise ConfigError(
-                f"unknown config key {unknown[0]!r} for command {self._command}"
-            )
+            raise ConfigError(f"unknown config key {unknown[0]!r} for command {self._command}")
 
 
 def _prepare_out(cfg: Config, required=True) -> Path | None:
-    out = cfg._raw("out", "")
-    force = cfg.get_bool("force", False)
+    out = cfg.get("out", "")
+    force = cfg.get("force", False, parse_bool)
     if not out:
         if required:
             raise ConfigError("missing output directory (set 'out' or pass --out)")
         return None
     path = Path(out)
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"out: {path} is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force)")
     path.mkdir(parents=True, exist_ok=True)
@@ -244,11 +237,8 @@ def _write_history(path: Path, history) -> None:
                ((epoch, *row) for epoch, row in enumerate(rows, start=1)))
 
 
-def _write_echo(cfg: Config, out: Path | None):
-    if out is None:
-        return
-    skip = {"out", "force"}
-    lines = [f"{k} = {v}" for k, v in sorted(cfg.effective.items()) if k not in skip]
+def _write_echo(cfg: Config, out: Path):
+    lines = [f"{k} = {v}" for k, v in sorted(cfg.effective.items()) if k not in ("out", "force")]
     (out / "config.echo").write_text("\n".join(lines) + "\n")
 
 
@@ -272,14 +262,14 @@ def _load_eval_dataset(path: Path):
 
 
 def cmd_gen_data(cfg: Config) -> int:
-    samples_per_class = cfg.get_int("samples_per_class", 200)
-    sample_length = cfg.get_int("sample_length", 1024)
-    noise_sigma = cfg.get_float("noise_sigma", 1.0)
-    train_frac = cfg.get_float("train_frac", 0.6)
-    seed = cfg.get_seed()
+    samples_per_class = cfg.get("samples_per_class", 200, parse_int)
+    sample_length = cfg.get("sample_length", 1024, parse_int)
+    noise_sigma = cfg.get("noise_sigma", 1.0, parse_float)
+    train_frac = cfg.get("train_frac", 0.6, parse_float)
+    seed = cfg.get("seed", "0", parse_seed)
     base = synthbearing5(samples_per_class)
     default_bands = ",".join(f"{lo}:{hi}" for lo, hi in base.information_bands)
-    bands = cfg.get_bands("bands", default_bands)
+    bands = cfg.get("bands", default_bands, parse_bands)
     out = _prepare_out(cfg)
     cfg.ensure_consumed()
     if samples_per_class < 2:
@@ -316,12 +306,12 @@ def cmd_gen_data(cfg: Config) -> int:
 def _train_config(cfg: Config, seed: int) -> TrainConfig:
     try:
         return TrainConfig(
-            epochs=cfg.get_int("epochs", 50),
-            batch_size=cfg.get_int("batch_size", 64),
-            initial_lr=cfg.get_float("lr", 1e-3),
-            lr_decay=cfg.get_float("lr_decay", 0.96),
+            epochs=cfg.get("epochs", 50, parse_int),
+            batch_size=cfg.get("batch_size", 64, parse_int),
+            initial_lr=cfg.get("lr", 1e-3, parse_float),
+            lr_decay=cfg.get("lr_decay", 0.96, parse_float),
             seed=seed,
-            dtype=cfg.get_str("dtype", "float64", choices=("float64", "float32")),
+            dtype=cfg.get("dtype", "float64", one_of(("float64", "float32"))),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -330,8 +320,8 @@ def _train_config(cfg: Config, seed: int) -> TrainConfig:
 def _model_settings(cfg: Config, tc: TrainConfig, train_ds) -> dict:
     """Model keys shared by every model a command builds; the class count is the dataset's."""
     return {
-        "backbone": cfg.get_str("backbone", "paper-cnn", choices=BACKBONES),
-        "n_channels": cfg.get_int("channels", 8),
+        "backbone": cfg.get("backbone", "paper-cnn", one_of(BACKBONES)),
+        "n_channels": cfg.get("channels", 8, parse_int),
         "n_classes": train_ds.n_classes,
         "dtype": np.dtype(tc.dtype),
     }
@@ -345,10 +335,10 @@ def _build_model(settings: dict, mode: str, family: str, seed: int):
 
 
 def cmd_train(cfg: Config) -> int:
-    data_dir = cfg.get_path("dataset")
-    mode = cfg.get_str("mode", "tfn-add", choices=MODES)
-    family = cfg.get_str("family", "sttf", choices=[f.value for f in KernelFamily])
-    seed = cfg.get_seed()
+    data_dir = cfg.get("dataset", parse=parse_path)
+    mode = cfg.get("mode", "tfn-add", one_of(MODES))
+    family = cfg.get("family", "sttf", one_of([f.value for f in KernelFamily]))
+    seed = cfg.get("seed", "0", parse_seed)
     out = _prepare_out(cfg)
     train_ds, test_ds = _load_split_dataset(data_dir)
     tc = _train_config(cfg, seed)
@@ -379,8 +369,8 @@ def cmd_train(cfg: Config) -> int:
 
 
 def cmd_eval(cfg: Config) -> int:
-    ckpt_path = cfg.get_path("checkpoint")
-    data_dir = cfg.get_path("dataset")
+    ckpt_path = cfg.get("checkpoint", parse=parse_path)
+    data_dir = cfg.get("dataset", parse=parse_path)
     out = _prepare_out(cfg, required=False)
     cfg.ensure_consumed()
     model = load_model(ckpt_path)
@@ -398,10 +388,10 @@ def cmd_eval(cfg: Config) -> int:
 
 
 def cmd_freq_response(cfg: Config) -> int:
-    ckpt_path = cfg.get_path("checkpoint")
-    data_dir = cfg.get_path("dataset", default="")
-    n_fft = cfg.get_int("n_fft", 1024)
-    bands_text = cfg.get_bands("bands", "")
+    ckpt_path = cfg.get("checkpoint", parse=parse_path)
+    data_dir = cfg.get("dataset", "", parse_optional_path)
+    n_fft = cfg.get("n_fft", 1024, parse_int)
+    bands_text = cfg.get("bands", "", parse_bands)
     out = _prepare_out(cfg)
     cfg.ensure_consumed()
     model = load_model(ckpt_path)
@@ -439,23 +429,22 @@ def cmd_freq_response(cfg: Config) -> int:
 
 
 def _n_threads() -> int:
-    raw = os.environ.get("TFN_THREADS", "1")
     try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"TFN_THREADS: expected an integer, got {raw!r}") from None
+        n = parse_int(os.environ.get("TFN_THREADS", "1"))[0]
+    except ValueError as exc:
+        raise ConfigError(f"TFN_THREADS: {exc}") from None
     if n < 1:
         raise ConfigError("TFN_THREADS: must be >= 1")
     return n
 
 
 def cmd_ablate(cfg: Config) -> int:
-    data_dir = cfg.get_path("dataset")
-    families = cfg.get_list("families", "sttf",
-                            choices=[f.value for f in KernelFamily if f.value != "random"])
+    data_dir = cfg.get("dataset", parse=parse_path)
+    families = cfg.get("families", "sttf",
+                       list_of([f.value for f in KernelFamily if f.value != "random"]))
     if not families:
         raise ConfigError("families: at least one kernel family is required")
-    seeds = cfg.get_seeds(default="0,1,2")
+    seeds = cfg.get("seed", "0,1,2", parse_seeds)
     out = _prepare_out(cfg)
     train_ds, test_ds = _load_split_dataset(data_dir)
     tc = _train_config(cfg, seeds[0])
@@ -470,47 +459,40 @@ def cmd_ablate(cfg: Config) -> int:
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
 
-    groups = []  # (mode, family-or-None)
-    for mode in ABLATE_MODES:
-        if mode == "backbone-only":
-            groups.append((mode, None))
-        else:
-            groups.extend((mode, fam) for fam in families)
-    cells = [(f"{mode}-{fam or 'none'}-s{seed}", mode, fam, seed)
-             for mode, fam in groups for seed in seeds]
+    groups = [(mode, fam) for mode in ABLATE_MODES
+              for fam in ([None] if mode == "backbone-only" else families)]
 
-    def run_cell(label, mode, fam, seed):
-        model = _build_model(settings, mode, fam or "sttf", seed)
-        history = train(model, train_ds.signals, train_ds.labels,
-                        test_ds.signals, test_ds.labels, dataclasses.replace(tc, seed=seed))
-        cell_dir = out / "cells" / label
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        _write_history(cell_dir / "history.csv", history)
-        _write_json(cell_dir / "metrics.json", {"final_test_acc": history.test_acc[-1]})
+    def run_cell(mode, fam, seed):
+        label = f"{mode}-{fam or 'none'}-s{seed}"
+        try:
+            model = _build_model(settings, mode, fam or "sttf", seed)
+            history = train(model, train_ds.signals, train_ds.labels, test_ds.signals,
+                            test_ds.labels, dataclasses.replace(tc, seed=seed))
+            cell_dir = out / "cells" / label
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            _write_history(cell_dir / "history.csv", history)
+            _write_json(cell_dir / "metrics.json", {"final_test_acc": history.test_acc[-1]})
+        except Exception as exc:
+            raise RuntimeError(f"ablation cell {label} failed ({exc})") from exc
         return history.test_acc[-1]
 
-    results: dict[int, float] = {}
-    failure = None
+    # one list of futures per (mode, family) group, in grid order
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_cell, *cell) for cell in cells]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # keep the other cells' results below
-                if failure is None:
-                    failure = f"ablation cell {cells[i][0]} failed ({exc})"
-
-    rows = []
-    for gi, (mode, fam) in enumerate(groups):
-        accs = [results.get(gi * len(seeds) + si) for si in range(len(seeds))]
-        if None not in accs:
+        grid = [(mode, fam, [pool.submit(run_cell, mode, fam, seed) for seed in seeds])
+                for mode, fam in groups]
+    rows, failures = [], []
+    for mode, fam, futures in grid:
+        errors = [fut.exception() for fut in futures if fut.exception()]
+        failures += errors
+        if not errors:  # a failed cell drops only its own group's row
+            accs = [fut.result() for fut in futures]
             rows.append((mode, fam or "-", float(np.mean(accs)), float(np.var(accs))))
     _write_csv(out / "results.csv", "model,kernel,mean_acc,variance", rows)
     _write_echo(cfg, out)
     for mode, fam, mean, var in rows:
         print(f"{mode:14s} {fam:10s} mean_acc={mean:.4f} variance={var:.6f}")
-    if failure is not None:
-        raise RuntimeError(f"{failure}; partial results kept in {out / 'results.csv'}")
+    if failures:
+        raise RuntimeError(f"{failures[0]}; partial results kept in {out / 'results.csv'}")
     return EXIT_OK
 
 

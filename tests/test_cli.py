@@ -549,3 +549,99 @@ class TestArgumentPlumbing:
                      "--set", "bogus=1"])
         assert code == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
+
+
+# every config error message, exact; "{tmp}" is the test's tmp_path and "{data}" a gen-data run
+CONFIG_ERRORS = {
+    "int": (["gen-data", "--out", "{tmp}/x", "--set", "samples_per_class=x"],
+            "samples_per_class: expected an integer, got 'x'"),
+    "float": (["gen-data", "--out", "{tmp}/x", "--set", "noise_sigma=x"],
+              "noise_sigma: expected a number, got 'x'"),
+    "bool": (["gen-data", "--out", "{tmp}/x", "--set", "force=maybe"],
+             "force: expected a boolean, got 'maybe'"),
+    "seeds-not-integers": (["gen-data", "--out", "{tmp}/x", "--seed", "0,a"],
+                           "seed: expected comma-separated integers, got '0,a'"),
+    "no-seed": (["gen-data", "--out", "{tmp}/x", "--seed", ","],
+                "seed: at least one seed is required"),
+    "two-seeds": (["gen-data", "--out", "{tmp}/x", "--seed", "0,1"],
+                  "seed: this command expects a single seed, got 2"),
+    "band-without-colon": (["gen-data", "--out", "{tmp}/x", "--set", "bands=0.2-0.3"],
+                           "bands: band '0.2-0.3' must be 'lo:hi'"),
+    "band-not-numeric": (["gen-data", "--out", "{tmp}/x", "--set", "bands=0.1:0.2, 0.1:x"],
+                         "bands: band '0.1:x' is not numeric"),
+    "invalid-value": (["train", "--out", "{tmp}/x", "--set", "dataset={data}",
+                       "--set", "mode=banana"],
+                      "mode: invalid value 'banana'; choose from backbone-only, tfn-add, "
+                      "tfn-replace, wkn-add, wkn-replace, random-tfn"),
+    "invalid-entry": (["ablate", "--out", "{tmp}/x", "--set", "dataset={data}",
+                       "--set", "families=sttf,random"],
+                      "families: invalid entry 'random'; choose from sttf, chirplet, morlet, "
+                      "laplace"),
+    "path-absent": (["train", "--out", "{tmp}/x", "--set", "dataset={tmp}/absent"],
+                    "dataset: path {tmp}/absent does not exist"),
+    "missing-key": (["train", "--out", "{tmp}/x"],
+                    "train: missing required config key 'dataset'"),
+    "unknown-key": (["gen-data", "--out", "{tmp}/x", "--set", "bogus=1"],
+                    "unknown config key 'bogus' for command gen-data"),
+    "out-not-empty": (["gen-data", "--out", "{data}"],
+                      "output directory {data} is not empty (use --force)"),
+    "out-missing": (["gen-data"], "missing output directory (set 'out' or pass --out)"),
+}
+
+
+@pytest.mark.parametrize("args, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_message(tmp_path, data_dir, capsys, args, message):
+    fill = {"tmp": tmp_path, "data": data_dir}
+    assert main([a.format(**fill) for a in args]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(**fill)}\n"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+def test_negative_seed_names_seed(tmp_path, data_dir, capsys, command):
+    args = [command, "--out", str(tmp_path / "x"), "--seed=-1"]
+    if command != "gen-data":
+        args += ["--set", f"dataset={data_dir}"]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: seed: expected non-negative integers, got '-1'\n"
+    assert not (tmp_path / "x").exists()
+
+
+class TestUnreadableInputs:
+    def test_config_directory_names_it(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config file {tmp_path}: ")
+
+    def test_config_not_utf8_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = \xff\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config file {cfg}: ")
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        assert main(["gen-data", "--out", str(tmp_path / "f"), *GEN_ARGS]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: out: {tmp_path / 'f'} is not a directory\n"
+
+
+# runs made here; gen-data and train replay the data_dir and trained_dir fixtures
+REPLAY_RUNS = {
+    "eval": ["eval", "--set", "checkpoint={ckpt}", "--set", "dataset={data}"],
+    "freq-response": ["freq-response", "--set", "checkpoint={ckpt}", "--set", "dataset={data}",
+                      "--set", "bands=0.1:0.2"],
+    "ablate": ["ablate", "--seed", "0", "--set", "dataset={data}", "--set", "epochs=1",
+               "--set", "batch_size=4", "--set", "channels=2", "--set", "backbone=lenet-1d"],
+}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "freq-response", "ablate"])
+def test_config_echo_replay_echoes_the_same(tmp_path, data_dir, trained_dir, command):
+    fill = {"data": data_dir, "ckpt": trained_dir / "model.tfn"}
+    run = {"gen-data": data_dir, "train": trained_dir}.get(command, tmp_path / "run")
+    if command in REPLAY_RUNS:
+        args = [a.format(**fill) for a in REPLAY_RUNS[command]]
+        assert main([*args, "--out", str(run)]) == EXIT_OK
+    replay = tmp_path / "replay"
+    assert main([command, "--config", str(run / "config.echo"), "--out", str(replay)]) == EXIT_OK
+    assert (replay / "config.echo").read_bytes() == (run / "config.echo").read_bytes()
