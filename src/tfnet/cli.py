@@ -207,8 +207,10 @@ def _prepare_out(cfg: Config, required=True) -> Path | None:
             raise ConfigError("missing output directory (set 'out' or pass --out)")
         return None
     path = Path(out)
-    if path.exists() and not path.is_dir():
-        raise ConfigError(f"out: {path} is not a directory")
+    # the nearest existing path must be a directory, or mkdir below would fail
+    blocking = next(p for p in (path, *path.parents) if p.exists())
+    if not blocking.is_dir():
+        raise ConfigError(f"out: {blocking} is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force)")
     path.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,14 @@ float64 unless a model is built with an explicit float32 switch.
 The backbones pool before ReLU: relu(max(a, b)) = max(relu a, relu b), and
 the gradient reaches the same slot either way, so ReLU runs on half the
 samples with every output and gradient value unchanged.
+
+Inference (``training.evaluate``) runs ``fold_batchnorm(model)``: there a
+batch norm is a fixed per-channel affine map, which the ``Conv1d`` before it
+absorbs, saving the norm's two passes over its activations.  Training,
+checkpoints and the kernel banks read the unfolded model.
 """
+
+import copy
 
 import numpy as np
 
@@ -620,6 +627,38 @@ class Model:
 
     def gradients(self):
         return [g for layer in self.walk_layers() for g in layer.grads]
+
+
+def fold_batchnorm(model: Model) -> Model:
+    """An inference copy of ``model``, each ``BatchNorm1d`` merged into the ``Conv1d`` before it.
+
+    The norm's map x*scale + (beta - scale*running_mean), scale =
+    gamma/sqrt(running_var + eps) (Ioffe and Szegedy, 2015, sec. 3.1), gives
+    the conv weight W*scale and bias (b - running_mean)*scale + beta (Jacob
+    et al., 2018, sec. 3.2), inside residual blocks too.  A norm after the
+    TFconv front layer stays: the modulus is not linear.  The copy holds
+    shallow copies of the layers, so ``model`` keeps its arrays and names.
+    """
+    return Model(_fold_layers(model.layers), model.mode, model.backbone)
+
+
+def _fold_layers(layers):
+    out = []
+    for layer in layers:
+        if isinstance(layer, BatchNorm1d) and out and isinstance(out[-1], Conv1d):
+            conv = out[-1]
+            scale = layer.gamma / np.sqrt(layer.running_var + layer.eps)
+            conv.weight = conv.weight * scale[:, None, None]
+            conv.bias = (conv.bias - layer.running_mean) * scale + layer.beta
+            continue
+        layer = copy.copy(layer)
+        # a method set on the instance (a profiler's wrapper, say) would run the unfolded layer
+        for name in [name for name, value in vars(layer).items() if callable(value)]:
+            delattr(layer, name)
+        if isinstance(layer, Residual):
+            layer.sublayers = _fold_layers(layer.sublayers)
+        out.append(layer)
+    return out
 
 
 def check_labels(labels, n_classes):

@@ -1,5 +1,6 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs."""
 
+import copy
 import hashlib
 import json
 import struct
@@ -11,7 +12,8 @@ from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_OK, main
 from tfnet.core_math import same_pad_widths
 from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
-from tfnet.nn import EPS_MODULUS, Model, softmax_cross_entropy
+from tfnet.nn import (EPS_MODULUS, AdaptiveAvgPool, BatchNorm1d, Conv1d, Dense, Flatten, MaxPool,
+                      Model, ReLU, Residual, TFconvLayer, softmax_cross_entropy)
 
 
 def _as_1d(x, name: str) -> np.ndarray:
@@ -299,6 +301,116 @@ def adjoint_gap_with_bound(apply, apply_abs, v, w, transposed, chain: int, n_ter
     total = np.sum(apply_abs(np.abs(v)) * np.abs(w))
     bound = (gamma(chain, np.float64) + 2 * gamma(n_terms + 2, ld)) * total
     return float(abs(lhs - rhs)), float(bound)
+
+
+def _abs_conv(conv: Conv1d, v: np.ndarray) -> np.ndarray:
+    """float64 |W| correlated with ``v``, in ``conv``'s geometry, bias left out."""
+    absolute = copy.copy(conv)
+    absolute.weight = np.abs(conv.weight).astype(np.float64)
+    absolute.bias = np.zeros(conv.out_channels)
+    return absolute.forward(v)
+
+
+def _fold_sites(layers, unfolded, a, dtype):
+    """Run the folded ``layers`` forward, keeping backward state; list each output's rounding bound.
+
+    ``unfolded`` maps a folded conv to the (conv, norm) pair it replaced.
+    Each entry is (layer, bound, inner): ``bound`` is a first-order bound,
+    at the computed input, on how far either stack's output of that layer
+    (the unfolded one's output of the layers it stands for) is from the
+    exact output on the same input; ``inner`` lists a residual branch.  A
+    sum of n rounded terms is off by ``gamma(n)`` times the sum of their
+    absolute values.  Unfolded, a pair's product term meets the conv's
+    K*C + 1 roundings, then the norm's scale (rv + eps, its square root,
+    the reciprocal, gamma*istd: 4), the product with it and the final
+    addition: K*C + 7.  Folded, the weight W*scale meets 4, the dot product
+    K*C and the bias addition 1: K*C + 5.  The shift and the folded bias
+    terms meet at most 7.  So both are within gamma_{K*C+7} times
+    scale*(|W| * |a| + |b| + |m|) + |beta|.  A lone conv meets K*C + 1, a
+    Dense in + 1, an AdaptiveAvgPool bin its width + 1 (the sum and the
+    division), a residual sum 1; ReLU, MaxPool and Flatten round nothing.
+    The front layer and the norm after it compute the same bits in both
+    stacks, so they get ``None``: no gradient is taken past them.
+    """
+    sites = []
+    for layer in layers:
+        mag = np.abs(np.asarray(a, dtype=np.float64))
+        inner = None
+        if isinstance(layer, (TFconvLayer, BatchNorm1d)):
+            out, bound = layer.forward(a), None
+            if isinstance(layer, TFconvLayer):
+                out = np.ascontiguousarray(out.transpose(0, 2, 1))
+        elif isinstance(layer, Residual):
+            inner, branch = _fold_sites(layer.sublayers, unfolded, a, dtype)
+            out = branch + a
+            bound = gamma(1, dtype) * (np.abs(branch) + mag)
+        else:
+            if isinstance(layer, Conv1d):
+                n = layer.kernel_size * layer.in_channels
+                conv, norm = unfolded.get(layer, (layer, None))
+                terms = _abs_conv(conv, mag) + np.abs(conv.bias)
+                if norm is None:
+                    bound = gamma(n + 1, dtype) * terms
+                else:
+                    scale = np.abs(norm.gamma.astype(np.float64)) / np.sqrt(
+                        norm.running_var.astype(np.float64) + norm.eps)
+                    bound = gamma(n + 7, dtype) * (scale * (terms + np.abs(norm.running_mean))
+                                                   + np.abs(norm.beta))
+            elif isinstance(layer, Dense):
+                bound = gamma(layer.in_features + 1, dtype) * (
+                    mag @ np.abs(layer.weight.T) + np.abs(layer.bias))
+            elif isinstance(layer, AdaptiveAvgPool):
+                starts, ends = layer._edges(a.shape[1])
+                width = max(hi - lo for lo, hi in zip(starts, ends))
+                bound = gamma(width + 1, dtype) * layer.forward(mag)
+            elif isinstance(layer, (ReLU, MaxPool, Flatten)):
+                bound = 0.0
+            else:
+                raise TypeError(f"no rounding rule for {type(layer).__name__}")
+            out = layer.forward(a, training=True)
+        sites.append((layer, bound, inner))
+        a = out
+    return sites, a
+
+
+def _weighted_bounds(sites, g, total):
+    """Add <|g|, bound> per sample for each site, back to front; return the input gradient."""
+    for layer, bound, inner in reversed(sites):
+        if bound is None:
+            return g
+        total += np.sum(np.abs(g) * bound, axis=tuple(range(1, g.ndim)))
+        g = _weighted_bounds(inner, g, total) + g if inner is not None else layer.backward(g)
+    return g
+
+
+def fold_deviation_bound(model: Model, folded: Model, x: np.ndarray) -> np.ndarray:
+    """(B, n_classes) first-order bound on |folded - unfolded| inference logits of (B, L) ``x``.
+
+    Both stacks compute the same exact function.  To first order each
+    logit's error is the sum over layers of the logit's gradient with
+    respect to that layer's output times the layer's rounding error, so
+    the two stacks' logits differ by at most twice the sum over the folded
+    stack's layers of <|d logit / d output|, bound> (``_fold_sites``).  The
+    gradients are the folded stack's backward, one class at a time; at
+    inference a sample's logits depend on that sample alone.  The backward
+    overwrites the gradient arrays of ``model`` that ``folded`` shares.
+    """
+    leaves = list(model.walk_layers())
+    convs = [(layer, leaves[i + 1]) for i, layer in enumerate(leaves) if isinstance(layer, Conv1d)]
+    # folding keeps every conv in order and gives a folded one a new weight array
+    unfolded = {f: (conv, norm) for f, (conv, norm) in zip(
+        [layer for layer in folded.walk_layers() if isinstance(layer, Conv1d)], convs)
+        if f.weight is not conv.weight}
+    a = np.asarray(x, dtype=model.dtype)
+    if model.tfconv is None:
+        a = a[:, :, None]
+    sites, logits = _fold_sites(folded.layers, unfolded, a, model.dtype)
+    bound = np.zeros(logits.shape)
+    for k in range(logits.shape[1]):
+        g = np.zeros_like(logits)
+        g[:, k] = 1.0
+        _weighted_bounds(sites, g, bound[:, k])
+    return 2 * bound
 
 
 def forward_out_of_place(model: Model, x: np.ndarray) -> np.ndarray:

@@ -624,6 +624,24 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err == \
             f"config error: out: {tmp_path / 'f'} is not a directory\n"
 
+    def test_gen_data_out_below_a_file_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        args = ["gen-data", "--out", str(tmp_path / "f" / "sub"), "--seed", "0", *GEN_ARGS]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: out: {tmp_path / 'f'} is not a directory\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "f"]
+
+    def test_eval_out_below_a_file_names_the_file(self, tmp_path, data_dir, trained_dir, capsys):
+        (tmp_path / "f").write_text("")
+        args = ["eval", "--out", str(tmp_path / "f" / "a" / "b"),
+                "--set", f"checkpoint={trained_dir / 'model.tfn'}", "--set", f"dataset={data_dir}"]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: out: {tmp_path / 'f'} is not a directory\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "f"]
+
 
 # runs made here; gen-data and train replay the data_dir and trained_dir fixtures
 REPLAY_RUNS = {

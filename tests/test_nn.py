@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
                      check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
                      conv1d_input_grad_per_tap, forward_out_of_place, maxpool_input_grad_where,
@@ -523,6 +524,82 @@ class TestExactAdjoints:
                                             x, w, gx, chain=pool.bins, n_terms=n_terms)
         assert gap <= bound
 
+    def test_batchnorm_training_input_gamma_and_beta(self):
+        B, L, C = 4, 12, 3
+        M = B * L
+        bn = BatchNorm1d(C)
+        bn.gamma[:] = rng_(93).normal(size=C)
+        bn.beta[:] = rng_(94).normal(size=C)
+        x = rng_(95).normal(loc=2.0, scale=3.0, size=(B, L, C))
+        w = rng_(96).normal(size=(B, L, C))
+        bn.forward(x, training=True)
+        xhat, istd, _ = (np.asarray(a, dtype=np.longdouble) for a in bn._cache)
+        gx = bn.backward(w)
+        gamma = np.asarray(bn.gamma, dtype=np.longdouble)
+
+        def jvp(v):
+            # J v = gamma*istd*(v - mean(v) - xhat*mean(v*xhat)) at the forward's own statistics
+            return gamma * istd * (v - v.mean(axis=(0, 1)) - xhat * (v * xhat).mean(axis=(0, 1)))
+
+        def jvp_abs(v):
+            # |J_ij| <= |gamma|*istd*(delta_ij + 1/M + |xhat_i||xhat_j|/M), per channel
+            ax = np.abs(xhat)
+            scale = np.abs(gamma) * istd
+            return scale * (v + v.mean(axis=(0, 1)) + ax * (v * ax).mean(axis=(0, 1)))
+
+        # the longest path through backward: a product summed over M, the
+        # division by -M, the product with xhat, two additions, and gamma*istd
+        # rounded and multiplied in: M + 6 roundings
+        gap, bound = adjoint_gap_with_bound(jvp, jvp_abs, rng_(97).normal(size=x.shape), w, gx,
+                                            chain=M + 6, n_terms=C * M * M)
+        assert gap <= bound
+        # d out / d gamma scales xhat and d out / d beta is a broadcast; each gradient sums M terms
+        gap, bound = adjoint_gap_with_bound(lambda v: v * xhat, lambda v: v * np.abs(xhat),
+                                            rng_(98).normal(size=C), w, bn.ggrad,
+                                            chain=M, n_terms=C * M)
+        assert gap <= bound
+        gap, bound = adjoint_gap_with_bound(lambda v: np.broadcast_to(v, (B, L, C)),
+                                            lambda v: np.broadcast_to(v, (B, L, C)),
+                                            rng_(99).normal(size=C), w, bn.bgrad,
+                                            chain=M, n_terms=C * M)
+        assert gap <= bound
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batchnorm_inference_is_its_affine_map(self, dtype):
+        """<BN(x), w> == <x, scale*w> + <shift, sum w>, scale and shift exact in long double.
+
+        This is the map ``fold_batchnorm`` merges into the conv before it.
+        The forward rounds rv + eps, its square root, the reciprocal and
+        gamma*istd (scale, 4 roundings, the square root halving its
+        argument's), then scale*x (5), scale*running_mean and the
+        subtraction from beta (6 for that term, 1 for beta) and the final
+        addition (7): every term of an output meets at most 7 roundings of
+        ``dtype``, so the forward's inner product with ``w`` moves by at most
+        gamma_7 * <|scale x| + |scale m| + |beta|, |w|>.
+        """
+        B, L, C = 3, 10, 4
+        bn = BatchNorm1d(C, dtype=dtype)
+        r = rng_(100)
+        for arr in (bn.gamma, bn.beta, bn.running_mean):
+            arr[:] = r.normal(size=C)
+        bn.running_var[:] = r.uniform(0.1, 4.0, size=C)
+        x = r.normal(size=(B, L, C)).astype(dtype)
+        w = r.normal(size=(B, L, C))
+        got = bn.forward(x.copy(), training=False)
+        assert got.dtype == dtype
+        ld = np.longdouble
+        gamma, beta, mean, var = (np.asarray(a, dtype=ld) for a in
+                                  (bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+        scale = gamma / np.sqrt(var + ld(np.asarray(bn.eps, dtype=dtype)))
+        shift = beta - scale * mean
+        x_ld, w_ld = np.asarray(x, dtype=ld), np.asarray(w, dtype=ld)
+        lhs = np.sum(np.asarray(got, dtype=ld) * w_ld)
+        rhs = np.sum(x_ld * (scale * w_ld)) + np.sum(shift * w_ld.sum(axis=(0, 1)))
+        total = np.sum((np.abs(scale * x_ld) + np.abs(scale * mean) + np.abs(beta)) * np.abs(w_ld))
+        n_terms = 3 * B * L * C
+        bound = (helpers.gamma(7, dtype) + 2 * helpers.gamma(n_terms + 2, ld)) * total
+        assert abs(lhs - rhs) <= bound
+
     def test_flatten(self):
         layer = Flatten()
         x = rng_(91).normal(size=(3, 4, 5))
@@ -798,6 +875,118 @@ class TestAssembly:
         assert [layer for layer, _, _ in trace] == model.layers
         assert trace[0][1:] == ("0.tfconvlayer", (1, 1024, 8))
         assert trace[-1][2] == (1, 5) == out.shape
+
+
+def random_inference_stats(model, seed):
+    """Give every batch norm random statistics and affine terms, every conv a random bias."""
+    r = rng_(seed)
+    for layer in model.walk_layers():
+        if isinstance(layer, BatchNorm1d):
+            for arr in (layer.gamma, layer.beta, layer.running_mean):
+                arr[:] = r.normal(size=layer.channels)
+            layer.running_var[:] = r.uniform(0.1, 4.0, size=layer.channels)
+        elif isinstance(layer, Conv1d):
+            layer.bias[:] = r.normal(scale=0.1, size=layer.out_channels)
+    return model
+
+
+class TestFoldBatchNorm:
+    """``fold_batchnorm``: each Conv1d -> BatchNorm1d pair becomes one Conv1d at inference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_folded_pair_matches_long_double_conv_then_norm(self, dtype, padding):
+        """The folded conv against conv -> norm(training=False) in long double.
+
+        The folded weight W*scale meets 4 roundings of ``dtype`` (rv + eps,
+        its square root and the division make scale, then the product), the
+        dot product K*C and the bias addition 1: K*C + 5 per product term.
+        The bias (b - m)*scale + beta meets 7 (the subtraction, scale, the
+        product, beta's addition and the conv's), fewer than K*C + 5.  So
+        each output is within gamma_{K*C+5} * (scale * (|W| * |x|) +
+        scale*|b - m| + |beta|) of the exact pair; the long-double
+        reference adds gamma_{K*C+7}(long double) of the same.
+        """
+        C, O, K = 6, 5, 3
+        conv = Conv1d(C, O, K, rng_(101), padding=padding, dtype=dtype)
+        norm = BatchNorm1d(O, dtype=dtype)
+        random_inference_stats(Model([conv, norm], "backbone-only", "pair"), 102)
+        weight, bias = conv.weight.copy(), conv.bias.copy()
+        folded = nn.fold_batchnorm(Model([conv, norm], "backbone-only", "pair")).layers
+        assert len(folded) == 1 and isinstance(folded[0], Conv1d)
+        np.testing.assert_array_equal(conv.weight, weight)
+        np.testing.assert_array_equal(conv.bias, bias)
+        x = rng_(103).normal(size=(3, 40, C)).astype(dtype)
+        got = folded[0].forward(x)
+        assert got.dtype == dtype
+
+        ld = np.longdouble
+        gamma, beta, mean, var = (np.asarray(a, dtype=ld) for a in
+                                  (norm.gamma, norm.beta, norm.running_mean, norm.running_var))
+        scale = gamma / np.sqrt(var + ld(np.asarray(norm.eps, dtype=dtype)))
+        b = np.asarray(conv.bias, dtype=ld)
+        want = (conv1d_direct(x, conv.weight, padding) + b - mean) * scale + beta
+        magnitude = (np.abs(scale) * (conv1d_direct(np.abs(x), np.abs(conv.weight), padding)
+                                      + np.abs(b - mean)) + np.abs(beta))
+        bound = (helpers.gamma(K * C + 5, dtype) + helpers.gamma(K * C + 7, ld)) * magnitude
+        assert np.all(np.abs(np.asarray(got, dtype=ld) - want) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add", "tfn-replace"])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_logits_within_derived_bound_and_argmax_agrees(self, backbone, mode, dtype):
+        """Folded logits within ``helpers.fold_deviation_bound`` of the unfolded ones.
+
+        That bound is first order: twice the sum, over the folded stack's
+        layers, of each layer's rounding bound from eps(dtype) weighted by
+        the logit's gradient with respect to that layer's output.
+        """
+        model = random_inference_stats(assemble_model(mode, backbone, n_channels=4, seed=3,
+                                                      dtype=dtype), 104)
+        x = rng_(105).normal(size=(3, 128))
+        want = model.forward(x)
+        folded = nn.fold_batchnorm(model)
+        got = folded.forward(x)
+        assert got.dtype == want.dtype
+        bound = helpers.fold_deviation_bound(model, folded, x)
+        assert np.all(np.abs(got - want) <= bound)
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add", "tfn-replace"])
+    def test_model_without_a_pair_gives_bit_identical_logits(self, mode, dtype):
+        model = assemble_model(mode, "lenet-1d", n_channels=4, seed=3, dtype=dtype)
+        folded = nn.fold_batchnorm(model)
+        assert [type(a) for a in folded.walk_layers()] == [type(a) for a in model.walk_layers()]
+        x = rng_(106).normal(size=(3, 256))
+        np.testing.assert_array_equal(folded.forward(x), model.forward(x))
+
+    @pytest.mark.parametrize("backbone", ["paper-cnn", "resnet-1d"])
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add", "tfn-replace", "wkn-replace"])
+    def test_only_the_norm_after_a_front_layer_stays(self, backbone, mode):
+        model = assemble_model(mode, backbone, n_channels=4)
+        folded = nn.fold_batchnorm(model)
+        kept = [a for a in folded.walk_layers() if isinstance(a, BatchNorm1d)]
+        if mode.endswith("-replace"):
+            assert kept == [folded.layers[1]] and isinstance(folded.layers[0], TFconvLayer)
+        else:
+            assert kept == []
+        n_convs = sum(isinstance(a, Conv1d) for a in model.walk_layers())
+        assert sum(isinstance(a, Conv1d) for a in folded.walk_layers()) == n_convs
+
+    def test_ignores_methods_set_on_the_layers(self):
+        """A per-instance wrapper, as a profiler sets, calls the unfolded layer; no copy keeps it."""
+        model = random_inference_stats(assemble_model("tfn-add", "resnet-1d", n_channels=4), 109)
+        x = rng_(110).normal(size=(2, 128))
+        want = nn.fold_batchnorm(model).forward(x)
+        calls = []
+        for layer in model.walk_layers():
+            layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
+                             calls.append(f) or f(x, training=training, overwrite=overwrite))
+        folded = nn.fold_batchnorm(model)
+        np.testing.assert_array_equal(folded.forward(x), want)
+        assert calls == []
+        assert all("forward" in vars(layer) for layer in model.walk_layers())
 
 
 class TestInferenceKeepsNothing:

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tfnet.checkpoint import save_model
 from tfnet.kernels import KernelFamily, check_theta, init_params
 from tfnet import training
-from tfnet.nn import AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU, TFconvLayer
+from tfnet.nn import (AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU, TFconvLayer,
+                      assemble_model, fold_batchnorm)
 from tfnet.training import Adam, TrainConfig, evaluate, standardize, train
 
 
@@ -300,6 +302,41 @@ class TestEvaluate:
         acc2, c2 = evaluate(model, x, y)
         assert acc1 == acc2
         np.testing.assert_array_equal(c1, c2)
+
+    def test_folds_once_per_call(self, monkeypatch):
+        x, y = tone_problem(n_per_class=5)
+        calls = []
+        monkeypatch.setattr(training, "fold_batchnorm",
+                            lambda m: calls.append(m) or fold_batchnorm(m))
+        monkeypatch.setattr(training, "EVAL_BATCH", 4)
+        model = micro_backbone(seed=13)
+        evaluate(model, x, y)
+        assert calls == [model]
+
+    @pytest.mark.parametrize("mode, backbone", [("backbone-only", "paper-cnn"),
+                                                ("tfn-add", "resnet-1d")])
+    def test_leaves_the_trained_model_untouched(self, tmp_path, mode, backbone):
+        """``evaluate`` runs a BN-folded copy; the trained model keeps names, arrays and bytes."""
+        x, y = tone_problem(n_per_class=4)
+        model = assemble_model(mode, backbone, n_classes=3, n_channels=2, seed=5)
+        train(model, x, y, config=TrainConfig(epochs=1, batch_size=6, seed=5))
+        layers = list(model.walk_layers())
+        before = [(layer.name, [getattr(layer, attr).copy() for attr, _ in layer.state])
+                  for layer in layers]
+        bank = model.layers[0].kernels().copy()
+        save_model(model, tmp_path / "before.tfn")
+        evaluate(model, x, y)
+        assert list(model.walk_layers()) == layers
+        for layer, (name, arrays) in zip(layers, before):
+            assert layer.name == name
+            for (attr, _), array in zip(layer.state, arrays):
+                np.testing.assert_array_equal(getattr(layer, attr), array)
+        save_model(model, tmp_path / "after.tfn")
+        assert (tmp_path / "after.tfn").read_bytes() == (tmp_path / "before.tfn").read_bytes()
+        np.testing.assert_array_equal(model.layers[0].kernels(), bank)
+        if mode == "backbone-only":
+            # the stem conv's bank, which folding its batch norm would change
+            assert not np.array_equal(bank, fold_batchnorm(model).layers[0].kernels())
 
     def test_one_channel_axis_rejected(self):
         x, y = tone_problem(n_per_class=2)
