@@ -18,11 +18,12 @@ A model's input is a (batch, length) signal batch and its output is
 (batch, classes) logits.  Inside, the convolutional stack runs
 channels-last, (batch, length, channels), which keeps the im2col buffers
 and every elementwise pass contiguous.  ``Conv1d`` runs its forward and
-input-gradient GEMMs a few samples at a time and keeps only its padded
-input for training; its weight gradient, which sums over the batch,
-rebuilds the full-batch im2col matrix for its one GEMM and drops it, so
-backward holds one such matrix at a time.  A model's first layer
-computes only its parameter gradients (``param_backward``).
+input-gradient GEMMs a few samples at a time, as ``TFconvLayer`` runs its
+inverse FFTs, and keeps only its padded input for training; its weight
+gradient, which sums over the batch, rebuilds the full-batch im2col matrix
+for its one GEMM and drops it, so backward holds one such matrix at a
+time.  A model's first layer computes only its parameter gradients
+(``param_backward``).
 ``Model.forward`` is the one loop over a model's layers: it feeds a bare
 backbone's stem ``Conv1d`` the one-channel view (batch, length, 1),
 transposes the channels-first output of a time-frequency front layer once,
@@ -436,13 +437,15 @@ class TFconvLayer(Layer):
         h[k]      = sqrt(h_real^2 + h_img^2 + EPS_MODULUS)
 
     where (*) is length-preserving cross-correlation, aligned by the
-    family's grid: output l reads x[l + n] through the tap at grid index
-    n, so the centred families pad both sides alike and the one-sided
-    laplace grid pads only the right.  The kernel bank is the pair
-    ``(family, theta)``: the family fixes the kernel function and its grid,
-    and ``theta``, a (C, P) float64 array, holds each channel's P control
-    parameters, the layer's only trainable weights.  A training forward
-    keeps the input's spectrum, not the input.  The backward chains the
+    family's grid: output l reads x[l + n] through the tap at grid index n,
+    so the centred families pad both sides alike and the one-sided laplace
+    grid pads only the right.  The kernel bank is the pair ``(family,
+    theta)``: the family fixes the kernel function and its grid, and
+    ``theta``, a (C, P) float64 array, holds each channel's P control
+    parameters, the layer's only trainable weights.  The forward transforms
+    the batch once, then correlates a cache-sized group of samples at a
+    time; a training forward keeps the input's spectrum, not the input, and
+    with the modulus the complex correlation.  The backward chains the
     upstream gradient through the modulus in one complex multiply, g =
     conj(corr) * grad / h; one FFT of g times the kept conjugate spectrum,
     summed over the batch, gives the gradient with respect to the taps; and
@@ -450,8 +453,8 @@ class TFconvLayer(Layer):
     the parameters, the same way for every kernel family.  The layer is
     always a model's front layer, so the backward stops at its parameters:
     there is no input gradient.  ``modulus=False`` keeps only the
-    real-kernel correlation with no modulus, approximating
-    wavelet-kernel comparison layers.
+    real-kernel correlation with no modulus, approximating wavelet-kernel
+    comparison layers.
     """
 
     state = (("theta", "grad_theta"),)
@@ -474,8 +477,8 @@ class TFconvLayer(Layer):
     def forward(self, x, training=False, overwrite=False):
         """(B, L) input -> (B, C, L) feature map.
 
-        A training forward keeps the input's (B, n) spectrum, the complex
-        correlation and the output for ``backward``.
+        A training forward keeps the input's (B, n) spectrum, the output and,
+        with the modulus, the complex correlation for ``backward``.
         """
         x = np.asarray(x)
         # float32 input (a float32 model's) runs the whole layer in single precision
@@ -487,17 +490,11 @@ class TFconvLayer(Layer):
         kern = self.kernels()
         if x.dtype == np.float32:
             kern = kern.astype(np.complex64)
-        corr, Xf = batch_correlate_same(x, kern, default_grid(self.family))
-        if self.modulus:
-            # sqrt(h_real**2 + h_img**2 + eps) in one full-size buffer
-            h = np.square(corr.real)
-            h += np.square(corr.imag)
-            h += EPS_MODULUS
-            np.sqrt(h, out=h)
-        else:
-            h = corr.real
+        h, corr, Xf = batch_correlate_same(x, kern, default_grid(self.family),
+                                           EPS_MODULUS if self.modulus else None,
+                                           keep=training and self.modulus)
         self._cache = (Xf, corr, h) if training else None
-        return np.ascontiguousarray(h)
+        return h
 
     def backward(self, grad):
         """Set ``grad_theta`` to the gradient of the upstream (B, C, L) ``grad``.
@@ -588,8 +585,8 @@ class Model:
     def forward(self, x, training=False, hook=None):
         """(B, L) signals -> (B, n_classes) logits."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 2:
-            raise ValueError(f"model expects (B, L) signals, got shape {x.shape}")
+        if x.ndim != 2 or x.size == 0:
+            raise ValueError(f"model expects non-empty (B, L) signals, got shape {x.shape}")
         front = self.tfconv
         out = x if front is not None else x[:, :, None]
         for layer in self.layers:

@@ -7,6 +7,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_OK, main
@@ -145,6 +146,31 @@ def tfconv_modulus_with_bound(layer, x: np.ndarray, n: int):
             bound[b, c] = (correlation_roundoff(row, k, n, dtype)[0] + direct_roundoff(row, k)
                            + 3 * (u + u64) * h_max)
     return want, bound
+
+
+def whole_batch_tfconv(layer: TFconvLayer, x: np.ndarray):
+    """(h, corr, Xf): ``layer``'s forward on ``x`` with the whole batch transformed at once.
+
+    One (B, C, n) product of the signal and kernel spectra, one IFFT of it
+    and a contiguous copy of its (B, C, L) slice, then the modulus (or the
+    real part) over the whole batch: the formula the grouped forward must
+    equal bit for bit, since every row is transformed by itself.
+    """
+    kern = layer.kernels().astype(np.result_type(x.dtype, 1j))
+    grid = default_grid(layer.family)
+    L, K = x.shape[1], len(grid)
+    n = scipy.fft.next_fast_len(L + K - 1, real=True)
+    Xf = scipy.fft.fft(x, n)
+    Kf = scipy.fft.fft(np.ascontiguousarray(kern[:, ::-1]), n)
+    start = K - 1 + int(grid[0])
+    full = scipy.fft.ifft(Xf[:, None, :] * Kf[None, :, :], axis=-1)
+    corr = np.ascontiguousarray(full[:, :, start : start + L])
+    if not layer.modulus:
+        return np.ascontiguousarray(corr.real), corr, Xf
+    h = np.square(corr.real)
+    h += np.square(corr.imag)
+    h += EPS_MODULUS
+    return np.sqrt(h, out=h), corr, Xf
 
 
 def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int):
@@ -445,6 +471,64 @@ def maxpool_input_grad_where(choice: np.ndarray, grad: np.ndarray, length: int) 
     gx[:, 0 : 2 * L_out : 2, :] = np.where(choice, 0.0, grad)
     gx[:, 1 : 2 * L_out : 2, :] = np.where(choice, grad, 0.0)
     return gx
+
+
+def softmax_cross_entropy_with_bound(logits: np.ndarray, labels: np.ndarray):
+    """(loss, loss_bound, grad, grad_bound): ``softmax_cross_entropy``'s closed form in long double.
+
+    With z = l - max(l) per row, E = exp(z), T = sum E and P = E / T: loss =
+    mean(log T - z[label]) and grad = (P - onehot) / B.  The bounds are first
+    order in the unit roundoff u of float64, in which the function computes
+    (float32 logits convert exactly), with exp and log within 1 ulp (2u
+    relative), the tolerance numpy's validation tests hold float64 exp and
+    log to:
+
+    - z rounds by u|z|, so each E by eps = 2u + u|z|, and T, a sum of C
+      positive terms, by tau = sum(eps E) / T + gamma_{C-1};
+    - P = E / T by (eps + tau + u) P; P - onehot and the division by B add
+      u|P - onehot| each; a float32 gradient then rounds by u32 |grad|; the
+      division and the cast, which can land below the normal range, add half
+      the output dtype's smallest subnormal each;
+    - log T by tau + 2u log T (T >= 1: the row's largest term is exp(0)),
+      z[label] by u|z|, and their difference r >= 0 by u r; the sum of B
+      such rows adds gamma_{B-1} sum r, and the division by B u loss.
+
+    The long double reference's own error is the same expression at its u.
+    Logits whose exponentials leave the normal float64 range are rejected,
+    since an underflowed term's error is absolute.
+    """
+    ld = np.longdouble
+    labels = np.asarray(labels)
+    z = np.asarray(logits, dtype=ld)
+    z = z - z.max(axis=1, keepdims=True)
+    if np.any(z < np.log(np.finfo(np.float64).tiny)):
+        raise ValueError("an exponential underflows float64; the bound does not cover it")
+    B, C = z.shape
+    E = np.exp(z)
+    T = E.sum(axis=1, keepdims=True)
+    P = E / T
+    onehot = np.zeros_like(P)
+    onehot[np.arange(B), labels] = 1
+    z_label = z[np.arange(B), labels]
+    r = np.log(T[:, 0]) - z_label
+    loss, grad = r.sum() / B, (P - onehot) / B
+
+    def bound(dtype):
+        u = ld(np.finfo(dtype).eps) / 2
+        eps = 2 * u + u * np.abs(z)
+        tau = (eps * E).sum(axis=1, keepdims=True) / T + gamma(C - 1, dtype)
+        grad_bound = ((eps + tau + u) * P + 2 * u * np.abs(P - onehot)) / B
+        loss_bound = ((tau[:, 0] + 2 * u * np.log(T[:, 0]) + u * np.abs(z_label) + u * r).sum() / B
+                      + (gamma(B - 1, dtype) + u) * loss)
+        return loss_bound, grad_bound
+
+    loss64, grad64 = bound(np.float64)
+    loss_ld, grad_ld = bound(ld)
+    out = np.finfo(np.asarray(logits).dtype)
+    grad_bound = grad64 + grad_ld + ld(out.smallest_subnormal)
+    if out.dtype != np.float64:
+        grad_bound += ld(out.eps) / 2 * np.abs(grad)
+    return loss, loss64 + loss_ld, grad, grad_bound
 
 
 def central_difference(fn, arr: np.ndarray, index, h: float = 1e-6) -> float:

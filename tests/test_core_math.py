@@ -101,7 +101,7 @@ class TestBatchCorrelateSame:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 64))
         kernels = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
-        out, _ = batch_correlate_same(x, kernels, centred(11))
+        _, out, _ = batch_correlate_same(x, kernels, centred(11), keep=True)
         assert out.shape == (4, 3, 64)
         for b in range(4):
             for c in range(3):
@@ -116,7 +116,7 @@ class TestBatchCorrelateSame:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 40))
         kernels = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
-        out, _ = batch_correlate_same(x, kernels, grid)
+        _, out, _ = batch_correlate_same(x, kernels, grid, keep=True)
         for b in range(2):
             for c in range(2):
                 want = cross_correlate_same(x[b], kernels[c], grid)
@@ -126,23 +126,26 @@ class TestBatchCorrelateSame:
         for k, n in enumerate(grid):
             one_hot = np.zeros((1, 9), complex)
             one_hot[0, k] = 1.0
-            assert np.argmax(np.abs(batch_correlate_same(impulse, one_hot, grid)[0][0, 0])) == 20 - n
+            modulus, _, _ = batch_correlate_same(impulse, one_hot, grid, eps_modulus=0.0)
+            assert np.argmax(modulus[0, 0]) == 20 - n
 
     def test_matches_direct_path_real(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 40))
         kernels = rng.normal(size=(2, 7))
-        out, _ = batch_correlate_same(x, kernels, centred(7))
+        out, _, _ = batch_correlate_same(x, kernels, centred(7))
         for b in range(2):
             for c in range(2):
                 want = cross_correlate_same(x[b], kernels[c])
-                assert np.allclose(out[b, c].real, want, atol=1e-12)
+                assert np.allclose(out[b, c], want, atol=1e-12)
 
     def test_single_precision_stays_single(self):
         x = np.zeros((2, 32), dtype=np.float32)
         kernels = np.ones((1, 5), dtype=np.complex64)
-        out, Xf = batch_correlate_same(x, kernels, centred(5))
-        assert out.dtype == Xf.dtype == np.complex64
+        for eps_modulus in (None, 1e-12):
+            out, corr, Xf = batch_correlate_same(x, kernels, centred(5), eps_modulus, keep=True)
+            assert out.dtype == np.float32
+            assert corr.dtype == Xf.dtype == np.complex64
 
     @pytest.mark.parametrize("grid", [np.arange(-1, 2), np.arange(1, 5), np.arange(-4, 0)],
                              ids=["too-short", "after-index-0", "before-index-0"])
@@ -153,6 +156,13 @@ class TestBatchCorrelateSame:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             batch_correlate_same(np.zeros(16), np.zeros((1, 3)), centred(3))
+
+    @pytest.mark.parametrize("B, C", [(0, 2), (3, 0)], ids=["no-samples", "no-channels"])
+    def test_empty_batch_or_bank_gives_empty_outputs(self, B, C):
+        out, corr, Xf = batch_correlate_same(np.zeros((B, 16)), np.zeros((C, 3), complex),
+                                             centred(3), 1e-12, keep=True)
+        assert out.shape == corr.shape == (B, C, 16)
+        assert Xf.shape == (B, 18)
 
 
 class TestBatchConvFullSlice:
@@ -168,7 +178,7 @@ class TestBatchConvFullSlice:
         gi = rng.normal(size=(B, C, L))
         delta = rng.normal(size=(C, K)) + 1j * rng.normal(size=(C, K))
         for grid in (centred(K), np.arange(K)):
-            fwd, Xf = batch_correlate_same(x, delta, grid)
+            _, fwd, Xf = batch_correlate_same(x, delta, grid, keep=True)
             taps = batch_conv_full_slice(gr - 1j * gi, Xf, grid)
             lhs = np.sum(fwd.real * gr) + np.sum(fwd.imag * gi)
             assert np.isclose(lhs, np.sum(taps * delta).real, rtol=1e-10)

@@ -5,6 +5,7 @@ layers use internally; model tests go through the channels-first public
 boundary.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import helpers
 from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
                      check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
                      conv1d_input_grad_per_tap, forward_out_of_place, maxpool_input_grad_where,
-                     relative_error)
+                     relative_error, softmax_cross_entropy_with_bound)
 from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
@@ -672,6 +673,18 @@ class TestSoftmaxCrossEntropy:
         _, grad = softmax_cross_entropy(np.zeros((2, 3), dtype=np.float32), np.array([0, 1]))
         assert grad.dtype == np.float32
 
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_long_double_closed_form(self, dtype, scale):
+        rng = rng_(36)
+        logits = (scale * rng.normal(size=(16, 5))).astype(dtype)
+        labels = rng.integers(0, 5, size=16)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        want, loss_bound, want_grad, grad_bound = softmax_cross_entropy_with_bound(logits, labels)
+        assert grad.dtype == dtype
+        assert abs(loss - want) <= loss_bound
+        assert np.all(np.abs(grad - want_grad) <= grad_bound)
+
     def test_large_logit_gap_gives_finite_loss(self):
         # -log(softmax) once underflowed to log(0) = inf past a gap of ~745
         logits = np.array([[0.0, 1000.0]])
@@ -689,6 +702,14 @@ class TestModelContainer:
         model = assemble_model(mode, backbone="lenet-1d", n_channels=2)
         with pytest.raises(ValueError, match=r"\(B, L\) signals, got shape \(2, 1, 64\)"):
             model.forward(np.zeros((2, 1, 64)))
+
+    @pytest.mark.parametrize("shape", [(0, 1024), (3, 0)], ids=["no-samples", "no-length"])
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
+    def test_empty_batch_rejected(self, mode, shape):
+        model = assemble_model(mode, backbone="paper-cnn", n_channels=2)
+        for training in (False, True):
+            with pytest.raises(ValueError, match=re.escape(f"signals, got shape {shape}")):
+                model.forward(np.zeros(shape), training=training)
 
     def test_layers_fix_class_count_dtype_and_kernel_config(self):
         model = assemble_model("wkn-add", backbone="lenet-1d", family="morlet", n_classes=3,

@@ -1,11 +1,14 @@
 """Time-frequency layer: forward oracle, backward exact and finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from helpers import (central_difference, cross_correlate_same, reference_tft, relative_error,
-                     tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound)
+                     tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound,
+                     whole_batch_tfconv)
 from tfnet import core_math, nn
 from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
 from tfnet.kernels import (KernelFamily, default_grid, evaluate_kernels, init_params,
@@ -214,8 +217,8 @@ class TestSpectralPath:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, length)).astype(dtype)
         w = rng.normal(size=(2, 2, length)).astype(dtype)
-        _, spectrum = batch_correlate_same(x, layer.kernels().astype(np.result_type(dtype, 1j)),
-                                           default_grid(family))
+        *_, spectrum = batch_correlate_same(x, layer.kernels().astype(np.result_type(dtype, 1j)),
+                                            default_grid(family))
         assert spectrum.shape == (2, n)
         return layer, x, w
 
@@ -264,6 +267,54 @@ class TestSpectralPath:
         layer.backward(np.ones_like(out))
         # the signal batch, the kernel bank and the upstream gradient
         assert shapes == [(3, 200), (2, 301), (3, 2, 200)]
+
+
+class TestSampleGroups:
+    """The forward runs a few samples at a time, bit for bit the whole-batch formula."""
+
+    @pytest.mark.parametrize("modulus", [True, False], ids=["modulus", "real"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", ["one-sample", "one-group", "group-plus-one", "several"])
+    def test_equals_the_whole_batch_formula(self, groups, dtype, modulus):
+        # the paper shape, sttf K=51 at L=1024 (n=1080), C=8: 15 samples per
+        # group in float32 and 7 in float64
+        C, L, n = 8, 1024, 1080
+        per = core_math._GROUP_BYTES // (C * n * np.dtype(np.result_type(dtype, 1j)).itemsize)
+        assert per == {np.float32: 15, np.float64: 7}[dtype]
+        B = {"one-sample": 1, "one-group": per, "group-plus-one": per + 1, "several": 3 * per + 2}
+        layer = make_layer(KernelFamily.STTF, n_channels=C, modulus=modulus)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(B[groups], L)).astype(dtype)
+        w = rng.normal(size=(B[groups], C, L)).astype(dtype)
+        h, corr, Xf = whole_batch_tfconv(layer, x)
+        out = layer.forward(x, training=True)
+        kept_spectrum, kept_corr, _ = layer._cache
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, h)
+        np.testing.assert_array_equal(kept_spectrum, Xf)
+        if modulus:
+            np.testing.assert_array_equal(kept_corr, corr)
+        else:
+            assert kept_corr is None  # the real part's gradient needs no correlation
+        layer.backward(w)
+        grouped = layer.grad_theta.copy()
+        layer._cache = (Xf, corr, h)
+        layer.backward(w)
+        np.testing.assert_array_equal(grouped, layer.grad_theta)
+        np.testing.assert_array_equal(layer.forward(x), h)
+
+    def test_inference_forward_holds_no_batch_sized_complex_array(self):
+        # the train-tfconv shape: morlet K=301 at L=4096 (n=4500), float32
+        layer = make_layer(KernelFamily.MORLET, n_channels=8)
+        x = np.random.default_rng(24).normal(size=(64, 4096)).astype(np.float32)
+        layer.forward(x)  # any first-call allocation happens here
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty((64, 8, 4500), np.complex64).nbytes
 
 
 class TestLayerProtocol:
