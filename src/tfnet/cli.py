@@ -6,14 +6,15 @@ echoes its fully resolved configuration into ``config.echo`` in the output
 directory so a run can be reproduced from its artifacts alone.  Outputs
 carry no timestamps; identical config and seed give byte-identical files.
 
-Artifacts: ``gen-data`` writes ``train/``, ``test/`` and ``manifest.json``;
-``train`` writes ``model.tfn``, ``history.csv``, ``metrics.json`` and, for a
-TFconv model, ``theta_trajectory.csv``; ``eval`` writes ``confusion.csv`` and
+Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
+``dataset.tfd`` each) and ``manifest.json``; ``train`` writes
+``model.tfn``, ``history.csv``, ``metrics.json`` and, for a TFconv model,
+``theta_trajectory.csv``; ``eval`` writes ``confusion.csv`` and
 ``metrics.json``; ``freq-response`` writes ``cfr.csv``, ``ofr.csv``,
 ``kernel_taps.csv`` (TFconv), ``dataset_spectrum.csv`` (with a dataset) and
-``band_report.txt`` (with bands); ``ablate`` writes ``results.csv`` and each
-cell's ``history.csv`` and ``metrics.json`` under ``cells/<label>/``.  Every
-CSV goes through ``_write_csv`` (a header line, then floats as
+``band_report.txt`` (with bands); ``ablate`` writes ``results.csv`` and
+each cell's ``history.csv`` and ``metrics.json`` under ``cells/<label>/``.
+Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
 
@@ -31,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from tfnet.checkpoint import load_model, save_model
-from tfnet.data import (check_band, load_dataset, save_dataset, split, synth_generate,
-                        synthbearing5)
+from tfnet.data import (DATASET_FILE, check_band, load_dataset, save_dataset, split,
+                        synth_generate, synthbearing5)
 from tfnet.interpret import (THRESHOLD_FACTOR, band_coverage, channel_frequency_response,
                              dataset_spectrum, spectrum_freqs)
 from tfnet.kernels import KernelFamily, default_grid, param_names
@@ -247,7 +248,7 @@ def _write_echo(cfg: Config, out: Path):
 def _load_split_dataset(path: Path):
     """Read a gen-data directory (train/ + test/ subdirectories)."""
     train_dir, test_dir = path / "train", path / "test"
-    if not (train_dir / "meta.json").exists() or not (test_dir / "meta.json").exists():
+    if not (train_dir / DATASET_FILE).exists() or not (test_dir / DATASET_FILE).exists():
         raise ConfigError(
             f"dataset: {path} does not contain train/ and test/ dataset directories"
         )
@@ -256,28 +257,26 @@ def _load_split_dataset(path: Path):
 
 def _load_eval_dataset(path: Path):
     """A dataset directory, or a gen-data directory (its test side)."""
-    if (path / "meta.json").exists():
+    if (path / DATASET_FILE).exists():
         return load_dataset(path)
-    if (path / "test" / "meta.json").exists():
+    if (path / "test" / DATASET_FILE).exists():
         return load_dataset(path / "test")
     raise ConfigError(f"dataset: {path} is not a dataset directory")
 
 
 def cmd_gen_data(cfg: Config) -> int:
     samples_per_class = cfg.get("samples_per_class", 200, parse_int)
+    if samples_per_class < 2:
+        raise ConfigError("samples_per_class: must be >= 2 to allow a split")
+    train_frac = cfg.get("train_frac", 0.6, parse_float)
+    if not 0.0 < train_frac < 1.0:
+        raise ConfigError("train_frac: must lie strictly between 0 and 1")
     sample_length = cfg.get("sample_length", 1024, parse_int)
     noise_sigma = cfg.get("noise_sigma", 1.0, parse_float)
-    train_frac = cfg.get("train_frac", 0.6, parse_float)
     seed = cfg.get("seed", "0", parse_seed)
     base = synthbearing5(samples_per_class)
     default_bands = ",".join(f"{lo}:{hi}" for lo, hi in base.information_bands)
     bands = cfg.get("bands", default_bands, parse_bands)
-    out = _prepare_out(cfg)
-    cfg.ensure_consumed()
-    if samples_per_class < 2:
-        raise ConfigError("samples_per_class: must be >= 2 to allow a split")
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError("train_frac: must lie strictly between 0 and 1")
     try:
         spec = dataclasses.replace(
             base,
@@ -287,6 +286,8 @@ def cmd_gen_data(cfg: Config) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"bands/sample_length/noise_sigma: {exc}") from exc
+    out = _prepare_out(cfg)
+    cfg.ensure_consumed()
     dataset = synth_generate(spec, seed)
     train_ds, test_ds = split(dataset, train_frac, seed)
     save_dataset(train_ds, out / "train")

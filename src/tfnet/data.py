@@ -9,11 +9,18 @@ frequency the bands must hold (``freq``) and draws its sample from the
 sample's random stream (``render``).
 
 In memory a dataset is a (count, length) float64 signal matrix, one row
-per sample, with its labels and manifest.  On disk it is a directory:
-``meta.json`` (manifest), ``samples.f64le`` (the signal matrix, row-major
-little-endian float64) and ``labels.u32le``.
+per sample, with its labels and manifest.  On disk it is a directory that
+holds one signed file, ``dataset.tfd`` (a format-1 directory of
+``meta.json``, ``samples.f64le`` and ``labels.u32le`` does not load).
+
+A signed file, a dataset or a model checkpoint, is a 4-byte magic (the one
+version marker), the sha256 of everything after it, a u32 header length,
+a JSON header and a payload, all little-endian.  A dataset's magic is
+``TFD2``, its header the manifest plus ``count`` and ``length``, and its
+payload the signal matrix as ``<f8``, then the labels as ``<u4``.
 """
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -294,31 +301,54 @@ def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):
     return _subset(train_idx, "train"), _subset(test_idx, "test")
 
 
+DATASET_FILE = "dataset.tfd"
+DATASET_MAGIC = b"TFD2"
+
+
+def write_signed(path, magic: bytes, header: dict, payload_chunks) -> None:
+    text = json.dumps(header, sort_keys=True).encode()
+    body = b"".join([len(text).to_bytes(4, "little"), text, *payload_chunks])
+    Path(path).write_bytes(magic + hashlib.sha256(body).digest() + body)
+
+
+def read_signed(path, magic: bytes, what: str) -> tuple[dict, memoryview]:
+    """(header, payload view) of a signed file; errors name the file and call it ``what``."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} {p} not found")
+    # the file is read whole; slices of the view copy nothing
+    raw = memoryview(p.read_bytes())
+    found, digest, body = bytes(raw[:4]), raw[4:36], raw[36:]
+    if found != magic:
+        # the magic's last character is the format version
+        raise ValueError(f"{p}: bad magic {found!r}, expected {magic!r}: "
+                         f"not a {what} of format version {magic[3:].decode()}")
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError(f"{p}: checksum mismatch: the {what} is corrupt or truncated")
+    hlen = int.from_bytes(body[:4], "little")
+    try:
+        header = json.loads(bytes(body[4 : 4 + hlen]))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ValueError(f"{p}: invalid JSON {what} header: {exc}") from exc
+    if type(header) is not dict:
+        raise ValueError(f"{p}: {what} header is not a JSON object")
+    return header, body[4 + hlen :]
+
+
 def save_dataset(dataset: Dataset, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    meta = dict(dataset.meta)
-    meta["count"] = dataset.n_samples
-    meta["length"] = dataset.length
-    meta["format"] = {"samples": "samples.f64le", "labels": "labels.u32le", "version": 1}
-    (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    (d / "samples.f64le").write_bytes(
-        np.ascontiguousarray(dataset.signals, dtype="<f8").tobytes()
-    )
-    (d / "labels.u32le").write_bytes(dataset.labels.astype("<u4").tobytes())
+    header = {**dataset.meta, "count": dataset.n_samples, "length": dataset.length}
+    write_signed(d / DATASET_FILE, DATASET_MAGIC, header,
+                 [np.ascontiguousarray(dataset.signals, dtype="<f8").tobytes(),
+                  dataset.labels.astype("<u4").tobytes()])
 
 
 def load_dataset(directory) -> Dataset:
-    d = Path(directory)
-    meta_path = d / "meta.json"
-    if not meta_path.exists():
-        raise FileNotFoundError(f"{meta_path} not found; not a dataset directory")
+    p = Path(directory) / DATASET_FILE
+    meta, payload = read_signed(p, DATASET_MAGIC, "dataset")
     try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{meta_path}: invalid JSON manifest: {exc}") from exc
-    try:
-        count, length = int(meta["count"]), int(meta["length"])
+        count, length = int(meta.pop("count")), int(meta.pop("length"))
         if count < 0 or length < 0:
             raise ValueError(f"count {count} and length {length} must be non-negative")
         names, bands = meta.get("class_names", []), meta.get("information_bands", [])
@@ -330,20 +360,15 @@ def load_dataset(directory) -> Dataset:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"information_bands {bands!r}: {exc}") from None
     except KeyError as exc:
-        raise ValueError(f"{meta_path}: manifest has no {exc.args[0]!r} entry") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{meta_path}: invalid manifest: {exc}") from None
-    raw = (d / "samples.f64le").read_bytes()
-    expected = count * length * 8
-    if len(raw) != expected:
-        raise ValueError(
-            f"{d / 'samples.f64le'}: expected {expected} bytes for "
-            f"{count}x{length} float64, found {len(raw)}"
-        )
-    signals = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(count, length)
-    rawl = (d / "labels.u32le").read_bytes()
-    if len(rawl) != count * 4:
-        raise ValueError(f"{d / 'labels.u32le'}: expected {count * 4} bytes, found {len(rawl)}")
-    labels = np.frombuffer(rawl, dtype="<u4").astype(np.int64)
-    meta = {k: v for k, v in meta.items() if k not in ("count", "length", "format")}
-    return Dataset(signals, labels, meta)
+        raise ValueError(f"{p}: dataset header has no {exc.args[0]!r} entry") from None
+    except (OverflowError, TypeError, ValueError) as exc:  # int(inf) overflows
+        raise ValueError(f"{p}: invalid dataset header: {exc}") from None
+    n_signal = 8 * count * length
+    need = n_signal + 4 * count
+    if len(payload) != need:
+        raise ValueError(f"{p}: payload holds {len(payload)} bytes, {count}x{length} float64 "
+                         f"signals and {count} u32 labels need {need}")
+    # astype copies, so the arrays are writable and outlive the file's bytes
+    signals = np.frombuffer(payload[:n_signal], dtype="<f8").astype(np.float64)
+    labels = np.frombuffer(payload[n_signal:], dtype="<u4").astype(np.int64)
+    return Dataset(signals.reshape(count, length), labels, meta)

@@ -1,4 +1,5 @@
-"""Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs."""
+"""Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs,
+signed-file edits."""
 
 import copy
 import hashlib
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.fft
+from hypothesis import strategies as st
 
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_OK, main
@@ -593,26 +595,92 @@ def check_model_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     return worst
 
 
-def checkpoint_parts(raw: bytes) -> tuple[bytes, bytes]:
-    """(JSON header, parameter payload) of checkpoint bytes ``raw``, past its magic and digest."""
+def signed_parts(raw: bytes) -> tuple[bytes, bytes]:
+    """(JSON header, payload) of signed-file bytes ``raw``, past its magic and digest."""
     (hlen,) = struct.unpack("<I", raw[36:40])
     return raw[40 : 40 + hlen], raw[40 + hlen :]
 
 
-def resign_checkpoint(path, header, values=None) -> None:
-    """Rewrite the checkpoint at ``path`` with ``header`` and a digest that matches.
+def resign(path, header, payload=None) -> None:
+    """Rewrite the signed file at ``path`` with ``header`` and a digest that matches.
 
-    ``header`` is a dict, dumped as ``save_model`` dumps it, or raw bytes;
-    ``values`` replaces the parameter payload, which is kept by default.  An
-    edited file that is re-signed gets past the digest to the check after it.
+    The file keeps its magic, so this serves checkpoints and datasets alike.
+    ``header`` is raw bytes, or a JSON value dumped as ``write_signed`` dumps it;
+    ``payload`` replaces the payload, which is kept by default.  An edited
+    file that is re-signed gets past the digest to the check after it.
     """
     raw = Path(path).read_bytes()
-    if isinstance(header, dict):
+    if not isinstance(header, bytes):
         header = json.dumps(header, sort_keys=True).encode()
-    if values is None:
-        values = checkpoint_parts(raw)[1]
-    body = struct.pack("<I", len(header)) + header + values
+    if payload is None:
+        payload = signed_parts(raw)[1]
+    body = struct.pack("<I", len(header)) + header + payload
     Path(path).write_bytes(raw[:4] + hashlib.sha256(body).digest() + body)
+
+
+def edit_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header dict of the signed file at ``path`` and re-sign it."""
+    header = json.loads(signed_parts(Path(path).read_bytes())[0])
+    edit(header)
+    resign(path, header)
+
+
+def flip_bit(raw: bytes, at: int, bit: int = 0) -> bytes:
+    return raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1 :]
+
+
+def corrupt_dataset(raw: bytes, case: str) -> bytes:
+    """Dataset-file bytes ``raw`` with one edit that is not re-signed: a flipped signal or
+    label bit, an edited information band or class name, or the last byte cut off."""
+    header, payload = signed_parts(raw)
+    if case == "signal-bit":
+        return raw[: -len(payload)] + flip_bit(payload, 8 * 7 + 2, 3)
+    if case == "label-bit":
+        return flip_bit(raw, len(raw) - 4)
+    if case == "truncated":
+        return raw[:-1]
+    old, new = {"band": (b"[0.16, 0.2]", b"[0.17, 0.2]"),
+                "class-name": (b'"impulse-fast"', b'"impulse-slow"')}[case]
+    assert old in header
+    return raw[:40] + header.replace(old, new) + payload
+
+
+def fails_naming(path, raw: bytes, load) -> bool:
+    """Whether ``load()`` raises a ValueError naming ``path`` once ``raw`` is written there."""
+    Path(path).write_bytes(raw)
+    try:
+        load()
+    except ValueError as exc:
+        return str(path) in str(exc)
+    return False
+
+
+# Numbers and texts stay small: a header's class or channel count sizes the
+# model that the checkpoint loader builds before it checks the payload's
+# length, and ``int("999999")`` is a count too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats(-64, 64)
+    | st.sampled_from([np.inf, -np.inf, np.nan]) | st.text("ab_-.", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab_-.", max_size=6),
+                                                                inner, max_size=3),
+    max_leaves=6)
+
+
+def fuzz_header(data, header: dict) -> None:
+    """Replace or delete one entry of ``header``, at any depth, as hypothesis ``data`` draws."""
+    node = header
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            return
 
 
 def csv_rows(path) -> tuple[str, list[list[str]]]:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import checkpoint_parts, csv_rows, resign_checkpoint, run_freq_response
+from helpers import (csv_rows, edit_header, fails_naming, flip_bit, fuzz_header, resign,
+                     run_freq_response, signed_parts)
 from tfnet.checkpoint import MAGIC, load_model, save_model
 from tfnet.cli import EXIT_OK, _write_history, main
 from tfnet.data import save_dataset
@@ -41,7 +42,7 @@ class TestSaveLoadRoundTrip:
         save_model(model, path)
         raw = path.read_bytes()
         assert raw[4:36] == hashlib.sha256(raw[36:]).digest()
-        header, values = checkpoint_parts(raw)
+        header, values = signed_parts(raw)
         assert "version" not in json.loads(header)  # the magic is the version marker
         arrays = [getattr(layer, attr).ravel() for layer in model.walk_layers()
                   for attr, _ in layer.state]
@@ -60,7 +61,7 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3, **kwargs)
         path = tmp_path / "m.tfn"
         save_model(model, path)
-        blocks = json.loads(checkpoint_parts(path.read_bytes())[0])["blocks"]
+        blocks = json.loads(signed_parts(path.read_bytes())[0])["blocks"]
         if backbone == "resnet-1d":
             # sublayer j of the residual block at top-level index i is "i.res<j>.<kind>"
             assert blocks[blocks.index("8.batchnorm1d.running_var") + 1] == "10.res0.conv1d.weight"
@@ -91,7 +92,7 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, family=family, n_channels=channels, n_classes=n_classes,
                                dtype=np.dtype(dtype))
         save_model(model, tmp_path / "m.tfn")
-        header = json.loads(checkpoint_parts((tmp_path / "m.tfn").read_bytes())[0])
+        header = json.loads(signed_parts((tmp_path / "m.tfn").read_bytes())[0])
         if tfconv is not None:
             keys = ("family", "n_channels", "kernel_length", "modulus")
             tfconv = dict(zip(keys, tfconv), eps_modulus=1e-12)
@@ -133,7 +134,7 @@ class TestSaveLoadRoundTrip:
         save_model(model, path)
         want = [f"{layer}.{suffix}" for layer in self.SAVED_LAYERS[mode, backbone].split()
                 for suffix in self.BLOCK_SUFFIXES[layer.split(".")[1]]]
-        assert json.loads(checkpoint_parts(path.read_bytes())[0])["blocks"] == want
+        assert json.loads(signed_parts(path.read_bytes())[0])["blocks"] == want
 
     def test_trained_model_evaluates_identically(self, tmp_path):
         x, y = small_signals()
@@ -186,12 +187,6 @@ class TestLoadValidation:
         save_model(model, path)
         return path, path.read_bytes()
 
-    @staticmethod
-    def edited_header(raw, edit):
-        header = json.loads(checkpoint_parts(raw)[0])
-        edit(header)
-        return header
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.tfn")
@@ -223,8 +218,8 @@ class TestLoadValidation:
         path.write_bytes(raw[:-10])
         with pytest.raises(ValueError, match=r"m\.tfn: checksum mismatch: .* truncated"):
             load_model(path)
-        header, values = checkpoint_parts(raw)
-        resign_checkpoint(path, header, values[:-8])
+        header, values = signed_parts(raw)
+        resign(path, header, values[:-8])
         with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values) - 8} "
                                              rf"bytes, the model needs {len(values)}"):
             load_model(path)
@@ -234,17 +229,17 @@ class TestLoadValidation:
         path.write_bytes(raw + b"\x00")
         with pytest.raises(ValueError, match=r"m\.tfn: checksum mismatch"):
             load_model(path)
-        header, values = checkpoint_parts(raw)
-        resign_checkpoint(path, header, values + b"\x00")
+        header, values = signed_parts(raw)
+        resign(path, header, values + b"\x00")
         with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values) + 1} "
                                              rf"bytes, the model needs {len(values)}"):
             load_model(path)
 
     def test_unexpected_block_name(self, tmp_path):
         path, raw = self.checkpoint_bytes(tmp_path)
-        header = checkpoint_parts(raw)[0]
+        header = signed_parts(raw)[0]
         assert header.count(b"theta") == 1
-        resign_checkpoint(path, header.replace(b"theta", b"thetb"))
+        resign(path, header.replace(b"theta", b"thetb"))
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
                                              r"\['0\.tfconvlayer\.thetb', .* does not match"):
             load_model(path)
@@ -253,16 +248,16 @@ class TestLoadValidation:
         # shrinking the declared channel count makes the rebuilt model
         # expect smaller theta and first-conv blocks than the payload carries
         path, raw = self.checkpoint_bytes(tmp_path)
-        header, values = checkpoint_parts(raw)
+        header, values = signed_parts(raw)
         assert header.count(b'"n_channels": 8') == 1
-        resign_checkpoint(path, header.replace(b'"n_channels": 8', b'"n_channels": 4'))
+        resign(path, header.replace(b'"n_channels": 8', b'"n_channels": 4'))
         with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values)} "
                                              r"bytes, the model needs \d+"):
             load_model(path)
 
     def test_header_without_mode_names_file_and_key(self, tmp_path):
-        path, raw = self.checkpoint_bytes(tmp_path)
-        resign_checkpoint(path, self.edited_header(raw, lambda header: header.pop("mode")))
+        path, _ = self.checkpoint_bytes(tmp_path)
+        edit_header(path, lambda header: header.pop("mode"))
         with pytest.raises(ValueError, match=r"m\.tfn: checkpoint header has no 'mode' entry"):
             load_model(path)
 
@@ -273,12 +268,14 @@ class TestLoadValidation:
     ], ids=["not-json", "not-utf8", "not-an-object"])
     def test_corrupt_header_names_file(self, tmp_path, payload, message):
         path, _ = self.checkpoint_bytes(tmp_path)
-        resign_checkpoint(path, payload)
+        resign(path, payload)
         with pytest.raises(ValueError, match=r"m\.tfn: " + message):
             load_model(path)
 
     @pytest.mark.parametrize("key, value, message", [
         ("n_classes", "x", "invalid literal for int"),
+        ("n_classes", np.inf, "cannot convert float infinity to integer"),
+        ("tfconv.n_channels", -np.inf, "cannot convert float infinity to integer"),
         ("tfconv", ["sttf"], "list indices"),
         ("tfconv.family", "bogus", "'bogus' is not a valid KernelFamily"),
         ("blocks", 3, "'blocks' entry 3 does not match the rebuilt model's"),
@@ -288,11 +285,11 @@ class TestLoadValidation:
         ("tfconv.kernel_length", 31, "'tfconv' entry .* does not match mode 'tfn-add'"),
         ("tfconv.modulus", False, "'tfconv' entry .* does not match mode 'tfn-add'"),
         ("tfconv", None, "'tfconv' entry None does not match mode 'tfn-add'"),
-    ], ids=["n_classes-not-int", "tfconv-a-list", "unknown-family", "blocks-an-int",
-            "integer-dtype", "edited-eps", "edited-kernel-length", "edited-modulus",
-            "tfn-add-without-tfconv"])
+    ], ids=["n_classes-not-int", "n_classes-infinite", "n_channels-infinite", "tfconv-a-list",
+            "unknown-family", "blocks-an-int", "integer-dtype", "edited-eps",
+            "edited-kernel-length", "edited-modulus", "tfn-add-without-tfconv"])
     def test_header_value_of_wrong_type_names_file(self, tmp_path, key, value, message):
-        path, raw = self.checkpoint_bytes(tmp_path)
+        path, _ = self.checkpoint_bytes(tmp_path)
 
         def edit(header):
             *parents, last = key.split(".")
@@ -300,7 +297,7 @@ class TestLoadValidation:
                 header = header[name]
             header[last] = value
 
-        resign_checkpoint(path, self.edited_header(raw, edit))
+        edit_header(path, edit)
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: .*" + message):
             load_model(path)
 
@@ -313,8 +310,8 @@ class TestLoadValidation:
             load_model(path)
 
     def test_missing_block_detected(self, tmp_path):
-        path, raw = self.checkpoint_bytes(tmp_path)
-        resign_checkpoint(path, self.edited_header(raw, lambda header: header["blocks"].pop()))
+        path, _ = self.checkpoint_bytes(tmp_path)
+        edit_header(path, lambda header: header["blocks"].pop())
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
                                              r".* does not match the rebuilt model's"):
             load_model(path)
@@ -324,9 +321,9 @@ class TestLoadValidation:
         # just past the 8x1 theta block: finite in the file, beyond the
         # float32 model's range
         path, raw = self.checkpoint_bytes(tmp_path, backbone="lenet-1d", dtype=np.float32)
-        header, values = checkpoint_parts(raw)
+        header, values = signed_parts(raw)
         at = 8 * 8 + 7
-        resign_checkpoint(path, header, values[:at] + bytes([values[at] ^ 0x40]) + values[at + 1 :])
+        resign(path, header, values[:at] + bytes([values[at] ^ 0x40]) + values[at + 1 :])
         with pytest.raises(ValueError, match=r"m\.tfn: block '1\.conv1d\.weight' holds values "
                                              r"beyond float32 range"):
             load_model(path)
@@ -339,23 +336,13 @@ def lenet_checkpoint(directory, dtype):
     return directory / "m.tfn", (directory / "m.tfn").read_bytes()
 
 
-def fails_naming(path, raw):
-    """Whether loading ``raw`` from ``path`` raises a ValueError naming the file."""
-    path.write_bytes(raw)
-    try:
-        load_model(path)
-    except ValueError as exc:
-        return str(path) in str(exc)
-    return False
-
-
 @pytest.fixture(scope="module")
 def fuzz_checkpoints(tmp_path_factory):
     """Small float64 and float32 checkpoints, each with its length up to the payload."""
     out = {}
     for dtype in ("float64", "float32"):
         path, raw = lenet_checkpoint(tmp_path_factory.mktemp(dtype), dtype)
-        out[dtype] = path.with_name("fuzzed.tfn"), raw, 40 + len(checkpoint_parts(raw)[0])
+        out[dtype] = path.with_name("fuzzed.tfn"), raw, 40 + len(signed_parts(raw)[0])
     return out
 
 
@@ -369,18 +356,32 @@ def test_bit_flip_or_truncation_fails_naming_the_file(fuzz_checkpoints, data):
         # the magic, digest and header are a small share of the bytes, so
         # half the flips are drawn from them
         at = data.draw(st.one_of(st.integers(0, prefix - 1), st.integers(0, len(raw) - 1)))
-        corrupt = bytearray(raw)
-        corrupt[at] ^= 1 << data.draw(st.integers(0, 7))
-    assert fails_naming(path, bytes(corrupt))
+        corrupt = flip_bit(raw, at, data.draw(st.integers(0, 7)))
+    assert fails_naming(path, corrupt, lambda: load_model(path))
 
 
 def test_every_bit_flip_before_the_payload_fails_naming_the_file(tmp_path):
     path, raw = lenet_checkpoint(tmp_path, "float64")
     fuzzed = path.with_name("fuzzed.tfn")
-    prefix = 40 + len(checkpoint_parts(raw)[0])
+    prefix = 40 + len(signed_parts(raw)[0])
     loaded = [(at, bit) for at in range(prefix) for bit in range(8)
-              if not fails_naming(fuzzed, raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1 :])]
+              if not fails_naming(fuzzed, flip_bit(raw, at, bit), lambda: load_model(fuzzed))]
     assert loaded == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_edited_header_value_loads_or_fails_naming_the_file(fuzz_checkpoints, data):
+    # each edit is re-signed, so it reaches the header checks, not the checksum
+    path, raw, _ = fuzz_checkpoints[data.draw(st.sampled_from(["float64", "float32"]))]
+    path.write_bytes(raw)
+    header = json.loads(signed_parts(raw)[0])
+    fuzz_header(data, header)
+    resign(path, header)
+    try:
+        load_model(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
 
 
 class TestHistoryCsv:

@@ -6,10 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import csv_rows
+from helpers import corrupt_dataset, csv_rows, edit_header, signed_parts
 from tfnet import cli
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tfnet.data import DATASET_FILE
 from tfnet.nn import assemble_model
 
 GEN_ARGS = ["--set", "samples_per_class=6", "--set", "sample_length=128"]
@@ -82,10 +83,10 @@ class TestGenData:
         assert len(manifest["classes"]) == 5
         assert len(manifest["information_bands"]) == 4
         for side, count in (("train", 20), ("test", 10)):
-            meta = read_json(data_dir / side / "meta.json")
-            assert meta["count"] == count
-            raw = (data_dir / side / "samples.f64le").read_bytes()
-            assert len(raw) == count * 128 * 8
+            assert [p.name for p in (data_dir / side).iterdir()] == [DATASET_FILE]
+            header, payload = signed_parts((data_dir / side / DATASET_FILE).read_bytes())
+            assert json.loads(header)["count"] == count
+            assert len(payload) == count * 128 * 8 + count * 4
 
     def test_echo_lists_resolved_keys(self, data_dir):
         echo = (data_dir / "config.echo").read_text()
@@ -125,6 +126,19 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "x"),
                      "--set", override])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("setting, message", [
+        ("samples_per_class=0", "samples_per_class: must be >= 2"),
+        ("samples_per_class=1", "samples_per_class: must be >= 2"),
+        ("samples_per_class=-3", "samples_per_class: must be >= 2"),
+        ("train_frac=1.5", "train_frac: must lie strictly between 0 and 1"),
+    ], ids=["samples_per_class=0", "samples_per_class=1", "samples_per_class=-3",
+            "train_frac=1.5"])
+    def test_bad_count_or_fraction_writes_nothing(self, tmp_path, capsys, setting, message):
+        code = main(["gen-data", "--out", str(tmp_path / "x"), "--set", setting])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_band_message_names_the_key(self, tmp_path, capsys):
         code = main(["gen-data", "--out", str(tmp_path / "x"), "--set", "bands=0.3:0.2"])
@@ -188,9 +202,8 @@ class TestTrain:
         # under labels that reach 4 fails as a configuration error
         copy = tmp_path / "ds"
         shutil.copytree(data_dir, copy)
-        meta = read_json(copy / "train" / "meta.json")
-        meta["class_names"] = meta["class_names"][:3]
-        (copy / "train" / "meta.json").write_text(json.dumps(meta))
+        edit_header(copy / "train" / DATASET_FILE,
+                    lambda meta: meta.update(class_names=meta["class_names"][:3]))
         code = main(["train", "--out", str(tmp_path / "x"), "--seed", "0",
                      "--set", f"dataset={copy}", *TRAIN_ARGS])
         assert code == EXIT_CONFIG
@@ -322,9 +335,7 @@ class TestManifestErrors:
         copy = tmp_path / "ds"
         shutil.copytree(data_dir, copy)
         for side in ("train", "test"):
-            meta = read_json(copy / side / "meta.json")
-            meta[key] = value
-            (copy / side / "meta.json").write_text(json.dumps(meta))
+            edit_header(copy / side / DATASET_FILE, lambda meta: meta.update({key: value}))
         if command == "train":
             args = ["train", "--seed", "0", *TRAIN_ARGS]
         else:
@@ -334,7 +345,45 @@ class TestManifestErrors:
         # train reads train/ first; freq-response reads the test side
         side = "train" if command == "train" else "test"
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {copy / side / 'meta.json'}: invalid manifest: ")
+        assert err.startswith(f"error: {copy / side / DATASET_FILE}: invalid dataset header: ")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", ["signal-bit", "label-bit", "band", "class-name", "truncated"])
+def test_corrupt_dataset_blames_the_dataset(tmp_path, data_dir, trained_dir, capsys, command,
+                                            case):
+    # each edit is left unsigned, so the digest catches it
+    copy = tmp_path / "ds"
+    shutil.copytree(data_dir, copy)
+    side = "train" if command == "train" else "test"
+    path = copy / side / DATASET_FILE
+    path.write_bytes(corrupt_dataset(path.read_bytes(), case))
+    if command == "train":
+        args = ["train", "--out", str(tmp_path / "out"), "--seed", "0", *TRAIN_ARGS]
+    else:
+        args = ["eval", "--set", f"checkpoint={trained_dir / 'model.tfn'}"]
+    code = main([*args, "--set", f"dataset={copy}"])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error: {path}: checksum mismatch: ")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "does not contain train/ and test/ dataset directories"),
+    ("eval", "is not a dataset directory"),
+], ids=["train", "eval"])
+def test_format_1_dataset_directory_is_not_a_dataset(tmp_path, trained_dir, capsys, command,
+                                                      message):
+    # the files a format-1 gen-data directory held; no dataset.tfd
+    for side in ("train", "test"):
+        (tmp_path / "ds" / side).mkdir(parents=True)
+        for name in ("meta.json", "samples.f64le", "labels.u32le"):
+            (tmp_path / "ds" / side / name).write_bytes(b"{}")
+    if command == "train":
+        args = ["train", "--out", str(tmp_path / "out"), "--seed", "0", *TRAIN_ARGS]
+    else:
+        args = ["eval", "--set", f"checkpoint={trained_dir / 'model.tfn'}"]
+    assert main([*args, "--set", f"dataset={tmp_path / 'ds'}"]) == EXIT_CONFIG
+    assert f"config error: dataset: {tmp_path / 'ds'} {message}" in capsys.readouterr().err
 
 
 class TestFreqResponse:

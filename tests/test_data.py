@@ -1,11 +1,17 @@
 """Synthetic dataset generation, splitting, persistence."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (corrupt_dataset, edit_header, fails_naming, flip_bit, fuzz_header, resign,
+                     signed_parts)
 from tfnet.data import (
+    DATASET_FILE,
     AMTone,
     ClassSpec,
     Dataset,
@@ -272,43 +278,77 @@ class TestSplit:
             split(ds, train_frac=frac)
 
 
+def saved(dataset, directory):
+    """Save ``dataset`` into ``directory``; its file's path, bytes and signal-payload length."""
+    save_dataset(dataset, directory)
+    path = directory / DATASET_FILE
+    return path, path.read_bytes(), dataset.signals.nbytes
+
+
 class TestPersistence:
     def test_directory_round_trip(self, tiny_dataset, tmp_path):
         save_dataset(tiny_dataset, tmp_path / "ds")
         loaded = load_dataset(tmp_path / "ds")
         np.testing.assert_array_equal(loaded.signals, tiny_dataset.signals)
         np.testing.assert_array_equal(loaded.labels, tiny_dataset.labels)
-        assert loaded.meta["name"] == tiny_dataset.meta["name"]
-        assert loaded.meta["class_names"] == tiny_dataset.meta["class_names"]
+        assert loaded.meta == tiny_dataset.meta
+        # writable copies, not views of the file's bytes
+        assert loaded.signals.flags.writeable and loaded.labels.flags.writeable
+
+    def test_layout_is_one_signed_file(self, tiny_dataset, tmp_path):
+        path, raw, n_signal = saved(tiny_dataset, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [DATASET_FILE]
+        assert raw[:4] == b"TFD2"
+        assert raw[4:36] == hashlib.sha256(raw[36:]).digest()
+        header, payload = signed_parts(raw)
+        # the magic is the version marker; the header is the manifest plus the sizes
+        assert json.loads(header) == {**tiny_dataset.meta, "count": 60, "length": 1024}
+        np.testing.assert_array_equal(
+            np.frombuffer(payload[:n_signal], dtype="<f8").reshape(60, 1024), tiny_dataset.signals)
+        np.testing.assert_array_equal(np.frombuffer(payload[n_signal:], dtype="<u4"),
+                                      tiny_dataset.labels)
 
     def test_missing_manifest_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError,
+                           match=rf"dataset {tmp_path / DATASET_FILE} not found"):
             load_dataset(tmp_path)
 
-    def test_corrupt_manifest_rejected(self, tmp_path):
-        (tmp_path / "meta.json").write_text("{not json")
-        with pytest.raises(ValueError, match="JSON"):
+    def test_format_1_directory_does_not_load(self, tiny_dataset, tmp_path):
+        (tmp_path / "meta.json").write_text(json.dumps({**tiny_dataset.meta, "count": 60,
+                                                        "length": 1024}))
+        (tmp_path / "samples.f64le").write_bytes(tiny_dataset.signals.astype("<f8").tobytes())
+        (tmp_path / "labels.u32le").write_bytes(tiny_dataset.labels.astype("<u4").tobytes())
+        with pytest.raises(FileNotFoundError, match=rf"{tmp_path / DATASET_FILE} not found"):
+            load_dataset(tmp_path)
+
+    def test_corrupt_manifest_rejected(self, tiny_dataset, tmp_path):
+        path, _, _ = saved(tiny_dataset, tmp_path)
+        resign(path, b"{not json")
+        with pytest.raises(ValueError, match=r"dataset\.tfd: invalid JSON dataset header"):
             load_dataset(tmp_path)
 
     def test_manifest_without_count_names_file_and_key(self, tiny_dataset, tmp_path):
-        save_dataset(tiny_dataset, tmp_path)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        del meta["count"]
-        (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"meta\.json: manifest has no 'count' entry"):
+        path, _, _ = saved(tiny_dataset, tmp_path)
+        edit_header(path, lambda header: header.pop("count"))
+        with pytest.raises(ValueError, match=r"dataset\.tfd: dataset header has no 'count' entry"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda meta: [1, 2], "list indices must be integers"),
-        (lambda meta: {**meta, "count": "twelve"}, "invalid literal for int"),
-        (lambda meta: {**meta, "length": None}, r"int\(\) argument must be .* not 'NoneType'"),
-        (lambda meta: {**meta, "count": -2, "length": -16}, "count -2 and length -16 must be"),
-    ], ids=["not-an-object", "count-not-an-integer", "null-length", "negative-sizes"])
+        (lambda meta: [1, 2], "dataset header is not a JSON object"),
+        (lambda meta: {**meta, "count": "twelve"},
+         "invalid dataset header: invalid literal for int"),
+        (lambda meta: {**meta, "length": None},
+         r"invalid dataset header: int\(\) argument must be .* not 'NoneType'"),
+        (lambda meta: {**meta, "count": -2, "length": -16},
+         "invalid dataset header: count -2 and length -16 must be"),
+        (lambda meta: {**meta, "count": float("inf")},
+         "invalid dataset header: cannot convert float infinity to integer"),
+    ], ids=["not-an-object", "count-not-an-integer", "null-length", "negative-sizes",
+            "infinite-count"])
     def test_invalid_manifest_names_file(self, tiny_dataset, tmp_path, edit, message):
-        save_dataset(tiny_dataset, tmp_path)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        (tmp_path / "meta.json").write_text(json.dumps(edit(meta)))
-        with pytest.raises(ValueError, match=r"meta\.json: invalid manifest: " + message):
+        path, raw, _ = saved(tiny_dataset, tmp_path)
+        resign(path, edit(json.loads(signed_parts(raw)[0])))
+        with pytest.raises(ValueError, match=r"dataset\.tfd: " + message):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -318,27 +358,90 @@ class TestPersistence:
          r"information_bands \[\[0\.1\]\]: not enough values to unpack"),
         ("information_bands", "x",
          r"information_bands 'x': could not convert string to float: 'x'"),
-        ("information_bands", [[0.3, 0.1]], r"information_bands \[\[0\.3, 0\.1\]\]: "
-                                            r"band \[0\.3, 0\.1\] is not a subinterval of \[0, 0\.5\]"),
+        ("information_bands", [[0.3, 0.1]],
+         r"information_bands \[\[0\.3, 0\.1\]\]: "
+         r"band \[0\.3, 0\.1\] is not a subinterval of \[0, 0\.5\]"),
     ], ids=["class-names-not-a-list", "class-name-not-a-string", "band-without-upper-edge",
             "bands-not-a-list", "band-reversed"])
     def test_invalid_class_names_or_bands_name_file(self, tiny_dataset, tmp_path, key, value,
                                                      message):
-        save_dataset(tiny_dataset, tmp_path)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        (tmp_path / "meta.json").write_text(json.dumps({**meta, key: value}))
-        with pytest.raises(ValueError, match=r"meta\.json: invalid manifest: " + message):
+        path, _, _ = saved(tiny_dataset, tmp_path)
+        edit_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(ValueError, match=r"dataset\.tfd: invalid dataset header: " + message):
             load_dataset(tmp_path)
 
     def test_truncated_samples_rejected(self, tiny_dataset, tmp_path):
-        save_dataset(tiny_dataset, tmp_path)
-        raw = (tmp_path / "samples.f64le").read_bytes()
-        (tmp_path / "samples.f64le").write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="bytes"):
+        path, raw, n_signal = saved(tiny_dataset, tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=r"dataset\.tfd: checksum mismatch"):
+            load_dataset(tmp_path)
+        header, payload = signed_parts(raw)
+        resign(path, header, payload[: n_signal - 8] + payload[n_signal:])
+        with pytest.raises(ValueError, match=rf"dataset\.tfd: payload holds {len(payload) - 8} "
+                                             r"bytes, 60x1024 float64 signals and 60 u32 labels "
+                                             rf"need {len(payload)}"):
             load_dataset(tmp_path)
 
     def test_truncated_labels_rejected(self, tiny_dataset, tmp_path):
-        save_dataset(tiny_dataset, tmp_path)
-        (tmp_path / "labels.u32le").write_bytes(b"\x00" * 7)
-        with pytest.raises(ValueError, match="bytes"):
+        path, raw, n_signal = saved(tiny_dataset, tmp_path)
+        header, payload = signed_parts(raw)
+        resign(path, header, payload[:n_signal] + b"\x00" * 7)
+        with pytest.raises(ValueError, match=r"dataset\.tfd: payload holds \d+ bytes"):
             load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("cases", [
+    ["signal-bit"], ["label-bit"], ["band"], ["class-name"],
+    ["signal-bit", "band"],  # one signal bit flipped and band 3 edited to [0.17, 0.2]
+], ids="+".join)
+def test_unsigned_edit_fails_the_checksum(tiny_dataset, tmp_path, cases):
+    path, raw, _ = saved(tiny_dataset, tmp_path)
+    for case in cases:
+        raw = corrupt_dataset(raw, case)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=rf"^{path}: checksum mismatch: the dataset is corrupt"):
+        load_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory, tiny_dataset):
+    """A three-sample dataset with the full SynthBearing-5 manifest, and its length up to the
+    payload."""
+    small = Dataset(tiny_dataset.signals[::20, :16], tiny_dataset.labels[::20], tiny_dataset.meta)
+    path, raw, _ = saved(small, tmp_path_factory.mktemp("fuzz"))
+    return path, raw, 40 + len(signed_parts(raw)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bit_flip_or_truncation_fails_naming_the_file(fuzz_dataset, data):
+    path, raw, prefix = fuzz_dataset
+    if data.draw(st.booleans()):
+        corrupt = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        # half the flips are drawn from the magic, digest and header
+        at = data.draw(st.one_of(st.integers(0, prefix - 1), st.integers(0, len(raw) - 1)))
+        corrupt = flip_bit(raw, at, data.draw(st.integers(0, 7)))
+    assert fails_naming(path, corrupt, lambda: load_dataset(path.parent))
+
+
+def test_every_bit_flip_before_the_payload_fails_naming_the_file(fuzz_dataset):
+    path, raw, prefix = fuzz_dataset
+    loaded = [(at, bit) for at in range(prefix) for bit in range(8)
+              if not fails_naming(path, flip_bit(raw, at, bit), lambda: load_dataset(path.parent))]
+    assert loaded == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_header_value_loads_or_fails_naming_the_file(fuzz_dataset, data):
+    # each edit is re-signed, so it reaches the manifest checks, not the checksum
+    path, raw, _ = fuzz_dataset
+    path.write_bytes(raw)
+    header = json.loads(signed_parts(raw)[0])
+    fuzz_header(data, header)
+    resign(path, header)
+    try:
+        load_dataset(path.parent)
+    except ValueError as exc:
+        assert str(path) in str(exc)
