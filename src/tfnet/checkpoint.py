@@ -11,9 +11,11 @@ parameters so a loaded model evaluates identically.
 
 A ``TFN1`` file (format version 1, with per-block framing) does not load.
 After the checks every signed file gets (magic, digest, header JSON), the
-loader checks the header against the model it rebuilds and the payload's
-length against that model's arrays; a malformed file raises ``ValueError``
-naming the file.
+loader checks the header's class and channel counts against the payload's
+value count (each class and each channel adds at least one value, so no
+count builds a model larger than its file), the header against the model
+it rebuilds and the payload's length against that model's arrays; a
+malformed file raises ``ValueError`` naming the file.
 """
 
 from pathlib import Path
@@ -52,7 +54,7 @@ def load_model(path) -> Model:
     p = Path(path)
     header, values = read_signed(p, MAGIC, "checkpoint")
     try:
-        model = _rebuild(header)
+        model = _rebuild(header, len(values) // 8)
         blocks = dict(_named_blocks(model))
         if header["blocks"] != list(blocks):
             raise ValueError(f"'blocks' entry {header['blocks']!r} does not match "
@@ -82,15 +84,23 @@ def load_model(path) -> Model:
     return model
 
 
-def _rebuild(header: dict) -> Model:
-    """The model the header describes; its ``tfconv`` entry must be the one that model writes."""
+def _rebuild(header: dict, n_values: int) -> Model:
+    """The model the header describes; its ``tfconv`` entry must be the one that model writes.
+
+    A class or channel count above ``n_values``, the payload's value count,
+    is refused before any array is built.
+    """
     dtype = np.dtype(header.get("dtype", "float64"))
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype.name}")
     tf = header.get("tfconv")
     front = {} if tf is None else {"family": tf["family"], "n_channels": int(tf["n_channels"])}
+    n_classes = int(header["n_classes"])
+    for key, count in (("n_classes", n_classes), ("n_channels", front.get("n_channels", 0))):
+        if count > n_values:
+            raise ValueError(f"{key!r} {count} exceeds the payload's {n_values} values")
     model = assemble_model(header["mode"], backbone=header["backbone"],
-                           n_classes=int(header["n_classes"]), dtype=dtype, **front)
+                           n_classes=n_classes, dtype=dtype, **front)
     if tf != model.tfconv_config:
         raise ValueError(f"'tfconv' entry {tf} does not match mode {model.mode!r}, "
                          f"which writes {model.tfconv_config}")

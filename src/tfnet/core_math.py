@@ -36,17 +36,27 @@ def _left_pad(grid, kernel_len: int) -> int:
 
 
 # The forward multiplies, inverse-transforms and reduces a group of samples at
-# a time, each group's (S, C, n) complex block within this many bytes (3
-# samples at L=4096, K=301, C=8 in complex64; 7 at L=1024, K=51, C=8 in
-# complex128), so only ``keep`` holds a batch-sized complex array.  Each row
-# is transformed by itself, so the grouping changes no bit of the result.
+# a time, and the adjoint forms, transforms and accumulates its gradient
+# rows a group at a time, each group's (S, C, n) complex block within this
+# many bytes (3 samples at L=4096, K=301, C=8 in complex64; 7 at L=1024,
+# K=51, C=8 in complex128), so only the forward's ``keep`` holds a
+# batch-sized complex array.  Each row is transformed by itself and the
+# adjoint adds its rows in batch order, so the grouping changes no bit of
+# either result.
 # The whole batch's product, IFFT and slice copy (57.6, 57.6 and 52.4 MB at
 # B=200, L=4096, C=8, complex64) each exceeded glibc's largest mmap
 # threshold, so every call mapped and faulted them in afresh.  In groups,
 # on a 2-core x86-64 host with one BLAS thread (perfbench, 12 alternating
 # pairs), train-tfconv's evaluation ran 1122 -> 1540 samples/s (medians)
 # and its peak RSS fell from 269 to 200 MiB, with the training step flat.
+# The grouped adjoint's tracemalloc peak at train-tfconv is 2.8 MiB, against
+# 35.8 MiB for the whole batch's g, g / h and spectrum product.
 _GROUP_BYTES = 1 << 20
+
+
+def _group_size(channels: int, n: int, dtype) -> int:
+    """Samples per group, so that a group's (S, C, n) block of ``dtype`` fits ``_GROUP_BYTES``."""
+    return max(1, _GROUP_BYTES // max(1, channels * n * np.dtype(dtype).itemsize))
 
 
 def batch_correlate_same(x: np.ndarray, kernels: np.ndarray, grid: np.ndarray,
@@ -88,7 +98,7 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray, grid: np.ndarray,
     out = np.empty((B, C, L), np.finfo(dtype).dtype)
     corr = np.empty((B, C, L), dtype) if keep else None
     start = K - 1 - left
-    step = max(1, _GROUP_BYTES // max(1, C * n * dtype.itemsize))
+    step = _group_size(C, n, dtype)
     for lo in range(0, B, step):
         block = scipy.fft.ifft(Xf[lo : lo + step, None, :] * Kf, axis=-1)[:, :, start : start + L]
         rows = out[lo : lo + step]
@@ -101,29 +111,46 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray, grid: np.ndarray,
     return out, corr, Xf
 
 
-def batch_conv_full_slice(g: np.ndarray, Xf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def batch_conv_full_slice(grad: np.ndarray, Xf: np.ndarray, grid: np.ndarray,
+                          modulus: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Adjoint of :func:`batch_correlate_same` in its kernels: the per-tap gradient.
 
-    For the (B, C, L) upstream gradient ``g`` (real or complex) and the
+    For the (B, C, L) upstream gradient ``grad`` (real or complex), the
     (B, n) spectrum ``Xf`` of the real signal batch ``x`` that
     :func:`batch_correlate_same` returned, and the kernels' ``grid``, returns
-    the (C, K) array ``taps`` (real iff ``g`` is), taps[c, k] = sum_{b,l}
-    g[b, c, l] * x_pad[b, l + k] with ``x_pad`` padded as in the forward, read from
-    IFFT(sum_b G * conj(X)) at lags (left - k) mod n.  FFT round-off is
-    absolute, as in the forward: about ``eps * sum_b ||g[b, c]|| * ||x[b]||``
-    for ``taps[c]``.  There is no signal-side half: the layer that calls
-    this is always the model's front layer, whose input gradient nothing
-    reads.  The name predates that; the benchmark's per-layer trace looks
-    the function up by it.
+    the (C, K) array ``taps`` (real iff g is), taps[c, k] = sum_{b,l}
+    g[b, c, l] * x_pad[b, l + k] with ``x_pad`` padded as in the forward, read
+    from IFFT(sum_b G * conj(X)) at lags (left - k) mod n.  g is ``grad``, or
+    with ``modulus = (corr, h)``, the forward's kept correlation and output,
+    conj(corr) * grad / h, so that Re{g * z} == grad * (Re(corr) Re(z) +
+    Im(corr) Im(z)) / h.  g, G and the product are formed one group of
+    samples at a time and each row added into one (C, n) sum in batch
+    order: the whole-batch sum bit for bit.  FFT round-off is absolute, as
+    in the forward: about ``eps * sum_b ||g[b, c]|| * ||x[b]||`` for
+    ``taps[c]``.  There is no signal-side half: the layer that calls this is
+    always the model's front layer, whose input gradient nothing reads.  The
+    name predates that; the benchmark's per-layer trace looks the function
+    up by it.
     """
-    B, C, L = g.shape
+    B, C, L = grad.shape
     kernel_len = len(grid)
     n = scipy.fft.next_fast_len(L + kernel_len - 1, real=True)
     if Xf.shape != (B, n):
         raise ValueError(f"batch_conv_full_slice: spectrum shape {Xf.shape} != {(B, n)}")
     left = _left_pad(grid, kernel_len)
-    Gf = scipy.fft.fft(g, n)
-    Gf *= np.conjugate(Xf)[:, None, :]
-    cross = scipy.fft.ifft(Gf.sum(axis=0), axis=-1)
+    dtype = np.result_type(Xf, grad)
+    step = _group_size(C, n, dtype)
+    total = np.zeros((C, n), dtype)
+    for lo in range(0, B, step):
+        g = grad[lo : lo + step]
+        if modulus is not None:
+            corr, h = modulus
+            g = np.conjugate(corr[lo : lo + step])
+            g *= grad[lo : lo + step] / h[lo : lo + step]
+        Gf = scipy.fft.fft(g, n)
+        Gf *= np.conjugate(Xf[lo : lo + step])[:, None, :]
+        for row in Gf:
+            total += row
+    cross = scipy.fft.ifft(total, axis=-1)
     taps = cross[:, (left - np.arange(kernel_len)) % n]
-    return taps if np.iscomplexobj(g) else taps.real
+    return taps if modulus is not None or np.iscomplexobj(grad) else taps.real

@@ -9,21 +9,21 @@ time-frequency front layer, whose kernel bank is a kernel family and a
 (C, P) parameter array, in the add/replace/real-only ablation variants.
 
 ``forward(x, training=True)`` is a training forward: each layer keeps what
-its ``backward`` reads until the next forward.  ``training=False`` is
-inference: no layer keeps anything, and ``backward`` after it raises.  With
-``overwrite=True`` an inference forward may write its output into ``x``;
-``Model.forward`` and ``Residual`` pass it only for arrays nothing else reads.
+its ``backward`` reads, and the backward consumes it, so a layer's state is
+released as soon as its backward returns and a second backward without a
+new forward raises.  ``training=False`` is inference: no layer keeps
+anything, and ``backward`` after it raises.  With ``overwrite=True`` an
+inference forward may write its output into ``x``; ``Model.forward`` and
+``Residual`` pass it only for arrays nothing else reads.
 
 A model's input is a (batch, length) signal batch and its output is
 (batch, classes) logits.  Inside, the convolutional stack runs
 channels-last, (batch, length, channels), which keeps the im2col buffers
 and every elementwise pass contiguous.  ``Conv1d`` runs its forward and
-input-gradient GEMMs a few samples at a time, as ``TFconvLayer`` runs its
-inverse FFTs, and keeps only its padded input for training; its weight
-gradient, which sums over the batch, rebuilds the full-batch im2col matrix
-for its one GEMM and drops it, so backward holds one such matrix at a
-time.  A model's first layer computes only its parameter gradients
-(``param_backward``).
+weight-gradient and input-gradient GEMMs a few samples at a time, as
+``TFconvLayer`` runs its FFTs, and keeps only its padded input for
+training, so no pass builds a full-batch im2col matrix.  A model's first
+layer computes only its parameter gradients (``param_backward``).
 ``Model.forward`` is the one loop over a model's layers: it feeds a bare
 backbone's stem ``Conv1d`` the one-channel view (batch, length, 1),
 transposes the channels-first output of a time-frequency front layer once,
@@ -63,8 +63,10 @@ class Layer:
     backward sets its gradients in place, so the arrays keep their identity.
 
     A subclass's ``forward`` sets ``_cache`` to what its ``backward`` needs
-    when ``training`` is true and to ``None`` otherwise; ``backward`` reads
-    it through ``_saved``, which raises unless a training forward came first.
+    when ``training`` is true and to ``None`` otherwise; ``backward`` takes
+    it through ``_saved``, which clears it, and raises unless a training
+    forward came since the last backward.  A backward may write into the
+    arrays it took, and drops them when it returns.
 
     An inference forward called with ``overwrite=True`` may overwrite its
     input ``x`` with its output (``BatchNorm1d`` and ``ReLU`` do); pass it
@@ -95,10 +97,11 @@ class Layer:
         self.backward(grad)
 
     def _saved(self):
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(
                 f"{self.name or type(self).__name__}: backward needs forward(training=True) first")
-        return self._cache
+        return cache
 
 
 # On AVX-512 hosts OpenBLAS runs a GEMM with M*N*K <= 100**3 through
@@ -119,26 +122,41 @@ def _sample_groups(n_samples, work_per_sample):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _windows(x, taps):
-    """(B, L_out, taps, C) im2col view of a (B, L, C) array; reshaping it copies."""
-    return np.lib.stride_tricks.sliding_window_view(x, (taps, x.shape[2]), axis=(1, 2))[:, :, 0]
+def _column_groups(x, taps, out_channels):
+    """(lo, hi, cols) for each sample group of the (B, L, C) array ``x``.
+
+    ``cols`` is the ((hi - lo) * L_out, taps * C) im2col matrix (Chellapilla
+    et al., 2006) of samples lo..hi-1, copied into one buffer that every
+    group reuses; the groups are ``_sample_groups`` of a GEMM with
+    ``out_channels`` columns.
+    """
+    B, L, C = x.shape
+    L_out = L - taps + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (taps, C), axis=(1, 2))[:, :, 0]
+    groups = _sample_groups(B, L_out * taps * C * out_channels)
+    buffer = np.empty((max(hi - lo for lo, hi in groups) * L_out, taps * C), dtype=x.dtype)
+    for lo, hi in groups:
+        cols = buffer[: (hi - lo) * L_out]
+        cols.reshape(hi - lo, L_out, taps, C)[...] = win[lo:hi]
+        yield lo, hi, cols
 
 
 class Conv1d(Layer):
     """Stride-1 cross-correlation, valid padding by default.
 
-    The forward copies one group of samples' im2col rows (Chellapilla et
-    al., 2006) into one reused buffer and runs one GEMM per group, in
-    training and inference alike, so no full-batch matrix is built.  A
-    training forward keeps only its (padded) input.  The weight gradient
-    sums over the batch, so ``param_backward`` rebuilds the full-batch
-    (B*L_out, taps*in) matrix from that input, runs the one GEMM and drops
-    the matrix: a strided copy recomputed instead of a matrix stored from
-    forward to backward (Chen et al., 2016).  The input gradient adds each
-    tap's product for one group of samples into a contiguous block of its
-    rows.  Splitting a GEMM by rows changes no dot product as long as every
-    piece stays above ``_SMALL_GEMM``, so both passes keep the full-batch
-    GEMM's bits.  Activations are (batch, length, channels); the stored
+    The forward copies one group of samples' im2col rows into one reused
+    buffer (``_column_groups``) and runs one GEMM per group, in training and
+    inference alike, so no full-batch matrix is built.  A training forward
+    keeps only its (padded) input.  The weight gradient rebuilds the same
+    groups' rows from that input, a strided copy recomputed instead of a
+    matrix stored from forward to backward (Chen et al., 2016), and adds
+    each group's GEMM into one (out, taps*in) sum in batch order.  The
+    input gradient adds each tap's product for one group of samples into a
+    contiguous block of its rows.  Splitting a GEMM by rows changes no dot
+    product as long as every piece stays above ``_SMALL_GEMM``, so the
+    forward and the input gradient keep the full-batch GEMM's bits; the
+    weight gradient sums the batch in a different order, which moves its
+    last bits.  Activations are (batch, length, channels); the stored
     weight is (out, in, taps).
     """
 
@@ -178,36 +196,33 @@ class Conv1d(Layer):
         L_out = x.shape[1] - K + 1
         if L_out < 1:
             raise ValueError(f"input length {L} shorter than kernel {K}")
-        win = _windows(x, K)
         w2 = self._w2()
-        groups = _sample_groups(B, L_out * K * C * O)
-        cols = np.empty((max(hi - lo for lo, hi in groups) * L_out, K * C), dtype=x.dtype)
         out = np.empty((B * L_out, O), dtype=np.result_type(x, w2))
-        for lo, hi in groups:
-            piece = cols[: (hi - lo) * L_out]
-            piece.reshape(hi - lo, L_out, K, C)[...] = win[lo:hi]
-            np.matmul(piece, w2, out=out[lo * L_out : hi * L_out])
+        for lo, hi, cols in _column_groups(x, K, O):
+            np.matmul(cols, w2, out=out[lo * L_out : hi * L_out])
         out += self.bias
         self._cache = x if training else None
         return out.reshape(B, L_out, O)
 
     def param_backward(self, grad):
-        """Set the weight and bias gradients; no input gradient is computed.
+        """Set the weight and bias gradients; no input gradient is computed."""
+        self._param_grads(self._saved(), grad)
 
-        The full-batch im2col matrix is rebuilt from the kept input for the
-        one weight-gradient GEMM and dropped when it returns.
-        """
-        x = self._saved()
-        B, L_pad, C = x.shape
+    def _param_grads(self, x, grad):
+        """Set the gradients from the kept padded input ``x``, one sample group at a time."""
         K, O = self.kernel_size, self.out_channels
-        cols = _windows(x, K).reshape(B * (L_pad - K + 1), K * C)
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
+        L_out = grad.shape[1]
         self.bgrad[...] = g2.sum(axis=0)
-        self.wgrad[...] = (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
+        total = sum(g2[lo * L_out : hi * L_out].T @ cols
+                    for lo, hi, cols in _column_groups(x, K, O))
+        self.wgrad[...] = total.reshape(O, K, self.in_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
-        L_pad = self._saved().shape[1]
-        self.param_backward(grad)
+        x = self._saved()
+        L_pad = x.shape[1]
+        self._param_grads(x, grad)
+        del x  # the input gradient needs only its length
         B, L_out, O = grad.shape
         C, K = self.in_channels, self.kernel_size
         dtype = self.weight.dtype
@@ -288,7 +303,7 @@ class BatchNorm1d(Layer):
         sgx = np.einsum("blc,blc->c", grad, xhat)
         self.ggrad[...] = sgx
         self.bgrad[...] = sg
-        gx = xhat * (sgx / -M)
+        gx = np.multiply(xhat, sgx / -M, out=xhat)  # the forward's state is not read again
         gx += grad
         gx -= sg / M
         gx *= self.gamma * istd
@@ -445,12 +460,13 @@ class TFconvLayer(Layer):
     parameters, the layer's only trainable weights.  The forward transforms
     the batch once, then correlates a cache-sized group of samples at a
     time; a training forward keeps the input's spectrum, not the input, and
-    with the modulus the complex correlation.  The backward chains the
-    upstream gradient through the modulus in one complex multiply, g =
-    conj(corr) * grad / h; one FFT of g times the kept conjugate spectrum,
-    summed over the batch, gives the gradient with respect to the taps; and
-    the (C, P, K) analytic kernel derivatives d(psi)/d(theta) map that onto
-    the parameters, the same way for every kernel family.  The layer is
+    with the modulus the complex correlation.  The backward consumes them:
+    a cache-sized group of samples at a time, it chains the upstream
+    gradient through the modulus in one complex multiply, g = conj(corr) *
+    grad / h, and adds the FFT of g times the kept conjugate spectrum into
+    one batch sum, which gives the gradient with respect to the taps; the
+    (C, P, K) analytic kernel derivatives d(psi)/d(theta) map that onto the
+    parameters, the same way for every kernel family.  The layer is
     always a model's front layer, so the backward stops at its parameters:
     there is no input gradient.  ``modulus=False`` keeps only the
     real-kernel correlation with no modulus, approximating wavelet-kernel
@@ -508,14 +524,9 @@ class TFconvLayer(Layer):
         grad = np.asarray(grad, dtype=h.dtype)
         if grad.shape != h.shape:
             raise ValueError(f"grad shape {grad.shape} != forward output shape {h.shape}")
-        if self.modulus:
-            # g = conj(corr) * grad / h, so that Re{g * z} == grad * (Re(corr)
-            # Re(z) + Im(corr) Im(z)) / h; complex64 for a float32 forward
-            g = np.conjugate(corr)
-            g *= grad / h
-        else:
-            g = grad
-        taps = batch_conv_full_slice(g, Xf, default_grid(self.family))
+        # complex64 throughout for a float32 forward
+        taps = batch_conv_full_slice(grad, Xf, default_grid(self.family),
+                                     (corr, h) if self.modulus else None)
         dpsi = kernel_param_grad(self.family, self.theta)
         self.grad_theta[...] = np.einsum("cpk,ck->cp", dpsi, taps).real
 

@@ -175,7 +175,4 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         if tf_layer is not None:
             history.theta_snapshots.append(tf_layer.theta.copy())
         lr *= cfg.lr_decay
-    # the last step's backward state is not needed once training ends
-    for layer in model.walk_layers():
-        layer._cache = None
     return history

@@ -16,7 +16,7 @@ from tfnet.cli import EXIT_OK, main
 from tfnet.core_math import same_pad_widths
 from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
 from tfnet.nn import (EPS_MODULUS, AdaptiveAvgPool, BatchNorm1d, Conv1d, Dense, Flatten, MaxPool,
-                      Model, ReLU, Residual, TFconvLayer, softmax_cross_entropy)
+                      Model, ReLU, Residual, TFconvLayer, _sample_groups, softmax_cross_entropy)
 
 
 def _as_1d(x, name: str) -> np.ndarray:
@@ -175,6 +175,32 @@ def whole_batch_tfconv(layer: TFconvLayer, x: np.ndarray):
     return np.sqrt(h, out=h), corr, Xf
 
 
+def whole_batch_theta_gradient(layer: TFconvLayer, grad, Xf, corr, h) -> np.ndarray:
+    """``layer``'s theta gradient of the (B, C, L) ``grad`` with the whole batch at once.
+
+    From the forward's (Xf, corr, h): one (B, C, L) g = conj(corr) * grad /
+    h (or ``grad`` without the modulus), one FFT of it, its product with
+    conj(Xf) and the sum over the batch axis, then the taps and the
+    einsum with d(psi)/d(theta): the formula the grouped backward must
+    equal bit for bit, since every row is transformed by itself and added
+    in batch order.
+    """
+    grid = default_grid(layer.family)
+    K = len(grid)
+    n = Xf.shape[1]
+    if layer.modulus:
+        g = np.conjugate(corr)
+        g *= grad / h
+    else:
+        g = grad
+    Gf = scipy.fft.fft(g, n)
+    Gf *= np.conjugate(Xf)[:, None, :]
+    taps = scipy.fft.ifft(Gf.sum(axis=0), axis=-1)[:, (int(-grid[0]) - np.arange(K)) % n]
+    if not np.iscomplexobj(g):
+        taps = taps.real
+    return np.einsum("cpk,ck->cp", kernel_param_grad(layer.family, layer.theta), taps).real
+
+
 def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int):
     """Direct-path theta gradient of sum(w * h) for a modulus ``layer``, and its FFT bound.
 
@@ -251,17 +277,9 @@ def conv1d_input_grad_per_tap(weight: np.ndarray, grad: np.ndarray, padding: str
     return gx
 
 
-def conv1d_grads_full_batch_im2col(conv, x: np.ndarray, grad: np.ndarray):
-    """(weight, bias, input) gradients of ``conv`` from one full-batch im2col matrix.
-
-    ``x`` is the (B, L, in) input and ``grad`` the (B, L_out, out) upstream
-    gradient.  The (B*L_out, taps*in) matrix of every sample's windows is
-    built at once, the way a training forward once kept it, and the weight
-    gradient is its one GEMM with ``grad``; the input gradient is
-    ``conv1d_input_grad_per_tap``.  The reference for ``Conv1d``, which
-    keeps only its padded input and rebuilds the matrix in backward.
-    """
-    K, O = conv.kernel_size, conv.out_channels
+def _padded_im2col(conv, x: np.ndarray) -> np.ndarray:
+    """The (B*L_out, taps*in) matrix of every sample's windows of ``x``, built row by row."""
+    K = conv.kernel_size
     if conv.padding == "same":
         x = np.pad(x, ((0, 0), same_pad_widths(K), (0, 0)))
     B, L_pad, C = x.shape
@@ -270,9 +288,42 @@ def conv1d_grads_full_batch_im2col(conv, x: np.ndarray, grad: np.ndarray):
     for b in range(B):
         for t in range(L_out):
             cols[b * L_out + t] = x[b, t : t + K].reshape(-1)
-    g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
-    wgrad = (g2.T @ cols).reshape(O, K, C).transpose(0, 2, 1)
+    return cols
+
+
+def conv1d_grads_full_batch_im2col(conv, x: np.ndarray, grad: np.ndarray):
+    """(weight, bias, input) gradients of ``conv`` from one full-batch im2col matrix.
+
+    ``x`` is the (B, L, in) input and ``grad`` the (B, L_out, out) upstream
+    gradient.  The (B*L_out, taps*in) matrix of every sample's windows is
+    built at once, the way a training forward once kept it, and the weight
+    gradient is its one GEMM with ``grad``; the input gradient is
+    ``conv1d_input_grad_per_tap``.  The reference for ``Conv1d``'s bias and
+    input gradients, and for its weight gradient when one sample group
+    covers the batch.
+    """
+    O = conv.out_channels
+    g2 = np.ascontiguousarray(grad).reshape(-1, O)
+    wgrad = (g2.T @ _padded_im2col(conv, x)).reshape(O, conv.kernel_size, -1).transpose(0, 2, 1)
     return wgrad, g2.sum(axis=0), conv1d_input_grad_per_tap(conv.weight, grad, conv.padding)
+
+
+def conv1d_weight_grad_in_groups(conv, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``conv``'s weight gradient as a batch-order sum of one GEMM per sample group.
+
+    The groups are the forward GEMM's ``nn._sample_groups``; each group's
+    rows of ``_padded_im2col`` make one GEMM with its rows of ``grad``, and
+    the products are added first to last.  The reference for
+    ``Conv1d``'s weight gradient, which sums the batch in this order.
+    """
+    B, L_out, O = grad.shape
+    K, C = conv.kernel_size, conv.in_channels
+    cols = _padded_im2col(conv, x)
+    g2 = np.ascontiguousarray(grad).reshape(B * L_out, O)
+    total = 0
+    for lo, hi in _sample_groups(B, L_out * K * C * O):
+        total = total + g2[lo * L_out : hi * L_out].T @ cols[lo * L_out : hi * L_out]
+    return total.reshape(O, K, C).transpose(0, 2, 1)
 
 
 def gamma(n: int, dtype) -> float:
@@ -419,9 +470,11 @@ def fold_deviation_bound(model: Model, folded: Model, x: np.ndarray) -> np.ndarr
     respect to that layer's output times the layer's rounding error, so
     the two stacks' logits differ by at most twice the sum over the folded
     stack's layers of <|d logit / d output|, bound> (``_fold_sites``).  The
-    gradients are the folded stack's backward, one class at a time; at
-    inference a sample's logits depend on that sample alone.  The backward
-    overwrites the gradient arrays of ``model`` that ``folded`` shares.
+    gradients are the folded stack's backward, one class at a time, each
+    after its own training forward, since a backward consumes the state its
+    forward kept; at inference a sample's logits depend on that sample
+    alone.  The backward overwrites the gradient arrays of ``model`` that
+    ``folded`` shares.
     """
     leaves = list(model.walk_layers())
     convs = [(layer, leaves[i + 1]) for i, layer in enumerate(leaves) if isinstance(layer, Conv1d)]
@@ -432,9 +485,9 @@ def fold_deviation_bound(model: Model, folded: Model, x: np.ndarray) -> np.ndarr
     a = np.asarray(x, dtype=model.dtype)
     if model.tfconv is None:
         a = a[:, :, None]
-    sites, logits = _fold_sites(folded.layers, unfolded, a, model.dtype)
-    bound = np.zeros(logits.shape)
-    for k in range(logits.shape[1]):
+    bound = np.zeros((a.shape[0], model.n_classes))
+    for k in range(model.n_classes):
+        sites, logits = _fold_sites(folded.layers, unfolded, a, model.dtype)
         g = np.zeros_like(logits)
         g[:, k] = 1.0
         _weighted_bounds(sites, g, bound[:, k])
@@ -655,9 +708,9 @@ def fails_naming(path, raw: bytes, load) -> bool:
     return False
 
 
-# Numbers and texts stay small: a header's class or channel count sizes the
-# model that the checkpoint loader builds before it checks the payload's
-# length, and ``int("999999")`` is a count too.
+# Numbers and texts stay small: a header's class or channel count, up to the
+# payload's value count, sizes the model that the checkpoint loader builds
+# before it checks the payload's length, and ``int("999999")`` is a count too.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 64) | st.floats(-64, 64)
     | st.sampled_from([np.inf, -np.inf, np.nan]) | st.text("ab_-.", max_size=6),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=rf"m\.tfn: parameter payload holds {len(values)} "
                                              r"bytes, the model needs \d+"):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["n_classes", "tfconv.n_channels"])
+    def test_count_beyond_the_payload_fails_before_building(self, tmp_path, key):
+        # every class and every channel adds at least one payload value
+        path, _ = self.checkpoint_bytes(tmp_path)
+        *parents, last = key.split(".")
+
+        def edit(header):
+            for name in parents:
+                header = header[name]
+            header[last] = 10**7
+
+        edit_header(path, edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"m\.tfn: invalid checkpoint header: "
+                                                 rf"'{last}' 10000000 exceeds the payload's "
+                                                 r"\d+ values"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_header_without_mode_names_file_and_key(self, tmp_path):
         path, _ = self.checkpoint_bytes(tmp_path)

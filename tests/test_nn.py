@@ -14,7 +14,8 @@ import pytest
 import helpers
 from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
                      check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
-                     conv1d_input_grad_per_tap, forward_out_of_place, maxpool_input_grad_where,
+                     conv1d_input_grad_per_tap, conv1d_weight_grad_in_groups,
+                     forward_out_of_place, maxpool_input_grad_where,
                      relative_error, softmax_cross_entropy_with_bound)
 from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
@@ -173,7 +174,7 @@ class TestConv1dBySample:
 
 
 class TestConv1dKeepsItsInput:
-    """A training forward keeps the padded input; backward rebuilds the im2col matrix."""
+    """A training forward keeps the padded input; backward rebuilds im2col rows a group at a time."""
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_training_forward_keeps_no_more_than_its_padded_input(self, backbone, monkeypatch):
@@ -204,10 +205,31 @@ class TestConv1dKeepsItsInput:
         assert (len(nn._sample_groups(B, L_out * 3 * 8 * O)) > 1) == split
         grad = rng_(73).normal(size=out.shape).astype(dtype)
         gx = conv.backward(grad)
-        want = conv1d_grads_full_batch_im2col(conv, x, grad)
-        for got, expected in zip((conv.wgrad, conv.bgrad, gx), want):
+        # bias and input gradients keep the full-batch bits; the weight
+        # gradient sums the groups' GEMMs in batch order, which is the
+        # full-batch GEMM itself when one group covers the batch
+        wgrad, *want = conv1d_grads_full_batch_im2col(conv, x, grad)
+        grouped = conv1d_weight_grad_in_groups(conv, x, grad)
+        if not split:
+            np.testing.assert_array_equal(grouped, wgrad)
+        for got, expected in zip((conv.wgrad, conv.bgrad, gx), [grouped, *want]):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, expected)
+
+    def test_weight_gradient_builds_no_full_batch_column_matrix(self):
+        # the paper-cnn 64->128 conv at B=64, L=1024
+        conv = Conv1d(64, 128, 3, rng_(74))
+        x = rng_(75).normal(size=(64, 502, 64))
+        out = conv.forward(x, training=True)
+        grad = rng_(76).normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            conv.param_backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = np.empty((64 * out.shape[1], 3 * 64)).nbytes
+        assert peak < columns / 2
 
 
 class TestInferenceOverwrites:
@@ -791,6 +813,7 @@ class TestModelContainer:
         assert g.shape == (4, 256, 1)
         want = [a.copy() for a in model.gradients()]
 
+        model.forward(x, training=True)  # a backward consumes its forward's state
         first = model.layers[0]
 
         def no_input_gradient(grad):
@@ -807,14 +830,28 @@ class TestModelContainer:
     def test_two_backward_passes_give_the_gradients_of_one(self, mode, backbone):
         model = assemble_model(mode, backbone=backbone, n_channels=2)
         held = model.gradients()
-        logits = model.forward(rng_(45).normal(size=(2, 128)), training=True)
-        _, grad = softmax_cross_entropy(logits, np.array([0, 1]))
+        x = rng_(45).normal(size=(2, 128))
+        _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1]))
         model.backward(grad)
         once = [g.copy() for g in held]
+        model.forward(x, training=True)
         model.backward(grad)
         for array, got, want in zip(held, model.gradients(), once, strict=True):
             assert got is array  # set in place, so an optimizer's list stays live
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode, backbone", [("tfn-add", "lenet-1d"),
+                                                ("tfn-replace", "paper-cnn"),
+                                                ("backbone-only", "resnet-1d")])
+    def test_backward_consumes_every_layers_state(self, mode, backbone):
+        model = assemble_model(mode, backbone=backbone, n_channels=2)
+        logits = model.forward(rng_(46).normal(size=(2, 128)), training=True)
+        _, grad = softmax_cross_entropy(logits, np.array([0, 1]))
+        model.backward(grad)
+        assert [layer.name for layer in model.walk_layers() if layer._cache is not None] == []
+        last = len(model.layers) - 1
+        with pytest.raises(RuntimeError, match=rf"^{last}\.dense: backward needs forward"):
+            model.backward(grad)
 
     def test_front_tfconv_step_goes_through_its_backward(self):
         # per-layer tracing wraps each layer's ``backward`` on the instance

@@ -8,7 +8,7 @@ import scipy.fft
 
 from helpers import (central_difference, cross_correlate_same, reference_tft, relative_error,
                      tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound,
-                     whole_batch_tfconv)
+                     whole_batch_tfconv, whole_batch_theta_gradient)
 from tfnet import core_math, nn
 from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
 from tfnet.kernels import (KernelFamily, default_grid, evaluate_kernels, init_params,
@@ -166,16 +166,18 @@ class TestBackward:
         # a complex128 assembly would stay correct but double the FFT cost
         seen = []
 
-        def recording(g, Xf, grid):
-            seen.append(g.dtype)
-            return batch_conv_full_slice(g, Xf, grid)
+        def recording(grad, Xf, grid, modulus=None):
+            taps = batch_conv_full_slice(grad, Xf, grid, modulus)
+            seen.append([a.dtype for a in (grad, Xf, *(modulus or ()), taps)])
+            return taps
 
         monkeypatch.setattr(nn, "batch_conv_full_slice", recording)
         layer = make_layer(KernelFamily.MORLET, n_channels=2, modulus=modulus)
         x = np.random.default_rng(16).normal(size=(2, 64)).astype(np.float32)
         out = layer.forward(x, training=True)
         layer.backward(np.ones_like(out))
-        assert seen == [np.dtype(want)]
+        kept = [np.complex64, np.float32] if modulus else []
+        assert seen == [[np.float32, np.complex64, *kept, want]]
 
     def test_two_backward_passes_give_the_gradient_of_one(self):
         rng = np.random.default_rng(14)
@@ -270,7 +272,7 @@ class TestSpectralPath:
 
 
 class TestSampleGroups:
-    """The forward runs a few samples at a time, bit for bit the whole-batch formula."""
+    """Forward and backward run a few samples at a time, bit for bit the whole-batch formula."""
 
     @pytest.mark.parametrize("modulus", [True, False], ids=["modulus", "real"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -297,10 +299,8 @@ class TestSampleGroups:
         else:
             assert kept_corr is None  # the real part's gradient needs no correlation
         layer.backward(w)
-        grouped = layer.grad_theta.copy()
-        layer._cache = (Xf, corr, h)
-        layer.backward(w)
-        np.testing.assert_array_equal(grouped, layer.grad_theta)
+        np.testing.assert_array_equal(layer.grad_theta,
+                                      whole_batch_theta_gradient(layer, w, Xf, corr, h))
         np.testing.assert_array_equal(layer.forward(x), h)
 
     def test_inference_forward_holds_no_batch_sized_complex_array(self):
@@ -311,6 +311,23 @@ class TestSampleGroups:
         tracemalloc.start()
         try:
             layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty((64, 8, 4500), np.complex64).nbytes
+
+    @pytest.mark.parametrize("modulus", [True, False], ids=["modulus", "real"])
+    def test_backward_holds_no_batch_sized_complex_array(self, modulus):
+        # the train-tfconv shape: morlet K=301 at L=4096 (n=4500), float32
+        layer = make_layer(KernelFamily.MORLET, n_channels=8, modulus=modulus)
+        x = np.random.default_rng(25).normal(size=(64, 4096)).astype(np.float32)
+        w = np.random.default_rng(26).normal(size=(64, 8, 4096)).astype(np.float32)
+        layer.forward(x, training=True)
+        layer.backward(w)  # any first-call allocation happens here
+        layer.forward(x, training=True)
+        tracemalloc.start()
+        try:
+            layer.backward(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
