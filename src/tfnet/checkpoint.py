@@ -90,10 +90,10 @@ def _rebuild(header: dict, n_values: int) -> Model:
     A class or channel count above ``n_values``, the payload's value count,
     is refused before any array is built.
     """
-    dtype = np.dtype(header.get("dtype", "float64"))
+    dtype = np.dtype(header["dtype"])
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype.name}")
-    tf = header.get("tfconv")
+    tf = header["tfconv"]
     front = {} if tf is None else {"family": tf["family"], "n_channels": int(tf["n_channels"])}
     n_classes = int(header["n_classes"])
     for key, count in (("n_classes", n_classes), ("n_channels", front.get("n_channels", 0))):

@@ -151,13 +151,14 @@ class Conv1d(Layer):
     groups' rows from that input, a strided copy recomputed instead of a
     matrix stored from forward to backward (Chen et al., 2016), and adds
     each group's GEMM into one (out, taps*in) sum in batch order.  The
-    input gradient adds each tap's product for one group of samples into a
-    contiguous block of its rows.  Splitting a GEMM by rows changes no dot
-    product as long as every piece stays above ``_SMALL_GEMM``, so the
-    forward and the input gradient keep the full-batch GEMM's bits; the
-    weight gradient sums the batch in a different order, which moves its
-    last bits.  Activations are (batch, length, channels); the stored
-    weight is (out, in, taps).
+    input gradient is the per-tap col2im run over ``_sample_groups(B,
+    L_out*in*out)``, one GEMM per group and tap, and is exactly that
+    formula whenever one group covers the batch.  Splitting a GEMM by rows
+    changes no dot product as long as every piece stays above
+    ``_SMALL_GEMM``, so the forward and the input gradient keep the
+    full-batch GEMM's bits; the weight gradient sums the batch in a
+    different order, which moves its last bits.  Activations are (batch,
+    length, channels); the stored weight is (out, in, taps).
     """
 
     state = (("weight", "wgrad"), ("bias", "bgrad"))
@@ -205,11 +206,8 @@ class Conv1d(Layer):
         return out.reshape(B, L_out, O)
 
     def param_backward(self, grad):
-        """Set the weight and bias gradients; no input gradient is computed."""
-        self._param_grads(self._saved(), grad)
-
-    def _param_grads(self, x, grad):
-        """Set the gradients from the kept padded input ``x``, one sample group at a time."""
+        """Set the weight and bias gradients from the kept padded input; return its shape."""
+        x = self._saved()
         K, O = self.kernel_size, self.out_channels
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
         L_out = grad.shape[1]
@@ -217,35 +215,22 @@ class Conv1d(Layer):
         total = sum(g2[lo * L_out : hi * L_out].T @ cols
                     for lo, hi, cols in _column_groups(x, K, O))
         self.wgrad[...] = total.reshape(O, K, self.in_channels).transpose(0, 2, 1)
+        return x.shape
 
     def backward(self, grad):
-        x = self._saved()
-        L_pad = x.shape[1]
-        self._param_grads(x, grad)
-        del x  # the input gradient needs only its length
-        B, L_out, O = grad.shape
-        C, K = self.in_channels, self.kernel_size
-        dtype = self.weight.dtype
-        groups = _sample_groups(B, L_pad * C * O)
-        widest = max(hi - lo for lo, hi in groups)
-        # Sample lo+j's upstream rows start at row j*L_pad of its group's GEMM,
-        # zeros filling the gaps, so each tap's product lands on one contiguous
-        # block of gx rows; the product buffer holds one group's rows.
-        gx = np.zeros((B * L_pad, C), dtype=dtype)
-        spread = np.zeros((widest * L_pad, O), dtype=dtype)
-        product = np.empty(((widest - 1) * L_pad + L_out, C), dtype=dtype)
+        B, L_pad, C = self.param_backward(grad)
+        L_out, O = grad.shape[1:]
+        K = self.kernel_size
+        gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
         w_taps = np.ascontiguousarray(self.weight.transpose(2, 0, 1))  # (K, O, C)
+        groups = _sample_groups(B, L_out * C * O)
+        product = np.empty((max(hi - lo for lo, hi in groups) * L_out, C), dtype=gx.dtype)
         for lo, hi in groups:
-            top, n = lo * L_pad, (hi - lo - 1) * L_pad + L_out
-            if hi - lo == 1:
-                g = grad[lo]
-            else:
-                spread[: (hi - lo) * L_pad].reshape(hi - lo, L_pad, O)[:, :L_out] = grad[lo:hi]
-                g = spread[:n]
+            g = grad[lo:hi].reshape(-1, O)
+            rows = product[: len(g)]
             for m in range(K):
-                np.matmul(g, w_taps[m], out=product[:n])
-                gx[top + m : top + m + n] += product[:n]
-        gx = gx.reshape(B, L_pad, C)
+                np.matmul(g, w_taps[m], out=rows)
+                gx[lo:hi, m : m + L_out] += rows.reshape(hi - lo, L_out, C)
         if self.padding == "same":
             left, right = same_pad_widths(K)
             gx = gx[:, left : L_pad - right, :]

@@ -153,7 +153,6 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        seen = 0
         for b in range(n_batches):
             idx = order[b * bs : (b + 1) * bs]
             xb = xs[idx]
@@ -165,9 +164,8 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
             model.project_params()
             loss_sum += loss * idx.size
             correct += int((logits.argmax(axis=1) == yb).sum())
-            seen += idx.size
-        history.train_loss.append(loss_sum / seen)
-        history.train_acc.append(correct / seen)
+        history.train_loss.append(loss_sum / (n_batches * bs))
+        history.train_acc.append(correct / (n_batches * bs))
         if test_signals is not None:
             acc, _ = evaluate(model, test_signals, test_labels)
             history.test_acc.append(acc)

@@ -182,8 +182,8 @@ class TestSaveLoadRoundTrip:
 class TestLoadValidation:
     """Each edit of a header or payload is re-signed, so that it reaches its own check."""
 
-    def checkpoint_bytes(self, tmp_path, **kwargs):
-        model = assemble_model("tfn-add", n_classes=5, seed=0, **kwargs)
+    def checkpoint_bytes(self, tmp_path, mode="tfn-add", **kwargs):
+        model = assemble_model(mode, n_classes=5, seed=0, **kwargs)
         path = tmp_path / "m.tfn"
         save_model(model, path)
         return path, path.read_bytes()
@@ -279,10 +279,17 @@ class TestLoadValidation:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_header_without_mode_names_file_and_key(self, tmp_path):
-        path, _ = self.checkpoint_bytes(tmp_path)
-        edit_header(path, lambda header: header.pop("mode"))
-        with pytest.raises(ValueError, match=r"m\.tfn: checkpoint header has no 'mode' entry"):
+    @pytest.mark.parametrize("key, kwargs", [
+        ("mode", {}),
+        # save_model writes both; without them a float32 model would load as
+        # float64 and a backbone-only one with no tfconv entry at all
+        ("dtype", {"dtype": np.float32}),
+        ("tfconv", {"mode": "backbone-only"}),
+    ], ids=["mode", "dtype", "tfconv"])
+    def test_header_without_entry_names_file_and_key(self, tmp_path, key, kwargs):
+        path, _ = self.checkpoint_bytes(tmp_path, **kwargs)
+        edit_header(path, lambda header: header.pop(key))
+        with pytest.raises(ValueError, match=rf"m\.tfn: checkpoint header has no '{key}' entry"):
             load_model(path)
 
     @pytest.mark.parametrize("payload, message", [

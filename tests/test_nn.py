@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
@@ -125,31 +127,36 @@ class TestConv1dBySample:
                                           want.reshape(32, 1020, 6))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("in_channels, out_channels, length", [(2, 64, 2700), (8, 32, 1400)])
+    @pytest.mark.parametrize("in_channels, out_channels, length, batch, split", [
+        (2, 64, 2700, 3, False), (8, 32, 1400, 3, False),
+        (64, 128, 502, 2, True), (16, 32, 1010, 5, True),
+    ], ids=["2-64-2700", "8-32-1400", "64-128-502-B2", "16-32-1010-B5"])
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_input_gradient_equals_per_tap_col2im(self, dtype, in_channels, out_channels,
-                                                  length, padding):
-        # the batch's GEMMs are above nn._SMALL_GEMM, where BLAS keeps one
-        # summation order whatever the row count
+                                                  length, batch, split, padding):
+        # every group's GEMMs are above nn._SMALL_GEMM, where BLAS keeps one
+        # summation order whatever the row count; the split cases run
+        # one-sample groups (B2) and two groups, the last taking the remainder (B5)
         conv = Conv1d(in_channels, out_channels, 3, rng_(53), padding=padding, dtype=dtype)
-        x = rng_(54).normal(size=(3, length, in_channels)).astype(dtype)
+        x = rng_(54).normal(size=(batch, length, in_channels)).astype(dtype)
         grad = rng_(55).normal(size=conv.forward(x, training=True).shape).astype(dtype)
+        L_out = grad.shape[1]
         assert grad.size * in_channels > nn._SMALL_GEMM
+        assert (len(nn._sample_groups(batch, L_out * in_channels * out_channels)) > 1) == split
         gx = conv.backward(grad)
         np.testing.assert_array_equal(gx, conv1d_input_grad_per_tap(conv.weight, grad, padding))
 
-    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-5), (np.float64, 1e-13)])
-    @pytest.mark.parametrize("in_channels, out_channels", [(2, 3), (2, 32), (8, 16)])
-    def test_small_input_gradient_matches_per_tap_col2im(self, dtype, bound, in_channels,
-                                                         out_channels):
-        # below nn._SMALL_GEMM OpenBLAS's small-matrix kernels may sum in an
-        # order that depends on the row count, so only the last bits may differ
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_channels, out_channels", [(1, 6), (2, 3), (2, 32), (8, 16)])
+    def test_small_input_gradient_matches_per_tap_col2im(self, dtype, in_channels, out_channels):
+        # the whole batch is one group below nn._SMALL_GEMM, so the input
+        # gradient runs the reference's own GEMMs
         conv = Conv1d(in_channels, out_channels, 3, rng_(56), padding="same", dtype=dtype)
         x = rng_(57).normal(size=(3, 40, in_channels)).astype(dtype)
         grad = rng_(58).normal(size=conv.forward(x, training=True).shape).astype(dtype)
-        want = conv1d_input_grad_per_tap(conv.weight, grad, "same")
+        assert nn._sample_groups(3, 40 * in_channels * out_channels) == [(0, 3)]
         gx = conv.backward(grad)
-        np.testing.assert_allclose(gx, want, rtol=0, atol=bound * np.abs(want).max())
+        np.testing.assert_array_equal(gx, conv1d_input_grad_per_tap(conv.weight, grad, "same"))
 
     def test_float32_gradient_stays_float32(self):
         conv = Conv1d(4, 8, 3, rng_(59), dtype=np.float32)
@@ -171,6 +178,28 @@ class TestConv1dBySample:
             tracemalloc.stop()
         columns = np.empty((16 * out.shape[1], 15 * 8)).nbytes
         assert peak < columns
+
+
+class TestSampleGroups:
+    """``nn._sample_groups``, the split that all three ``Conv1d`` passes use."""
+
+    @given(st.integers(1, 5000), st.integers(1, 3 * nn._SMALL_GEMM))
+    @settings(max_examples=300, deadline=None)
+    def test_ranges_tile_the_batch_in_the_fewest_samples_above_small_gemm(self, n, work):
+        groups = nn._sample_groups(n, work)
+        # the ranges tile [0, n) in order
+        assert groups[0][0] == 0 and groups[-1][1] == n
+        assert all(lo < hi for lo, hi in groups)
+        assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        # each range's GEMM exceeds _SMALL_GEMM unless it is the only range
+        if len(groups) > 1:
+            assert all((hi - lo) * work > nn._SMALL_GEMM for lo, hi in groups)
+        # every range but the last has the smallest such size, and the last
+        # takes the remainder, so there are as many ranges as fit
+        fewest = nn._SMALL_GEMM // work + 1
+        assert (fewest - 1) * work <= nn._SMALL_GEMM < fewest * work
+        assert all(hi - lo == fewest for lo, hi in groups[:-1])
+        assert len(groups) == max(1, n // fewest)
 
 
 class TestConv1dKeepsItsInput:
@@ -500,8 +529,7 @@ class TestExactAdjoints:
         v_weight = rng_(83).normal(size=conv.weight.shape)
         w = rng_(84).normal(size=conv.forward(x, training=True).shape)
         L_out = w.shape[1]
-        L_pad = L_out + K - 1
-        assert (len(nn._sample_groups(B, L_pad * C * O)) > 1) == split
+        assert (len(nn._sample_groups(B, L_out * C * O)) > 1) == split
         gx = conv.backward(w)
         n_terms = B * L_out * O * K * C
         # each input-gradient entry sums K*O products; each weight-gradient entry B*L_out
