@@ -10,14 +10,14 @@ from tfnet.kernels import KernelFamily
 from tfnet.nn import Model, TFconvLayer, assemble_model
 from tfnet.training import TrainConfig, TrainHistory, evaluate, train
 from tfnet.data import Dataset, SynthSpec, split, synth_generate, synthbearing5
-from tfnet.interpret import (BandReport, FrequencyResponse, band_coverage,
+from tfnet.interpret import (BandDistance, FrequencyResponse, band_coverage,
                              channel_frequency_response, dataset_spectrum)
 from tfnet.checkpoint import load_model, save_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandReport",
+    "BandDistance",
     "Dataset",
     "FrequencyResponse",
     "KernelFamily",

@@ -90,9 +90,8 @@ def _rebuild(header: dict, n_values: int) -> Model:
     A class or channel count above ``n_values``, the payload's value count,
     is refused before any array is built.
     """
-    dtype = np.dtype(header["dtype"])
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype.name}")
+    if header["dtype"] not in ("float32", "float64"):  # no aliases, and no null for float64
+        raise ValueError(f"dtype must be float32 or float64, got {header['dtype']}")
     tf = header["tfconv"]
     front = {} if tf is None else {"family": tf["family"], "n_channels": int(tf["n_channels"])}
     n_classes = int(header["n_classes"])
@@ -100,7 +99,7 @@ def _rebuild(header: dict, n_values: int) -> Model:
         if count > n_values:
             raise ValueError(f"{key!r} {count} exceeds the payload's {n_values} values")
     model = assemble_model(header["mode"], backbone=header["backbone"],
-                           n_classes=n_classes, dtype=dtype, **front)
+                           n_classes=n_classes, dtype=np.dtype(header["dtype"]), **front)
     if tf != model.tfconv_config:
         raise ValueError(f"'tfconv' entry {tf} does not match mode {model.mode!r}, "
                          f"which writes {model.tfconv_config}")

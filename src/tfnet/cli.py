@@ -12,8 +12,11 @@ Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
 ``theta_trajectory.csv``; ``eval`` writes ``confusion.csv`` and
 ``metrics.json``; ``freq-response`` writes ``cfr.csv``, ``ofr.csv``,
 ``kernel_taps.csv`` (TFconv), ``dataset_spectrum.csv`` (with a dataset) and
-``band_report.txt`` (with bands); ``ablate`` writes ``results.csv`` and
-each cell's ``history.csv`` and ``metrics.json`` under ``cells/<label>/``.
+``band_report.txt`` (with bands: the mean band distance, then per band its
+distance, nearest channel and that channel's centre frequency); ``ablate``
+writes ``results.csv`` (a row per mode and kernel family, every mode in
+``MODES``) and each cell's ``history.csv`` and ``metrics.json`` under
+``cells/<label>/``.
 Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
@@ -34,8 +37,8 @@ import numpy as np
 from tfnet.checkpoint import load_model, save_model
 from tfnet.data import (DATASET_FILE, check_band, load_dataset, save_dataset, split,
                         synth_generate, synthbearing5)
-from tfnet.interpret import (THRESHOLD_FACTOR, band_coverage, channel_frequency_response,
-                             dataset_spectrum, spectrum_freqs)
+from tfnet.interpret import (band_coverage, channel_frequency_response, dataset_spectrum,
+                             spectrum_freqs)
 from tfnet.kernels import KernelFamily, default_grid, param_names
 from tfnet.nn import BACKBONES, MODES, assemble_model, check_labels
 from tfnet.training import TrainConfig, evaluate, train
@@ -43,8 +46,6 @@ from tfnet.training import TrainConfig, evaluate, train
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-ABLATE_MODES = tuple(mode for mode in MODES if mode != "random-tfn")
 
 
 class ConfigError(Exception):
@@ -135,7 +136,11 @@ def parse_path(text):
     """An existing path."""
     if text == "":
         raise ValueError("a path is required, got an empty value")
-    if not Path(text).exists():
+    try:
+        exists = Path(text).exists()
+    except OSError as exc:  # exists() lets ENAMETOOLONG and the like through
+        raise ValueError(f"path {Path(text)}: {exc.strerror}") from None
+    if not exists:
         raise ValueError(f"path {Path(text)} does not exist")
     return Path(text), str(Path(text))
 
@@ -419,14 +424,13 @@ def cmd_freq_response(cfg: Config) -> int:
         if not bands:
             bands = [tuple(b) for b in ds.meta.get("information_bands", [])]
     if bands:
-        report = band_coverage(resp.ofr, resp.freqs, bands)
-        lines = [f"threshold_factor: {THRESHOLD_FACTOR}", f"ofr_median: {report.ofr_median!r}",
-                 f"threshold: {report.threshold!r}", f"hits: {report.n_hits}/{len(report.bands)}"]
-        lines += [f"band [{b.band[0]}, {b.band[1]}]: peak_freq={b.peak_frequency!r} "
-                  f"peak_magnitude={b.peak_magnitude!r} hit={'yes' if b.hit else 'no'}"
-                  for b in report.bands]
+        report = band_coverage(resp, bands)
+        mean = float(np.mean([b.distance for b in report]))
+        lines = [f"mean_distance: {mean!r}"]
+        lines += [f"band [{b.band[0]!r}, {b.band[1]!r}]: distance={b.distance!r} "
+                  f"channel={b.channel} centre={b.centre!r}" for b in report]
         (out / "band_report.txt").write_text("\n".join(lines) + "\n")
-        print(f"band hits: {report.n_hits}/{len(report.bands)}")
+        print(f"mean band distance: {mean:.4f}")
     _write_echo(cfg, out)
     return EXIT_OK
 
@@ -462,8 +466,9 @@ def cmd_ablate(cfg: Config) -> int:
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
 
-    groups = [(mode, fam) for mode in ABLATE_MODES
-              for fam in ([None] if mode == "backbone-only" else families)]
+    # backbone-only has no front layer and random-tfn a fixed family: one group each
+    groups = [(mode, fam) for mode in MODES
+              for fam in ([None] if mode in ("backbone-only", "random-tfn") else families)]
 
     def run_cell(mode, fam, seed):
         label = f"{mode}-{fam or 'none'}-s{seed}"

@@ -1,11 +1,13 @@
-"""Frequency-domain interpretability: filter responses and band coverage.
+"""Frequency-domain interpretability: filter responses and band distance.
 
 The first layer of a model is read as a bank of FIR filters.  Each
 channel's frequency response (C-FR) is the FFT magnitude of its
 zero-padded kernel on the non-negative half axis; the overall response
-(O-FR) is the channel mean.  Band coverage scores the O-FR against
-declared information bands: a band is hit when a local maximum at least
-1.5x the O-FR median falls inside it.
+(O-FR) is the channel mean.  A channel's centre frequency is the argmax of
+its C-FR, so one definition serves TFconv and ``Conv1d`` banks alike.
+Band coverage scores the bank against declared information bands by band
+distance: for each band, the distance from the band to the nearest channel
+centre, 0 when a centre lies inside the band.
 
 The module only computes, on arrays and datasets in memory; ``tfnet
 freq-response`` (``tfnet.cli``) writes the results to files.
@@ -17,8 +19,6 @@ import numpy as np
 
 from tfnet.data import check_band
 from tfnet.training import standardize
-
-THRESHOLD_FACTOR = 1.5  # a band peak must reach this multiple of the O-FR median
 
 
 @dataclass(frozen=True)
@@ -64,69 +64,26 @@ def dataset_spectrum(dataset) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BandPeak:
+class BandDistance:
+    """The channel whose centre frequency lies nearest a band, and how far it lies."""
+
     band: tuple[float, float]
-    peak_frequency: float
-    peak_magnitude: float
-    hit: bool
+    channel: int
+    centre: float
+    distance: float  # 0 when the centre lies inside the band
 
 
-@dataclass(frozen=True)
-class BandReport:
-    bands: tuple[BandPeak, ...]
-    ofr_median: float
+def band_coverage(resp: FrequencyResponse, bands) -> tuple[BandDistance, ...]:
+    """Band distance of a filter bank's response, one record per band.
 
-    @property
-    def threshold(self) -> float:
-        return THRESHOLD_FACTOR * self.ofr_median
-
-    @property
-    def n_hits(self) -> int:
-        return sum(1 for b in self.bands if b.hit)
-
-
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of plateau-tolerant local maxima, endpoints included."""
-    v = np.asarray(values)
-    if v.size == 1:
-        return np.array([0])
-    ge_left = np.empty(v.size, dtype=bool)
-    ge_right = np.empty(v.size, dtype=bool)
-    ge_left[0] = True
-    ge_left[1:] = v[1:] >= v[:-1]
-    ge_right[-1] = True
-    ge_right[:-1] = v[:-1] >= v[1:]
-    return np.flatnonzero(ge_left & ge_right)
-
-
-def band_coverage(ofr, freqs, bands) -> BandReport:
-    """Score the O-FR against information bands.
-
-    A band is hit when some local maximum inside it reaches
-    ``THRESHOLD_FACTOR`` times the O-FR median (and is positive, so a
-    flat zero response never scores).
+    A channel's centre is the frequency at the argmax of its C-FR row;
+    ties go to the first frequency, and then to the first channel.
     """
-    ofr = np.asarray(ofr, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if ofr.shape != freqs.shape or ofr.ndim != 1 or ofr.size == 0:
-        raise ValueError("ofr and freqs must be equal-length non-empty 1D arrays")
-    median = float(np.median(ofr))
-    threshold = THRESHOLD_FACTOR * median
-    maxima = _local_maxima(ofr)
+    centres = resp.freqs[resp.cfr.argmax(axis=1)]
     results = []
     for band in bands:
         lo, hi = check_band(band)
-        in_band = np.flatnonzero((freqs >= lo) & (freqs <= hi))
-        if in_band.size == 0:
-            results.append(BandPeak((lo, hi), (lo + hi) / 2, 0.0, False))
-            continue
-        band_max = maxima[np.isin(maxima, in_band)]
-        hit = bool(
-            band_max.size
-            and np.any((ofr[band_max] >= threshold) & (ofr[band_max] > 0.0))
-        )
-        peak_pool = band_max if band_max.size else in_band
-        k = peak_pool[np.argmax(ofr[peak_pool])]
-        results.append(BandPeak((lo, hi), float(freqs[k]), float(ofr[k]), hit))
-    return BandReport(tuple(results), ofr_median=median)
-
+        gaps = np.maximum(np.maximum(lo - centres, centres - hi), 0.0)
+        c = int(gaps.argmin())
+        results.append(BandDistance((lo, hi), c, float(centres[c]), float(gaps[c])))
+    return tuple(results)

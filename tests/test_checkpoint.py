@@ -311,13 +311,18 @@ class TestLoadValidation:
         ("tfconv.family", "bogus", "'bogus' is not a valid KernelFamily"),
         ("blocks", 3, "'blocks' entry 3 does not match the rebuilt model's"),
         ("dtype", "int32", "dtype must be float32 or float64, got int32"),
+        # np.dtype reads null as float64 and takes aliases; the header names exactly one
+        ("dtype", None, "dtype must be float32 or float64, got None"),
+        ("dtype", "double", "dtype must be float32 or float64, got double"),
+        ("dtype", "f4", "dtype must be float32 or float64, got f4"),
         # the rebuilt model fixes every tfconv entry; an edited one must not load
         ("tfconv.eps_modulus", 1e-6, "'tfconv' entry .* does not match mode 'tfn-add'"),
         ("tfconv.kernel_length", 31, "'tfconv' entry .* does not match mode 'tfn-add'"),
         ("tfconv.modulus", False, "'tfconv' entry .* does not match mode 'tfn-add'"),
         ("tfconv", None, "'tfconv' entry None does not match mode 'tfn-add'"),
     ], ids=["n_classes-not-int", "n_classes-infinite", "n_channels-infinite", "tfconv-a-list",
-            "unknown-family", "blocks-an-int", "integer-dtype", "edited-eps",
+            "unknown-family", "blocks-an-int", "integer-dtype", "null-dtype",
+            "dtype-alias-double", "dtype-alias-f4", "edited-eps",
             "edited-kernel-length", "edited-modulus", "tfn-add-without-tfconv"])
     def test_header_value_of_wrong_type_names_file(self, tmp_path, key, value, message):
         path, _ = self.checkpoint_bytes(tmp_path)

@@ -404,8 +404,10 @@ class TestFreqResponse:
                      "--set", f"dataset={data_dir}"])
         assert code == EXIT_OK
         assert (out / "dataset_spectrum.csv").exists()
-        report = (out / "band_report.txt").read_text()
-        assert "hits:" in report and report.count("band [") == 4
+        lines = (out / "band_report.txt").read_text().splitlines()
+        assert lines[0].startswith("mean_distance: ")
+        assert [ln.split("]")[0] for ln in lines[1:]] == [
+            "band [0.04, 0.06", "band [0.07, 0.09", "band [0.16, 0.2", "band [0.28, 0.32"]
 
     def test_explicit_bands_override(self, tmp_path, trained_dir):
         out = tmp_path / "fr"
@@ -473,14 +475,13 @@ class TestAblate:
         assert lines[0] == "model,kernel,mean_acc,variance"
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == [
-            "backbone-only", "tfn-add", "tfn-replace", "wkn-add", "wkn-replace"]
-        assert rows[0][1] == "-"
-        assert all(r[1] == "sttf" for r in rows[1:])
+            "backbone-only", "tfn-add", "tfn-replace", "wkn-add", "wkn-replace", "random-tfn"]
+        assert [r[1] for r in rows] == ["-", "sttf", "sttf", "sttf", "sttf", "-"]
         for r in rows:
             assert 0.0 <= float(r[2]) <= 1.0
         cells = sorted(p.name for p in (out / "cells").iterdir())
-        assert len(cells) == 10
-        assert "backbone-only-none-s0" in cells and "wkn-replace-sttf-s1" in cells
+        assert len(cells) == 12
+        assert {"backbone-only-none-s0", "wkn-replace-sttf-s1", "random-tfn-none-s1"} <= set(cells)
         assert (out / "cells" / "tfn-add-sttf-s1" / "history.csv").exists()
 
     def test_two_families_widen_grid(self, tmp_path, data_dir):
@@ -488,7 +489,7 @@ class TestAblate:
         code = self.run_ablate(out, data_dir, ("--set", "families=sttf,morlet"))
         assert code == EXIT_OK
         lines = (out / "results.csv").read_text().splitlines()
-        assert len(lines) == 1 + 1 + 4 * 2  # backbone + 4 modes x 2 families
+        assert len(lines) == 1 + 1 + 4 * 2 + 1  # backbone, 4 modes x 2 families, random-tfn
 
     def test_thread_pool_matches_serial(self, tmp_path, data_dir, monkeypatch):
         serial = tmp_path / "serial"
@@ -515,7 +516,7 @@ class TestAblate:
         assert "ablation cell tfn-replace-sttf-s0 failed" in capsys.readouterr().err
         want = [ln for ln in (clean / "results.csv").read_text().splitlines()
                 if not ln.startswith("tfn-replace,")]
-        assert len(want) == 1 + 4
+        assert len(want) == 1 + 5
         assert (failed / "results.csv").read_text().splitlines() == want
 
     def test_plain_directory_is_rejected_before_any_cell(self, tmp_path):
@@ -585,6 +586,15 @@ class TestArgumentPlumbing:
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: {key}: a path is required, got an empty value\n"
+
+    @pytest.mark.parametrize("key, other", [("checkpoint", "dataset"), ("dataset", "checkpoint")])
+    def test_path_too_long_for_the_os_names_key(self, tmp_path, data_dir, trained_dir, capsys,
+                                                key, other):
+        paths = {"dataset": data_dir, "checkpoint": trained_dir / "model.tfn"}
+        long_name = "a" * 300  # past the 255-byte limit of a file name
+        assert main(["eval", "--set", f"{key}={long_name}",
+                     "--set", f"{other}={paths[other]}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: path {long_name}: ")
 
     def test_optional_path_set_empty_is_skipped(self, tmp_path, trained_dir):
         out = tmp_path / "fr"

@@ -1,7 +1,7 @@
 """Config parsers and config files: a value's echo text replays it, and a bad file is named."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tfnet import cli
@@ -35,6 +35,7 @@ TEXT = st.one_of(
 @pytest.mark.parametrize("parse", PARSERS.values(), ids=PARSERS)
 @settings(max_examples=300, deadline=None)
 @given(text=TEXT)
+@example(text="0" * 27 + "\u1e70" * 140)  # 447 bytes in UTF-8: too long for a file name
 def test_echo_text_parses_back_to_itself(parse, text):
     # the property a config.echo replay rests on; values compare by repr (NaN != NaN)
     try:

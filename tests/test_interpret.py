@@ -1,18 +1,20 @@
-"""Frequency-response interpretability and band coverage."""
+"""Frequency-response interpretability and band distance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import csv_rows, run_freq_response
-from tfnet.data import ClassSpec, Dataset, SynthSpec, synth_generate
+from tfnet.data import ClassSpec, Dataset, SynthSpec, synth_generate, synthbearing5
 from tfnet.interpret import (
-    THRESHOLD_FACTOR,
+    FrequencyResponse,
     band_coverage,
     channel_frequency_response,
     dataset_spectrum,
     spectrum_freqs,
 )
-from tfnet.kernels import KernelFamily, init_params
+from tfnet.kernels import ALPHA_MAX, F_MAX, KernelFamily, evaluate_kernels, init_params
 from tfnet.nn import Conv1d, TFconvLayer, assemble_model
 
 
@@ -100,10 +102,16 @@ class TestDatasetSpectrum:
         assert spectrum.shape == (65,)
 
     def test_bearing_spectrum_peaks_in_every_band(self, tiny_dataset):
+        # the largest value over each band, widened by its own width on
+        # both sides, lies inside the band
         spectrum = dataset_spectrum(tiny_dataset)
         freqs = spectrum_freqs(tiny_dataset.length)
-        report = band_coverage(spectrum, freqs, tiny_dataset.meta["information_bands"])
-        assert report.n_hits == 4
+        bands = tiny_dataset.meta["information_bands"]
+        assert len(bands) == 4
+        for lo, hi in bands:
+            window = np.flatnonzero((freqs >= 2 * lo - hi) & (freqs <= 2 * hi - lo))
+            peak = freqs[window[spectrum[window].argmax()]]
+            assert lo <= peak <= hi
 
     def test_white_noise_spectrum_is_flat(self):
         spec = SynthSpec(classes=(ClassSpec("noise"),), information_bands=(),
@@ -124,77 +132,90 @@ class TestDatasetSpectrum:
         assert freqs[-1] == 0.5
 
 
+FREQS = np.arange(65) / 128
+
+
+def bank(*peaks):
+    """A response on ``FREQS`` whose channel c peaks at bin ``peaks[c]`` and nowhere else."""
+    cfr = np.eye(FREQS.size)[list(peaks)]
+    return FrequencyResponse(FREQS, cfr, cfr.mean(axis=0))
+
+
+def kernel_bank(family, theta, n_fft=1024):
+    """The response of the kernels that a (C, P) or (P,) ``theta`` of ``family`` generates."""
+    return channel_frequency_response(evaluate_kernels(family, np.atleast_2d(theta)), n_fft)
+
+
+# a (C, 2) chirplet theta: centre frequency and chirp rate per channel
+CHIRPLET_THETA = st.lists(st.tuples(st.floats(0.0, F_MAX), st.floats(-ALPHA_MAX, ALPHA_MAX)),
+                          min_size=1, max_size=8).map(np.array)
+BAND = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)).map(sorted).filter(
+    lambda band: band[0] < band[1]).map(tuple)
+
+
 class TestBandCoverage:
-    FREQS = np.arange(65) / 128
+    def test_centre_inside_band_is_distance_zero(self):
+        # bin 32 is 0.25, bin 40 is 0.3125
+        for band in [(0.2, 0.3), (0.25, 0.3), (0.2, 0.25)]:
+            (entry,) = band_coverage(bank(40, 32), [band])
+            assert (entry.band, entry.channel, entry.centre, entry.distance) == (band, 1, 0.25, 0.0)
 
-    def bump(self, center, width=0.02, height=10.0):
-        return height * np.exp(-0.5 * ((self.FREQS - center) / width) ** 2)
+    def test_centre_outside_band_is_the_gap(self):
+        band_above, band_below = band_coverage(bank(32), [(0.3, 0.4), (0.1, 0.2)])
+        assert band_above.distance == 0.3 - 0.25 and band_below.distance == 0.25 - 0.2
+        assert band_above.centre == band_below.centre == 0.25
 
-    def test_clear_peak_hits_its_band(self):
-        report = band_coverage(self.bump(0.25) + 1.0, self.FREQS,
-                               [(0.2, 0.3), (0.4, 0.5)])
-        assert [b.hit for b in report.bands] == [True, False]
-        assert abs(report.bands[0].peak_frequency - 0.25) < 1 / 128
+    def test_nearest_channel_wins(self):
+        (entry,) = band_coverage(bank(8, 40, 60), [(0.28, 0.3)])
+        assert (entry.channel, entry.centre, entry.distance) == (1, 0.3125, 0.3125 - 0.3)
 
-    def test_constant_response_never_hits(self):
-        for level in (0.0, 1.0):
-            report = band_coverage(np.full(65, level), self.FREQS, [(0.1, 0.3)])
-            assert report.n_hits == 0
+    def test_ties_go_to_the_first_frequency_and_channel(self):
+        # a flat row peaks at frequency 0; two equally near channels give the first
+        cfr = np.ones((1, FREQS.size))
+        (flat,) = band_coverage(FrequencyResponse(FREQS, cfr, cfr[0]), [(0.1, 0.2)])
+        assert (flat.centre, flat.distance) == (0.0, 0.1)
+        (tie,) = band_coverage(bank(16, 16), [(0.1, 0.2)])
+        assert tie.channel == 0
 
-    def test_threshold_is_factor_times_median(self):
-        ofr = self.bump(0.25) + 1.0
-        report = band_coverage(ofr, self.FREQS, [(0.2, 0.3)])
-        assert THRESHOLD_FACTOR == 1.5
-        assert report.threshold == THRESHOLD_FACTOR * np.median(ofr)
-        assert report.ofr_median == np.median(ofr)
+    @settings(max_examples=100, deadline=None)
+    @given(theta=CHIRPLET_THETA, bands=st.lists(BAND, min_size=1, max_size=4))
+    def test_adding_bands_never_changes_another_entry(self, theta, bands):
+        resp = kernel_bank(KernelFamily.CHIRPLET, theta, n_fft=128)
+        report = band_coverage(resp, bands)
+        assert report == tuple(band_coverage(resp, [band])[0] for band in bands)
 
-    def test_sub_threshold_peak_misses(self):
-        ofr = self.bump(0.25, height=0.4) + 1.0
-        report = band_coverage(ofr, self.FREQS, [(0.2, 0.3)])
-        assert report.n_hits == 0
-        assert report.bands[0].peak_magnitude > 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.floats(0.0, F_MAX), alpha=st.floats(-ALPHA_MAX, ALPHA_MAX), sttf=st.booleans())
+    def test_centre_is_theta_frequency_within_a_bin(self, f, alpha, sttf):
+        family, theta = ((KernelFamily.STTF, [f]) if sttf
+                         else (KernelFamily.CHIRPLET, [f, alpha]))
+        (entry,) = band_coverage(kernel_bank(family, theta), [(0.0, 0.5)])
+        assert abs(entry.centre - f) <= 1 / 1024
 
-    def test_shoulder_inside_band_does_not_hit(self):
-        # rising slope through the band, summit outside: large values but
-        # no in-band local maximum
-        ofr = self.bump(0.35, width=0.08)
-        report = band_coverage(ofr, self.FREQS, [(0.15, 0.25)])
-        assert report.n_hits == 0
+    @pytest.mark.parametrize("family, distances", [
+        ("sttf", [0.00875, 0.00375, 0.00375, 0.0]),
+        ("chirplet", [0.00875, 0.00375, 0.00375, 0.0]),
+    ])
+    def test_untrained_sttf_bank_distances(self, family, distances):
+        model = assemble_model("tfn-add", family=family, n_channels=8)
+        resp = channel_frequency_response(model.layers[0].kernels())
+        report = band_coverage(resp, synthbearing5(1).information_bands)
+        # exact up to the round-off of the decimal band edges
+        np.testing.assert_allclose([b.distance for b in report], distances, rtol=1e-12)
+        assert np.mean([b.distance for b in report]) == pytest.approx(0.0040625, rel=1e-12)
 
-    def test_plateau_counts_as_maximum(self):
-        ofr = np.ones(65)
-        ofr[20:25] = 5.0
-        report = band_coverage(ofr, self.FREQS, [(self.FREQS[19], self.FREQS[26])])
-        assert report.n_hits == 1
-
-    def test_endpoint_peak_counts(self):
-        ofr = 10.0 * np.exp(-20 * self.FREQS)
-        report = band_coverage(ofr, self.FREQS, [(0.0, 0.05)])
-        assert report.bands[0].hit
-        assert report.bands[0].peak_frequency == 0.0
-
-    def test_adding_bands_never_changes_existing_verdicts(self):
-        ofr = self.bump(0.1) + self.bump(0.4, height=0.5) + 1.0
-        first = band_coverage(ofr, self.FREQS, [(0.05, 0.15)])
-        both = band_coverage(ofr, self.FREQS, [(0.05, 0.15), (0.35, 0.45)])
-        assert both.bands[0] == first.bands[0]
-
-    def test_band_between_grid_points_misses(self):
-        report = band_coverage(np.ones(65) * 5, self.FREQS, [(0.2001, 0.2002)])
-        assert not report.bands[0].hit
-        assert report.bands[0].peak_magnitude == 0.0
+    @pytest.mark.parametrize("family", ["morlet", "laplace"])
+    def test_untrained_wavelet_bank_distance(self, family):
+        model = assemble_model("tfn-add", family=family, n_channels=8)
+        resp = channel_frequency_response(model.layers[0].kernels())
+        report = band_coverage(resp, synthbearing5(1).information_bands)
+        assert round(float(np.mean([b.distance for b in report])), 4) == 0.0050
 
     def test_malformed_bands_rejected(self):
         message = r"^band \[.*\] is not a subinterval of \[0, 0.5\]$"
         for band in [(0.3, 0.2), (-0.1, 0.2), (0.4, 0.6)]:
             with pytest.raises(ValueError, match=message):
-                band_coverage(np.ones(65), self.FREQS, [band])
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            band_coverage(np.ones(64), self.FREQS, [(0.1, 0.2)])
-        with pytest.raises(ValueError):
-            band_coverage(np.ones(0), np.ones(0), [(0.1, 0.2)])
+                band_coverage(bank(0), [band])
 
 
 class TestCsvWriters:
@@ -224,14 +245,14 @@ class TestCsvWriters:
         np.testing.assert_array_equal([float(r[1]) for r in rows], np.tile(resp.freqs, 2))
         np.testing.assert_array_equal([float(r[2]) for r in rows], resp.cfr.ravel())
 
-    def test_band_report_text(self, tmp_path):
-        # the initial sttf centres are 0.125 and 0.375
+    def test_band_report_text(self, tmp_path, capsys):
+        # the initial sttf centres are 0.125 and 0.375: one inside the first
+        # band, the other 0.055 above the second and nearer it than 0.125
         out = run_freq_response(assemble_model(**self.MODEL), tmp_path / "fr",
-                                "--set", "bands=0.1:0.15,0.2:0.3")
-        resp = self.response(1024)
-        report = band_coverage(resp.ofr, resp.freqs, [(0.1, 0.15), (0.2, 0.3)])
-        assert [b.hit for b in report.bands] == [True, False]
-        lines = (out / "band_report.txt").read_text().splitlines()
-        assert f"threshold: {repr(report.threshold)}" in lines
-        assert "hits: 1/2" in lines
-        assert [ln.split(" hit=")[1] for ln in lines if ln.startswith("band [")] == ["yes", "no"]
+                                "--set", "bands=0.1:0.15,0.2:0.32")
+        gap = 0.375 - 0.32
+        assert (out / "band_report.txt").read_text() == (
+            f"mean_distance: {gap / 2!r}\n"
+            "band [0.1, 0.15]: distance=0.0 channel=0 centre=0.125\n"
+            f"band [0.2, 0.32]: distance={gap!r} channel=1 centre=0.375\n")
+        assert capsys.readouterr().out == f"mean band distance: {gap / 2:.4f}\n"

@@ -9,5 +9,5 @@ def test_all_names_resolve_and_pruned_names_are_gone():
     pruned = {"reference_tft", "window_signal", "export_representations",
               "write_representations_csv", "separability_ratio",
               "overall_frequency_response", "_layer_kernels", "KernelGrid", "tfconv",
-              "build_backbone"}
+              "build_backbone", "BandReport", "BandPeak"}
     assert not pruned & (set(tfnet.__all__) | set(dir(tfnet)) | set(dir(tfnet.interpret)))
