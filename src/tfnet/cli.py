@@ -15,8 +15,8 @@ Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
 ``band_report.txt`` (with bands: the mean band distance, then per band its
 distance, nearest channel and that channel's centre frequency); ``ablate``
 writes ``results.csv`` (a row per mode and kernel family, every mode in
-``MODES``) and each cell's ``history.csv`` and ``metrics.json`` under
-``cells/<label>/``.
+``MODES``) and each cell's ``train`` files (all but ``config.echo``) under
+``cells/<mode>-<family>-s<seed>/``.
 Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
@@ -54,10 +54,10 @@ class ConfigError(Exception):
 
 def parse_kv_file(path) -> dict[str, str]:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} not found")
     try:
         text = p.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file {p} not found") from None
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"config file {p}: {exc}") from None
     values = {}
@@ -213,13 +213,16 @@ def _prepare_out(cfg: Config, required=True) -> Path | None:
             raise ConfigError("missing output directory (set 'out' or pass --out)")
         return None
     path = Path(out)
-    # the nearest existing path must be a directory, or mkdir below would fail
-    blocking = next(p for p in (path, *path.parents) if p.exists())
-    if not blocking.is_dir():
-        raise ConfigError(f"out: {blocking} is not a directory")
-    if path.exists() and any(path.iterdir()) and not force:
-        raise ConfigError(f"output directory {path} is not empty (use --force)")
-    path.mkdir(parents=True, exist_ok=True)
+    try:  # exists() and mkdir() let ENAMETOOLONG and the like through
+        # the nearest existing path must be a directory, or mkdir below would fail
+        blocking = next(p for p in (path, *path.parents) if p.exists())
+        if not blocking.is_dir():
+            raise ConfigError(f"out: {blocking} is not a directory")
+        if path.exists() and any(path.iterdir()) and not force:
+            raise ConfigError(f"output directory {path} is not empty (use --force)")
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {path}: {exc.strerror}") from None
     return path
 
 
@@ -236,13 +239,6 @@ def _write_csv(path: Path, header: str | None, rows) -> None:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_history(path: Path, history) -> None:
-    """One row per epoch: epoch, train_loss, train_acc, test_acc."""
-    rows = zip(history.train_loss, history.train_acc, history.test_acc)
-    _write_csv(path, "epoch,train_loss,train_acc,test_acc",
-               ((epoch, *row) for epoch, row in enumerate(rows, start=1)))
 
 
 def _write_echo(cfg: Config, out: Path):
@@ -342,6 +338,31 @@ def _build_model(settings: dict, mode: str, family: str, seed: int):
         raise ConfigError(f"mode/family: {exc}") from exc
 
 
+def _train_run(out: Path, model, tc: TrainConfig, train_ds, test_ds):
+    """Train ``model``; write ``train``'s files, less ``config.echo``, into ``out``.
+
+    ``theta_trajectory.csv`` (TFconv models only) starts at the initial state as epoch 0.
+    """
+    history = train(model, train_ds.signals, train_ds.labels, test_ds.signals, test_ds.labels, tc)
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(model, out / "model.tfn")
+    rows = zip(history.train_loss, history.train_acc, history.test_acc)
+    _write_csv(out / "history.csv", "epoch,train_loss,train_acc,test_acc",
+               ((epoch, *row) for epoch, row in enumerate(rows, start=1)))
+    if model.tfconv is not None:
+        names = param_names(model.tfconv.family)
+        _write_csv(out / "theta_trajectory.csv", "epoch,channel,param,value",
+                   ((epoch, c, name, value)
+                    for epoch, theta in enumerate(history.theta_snapshots)
+                    for c, row in enumerate(theta) for name, value in zip(names, row)))
+    _write_json(out / "metrics.json", {
+        "final_test_acc": history.test_acc[-1],
+        "final_train_acc": history.train_acc[-1],
+        "final_train_loss": history.train_loss[-1],
+    })
+    return history
+
+
 def cmd_train(cfg: Config) -> int:
     data_dir = cfg.get("dataset", parse=parse_path)
     mode = cfg.get("mode", "tfn-add", one_of(MODES))
@@ -353,24 +374,9 @@ def cmd_train(cfg: Config) -> int:
     model = _build_model(_model_settings(cfg, tc, train_ds), mode, family, seed)
     cfg.ensure_consumed()
     try:
-        history = train(model, train_ds.signals, train_ds.labels,
-                        test_ds.signals, test_ds.labels, tc)
+        history = _train_run(out, model, tc, train_ds, test_ds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    save_model(model, out / "model.tfn")
-    _write_history(out / "history.csv", history)
-    if model.tfconv is not None:
-        # epoch 0 is the initial state
-        names = param_names(model.tfconv.family)
-        _write_csv(out / "theta_trajectory.csv", "epoch,channel,param,value",
-                   ((epoch, c, name, value)
-                    for epoch, theta in enumerate(history.theta_snapshots)
-                    for c, row in enumerate(theta) for name, value in zip(names, row)))
-    _write_json(out / "metrics.json", {
-        "final_test_acc": history.test_acc[-1],
-        "final_train_acc": history.train_acc[-1],
-        "final_train_loss": history.train_loss[-1],
-    })
     _write_echo(cfg, out)
     print(f"final test accuracy: {history.test_acc[-1]:.4f}")
     return EXIT_OK
@@ -474,12 +480,8 @@ def cmd_ablate(cfg: Config) -> int:
         label = f"{mode}-{fam or 'none'}-s{seed}"
         try:
             model = _build_model(settings, mode, fam or "sttf", seed)
-            history = train(model, train_ds.signals, train_ds.labels, test_ds.signals,
-                            test_ds.labels, dataclasses.replace(tc, seed=seed))
-            cell_dir = out / "cells" / label
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_history(cell_dir / "history.csv", history)
-            _write_json(cell_dir / "metrics.json", {"final_test_acc": history.test_acc[-1]})
+            history = _train_run(out / "cells" / label, model,
+                                 dataclasses.replace(tc, seed=seed), train_ds, test_ds)
         except Exception as exc:
             raise RuntimeError(f"ablation cell {label} failed ({exc})") from exc
         return history.test_acc[-1]

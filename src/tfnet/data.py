@@ -251,22 +251,12 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
 
 
 def _spec_manifest(spec: SynthSpec) -> dict:
-    return {
-        "name": spec.name,
-        "samples_per_class": spec.samples_per_class,
-        "sample_length": spec.sample_length,
-        "noise_sigma": spec.noise_sigma,
-        "information_bands": [list(b) for b in spec.information_bands],
-        "classes": [
-            {
-                "name": cls.name,
-                "components": [
-                    {"type": type(comp).__name__, **asdict(comp)} for comp in cls.components
-                ],
-            }
-            for cls in spec.classes
-        ],
-    }
+    # the JSON round trip turns tuples into the lists that load_dataset reads back
+    manifest = json.loads(json.dumps(asdict(spec)))
+    for cls, entry in zip(spec.classes, manifest["classes"]):
+        for comp, comp_entry in zip(cls.components, entry["components"]):
+            comp_entry["type"] = type(comp).__name__
+    return manifest
 
 
 def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):

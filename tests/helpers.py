@@ -1,5 +1,5 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs,
-signed-file edits."""
+signed-file edits, output-tree digests."""
 
 import copy
 import hashlib
@@ -740,6 +740,13 @@ def csv_rows(path) -> tuple[str, list[list[str]]]:
     """The header line and the comma-split rows of the CSV file at ``path``."""
     header, *lines = Path(path).read_text().splitlines()
     return header, [line.split(",") for line in lines]
+
+
+def tree_digest(root) -> dict[str, str]:
+    """``{path relative to root: sha256 hex digest}`` for every file below ``root``."""
+    root = Path(root)
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def run_freq_response(model: Model, out: Path, *settings) -> Path:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from helpers import (csv_rows, edit_header, fails_naming, flip_bit, fuzz_header, resign,
                      run_freq_response, signed_parts)
 from tfnet.checkpoint import MAGIC, load_model, save_model
-from tfnet.cli import EXIT_OK, _write_history, main
-from tfnet.data import save_dataset
+from tfnet.cli import EXIT_OK, _train_run, main
+from tfnet.data import Dataset, save_dataset
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import BatchNorm1d, assemble_model
-from tfnet.training import TrainConfig, TrainHistory, train
+from tfnet.training import TrainConfig, train
 
 
 def small_signals(n=12, length=256, seed=0):
@@ -421,17 +421,16 @@ def test_edited_header_value_loads_or_fails_naming_the_file(fuzz_checkpoints, da
 
 
 class TestHistoryCsv:
-    """``tfnet train`` and each ``ablate`` cell write their history through ``_write_history``."""
+    """``tfnet train`` and each ``ablate`` cell write their history through ``_train_run``."""
 
     def test_round_trip_is_exact(self, tmp_path):
-        hist = TrainHistory(
-            train_loss=[1.5, 0.25, 0.1 + 1e-16],
-            train_acc=[0.5, 0.75, 1.0],
-            test_acc=[0.4, 0.7, 0.95],
-        )
-        path = tmp_path / "history.csv"
-        _write_history(path, hist)
-        header, rows = csv_rows(path)
+        x, y = small_signals(n=12, length=128)
+        train_ds, test_ds = Dataset(x[:8], y[:8]), Dataset(x[8:], y[8:])
+        model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2, seed=0)
+        out = tmp_path / "run"
+        hist = _train_run(out, model, TrainConfig(epochs=3, batch_size=4, seed=0),
+                          train_ds, test_ds)
+        header, rows = csv_rows(out / "history.csv")
         assert header == "epoch,train_loss,train_acc,test_acc"
         assert len(rows) == 3
         assert [int(r[0]) for r in rows] == [1, 2, 3]

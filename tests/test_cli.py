@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import corrupt_dataset, csv_rows, edit_header, signed_parts
+from helpers import corrupt_dataset, csv_rows, edit_header, signed_parts, tree_digest
 from tfnet import cli
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -462,15 +462,24 @@ class TestFreqResponse:
         assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
 
-class TestAblate:
-    def run_ablate(self, out, data_dir, extra=()):
-        return main(["ablate", "--out", str(out), "--seed", "0,1",
-                     "--set", f"dataset={data_dir}", "--set", "epochs=1",
-                     "--set", "batch_size=4", "--set", "channels=2", *extra])
+ABLATE_ARGS = ["--set", "epochs=1", "--set", "batch_size=4", "--set", "channels=2"]
 
-    def test_grid_layout(self, tmp_path, data_dir):
-        out = tmp_path / "ablate"
-        assert self.run_ablate(out, data_dir) == EXIT_OK
+
+def run_ablate(out, data_dir, extra=()):
+    return main(["ablate", "--out", str(out), "--seed", "0,1",
+                 "--set", f"dataset={data_dir}", *ABLATE_ARGS, *extra])
+
+
+@pytest.fixture(scope="module")
+def ablate_dir(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("cli-ablate") / "ablate"
+    assert run_ablate(out, data_dir) == EXIT_OK
+    return out
+
+
+class TestAblate:
+    def test_grid_layout(self, ablate_dir):
+        out = ablate_dir
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0] == "model,kernel,mean_acc,variance"
         rows = [ln.split(",") for ln in lines[1:]]
@@ -482,27 +491,42 @@ class TestAblate:
         cells = sorted(p.name for p in (out / "cells").iterdir())
         assert len(cells) == 12
         assert {"backbone-only-none-s0", "wkn-replace-sttf-s1", "random-tfn-none-s1"} <= set(cells)
-        assert (out / "cells" / "tfn-add-sttf-s1" / "history.csv").exists()
+        assert set(p.name for p in out.iterdir()) == {"results.csv", "config.echo", "cells"}
+        for cell in cells:
+            files = {p.name for p in (out / "cells" / cell).iterdir()}
+            # every mode but backbone-only has a TFconv front layer
+            tfconv = set() if cell.startswith("backbone-only") else {"theta_trajectory.csv"}
+            assert files == {"model.tfn", "history.csv", "metrics.json"} | tfconv, cell
+
+    @pytest.mark.parametrize("mode, family, seed", [
+        ("tfn-add", "sttf", 1), ("backbone-only", None, 0), ("random-tfn", None, 1)])
+    def test_cell_holds_the_train_run_of_its_mode_family_and_seed(
+            self, tmp_path, data_dir, ablate_dir, mode, family, seed):
+        run = tmp_path / "run"
+        code = main(["train", "--out", str(run), "--seed", str(seed),
+                     "--set", f"dataset={data_dir}", "--set", f"mode={mode}",
+                     "--set", f"family={family or 'sttf'}", *ABLATE_ARGS])
+        assert code == EXIT_OK
+        want = tree_digest(run)
+        del want["config.echo"]
+        assert tree_digest(ablate_dir / "cells" / f"{mode}-{family or 'none'}-s{seed}") == want
 
     def test_two_families_widen_grid(self, tmp_path, data_dir):
         out = tmp_path / "ablate"
-        code = self.run_ablate(out, data_dir, ("--set", "families=sttf,morlet"))
+        code = run_ablate(out, data_dir, ("--set", "families=sttf,morlet"))
         assert code == EXIT_OK
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 1 + 4 * 2 + 1  # backbone, 4 modes x 2 families, random-tfn
 
-    def test_thread_pool_matches_serial(self, tmp_path, data_dir, monkeypatch):
-        serial = tmp_path / "serial"
-        assert self.run_ablate(serial, data_dir) == EXIT_OK
+    def test_thread_pool_matches_serial(self, tmp_path, data_dir, ablate_dir, monkeypatch):
         monkeypatch.setenv("TFN_THREADS", "2")
         threaded = tmp_path / "threaded"
-        assert self.run_ablate(threaded, data_dir) == EXIT_OK
-        assert (serial / "results.csv").read_text() == \
-            (threaded / "results.csv").read_text()
+        assert run_ablate(threaded, data_dir) == EXIT_OK
+        # every cell's files as well as results.csv
+        assert tree_digest(threaded) == tree_digest(ablate_dir)
 
-    def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, monkeypatch, capsys):
-        clean = tmp_path / "clean"
-        assert self.run_ablate(clean, data_dir) == EXIT_OK
+    def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, ablate_dir, monkeypatch,
+                                              capsys):
         real_train = cli.train
 
         def train(model, *args, **kwargs):
@@ -512,9 +536,9 @@ class TestAblate:
 
         monkeypatch.setattr(cli, "train", train)
         failed = tmp_path / "failed"
-        assert self.run_ablate(failed, data_dir) == EXIT_RUNTIME
+        assert run_ablate(failed, data_dir) == EXIT_RUNTIME
         assert "ablation cell tfn-replace-sttf-s0 failed" in capsys.readouterr().err
-        want = [ln for ln in (clean / "results.csv").read_text().splitlines()
+        want = [ln for ln in (ablate_dir / "results.csv").read_text().splitlines()
                 if not ln.startswith("tfn-replace,")]
         assert len(want) == 1 + 5
         assert (failed / "results.csv").read_text().splitlines() == want
@@ -522,7 +546,7 @@ class TestAblate:
     def test_plain_directory_is_rejected_before_any_cell(self, tmp_path):
         (tmp_path / "junk").mkdir()
         out = tmp_path / "x"
-        assert self.run_ablate(out, tmp_path / "junk") == EXIT_CONFIG
+        assert run_ablate(out, tmp_path / "junk") == EXIT_CONFIG
         assert not (out / "results.csv").exists() and not (out / "cells").exists()
 
     @pytest.mark.parametrize("setting", ["channels=0", "lr=inf", "epochs=0"])
@@ -533,18 +557,18 @@ class TestAblate:
 
         monkeypatch.setattr(cli, "train", train)
         out = tmp_path / "x"
-        assert self.run_ablate(out, data_dir, ("--set", setting)) == EXIT_CONFIG
+        assert run_ablate(out, data_dir, ("--set", setting)) == EXIT_CONFIG
         assert not (out / "results.csv").exists() and not (out / "cells").exists()
 
     def test_random_family_not_ablatable(self, tmp_path, data_dir):
-        code = self.run_ablate(tmp_path / "x", data_dir,
+        code = run_ablate(tmp_path / "x", data_dir,
                                ("--set", "families=random"))
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("value", ["zero", "0"])
     def test_bad_thread_env_rejected(self, tmp_path, data_dir, monkeypatch, value):
         monkeypatch.setenv("TFN_THREADS", value)
-        assert self.run_ablate(tmp_path / "x", data_dir) == EXIT_CONFIG
+        assert run_ablate(tmp_path / "x", data_dir) == EXIT_CONFIG
 
 
 class TestArgumentPlumbing:
@@ -563,8 +587,15 @@ class TestArgumentPlumbing:
         cfg.write_text("this is not a key value pair\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
 
-    def test_missing_config_file(self, tmp_path):
+    def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "no.cfg")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: config file {tmp_path / 'no.cfg'} not found\n"
+
+    def test_config_name_too_long_for_the_os_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / ("a" * 300)  # past the 255-byte limit of a file name
+        assert main(["train", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config file {cfg}: ")
 
     def test_bad_set_syntax(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),
@@ -682,6 +713,18 @@ class TestUnreadableInputs:
         assert main(["gen-data", "--out", str(tmp_path / "f"), *GEN_ARGS]) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             f"config error: out: {tmp_path / 'f'} is not a directory\n"
+
+    def test_out_too_long_for_the_os_names_it(self, tmp_path, capsys):
+        out = tmp_path / ("a" * 300)  # past the 255-byte limit of a file name
+        assert main(["gen-data", "--out", str(out), "--seed", "0", *GEN_ARGS]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out: {out}: File name too long\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_too_long_below_a_new_directory_names_it(self, tmp_path, capsys):
+        # the missing parent hides the long name from exists(); mkdir meets it
+        out = tmp_path / "new" / ("a" * 300)
+        assert main(["gen-data", "--out", str(out), "--seed", "0", *GEN_ARGS]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out: {out}: File name too long\n"
 
     def test_gen_data_out_below_a_file_names_the_file(self, tmp_path, capsys):
         (tmp_path / "f").write_text("")

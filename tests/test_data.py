@@ -295,6 +295,32 @@ class TestPersistence:
         # writable copies, not views of the file's bytes
         assert loaded.signals.flags.writeable and loaded.labels.flags.writeable
 
+    def test_header_records_the_whole_spec(self, tmp_path):
+        spec = SynthSpec(
+            classes=(ClassSpec("tones", (Tone(0.05, 0.5), AMTone(0.08, 0.004, 1.0, 0.25))),
+                     ClassSpec("impulses", (ImpulseTrain(16, 0.18, 0.02, amplitude=4.5),))),
+            information_bands=((0.04, 0.09), (0.16, 0.20)),
+            samples_per_class=2, sample_length=64, noise_sigma=0.5, name="three-kinds")
+        _, raw, _ = saved(synth_generate(spec, seed=3), tmp_path)
+        assert json.loads(signed_parts(raw)[0])["spec"] == {
+            "name": "three-kinds",
+            "samples_per_class": 2,
+            "sample_length": 64,
+            "noise_sigma": 0.5,
+            "information_bands": [[0.04, 0.09], [0.16, 0.20]],
+            "classes": [
+                {"name": "tones", "components": [
+                    {"type": "Tone", "freq": 0.05, "amplitude": 0.5},
+                    {"type": "AMTone", "carrier": 0.08, "mod_freq": 0.004, "amplitude": 1.0,
+                     "depth": 0.25},
+                ]},
+                {"name": "impulses", "components": [
+                    {"type": "ImpulseTrain", "period": 16, "resonance": 0.18, "damping": 0.02,
+                     "amplitude": 4.5},
+                ]},
+            ],
+        }
+
     def test_layout_is_one_signed_file(self, tiny_dataset, tmp_path):
         path, raw, n_signal = saved(tiny_dataset, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [DATASET_FILE]
