@@ -17,6 +17,9 @@ distance, nearest channel and that channel's centre frequency); ``ablate``
 writes ``results.csv`` (a row per mode and kernel family, every mode in
 ``MODES``) and each cell's ``train`` files (all but ``config.echo``) under
 ``cells/<mode>-<family>-s<seed>/``.
+A ``--force`` rerun over a command's earlier output removes the optional
+files it does not write, so exactly one run's files remain (no directory is
+deleted: ``ablate`` keeps the cells it does not rerun).
 Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
@@ -97,6 +100,14 @@ def parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _unique(items, echo):
+    """``(items, echo)``, or ``ValueError`` naming the first entry that repeats an earlier one."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"entry {echo.split(',')[i]!r} is repeated")
+    return items, echo
+
+
 def parse_seeds(text):
     try:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
@@ -106,7 +117,7 @@ def parse_seeds(text):
         raise ValueError("at least one seed is required")
     if min(seeds) < 0:
         raise ValueError(f"expected non-negative integers, got {text!r}")
-    return seeds, ",".join(str(s) for s in seeds)
+    return _unique(seeds, ",".join(str(s) for s in seeds))
 
 
 def parse_seed(text):
@@ -129,7 +140,7 @@ def parse_bands(text):
         except ValueError:
             raise ValueError(f"band {piece!r} is not numeric") from None
         bands.append(check_band((lo, hi)))
-    return tuple(bands), ",".join(f"{lo}:{hi}" for lo, hi in bands)
+    return _unique(tuple(bands), ",".join(f"{lo}:{hi}" for lo, hi in bands))
 
 
 def parse_path(text):
@@ -166,7 +177,7 @@ def list_of(options):
         for item in items:
             if item not in options:
                 raise ValueError(f"invalid entry {item!r}; choose from {', '.join(options)}")
-        return items, ",".join(items)
+        return _unique(items, ",".join(items))
     return parse
 
 
@@ -213,15 +224,20 @@ def _prepare_out(cfg: Config, required=True) -> Path | None:
             raise ConfigError("missing output directory (set 'out' or pass --out)")
         return None
     path = Path(out)
+    chain, created = (path, *path.parents), []
     try:  # exists() and mkdir() let ENAMETOOLONG and the like through
         # the nearest existing path must be a directory, or mkdir below would fail
-        blocking = next(p for p in (path, *path.parents) if p.exists())
-        if not blocking.is_dir():
-            raise ConfigError(f"out: {blocking} is not a directory")
-        if path.exists() and any(path.iterdir()) and not force:
+        n_missing = next(i for i, p in enumerate(chain) if p.exists())
+        if not chain[n_missing].is_dir():
+            raise ConfigError(f"out: {chain[n_missing]} is not a directory")
+        if n_missing == 0 and any(path.iterdir()) and not force:
             raise ConfigError(f"output directory {path} is not empty (use --force)")
-        path.mkdir(parents=True, exist_ok=True)
+        for p in reversed(chain[:n_missing]):  # outermost first, so a failure can undo them
+            p.mkdir()
+            created.append(p)
     except OSError as exc:
+        for p in reversed(created):
+            p.rmdir()
         raise ConfigError(f"out: {path}: {exc.strerror}") from None
     return path
 
@@ -346,6 +362,7 @@ def _train_run(out: Path, model, tc: TrainConfig, train_ds, test_ds):
     history = train(model, train_ds.signals, train_ds.labels, test_ds.signals, test_ds.labels, tc)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.tfn")
+    (out / "theta_trajectory.csv").unlink(missing_ok=True)  # a --force rerun may not write it
     rows = zip(history.train_loss, history.train_acc, history.test_acc)
     _write_csv(out / "history.csv", "epoch,train_loss,train_acc,test_acc",
                ((epoch, *row) for epoch, row in enumerate(rows, start=1)))
@@ -414,6 +431,8 @@ def cmd_freq_response(cfg: Config) -> int:
         resp = channel_frequency_response(kernels, n_fft)
     except ValueError as exc:
         raise ConfigError(f"n_fft: {exc}") from exc
+    for name in ("kernel_taps.csv", "dataset_spectrum.csv", "band_report.txt"):
+        (out / name).unlink(missing_ok=True)  # optional: a --force rerun may not write them
     _write_csv(out / "cfr.csv", "channel,freq,magnitude",
                ((c, f, v) for c, row in enumerate(resp.cfr) for f, v in zip(resp.freqs, row)))
     _write_csv(out / "ofr.csv", "freq,ofr", zip(resp.freqs, resp.ofr))

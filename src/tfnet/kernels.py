@@ -47,10 +47,6 @@ ENVELOPE_SIGMA = 10.0
 MOTHER_FREQ = 0.2
 
 
-class ConstraintError(ValueError):
-    """A kernel control parameter lies outside its hard box."""
-
-
 class KernelFamily(str, Enum):
     STTF = "sttf"
     CHIRPLET = "chirplet"
@@ -89,8 +85,8 @@ def param_names(family: KernelFamily) -> tuple[str, ...]:
 def check_theta(family: KernelFamily, theta: np.ndarray):
     """Raise unless ``theta`` is a (C, P) array of finite values inside their ``BOXES`` boxes.
 
-    P is the family's parameter count, ``len(param_names(family))``: the wrong
-    shape raises ``ValueError``, a value outside its box ``ConstraintError``.
+    P is the family's parameter count, ``len(param_names(family))``; a wrong
+    shape, a non-finite value and a value outside its box raise ``ValueError``.
     """
     family = KernelFamily(family)
     P = len(param_names(family))
@@ -98,11 +94,11 @@ def check_theta(family: KernelFamily, theta: np.ndarray):
         raise ValueError(f"{family.value} expects {P} parameters per channel, "
                          f"got a theta of shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
-        raise ConstraintError("kernel parameters must be finite")
+        raise ValueError("kernel parameters must be finite")
     for j, (name, lo, hi) in enumerate(BOXES.get(family, ())):
         v = theta[:, j]
         if np.any(v < lo) or np.any(v > hi):
-            raise ConstraintError(f"{name} out of [{lo}, {hi}]: {v}")
+            raise ValueError(f"{name} out of [{lo}, {hi}]: {v}")
 
 
 def _mother(m: np.ndarray) -> np.ndarray:

@@ -57,10 +57,10 @@ BACKBONES = ("paper-cnn", "lenet-1d", "resnet-1d")
 class Layer:
     """Base layer: no arrays, identity bookkeeping.
 
-    ``state`` names each array a layer holds as an (array attribute, gradient
-    attribute or ``None``) pair; ``params`` and ``grads`` derive from it, and a
-    checkpoint stores each named array as ``<layer.name>.<attribute>``.  A
-    backward sets its gradients in place, so the arrays keep their identity.
+    ``state`` alone names the arrays a layer holds, as (array attribute,
+    gradient attribute or ``None``) pairs; ``Model.parameters`` reads them, and a
+    checkpoint stores each as ``<layer.name>.<attribute>``.  A backward sets
+    its gradients in place, so the arrays keep their identity.
 
     A subclass's ``forward`` sets ``_cache`` to what its ``backward`` needs
     when ``training`` is true and to ``None`` otherwise; ``backward`` takes
@@ -76,14 +76,6 @@ class Layer:
     name = ""
     state: tuple[tuple[str, str | None], ...] = ()
     _cache = None
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [getattr(self, attr) for attr, grad in self.state if grad is not None]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [getattr(self, grad) for _attr, grad in self.state if grad is not None]
 
     def forward(self, x: np.ndarray, training: bool = False,
                 overwrite: bool = False) -> np.ndarray:
@@ -467,10 +459,6 @@ class TFconvLayer(Layer):
         self.modulus = bool(modulus)
         self.grad_theta = np.zeros_like(self.theta)
 
-    def project_params(self):
-        """Clamp the control parameters onto their boxes after an optimizer step."""
-        clamp_params(self.family, self.theta)
-
     def kernels(self) -> np.ndarray:
         """Current complex kernel bank, shape (C, K)."""
         return evaluate_kernels(self.family, self.theta)
@@ -613,13 +601,13 @@ class Model:
 
     def project_params(self):
         if self.tfconv is not None:
-            self.tfconv.project_params()
+            clamp_params(self.tfconv.family, self.tfconv.theta)
 
     def parameters(self):
-        return [p for layer in self.walk_layers() for p in layer.params]
+        return [getattr(layer, a) for layer in self.walk_layers() for a, g in layer.state if g]
 
     def gradients(self):
-        return [g for layer in self.walk_layers() for g in layer.grads]
+        return [getattr(layer, g) for layer in self.walk_layers() for _a, g in layer.state if g]
 
 
 def fold_batchnorm(model: Model) -> Model:

@@ -182,6 +182,15 @@ class TestTrain:
         for name in ("model.tfn", "history.csv", "metrics.json", "theta_trajectory.csv"):
             assert (out / name).read_bytes() == (trained_dir / name).read_bytes()
 
+    def test_forced_rerun_leaves_only_the_new_runs_files(self, tmp_path, data_dir, trained_dir,
+                                                         backbone_dir):
+        out = tmp_path / "run"
+        shutil.copytree(trained_dir, out)  # a tfn-add run, with a theta trajectory
+        code = main(["train", "--out", str(out), "--seed", "0", "--force",
+                     "--set", f"dataset={data_dir}", "--set", "mode=backbone-only", *TRAIN_ARGS])
+        assert code == EXIT_OK
+        assert tree_digest(out) == tree_digest(backbone_dir)
+
     def test_set_overrides_epochs(self, tmp_path, data_dir):
         out = tmp_path / "run"
         code = main(["train", "--out", str(out), "--seed", "1",
@@ -461,6 +470,17 @@ class TestFreqResponse:
         assert main(args) == EXIT_OK
         assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
+    def test_forced_rerun_leaves_only_the_new_runs_files(self, tmp_path, data_dir, trained_dir,
+                                                         backbone_dir):
+        full = ["--set", f"checkpoint={trained_dir / 'model.tfn'}", "--set", f"dataset={data_dir}"]
+        bare = ["--set", f"checkpoint={backbone_dir / 'model.tfn'}"]
+        assert main(["freq-response", "--out", str(tmp_path / "fresh"), *bare]) == EXIT_OK
+        out = tmp_path / "fr"
+        assert main(["freq-response", "--out", str(out), *full]) == EXIT_OK
+        assert (out / "band_report.txt").exists()
+        assert main(["freq-response", "--out", str(out), "--force", *bare]) == EXIT_OK
+        assert tree_digest(out) == tree_digest(tmp_path / "fresh")
+
 
 ABLATE_ARGS = ["--set", "epochs=1", "--set", "batch_size=4", "--set", "channels=2"]
 
@@ -641,7 +661,8 @@ class TestArgumentPlumbing:
         assert "bogus" in capsys.readouterr().err
 
 
-# every config error message, exact; "{tmp}" is the test's tmp_path and "{data}" a gen-data run
+# every config error message, exact; "{tmp}" is the test's tmp_path, "{data}" a gen-data run
+# and "{ckpt}" a trained checkpoint
 CONFIG_ERRORS = {
     "int": (["gen-data", "--out", "{tmp}/x", "--set", "samples_per_class=x"],
             "samples_per_class: expected an integer, got 'x'"),
@@ -663,6 +684,14 @@ CONFIG_ERRORS = {
                        "--set", "mode=banana"],
                       "mode: invalid value 'banana'; choose from backbone-only, tfn-add, "
                       "tfn-replace, wkn-add, wkn-replace, random-tfn"),
+    "repeated-seed": (["ablate", "--out", "{tmp}/x", "--set", "dataset={data}", "--seed", "0,0"],
+                      "seed: entry '0' is repeated"),
+    "repeated-family": (["ablate", "--out", "{tmp}/x", "--set", "dataset={data}",
+                         "--set", "families=sttf,morlet,sttf"],
+                        "families: entry 'sttf' is repeated"),
+    "repeated-band": (["freq-response", "--out", "{tmp}/x", "--set", "checkpoint={ckpt}",
+                       "--set", "bands=0.04:0.06,0.1:0.2,0.04:0.06"],
+                      "bands: entry '0.04:0.06' is repeated"),
     "invalid-entry": (["ablate", "--out", "{tmp}/x", "--set", "dataset={data}",
                        "--set", "families=sttf,random"],
                       "families: invalid entry 'random'; choose from sttf, chirplet, morlet, "
@@ -680,10 +709,17 @@ CONFIG_ERRORS = {
 
 
 @pytest.mark.parametrize("args, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
-def test_config_error_message(tmp_path, data_dir, capsys, args, message):
-    fill = {"tmp": tmp_path, "data": data_dir}
+def test_config_error_message(tmp_path, data_dir, trained_dir, capsys, args, message):
+    fill = {"tmp": tmp_path, "data": data_dir, "ckpt": trained_dir / "model.tfn"}
     assert main([a.format(**fill) for a in args]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(**fill)}\n"
+
+
+@pytest.mark.parametrize("case", ["repeated-seed", "repeated-family", "repeated-band"])
+def test_repeated_entry_writes_nothing(tmp_path, data_dir, trained_dir, case):
+    fill = {"tmp": tmp_path, "data": data_dir, "ckpt": trained_dir / "model.tfn"}
+    assert main([a.format(**fill) for a in CONFIG_ERRORS[case][0]]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
@@ -725,6 +761,7 @@ class TestUnreadableInputs:
         out = tmp_path / "new" / ("a" * 300)
         assert main(["gen-data", "--out", str(out), "--seed", "0", *GEN_ARGS]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: out: {out}: File name too long\n"
+        assert not (tmp_path / "new").exists()
 
     def test_gen_data_out_below_a_file_names_the_file(self, tmp_path, capsys):
         (tmp_path / "f").write_text("")

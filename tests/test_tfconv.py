@@ -335,16 +335,31 @@ class TestSampleGroups:
 
 
 class TestLayerProtocol:
-    def test_params_and_grads_are_live_views(self):
-        layer = make_layer(KernelFamily.CHIRPLET)
-        assert layer.params[0] is layer.theta
-        assert layer.grads[0] is layer.grad_theta
+    # each trainable leaf's (array, gradient) attributes, spelled out apart from ``Layer.state``
+    OWN = {TFconvLayer: (("theta", "grad_theta"),),
+           nn.Conv1d: (("weight", "wgrad"), ("bias", "bgrad")),
+           nn.BatchNorm1d: (("gamma", "ggrad"), ("beta", "bgrad")),
+           nn.Dense: (("weight", "wgrad"), ("bias", "bgrad"))}
+
+    @pytest.mark.parametrize("backbone", nn.BACKBONES)
+    def test_parameters_and_gradients_are_the_layers_own_arrays(self, backbone):
+        model = nn.assemble_model("tfn-add", backbone, family=KernelFamily.CHIRPLET)
+        own = [(getattr(layer, a), getattr(layer, g)) for layer in model.walk_layers()
+               for a, g in self.OWN.get(type(layer), ())]
+        params, grads = model.parameters(), model.gradients()
+        assert params[0] is model.tfconv.theta and grads[0] is model.tfconv.grad_theta
+        assert len(params) == len(grads) == len(own)
+        for p, g, (p_own, g_own) in zip(params, grads, own):
+            assert p is p_own and g is g_own
 
     def test_project_params_clamps_in_place(self):
-        layer = make_layer(KernelFamily.STTF)
-        layer.theta[0, 0] = 0.9
-        layer.project_params()
-        assert layer.theta[0, 0] == pytest.approx(0.5 - 1e-6)
+        model = nn.assemble_model("tfn-add", "lenet-1d", family=KernelFamily.STTF)
+        theta = model.tfconv.theta
+        theta[0, 0] = 0.9
+        model.project_params()
+        assert model.tfconv.theta is theta
+        assert theta[0, 0] == pytest.approx(0.5 - 1e-6)
+        nn.assemble_model("backbone-only", "lenet-1d").project_params()  # no front layer: no-op
 
 
 class TestReferenceTransform:
