@@ -216,22 +216,37 @@ class Config:
             raise ConfigError(f"unknown config key {unknown[0]!r} for command {self._command}")
 
 
-def _prepare_out(cfg: Config, required=True) -> Path | None:
+def _check_out(cfg: Config, required=True) -> Path | None:
+    """Read ``out`` and ``force``, then reject unknown keys and an ``out`` no run may write.
+
+    A command calls it after its last ``cfg.get`` and before its slow work;
+    ``_make_out`` creates the directory once there is something to write.
+    """
     out = cfg.get("out", "")
     force = cfg.get("force", False, parse_bool)
+    cfg.ensure_consumed()
     if not out:
         if required:
             raise ConfigError("missing output directory (set 'out' or pass --out)")
         return None
     path = Path(out)
-    chain, created = (path, *path.parents), []
-    try:  # exists() and mkdir() let ENAMETOOLONG and the like through
-        # the nearest existing path must be a directory, or mkdir below would fail
-        n_missing = next(i for i, p in enumerate(chain) if p.exists())
-        if not chain[n_missing].is_dir():
-            raise ConfigError(f"out: {chain[n_missing]} is not a directory")
-        if n_missing == 0 and any(path.iterdir()) and not force:
+    try:  # exists() lets ENAMETOOLONG and the like through
+        # the nearest existing path must be a directory, or mkdir would fail
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"out: {nearest} is not a directory")
+        if nearest == path and any(path.iterdir()) and not force:
             raise ConfigError(f"output directory {path} is not empty (use --force)")
+    except OSError as exc:
+        raise ConfigError(f"out: {path}: {exc.strerror}") from None
+    return path
+
+
+def _make_out(path: Path) -> None:
+    """Create ``path`` and its missing parents, removing them again if one fails."""
+    chain, created = (path, *path.parents), []
+    try:
+        n_missing = next(i for i, p in enumerate(chain) if p.exists())
         for p in reversed(chain[:n_missing]):  # outermost first, so a failure can undo them
             p.mkdir()
             created.append(p)
@@ -239,7 +254,6 @@ def _prepare_out(cfg: Config, required=True) -> Path | None:
         for p in reversed(created):
             p.rmdir()
         raise ConfigError(f"out: {path}: {exc.strerror}") from None
-    return path
 
 
 def _write_csv(path: Path, header: str | None, rows) -> None:
@@ -303,10 +317,10 @@ def cmd_gen_data(cfg: Config) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"bands/sample_length/noise_sigma: {exc}") from exc
-    out = _prepare_out(cfg)
-    cfg.ensure_consumed()
+    out = _check_out(cfg)
     dataset = synth_generate(spec, seed)
     train_ds, test_ds = split(dataset, train_frac, seed)
+    _make_out(out)
     save_dataset(train_ds, out / "train")
     save_dataset(test_ds, out / "test")
     manifest = {
@@ -385,11 +399,12 @@ def cmd_train(cfg: Config) -> int:
     mode = cfg.get("mode", "tfn-add", one_of(MODES))
     family = cfg.get("family", "sttf", one_of([f.value for f in KernelFamily]))
     seed = cfg.get("seed", "0", parse_seed)
-    out = _prepare_out(cfg)
     train_ds, test_ds = _load_split_dataset(data_dir)
     tc = _train_config(cfg, seed)
-    model = _build_model(_model_settings(cfg, tc, train_ds), mode, family, seed)
-    cfg.ensure_consumed()
+    settings = _model_settings(cfg, tc, train_ds)
+    out = _check_out(cfg)
+    model = _build_model(settings, mode, family, seed)
+    _make_out(out)
     try:
         history = _train_run(out, model, tc, train_ds, test_ds)
     except ValueError as exc:
@@ -402,8 +417,7 @@ def cmd_train(cfg: Config) -> int:
 def cmd_eval(cfg: Config) -> int:
     ckpt_path = cfg.get("checkpoint", parse=parse_path)
     data_dir = cfg.get("dataset", parse=parse_path)
-    out = _prepare_out(cfg, required=False)
-    cfg.ensure_consumed()
+    out = _check_out(cfg, required=False)
     model = load_model(ckpt_path)
     ds = _load_eval_dataset(data_dir)
     try:
@@ -412,6 +426,7 @@ def cmd_eval(cfg: Config) -> int:
         raise ConfigError(f"dataset: {exc}") from exc
     print(f"accuracy: {acc:.4f}")
     if out is not None:
+        _make_out(out)
         _write_csv(out / "confusion.csv", None, confusion)
         _write_json(out / "metrics.json", {"accuracy": acc, "count": ds.n_samples})
         _write_echo(cfg, out)
@@ -422,15 +437,19 @@ def cmd_freq_response(cfg: Config) -> int:
     ckpt_path = cfg.get("checkpoint", parse=parse_path)
     data_dir = cfg.get("dataset", "", parse_optional_path)
     n_fft = cfg.get("n_fft", 1024, parse_int)
-    bands_text = cfg.get("bands", "", parse_bands)
-    out = _prepare_out(cfg)
-    cfg.ensure_consumed()
+    bands = list(cfg.get("bands", "", parse_bands))
+    out = _check_out(cfg)
     model = load_model(ckpt_path)
     kernels = model.layers[0].kernels()
     try:
         resp = channel_frequency_response(kernels, n_fft)
     except ValueError as exc:
         raise ConfigError(f"n_fft: {exc}") from exc
+    ds = _load_eval_dataset(data_dir) if data_dir is not None else None
+    if ds is not None and not bands:
+        bands = [tuple(b) for b in ds.meta.get("information_bands", [])]
+    report = band_coverage(resp, bands) if bands else None
+    _make_out(out)
     for name in ("kernel_taps.csv", "dataset_spectrum.csv", "band_report.txt"):
         (out / name).unlink(missing_ok=True)  # optional: a --force rerun may not write them
     _write_csv(out / "cfr.csv", "channel,freq,magnitude",
@@ -441,15 +460,10 @@ def cmd_freq_response(cfg: Config) -> int:
         _write_csv(out / "kernel_taps.csv", "channel,n,real,imag",
                    ((c, n, v.real, v.imag) for c, row in enumerate(kernels)
                     for n, v in zip(grid, row)))
-    bands = list(bands_text)
-    if data_dir is not None:
-        ds = _load_eval_dataset(data_dir)
+    if ds is not None:
         _write_csv(out / "dataset_spectrum.csv", "freq,magnitude",
                    zip(spectrum_freqs(ds.length), dataset_spectrum(ds)))
-        if not bands:
-            bands = [tuple(b) for b in ds.meta.get("information_bands", [])]
-    if bands:
-        report = band_coverage(resp, bands)
+    if report is not None:
         mean = float(np.mean([b.distance for b in report]))
         lines = [f"mean_distance: {mean!r}"]
         lines += [f"band [{b.band[0]!r}, {b.band[1]!r}]: distance={b.distance!r} "
@@ -477,11 +491,10 @@ def cmd_ablate(cfg: Config) -> int:
     if not families:
         raise ConfigError("families: at least one kernel family is required")
     seeds = cfg.get("seed", "0,1,2", parse_seeds)
-    out = _prepare_out(cfg)
     train_ds, test_ds = _load_split_dataset(data_dir)
     tc = _train_config(cfg, seeds[0])
     settings = _model_settings(cfg, tc, train_ds)
-    cfg.ensure_consumed()
+    out = _check_out(cfg)
     threads = _n_threads()
     # settings and labels that every cell would reject fail here, before any cell runs
     _build_model(settings, "tfn-add", families[0], seeds[0])
@@ -490,6 +503,7 @@ def cmd_ablate(cfg: Config) -> int:
         check_labels(test_ds.labels, settings["n_classes"])
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
+    _make_out(out)
 
     # backbone-only has no front layer and random-tfn a fixed family: one group each
     groups = [(mode, fam) for mode in MODES

@@ -1,9 +1,10 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs,
-signed-file edits, output-tree digests."""
+signed-file edits, output-tree digests, CPUs to pin ``evaluate``'s threads to."""
 
 import copy
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +18,13 @@ from tfnet.core_math import same_pad_widths
 from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
 from tfnet.nn import (EPS_MODULUS, AdaptiveAvgPool, BatchNorm1d, Conv1d, Dense, Flatten, MaxPool,
                       Model, ReLU, Residual, TFconvLayer, _sample_groups, softmax_cross_entropy)
+
+
+def any_two_cpus():
+    """Two CPUs this thread may run on, for a forced ``training._helper_cpus``;
+    the same CPU twice where it may run on one only."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus[0], cpus[-1]
 
 
 def _as_1d(x, name: str) -> np.ndarray:

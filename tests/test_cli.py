@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import corrupt_dataset, csv_rows, edit_header, signed_parts, tree_digest
-from tfnet import cli
+from helpers import (any_two_cpus, corrupt_dataset, csv_rows, edit_header, signed_parts,
+                     tree_digest)
+from tfnet import cli, training
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from tfnet.data import DATASET_FILE
+from tfnet.data import DATASET_FILE, load_dataset, save_dataset
 from tfnet.nn import assemble_model
 
 GEN_ARGS = ["--set", "samples_per_class=6", "--set", "sample_length=128"]
@@ -286,6 +287,21 @@ class TestEval:
         code = main(["eval", "--set", f"checkpoint={tmp_path / 'no.tfn'}",
                      "--set", f"dataset={data_dir}"])
         assert code == EXIT_CONFIG
+
+    def test_non_finite_signal_in_the_helpers_piece_is_a_dataset_error(
+            self, tmp_path, data_dir, trained_dir, capsys, monkeypatch):
+        ds = load_dataset(data_dir / "test")
+        ds.signals[7, 3] = np.nan
+        save_dataset(ds, tmp_path / "bad")
+        monkeypatch.setattr(training, "EVAL_BATCH", 5)  # sample 7 is in piece 1
+        monkeypatch.setattr(training, "_helper_cpus", any_two_cpus)  # which the helper runs
+        code = main(["eval", "--out", str(tmp_path / "eval"),
+                     "--set", f"checkpoint={trained_dir / 'model.tfn'}",
+                     "--set", f"dataset={tmp_path / 'bad'}"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: dataset: TFconv input contains non-finite values\n"
+        assert not (tmp_path / "eval").exists()
 
     def test_too_few_model_classes_rejected(self, tmp_path, data_dir, capsys):
         ckpt = tmp_path / "three.tfn"
@@ -715,11 +731,33 @@ def test_config_error_message(tmp_path, data_dir, trained_dir, capsys, args, mes
     assert capsys.readouterr().err == f"config error: {message.format(**fill)}\n"
 
 
-@pytest.mark.parametrize("case", ["repeated-seed", "repeated-family", "repeated-band"])
-def test_repeated_entry_writes_nothing(tmp_path, data_dir, trained_dir, case):
+@pytest.mark.parametrize("case", [case for case, (args, _) in CONFIG_ERRORS.items()
+                                  if any("{tmp}" in a for a in args)])
+def test_config_error_writes_nothing(tmp_path, data_dir, trained_dir, case):
     fill = {"tmp": tmp_path, "data": data_dir, "ckpt": trained_dir / "model.tfn"}
     assert main([a.format(**fill) for a in CONFIG_ERRORS[case][0]]) == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "freq-response"])
+@pytest.mark.parametrize("problem", ["unknown-key", "out-not-empty"])
+def test_out_and_keys_are_checked_before_the_checkpoint_loads(
+        tmp_path, data_dir, trained_dir, monkeypatch, capsys, command, problem):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out), "--set", f"checkpoint={trained_dir / 'model.tfn'}",
+            "--set", f"dataset={data_dir}"]
+    if problem == "unknown-key":
+        args += ["--set", "bogus=1"]
+    else:
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+    loads = []
+    monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path))
+    assert main(args) == EXIT_CONFIG
+    assert loads == []
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown config key 'bogus'" if problem == "unknown-key"
+        else f"config error: output directory {out} is not empty")
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])

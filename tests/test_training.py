@@ -1,10 +1,13 @@
 """Optimizer, training loop, evaluation."""
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from helpers import any_two_cpus
 from tfnet.checkpoint import save_model
 from tfnet.kernels import KernelFamily, check_theta, init_params
 from tfnet import training
@@ -293,15 +296,125 @@ class TestEvaluate:
         # rows are true labels: each row sums to the per-class count
         np.testing.assert_array_equal(confusion.sum(axis=1), [6, 6, 6])
 
-    def test_batching_does_not_change_result(self, monkeypatch):
+    @pytest.mark.parametrize("pays", [True, False], ids=["helper", "serial"])
+    @pytest.mark.parametrize("build", [micro_backbone, micro_tfn], ids=["backbone", "tfn"])
+    @pytest.mark.parametrize("batch, sizes", [
+        (100, [15]),
+        (15, [15]),  # N == EVAL_BATCH: still one piece
+        (14, [8, 7]),  # N == EVAL_BATCH + 1
+        (5, [5, 5, 5]),
+        (2, [2, 2, 2, 2, 2, 2, 2, 1]),
+        (1, [1] * 15),
+    ])
+    def test_batching_does_not_change_result(self, monkeypatch, build, batch, sizes, pays):
+        """The pieces split the 15 samples by N alone; the helper runs the odd ones if it pays."""
         x, y = tone_problem(n_per_class=5)
-        model = micro_backbone(seed=13)
-        monkeypatch.setattr(training, "EVAL_BATCH", 4)
-        acc1, c1 = evaluate(model, x, y)
-        monkeypatch.setattr(training, "EVAL_BATCH", 100)
-        acc2, c2 = evaluate(model, x, y)
-        assert acc1 == acc2
-        np.testing.assert_array_equal(c1, c2)
+        model = build(seed=13)
+        want = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(want, (y, fold_batchnorm(model).forward(standardize(x)).argmax(axis=1)), 1)
+        assert np.count_nonzero(want.sum(axis=0)) > 1  # the model tells some samples apart
+        starts = list(np.cumsum([0] + sizes[:-1]))
+        caller, pieces = threading.current_thread(), {}
+
+        def recording(piece, dtype):
+            first = int(np.flatnonzero((x == piece[0]).all(axis=1))[0])
+            pieces[starts.index(first)] = (len(piece), threading.current_thread() is caller)
+            return standardize(piece, dtype)
+
+        monkeypatch.setattr(training, "standardize", recording)
+        monkeypatch.setattr(training, "EVAL_BATCH", batch)
+        monkeypatch.setattr(training, "_helper_cpus", lambda: any_two_cpus() if pays else None)
+        acc, confusion = evaluate(model, x, y)
+        np.testing.assert_array_equal(confusion, want)
+        assert acc == np.trace(want) / len(y)
+        assert [pieces[k][0] for k in range(len(sizes))] == sizes
+        assert [pieces[k][1] for k in range(len(sizes))] == [not (pays and k % 2)
+                                                           for k in range(len(sizes))]
+
+    @pytest.mark.parametrize("row, here", [(2, True), (7, False)], ids=["piece-0", "piece-1"])
+    def test_a_piece_error_surfaces_unchanged(self, monkeypatch, row, here):
+        """A non-finite signal fails the same way in this thread's piece and in the helper's."""
+        x, y = tone_problem(n_per_class=5)
+        x[row, 3] = np.nan
+        caller, failed_here = threading.current_thread(), []
+
+        def recording(piece, dtype):
+            if not np.isfinite(piece).all():
+                failed_here.append(threading.current_thread() is caller)
+            return standardize(piece, dtype)
+
+        monkeypatch.setattr(training, "standardize", recording)
+        monkeypatch.setattr(training, "EVAL_BATCH", 5)  # pieces 0-4, 5-9, 10-14
+        monkeypatch.setattr(training, "_helper_cpus", any_two_cpus)
+        with pytest.raises(ValueError) as info:
+            evaluate(micro_tfn(), x, y)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "TFconv input contains non-finite values"
+        assert failed_here == [here]
+
+    @pytest.mark.parametrize("blas, cpus, main, pays", [
+        (1, {0, 1}, True, (0, 1)),
+        (1, {5, 3, 2}, True, (2, 3)),
+        (2, {0, 1}, True, None),  # BLAS threads would fight the helper for the cores
+        (None, {0, 1}, True, None),  # a BLAS that cannot be asked
+        (1, {1}, True, None),
+        (1, {0, 1}, False, None),  # a worker thread, as in ablate's cell pool
+    ])
+    def test_helper_runs_only_with_single_threaded_blas_on_the_main_thread(
+            self, monkeypatch, blas, cpus, main, pays):
+        monkeypatch.setattr(training, "_blas_thread_getter", lambda: blas and (lambda: blas))
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: cpus)
+        got = []
+        if main:
+            got.append(training._helper_cpus())
+        else:
+            worker = threading.Thread(target=lambda: got.append(training._helper_cpus()))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert got == [pays]
+
+    def test_each_thread_runs_pinned_to_its_cpu(self, monkeypatch):
+        """The caller's pieces run on the first CPU and the helper's on the second;
+        the caller gets its own CPU set back when the call returns."""
+        cpus = any_two_cpus()
+        if cpus[0] == cpus[1]:
+            pytest.skip("this process may run on one CPU only")
+        x, y = tone_problem(n_per_class=5)
+        caller, masks = threading.current_thread(), {}
+
+        def recording(piece, dtype):
+            masks.setdefault(threading.current_thread() is caller, set()).update(
+                os.sched_getaffinity(0))
+            return standardize(piece, dtype)
+
+        monkeypatch.setattr(training, "standardize", recording)
+        monkeypatch.setattr(training, "EVAL_BATCH", 5)
+        monkeypatch.setattr(training, "_helper_cpus", lambda: cpus)
+        before = os.sched_getaffinity(0)
+        evaluate(micro_backbone(seed=13), x, y)
+        assert masks == {True: {cpus[0]}, False: {cpus[1]}}
+        assert os.sched_getaffinity(0) == before
+
+    def test_caller_cpus_come_back_after_an_error(self, monkeypatch):
+        cpus = any_two_cpus()
+        x, y = tone_problem(n_per_class=5)
+        x[2, 3] = np.nan  # piece 0, the caller's
+        monkeypatch.setattr(training, "EVAL_BATCH", 5)
+        monkeypatch.setattr(training, "_helper_cpus", lambda: cpus)
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(micro_tfn(), x, y)
+        assert os.sched_getaffinity(0) == before
+
+    def test_openblas_thread_count_is_read(self):
+        """numpy's own OpenBLAS is asked, so the gate is not shut for want of an answer."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is built with {blas}")
+        blas_threads = training._blas_thread_getter()
+        assert blas_threads is not None
+        assert blas_threads() >= 1
 
     def test_folds_once_per_call(self, monkeypatch):
         x, y = tone_problem(n_per_class=5)
