@@ -16,7 +16,9 @@ Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
 distance, nearest channel and that channel's centre frequency); ``ablate``
 writes ``results.csv`` (a row per mode and kernel family, every mode in
 ``MODES``) and each cell's ``train`` files (all but ``config.echo``) under
-``cells/<mode>-<family>-s<seed>/``.
+``cells/<mode>-<family>-s<seed>/``; it runs two cells at once where
+``training.cpu_pair()`` names two CPUs, otherwise one by one, and writes
+byte-identical files either way.
 A ``--force`` rerun over a command's earlier output removes the optional
 files it does not write, so exactly one run's files remain (no directory is
 deleted: ``ablate`` keeps the cells it does not rerun).
@@ -30,13 +32,13 @@ Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from tfnet import training
 from tfnet.checkpoint import load_model, save_model
 from tfnet.data import (DATASET_FILE, check_band, load_dataset, save_dataset, split,
                         synth_generate, synthbearing5)
@@ -374,7 +376,7 @@ def _train_run(out: Path, model, tc: TrainConfig, train_ds, test_ds):
     ``theta_trajectory.csv`` (TFconv models only) starts at the initial state as epoch 0.
     """
     history = train(model, train_ds.signals, train_ds.labels, test_ds.signals, test_ds.labels, tc)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     save_model(model, out / "model.tfn")
     (out / "theta_trajectory.csv").unlink(missing_ok=True)  # a --force rerun may not write it
     rows = zip(history.train_loss, history.train_acc, history.test_acc)
@@ -404,11 +406,10 @@ def cmd_train(cfg: Config) -> int:
     settings = _model_settings(cfg, tc, train_ds)
     out = _check_out(cfg)
     model = _build_model(settings, mode, family, seed)
-    _make_out(out)
     try:
         history = _train_run(out, model, tc, train_ds, test_ds)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"dataset: {exc}") from exc
     _write_echo(cfg, out)
     print(f"final test accuracy: {history.test_acc[-1]:.4f}")
     return EXIT_OK
@@ -474,16 +475,6 @@ def cmd_freq_response(cfg: Config) -> int:
     return EXIT_OK
 
 
-def _n_threads() -> int:
-    try:
-        n = parse_int(os.environ.get("TFN_THREADS", "1"))[0]
-    except ValueError as exc:
-        raise ConfigError(f"TFN_THREADS: {exc}") from None
-    if n < 1:
-        raise ConfigError("TFN_THREADS: must be >= 1")
-    return n
-
-
 def cmd_ablate(cfg: Config) -> int:
     data_dir = cfg.get("dataset", parse=parse_path)
     families = cfg.get("families", "sttf",
@@ -495,7 +486,6 @@ def cmd_ablate(cfg: Config) -> int:
     tc = _train_config(cfg, seeds[0])
     settings = _model_settings(cfg, tc, train_ds)
     out = _check_out(cfg)
-    threads = _n_threads()
     # settings and labels that every cell would reject fail here, before any cell runs
     _build_model(settings, "tfn-add", families[0], seeds[0])
     try:
@@ -503,7 +493,7 @@ def cmd_ablate(cfg: Config) -> int:
         check_labels(test_ds.labels, settings["n_classes"])
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
-    _make_out(out)
+    _make_out(out / "cells")  # here, so two cells at once do not both create it
 
     # backbone-only has no front layer and random-tfn a fixed family: one group each
     groups = [(mode, fam) for mode in MODES
@@ -520,7 +510,7 @@ def cmd_ablate(cfg: Config) -> int:
         return history.test_acc[-1]
 
     # one list of futures per (mode, family) group, in grid order
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=2 if training.cpu_pair() else 1) as pool:
         grid = [(mode, fam, [pool.submit(run_cell, mode, fam, seed) for seed in seeds])
                 for mode, fam in groups]
     rows, failures = [], []

@@ -38,15 +38,16 @@ def _blas_thread_getter():
     return getter
 
 
-def _helper_cpus():
-    """The CPUs for ``evaluate``'s caller and ``_HELPER``, or None where the helper does not pay.
+def cpu_pair():
+    """Two CPUs for a second thread of tfnet work, or None where one does not pay.
 
-    It pays only where BLAS runs single-threaded, so two pieces at once do not
-    fight its threads for the cores; only on the main thread, since a caller on
-    a worker thread (``tfnet ablate``'s cells) already keeps the cores busy; and
-    only where this thread may run on two CPUs.  The two threads are pinned to
-    the first two of those CPUs: left to the scheduler, a new helper shared the
-    caller's CPU for several calls, which then took as long as one thread alone.
+    ``evaluate`` runs half its pieces there, and ``cli.cmd_ablate`` two cells at
+    once.  It pays only where BLAS runs single-threaded, so two threads do not
+    fight its threads for the cores; only on the main thread, which keeps an
+    ``evaluate`` inside an ``ablate`` cell serial, as two cells on worker threads
+    already keep the cores busy; and only where this thread may run on two CPUs.
+    ``evaluate`` pins its two threads to them: left to the scheduler, a new helper
+    shared the caller's CPU for several calls, which then took as long as one alone.
     """
     blas_threads = _blas_thread_getter()
     if (blas_threads is None or blas_threads() != 1 or not hasattr(os, "sched_setaffinity")
@@ -83,7 +84,6 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
     test_acc: list[float] = field(default_factory=list)
-    lr: list[float] = field(default_factory=list)
     theta_snapshots: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -135,7 +135,7 @@ def evaluate(model: Model, signals, labels):
     which saves each batch norm's two passes over its activations; a logit
     may move in its last bits.  ``model`` itself is not changed.  They run
     as ceil(N / EVAL_BATCH) contiguous pieces of near-equal size, one by one
-    on this thread, or, where ``_helper_cpus()`` names two CPUs, the even ones
+    on this thread, or, where ``cpu_pair()`` names two CPUs, the even ones
     here and the odd ones on ``_HELPER`` at the same time, this thread pinned
     to the first CPU until the call returns and ``_HELPER`` to the second.
     The pieces depend only on N, so the result does not depend on which
@@ -155,7 +155,7 @@ def evaluate(model: Model, signals, labels):
         return folded.forward(standardize(piece, dtype=model.dtype), training=False).argmax(axis=1)
 
     pieces = np.array_split(signals, -(-signals.shape[0] // EVAL_BATCH))
-    cpus = _helper_cpus() if len(pieces) > 1 else None
+    cpus = cpu_pair() if len(pieces) > 1 else None
     if cpus is None:
         predicted = [predict(piece) for piece in pieces]
     else:
@@ -237,7 +237,6 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         if test_signals is not None:
             acc, _ = evaluate(model, test_signals, test_labels)
             history.test_acc.append(acc)
-        history.lr.append(lr)
         if tf_layer is not None:
             history.theta_snapshots.append(tf_layer.theta.copy())
         lr *= cfg.lr_decay

@@ -21,7 +21,7 @@ from tfnet.nn import (EPS_MODULUS, AdaptiveAvgPool, BatchNorm1d, Conv1d, Dense, 
 
 
 def any_two_cpus():
-    """Two CPUs this thread may run on, for a forced ``training._helper_cpus``;
+    """Two CPUs this thread may run on, for a forced ``training.cpu_pair``;
     the same CPU twice where it may run on one only."""
     cpus = sorted(os.sched_getaffinity(0))
     return cpus[0], cpus[-1]

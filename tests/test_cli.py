@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "labels must lie in [0, 3)" in capsys.readouterr().err
 
+    def test_non_finite_train_signal_is_a_dataset_error_that_writes_nothing(
+            self, tmp_path, data_dir, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(data_dir, copy)
+        ds = load_dataset(copy / "train")
+        ds.signals[3, 5] = np.nan
+        save_dataset(ds, copy / "train")
+        code = main(["train", "--out", str(tmp_path / "run"), "--seed", "0",
+                     "--set", f"dataset={copy}", *TRAIN_ARGS])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: dataset: TFconv input contains non-finite values\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
     def test_infinite_learning_rate_rejected(self, tmp_path, data_dir, capsys, mode):
         code = main(["train", "--out", str(tmp_path / "x"), "--seed", "0",
@@ -294,7 +309,7 @@ class TestEval:
         ds.signals[7, 3] = np.nan
         save_dataset(ds, tmp_path / "bad")
         monkeypatch.setattr(training, "EVAL_BATCH", 5)  # sample 7 is in piece 1
-        monkeypatch.setattr(training, "_helper_cpus", any_two_cpus)  # which the helper runs
+        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)  # which the helper runs
         code = main(["eval", "--out", str(tmp_path / "eval"),
                      "--set", f"checkpoint={trained_dir / 'model.tfn'}",
                      "--set", f"dataset={tmp_path / 'bad'}"])
@@ -508,8 +523,11 @@ def run_ablate(out, data_dir, extra=()):
 
 @pytest.fixture(scope="module")
 def ablate_dir(tmp_path_factory, data_dir):
+    """An ablate run with its cells one by one."""
     out = tmp_path_factory.mktemp("cli-ablate") / "ablate"
-    assert run_ablate(out, data_dir) == EXIT_OK
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "cpu_pair", lambda: None)
+        assert run_ablate(out, data_dir) == EXIT_OK
     return out
 
 
@@ -555,11 +573,34 @@ class TestAblate:
         assert len(lines) == 1 + 1 + 4 * 2 + 1  # backbone, 4 modes x 2 families, random-tfn
 
     def test_thread_pool_matches_serial(self, tmp_path, data_dir, ablate_dir, monkeypatch):
-        monkeypatch.setenv("TFN_THREADS", "2")
+        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)  # two cells at once
         threaded = tmp_path / "threaded"
         assert run_ablate(threaded, data_dir) == EXIT_OK
         # every cell's files as well as results.csv
         assert tree_digest(threaded) == tree_digest(ablate_dir)
+
+    @pytest.mark.parametrize("pair, workers", [(None, 1), (any_two_cpus(), 2)],
+                             ids=["no-pair", "pair"])
+    def test_cell_pool_size_follows_cpu_pair(self, tmp_path, data_dir, monkeypatch, pair,
+                                             workers):
+        sizes, cell_threads = [], set()
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        def train(*args, **kwargs):
+            cell_threads.add(threading.current_thread())
+            raise RuntimeError("cell stopped")
+
+        monkeypatch.setattr(training, "cpu_pair", lambda: pair)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "train", train)
+        assert run_ablate(tmp_path / "x", data_dir) == EXIT_RUNTIME
+        assert sizes == [workers]
+        assert 1 <= len(cell_threads) <= workers
+        assert threading.main_thread() not in cell_threads
 
     def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, ablate_dir, monkeypatch,
                                               capsys):
@@ -600,11 +641,6 @@ class TestAblate:
         code = run_ablate(tmp_path / "x", data_dir,
                                ("--set", "families=random"))
         assert code == EXIT_CONFIG
-
-    @pytest.mark.parametrize("value", ["zero", "0"])
-    def test_bad_thread_env_rejected(self, tmp_path, data_dir, monkeypatch, value):
-        monkeypatch.setenv("TFN_THREADS", value)
-        assert run_ablate(tmp_path / "x", data_dir) == EXIT_CONFIG
 
 
 class TestArgumentPlumbing:

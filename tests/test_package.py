@@ -1,6 +1,9 @@
-"""The package namespace re-exports nothing; callers import its modules."""
+"""The package namespace re-exports nothing; callers import its modules.  No module reads
+the environment."""
 
+import re
 import types
+from pathlib import Path
 
 import tfnet
 from tfnet import interpret
@@ -20,3 +23,9 @@ def test_package_exports_nothing_and_pruned_names_are_gone():
               "overall_frequency_response", "_layer_kernels", "KernelGrid", "tfconv",
               "build_backbone", "BandReport", "BandPeak"}
     assert not pruned & (set(dir(tfnet)) | set(dir(interpret)))
+
+
+def test_no_module_reads_the_environment():
+    """Every setting goes through ``cli.Config.get``, so ``config.echo`` records it."""
+    for path in sorted(Path(tfnet.__file__).parent.glob("*.py")):
+        assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name

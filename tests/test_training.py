@@ -151,13 +151,21 @@ class TestTrainLoop:
         assert hist.test_acc[-1] == 1.0
         assert hist.train_loss[-1] < 0.1
 
-    def test_history_bookkeeping(self):
+    def test_history_bookkeeping(self, monkeypatch):
         x, y = tone_problem(n_per_class=4)
         model = micro_tfn(seed=1)
         cfg = TrainConfig(epochs=3, batch_size=6, seed=1)
+        lrs, step = [], Adam.step
+
+        def recording(opt, grads, lr):
+            lrs.append(lr)
+            step(opt, grads, lr)
+
+        monkeypatch.setattr(Adam, "step", recording)
         hist = train(model, x, y, x, y, cfg)
         assert len(hist.train_loss) == len(hist.train_acc) == len(hist.test_acc) == 3
-        np.testing.assert_allclose(hist.lr, [1e-3, 1e-3 * 0.96, 1e-3 * 0.96**2])
+        # 12 samples in batches of 6: two steps per epoch at that epoch's rate
+        np.testing.assert_allclose(lrs, np.repeat([1e-3, 1e-3 * 0.96, 1e-3 * 0.96**2], 2))
         # initial state plus one snapshot per epoch
         assert len(hist.theta_snapshots) == 4
         assert hist.final_test_acc == hist.test_acc[-1]
@@ -323,7 +331,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "standardize", recording)
         monkeypatch.setattr(training, "EVAL_BATCH", batch)
-        monkeypatch.setattr(training, "_helper_cpus", lambda: any_two_cpus() if pays else None)
+        monkeypatch.setattr(training, "cpu_pair", lambda: any_two_cpus() if pays else None)
         acc, confusion = evaluate(model, x, y)
         np.testing.assert_array_equal(confusion, want)
         assert acc == np.trace(want) / len(y)
@@ -345,7 +353,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "standardize", recording)
         monkeypatch.setattr(training, "EVAL_BATCH", 5)  # pieces 0-4, 5-9, 10-14
-        monkeypatch.setattr(training, "_helper_cpus", any_two_cpus)
+        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)
         with pytest.raises(ValueError) as info:
             evaluate(micro_tfn(), x, y)
         assert type(info.value) is ValueError
@@ -366,9 +374,9 @@ class TestEvaluate:
         monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: cpus)
         got = []
         if main:
-            got.append(training._helper_cpus())
+            got.append(training.cpu_pair())
         else:
-            worker = threading.Thread(target=lambda: got.append(training._helper_cpus()))
+            worker = threading.Thread(target=lambda: got.append(training.cpu_pair()))
             worker.start()
             worker.join(timeout=30)
             assert not worker.is_alive()
@@ -390,7 +398,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "standardize", recording)
         monkeypatch.setattr(training, "EVAL_BATCH", 5)
-        monkeypatch.setattr(training, "_helper_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "cpu_pair", lambda: cpus)
         before = os.sched_getaffinity(0)
         evaluate(micro_backbone(seed=13), x, y)
         assert masks == {True: {cpus[0]}, False: {cpus[1]}}
@@ -401,7 +409,7 @@ class TestEvaluate:
         x, y = tone_problem(n_per_class=5)
         x[2, 3] = np.nan  # piece 0, the caller's
         monkeypatch.setattr(training, "EVAL_BATCH", 5)
-        monkeypatch.setattr(training, "_helper_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "cpu_pair", lambda: cpus)
         before = os.sched_getaffinity(0)
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(micro_tfn(), x, y)
