@@ -17,11 +17,14 @@ distance, nearest channel and that channel's centre frequency); ``ablate``
 writes ``results.csv`` (a row per mode and kernel family, every mode in
 ``MODES``) and each cell's ``train`` files (all but ``config.echo``) under
 ``cells/<mode>-<family>-s<seed>/``; it runs two cells at once where
-``training.cpu_pair()`` names two CPUs, otherwise one by one, and writes
+``core_math.cpu_pair()`` names two CPUs, otherwise one by one, and writes
 byte-identical files either way.
 A ``--force`` rerun over a command's earlier output removes the optional
-files it does not write, so exactly one run's files remain (no directory is
-deleted: ``ablate`` keeps the cells it does not rerun).
+files it does not write, so exactly one run's files remain; ``ablate``
+also removes the cells its grid does not write, deleting only the files a
+cell's training writes and then the cell's directory if it is empty.
+A dataset with a NaN or infinite signal is a configuration error that
+names the file and the sample.
 Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
@@ -38,10 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tfnet import training
+from tfnet import core_math
 from tfnet.checkpoint import load_model, save_model
-from tfnet.data import (DATASET_FILE, check_band, load_dataset, save_dataset, split,
-                        synth_generate, synthbearing5)
+from tfnet.data import (DATASET_FILE, NonFiniteSignalError, check_band, load_dataset,
+                        save_dataset, split, synth_generate, synthbearing5)
 from tfnet.interpret import (band_coverage, channel_frequency_response, dataset_spectrum,
                              spectrum_freqs)
 from tfnet.kernels import KernelFamily, default_grid, param_names
@@ -278,6 +281,14 @@ def _write_echo(cfg: Config, out: Path):
     (out / "config.echo").write_text("\n".join(lines) + "\n")
 
 
+def _read_dataset(path: Path):
+    """``load_dataset``, a non-finite signal a configuration error (a corrupt file is not)."""
+    try:
+        return load_dataset(path)
+    except NonFiniteSignalError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
+
+
 def _load_split_dataset(path: Path):
     """Read a gen-data directory (train/ + test/ subdirectories)."""
     train_dir, test_dir = path / "train", path / "test"
@@ -285,15 +296,15 @@ def _load_split_dataset(path: Path):
         raise ConfigError(
             f"dataset: {path} does not contain train/ and test/ dataset directories"
         )
-    return load_dataset(train_dir), load_dataset(test_dir)
+    return _read_dataset(train_dir), _read_dataset(test_dir)
 
 
 def _load_eval_dataset(path: Path):
     """A dataset directory, or a gen-data directory (its test side)."""
     if (path / DATASET_FILE).exists():
-        return load_dataset(path)
+        return _read_dataset(path)
     if (path / "test" / DATASET_FILE).exists():
-        return load_dataset(path / "test")
+        return _read_dataset(path / "test")
     raise ConfigError(f"dataset: {path} is not a dataset directory")
 
 
@@ -370,8 +381,11 @@ def _build_model(settings: dict, mode: str, family: str, seed: int):
         raise ConfigError(f"mode/family: {exc}") from exc
 
 
+_TRAIN_FILES = ("model.tfn", "history.csv", "theta_trajectory.csv", "metrics.json")
+
+
 def _train_run(out: Path, model, tc: TrainConfig, train_ds, test_ds):
-    """Train ``model``; write ``train``'s files, less ``config.echo``, into ``out``.
+    """Train ``model``; write ``train``'s files (``_TRAIN_FILES``) but ``config.echo`` into ``out``.
 
     ``theta_trajectory.csv`` (TFconv models only) starts at the initial state as epoch 0.
     """
@@ -498,6 +512,13 @@ def cmd_ablate(cfg: Config) -> int:
     # backbone-only has no front layer and random-tfn a fixed family: one group each
     groups = [(mode, fam) for mode in MODES
               for fam in ([None] if mode in ("backbone-only", "random-tfn") else families)]
+    labels = {f"{mode}-{fam or 'none'}-s{seed}" for mode, fam in groups for seed in seeds}
+    for cell in (out / "cells").iterdir():  # an earlier run's cells that this grid does not write
+        if cell.is_dir() and cell.name not in labels:
+            for name in _TRAIN_FILES:
+                (cell / name).unlink(missing_ok=True)
+            if not any(cell.iterdir()):
+                cell.rmdir()
 
     def run_cell(mode, fam, seed):
         label = f"{mode}-{fam or 'none'}-s{seed}"
@@ -510,7 +531,7 @@ def cmd_ablate(cfg: Config) -> int:
         return history.test_acc[-1]
 
     # one list of futures per (mode, family) group, in grid order
-    with ThreadPoolExecutor(max_workers=2 if training.cpu_pair() else 1) as pool:
+    with ThreadPoolExecutor(max_workers=2 if core_math.cpu_pair() else 1) as pool:
         grid = [(mode, fam, [pool.submit(run_cell, mode, fam, seed) for seed in seeds])
                 for mode, fam in groups]
     rows, failures = [], []

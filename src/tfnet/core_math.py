@@ -1,9 +1,18 @@
-"""Deterministic numerical primitives: FFT-based sliding-inner-product correlation.
+"""Deterministic numerical primitives: FFT-based sliding-inner-product correlation,
+and the one way tfnet splits work over two CPUs.
 
 All "convolutions" in this package are cross-correlations (no kernel flip),
 the deep-learning convention.  Kernels may be complex; signals are real.
-Everything here is a pure function of its inputs and safe to call from any
-number of threads.
+The two correlation functions are pure functions of their inputs and safe to
+call from any number of threads.
+
+``run_halves`` runs a pass that is independent per sample (or per group of
+samples) as two contiguous halves: the first on the calling thread, the
+second at the same time on one process-wide helper thread, each pinned to
+its CPU from ``cpu_pair()`` for the call.  Where ``cpu_pair()`` names no
+two CPUs, the caller runs both halves, first half first.  ``ordered_sum``
+adds per-group terms in batch order across the split, so a split changes no
+bit of any result.
 
 A kernel's integer ``grid`` of tap indices sets its alignment: output l
 reads x[l + grid[k]] through tap k, the signal zero outside [0, L).  So the
@@ -17,8 +26,116 @@ K=51; 4500 for L=4096, K=301).  The forward, grouped by samples, returns
 the signal batch's (B, n) spectrum too; the adjoint takes it instead of x.
 """
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 import scipy.fft
+
+# runs the second half of every split; one thread for the whole process, held
+# by one split at a time, so a split inside a split, or beside one, runs serially
+_HELPER = ThreadPoolExecutor(1, thread_name_prefix="tfnet-helper")
+_HELPER_HELD = threading.Lock()
+
+
+@functools.cache
+def _blas_thread_getter():
+    """numpy's BLAS thread-count function, or None where that BLAS cannot be asked."""
+    try:  # numpy's BLAS symbols resolve through the extension module that links it
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+             "openblas_get_num_threads")
+    getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def cpu_pair():
+    """Two CPUs for a second thread of tfnet work, or None where one does not pay.
+
+    ``run_halves`` runs its second half there: the per-sample passes of a
+    training step (``Conv1d``, ``BatchNorm1d``'s elementwise passes, ``ReLU``,
+    TFconv's correlation and its adjoint) and ``training.evaluate``'s pieces.
+    ``cli.cmd_ablate`` runs two cells at once where it names two CPUs.  It
+    pays only where BLAS runs single-threaded, so two threads do not fight
+    its threads for the cores; only on the main thread, which keeps the
+    training inside an ``ablate`` cell serial, as two cells on worker threads
+    already keep the cores busy; and only where this thread may run on two
+    CPUs.  The two threads run pinned: left to the scheduler, a new helper
+    shared the caller's CPU for several calls, which then took as long as
+    one alone.
+    """
+    blas_threads = _blas_thread_getter()
+    if (blas_threads is None or blas_threads() != 1 or not hasattr(os, "sched_setaffinity")
+            or threading.current_thread() is not threading.main_thread()):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    return (cpus[0], cpus[1]) if len(cpus) > 1 else None
+
+
+def _pinned(cpu, fn, part):
+    os.sched_setaffinity(0, {cpu})
+    return fn(part)
+
+
+def run_halves(fn, n):
+    """``(fn(slice(0, h)), fn(slice(h, n)))``, h = ceil(n / 2), the halves at once where they pay.
+
+    Where ``cpu_pair()`` names two CPUs, neither half is empty and no other
+    split holds the helper thread (a split inside ``fn`` runs serially),
+    this thread runs the first half pinned to the first CPU while the helper
+    runs the second pinned to the second, and this thread gets its own CPU
+    set back when the call returns.  Otherwise this thread runs both, the
+    first half first.  ``fn`` must not write what the other half
+    reads.  An error in either half is raised once both halves have
+    returned, the first half's if both fail.  The first half starts at 0;
+    a second half that is not empty never does.
+    """
+    h = (n + 1) // 2
+    first, second = slice(0, h), slice(h, n)
+    cpus = cpu_pair() if h < n else None
+    if cpus is None or not _HELPER_HELD.acquire(blocking=False):
+        return fn(first), fn(second)
+    here, there = cpus
+    mask = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {here})
+        future = _HELPER.submit(_pinned, there, fn, second)
+        try:
+            mine = fn(first)
+        finally:
+            wait([future])
+        return mine, future.result()
+    finally:
+        os.sched_setaffinity(0, mask)
+        _HELPER_HELD.release()
+
+
+def ordered_sum(total, terms, n):
+    """Add every array of ``terms(slice(0, n))`` into ``total`` in order, split by ``run_halves``.
+
+    ``terms(part)`` yields the terms of groups ``part`` in order.  The
+    caller's half adds its terms as they come; the helper's half keeps its
+    terms, which the caller then adds in order, so ``total`` gets the bits of
+    the serial left-to-right sum.
+    """
+    def add_or_keep(part):
+        if part.start:
+            return list(terms(part))
+        for term in terms(part):
+            np.add(total, term, out=total)
+        return ()
+
+    _, kept = run_halves(add_or_keep, n)
+    for term in kept:
+        total += term
+    return total
 
 
 def same_pad_widths(kernel_len: int) -> tuple[int, int]:
@@ -39,10 +156,11 @@ def _left_pad(grid, kernel_len: int) -> int:
 # a time, and the adjoint forms, transforms and accumulates its gradient
 # rows a group at a time, each group's (S, C, n) complex block within this
 # many bytes (3 samples at L=4096, K=301, C=8 in complex64; 7 at L=1024,
-# K=51, C=8 in complex128), so only the forward's ``keep`` holds a
-# batch-sized complex array.  Each row is transformed by itself and the
-# adjoint adds its rows in batch order, so the grouping changes no bit of
-# either result.
+# K=51, C=8 in complex128), so only the forward's ``keep`` and the adjoint
+# helper half's kept rows (half a batch of (C, n) rows) hold batch-sized
+# complex arrays.  Each row is transformed by itself and the adjoint adds
+# its rows in batch order, so neither the grouping nor the split over
+# ``run_halves`` changes a bit of either result.
 # The whole batch's product, IFFT and slice copy (57.6, 57.6 and 52.4 MB at
 # B=200, L=4096, C=8, complex64) each exceeded glibc's largest mmap
 # threshold, so every call mapped and faulted them in afresh.  In groups,
@@ -99,15 +217,21 @@ def batch_correlate_same(x: np.ndarray, kernels: np.ndarray, grid: np.ndarray,
     corr = np.empty((B, C, L), dtype) if keep else None
     start = K - 1 - left
     step = _group_size(C, n, dtype)
-    for lo in range(0, B, step):
-        block = scipy.fft.ifft(Xf[lo : lo + step, None, :] * Kf, axis=-1)[:, :, start : start + L]
-        rows = out[lo : lo + step]
-        if keep:
-            corr[lo : lo + step] = block
-        if eps_modulus is None:
-            rows[...] = block.real
-        else:
-            np.sqrt(np.square(block.real) + np.square(block.imag) + eps_modulus, out=rows)
+    starts = range(0, B, step)
+
+    def correlate(part):
+        for lo in starts[part]:
+            block = scipy.fft.ifft(Xf[lo : lo + step, None, :] * Kf,
+                                   axis=-1)[:, :, start : start + L]
+            rows = out[lo : lo + step]
+            if keep:
+                corr[lo : lo + step] = block
+            if eps_modulus is None:
+                rows[...] = block.real
+            else:
+                np.sqrt(np.square(block.real) + np.square(block.imag) + eps_modulus, out=rows)
+
+    run_halves(correlate, len(starts))
     return out, corr, Xf
 
 
@@ -124,8 +248,9 @@ def batch_conv_full_slice(grad: np.ndarray, Xf: np.ndarray, grid: np.ndarray,
     with ``modulus = (corr, h)``, the forward's kept correlation and output,
     conj(corr) * grad / h, so that Re{g * z} == grad * (Re(corr) Re(z) +
     Im(corr) Im(z)) / h.  g, G and the product are formed one group of
-    samples at a time and each row added into one (C, n) sum in batch
-    order: the whole-batch sum bit for bit.  FFT round-off is absolute, as
+    samples at a time, the groups split over ``run_halves``, and each row
+    added into one (C, n) sum in batch order (``ordered_sum``): the
+    whole-batch sum bit for bit.  FFT round-off is absolute, as
     in the forward: about ``eps * sum_b ||g[b, c]|| * ||x[b]||`` for
     ``taps[c]``.  There is no signal-side half: the layer that calls this is
     always the model's front layer, whose input gradient nothing reads.  The
@@ -140,17 +265,20 @@ def batch_conv_full_slice(grad: np.ndarray, Xf: np.ndarray, grid: np.ndarray,
     left = _left_pad(grid, kernel_len)
     dtype = np.result_type(Xf, grad)
     step = _group_size(C, n, dtype)
-    total = np.zeros((C, n), dtype)
-    for lo in range(0, B, step):
-        g = grad[lo : lo + step]
-        if modulus is not None:
-            corr, h = modulus
-            g = np.conjugate(corr[lo : lo + step])
-            g *= grad[lo : lo + step] / h[lo : lo + step]
-        Gf = scipy.fft.fft(g, n)
-        Gf *= np.conjugate(Xf[lo : lo + step])[:, None, :]
-        for row in Gf:
-            total += row
+    starts = range(0, B, step)
+
+    def rows(part):
+        for lo in starts[part]:
+            g = grad[lo : lo + step]
+            if modulus is not None:
+                corr, h = modulus
+                g = np.conjugate(corr[lo : lo + step])
+                g *= grad[lo : lo + step] / h[lo : lo + step]
+            Gf = scipy.fft.fft(g, n)
+            Gf *= np.conjugate(Xf[lo : lo + step])[:, None, :]
+            yield from Gf
+
+    total = ordered_sum(np.zeros((C, n), dtype), rows, len(starts))
     cross = scipy.fft.ifft(total, axis=-1)
     taps = cross[:, (left - np.arange(kernel_len)) % n]
     return taps if modulus is not None or np.iscomplexobj(grad) else taps.real

@@ -183,6 +183,17 @@ def synthbearing5(samples_per_class: int = 200) -> SynthSpec:
     )
 
 
+class NonFiniteSignalError(ValueError):
+    """A signal holds a NaN or an infinity: the data's fault, not the file's or the program's."""
+
+
+def _check_finite(signals: np.ndarray, source) -> None:
+    """Raise ``NonFiniteSignalError`` naming ``source`` and the first sample that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(signals).all(axis=1))
+    if bad.size:
+        raise NonFiniteSignalError(f"{source}: sample {bad[0]} holds a non-finite value")
+
+
 @dataclass
 class Dataset:
     """Labeled (count, length) float64 signal matrix with a manifest dict."""
@@ -247,6 +258,7 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> Dataset:
         "seed": seed,
         "spec": _spec_manifest(spec),
     }
+    _check_finite(signals, f"{spec.name} seed {seed}")
     return Dataset(signals, labels, meta)
 
 
@@ -361,4 +373,6 @@ def load_dataset(directory) -> Dataset:
     # astype copies, so the arrays are writable and outlive the file's bytes
     signals = np.frombuffer(payload[:n_signal], dtype="<f8").astype(np.float64)
     labels = np.frombuffer(payload[n_signal:], dtype="<u4").astype(np.int64)
-    return Dataset(signals.reshape(count, length), labels, meta)
+    signals = signals.reshape(count, length)
+    _check_finite(signals, p)
+    return Dataset(signals, labels, meta)

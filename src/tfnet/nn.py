@@ -12,9 +12,21 @@ time-frequency front layer, whose kernel bank is a kernel family and a
 its ``backward`` reads, and the backward consumes it, so a layer's state is
 released as soon as its backward returns and a second backward without a
 new forward raises.  ``training=False`` is inference: no layer keeps
-anything, and ``backward`` after it raises.  With ``overwrite=True`` an
-inference forward may write its output into ``x``; ``Model.forward`` and
-``Residual`` pass it only for arrays nothing else reads.
+anything, and ``backward`` after it raises.  With ``overwrite=True`` a
+forward, training or inference, may write into ``x`` (``BatchNorm1d`` its
+normalized input, ``ReLU`` its output); ``Model.forward`` and ``Residual``
+pass it only for arrays nothing else reads.  A backward may write into the
+gradient it receives (``ReLU`` does); ``Model.backward`` and ``Residual``
+hand on only gradients they do not read again.
+
+Every pass that is independent per sample runs as two contiguous halves
+through ``core_math.run_halves``, the second on a helper thread where
+``cpu_pair()`` names two CPUs: ``Conv1d``'s forward GEMMs, weight gradient
+and input gradient (by sample group), ``BatchNorm1d``'s elementwise passes
+(its channel reductions stay whole-batch on the caller), ``ReLU`` and
+TFconv's correlation and adjoint.  Sums over the batch add in batch order
+across the halves, so every output and gradient has the bits of the serial
+pass.
 
 A model's input is a (batch, length) signal batch and its output is
 (batch, classes) logits.  Inside, the convolutional stack runs
@@ -45,7 +57,8 @@ import copy
 
 import numpy as np
 
-from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
+from tfnet.core_math import (batch_conv_full_slice, batch_correlate_same, ordered_sum, run_halves,
+                             same_pad_widths)
 from tfnet.kernels import (KernelFamily, check_theta, clamp_params, default_grid,
                            evaluate_kernels, init_params, kernel_param_grad)
 from tfnet.seeding import derive_rng
@@ -68,9 +81,10 @@ class Layer:
     forward came since the last backward.  A backward may write into the
     arrays it took, and drops them when it returns.
 
-    An inference forward called with ``overwrite=True`` may overwrite its
-    input ``x`` with its output (``BatchNorm1d`` and ``ReLU`` do); pass it
-    only for an array no caller reads again.  The default never writes ``x``.
+    A forward called with ``overwrite=True`` may write into its input ``x``
+    (``BatchNorm1d`` and ``ReLU`` do), in training and at inference; pass it
+    only for an array no caller reads again.  The default never writes
+    ``x``.  A backward may write into the ``grad`` it receives.
     """
 
     name = ""
@@ -114,19 +128,18 @@ def _sample_groups(n_samples, work_per_sample):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _column_groups(x, taps, out_channels):
-    """(lo, hi, cols) for each sample group of the (B, L, C) array ``x``.
+def _column_groups(x, taps, groups):
+    """(lo, hi, cols) for each (lo, hi) sample group of the (B, L, C) array ``x``.
 
     ``cols`` is the ((hi - lo) * L_out, taps * C) im2col matrix (Chellapilla
     et al., 2006) of samples lo..hi-1, copied into one buffer that every
-    group reuses; the groups are ``_sample_groups`` of a GEMM with
-    ``out_channels`` columns.
+    group of this call reuses.
     """
     B, L, C = x.shape
     L_out = L - taps + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (taps, C), axis=(1, 2))[:, :, 0]
-    groups = _sample_groups(B, L_out * taps * C * out_channels)
-    buffer = np.empty((max(hi - lo for lo, hi in groups) * L_out, taps * C), dtype=x.dtype)
+    buffer = np.empty((max((hi - lo for lo, hi in groups), default=0) * L_out, taps * C),
+                      dtype=x.dtype)
     for lo, hi in groups:
         cols = buffer[: (hi - lo) * L_out]
         cols.reshape(hi - lo, L_out, taps, C)[...] = win[lo:hi]
@@ -137,16 +150,17 @@ class Conv1d(Layer):
     """Stride-1 cross-correlation, valid padding by default.
 
     The forward copies one group of samples' im2col rows into one reused
-    buffer (``_column_groups``) and runs one GEMM per group, in training and
-    inference alike, so no full-batch matrix is built.  A training forward
-    keeps only its (padded) input.  The weight gradient rebuilds the same
-    groups' rows from that input, a strided copy recomputed instead of a
-    matrix stored from forward to backward (Chen et al., 2016), and adds
-    each group's GEMM into one (out, taps*in) sum in batch order.  The
-    input gradient is the per-tap col2im run over ``_sample_groups(B,
-    L_out*in*out)``, one GEMM per group and tap, and is exactly that
-    formula whenever one group covers the batch.  Splitting a GEMM by rows
-    changes no dot product as long as every piece stays above
+    buffer per half (``_column_groups``) and runs one GEMM per group, in
+    training and inference alike, so no full-batch matrix is built.  A
+    training forward keeps only its (padded) input.  The weight gradient
+    rebuilds the same groups' rows from that input, a strided copy
+    recomputed instead of a matrix stored from forward to backward (Chen et
+    al., 2016), and adds each group's GEMM into one (out, taps*in) sum in
+    batch order (``ordered_sum``).  The input gradient is the per-tap col2im
+    run over ``_sample_groups(B, L_out*in*out)``, one GEMM per group and
+    tap, and is exactly that formula whenever one group covers the batch.
+    All three split their groups over ``run_halves``.  Splitting a GEMM by
+    rows changes no dot product as long as every piece stays above
     ``_SMALL_GEMM``, so the forward and the input gradient keep the
     full-batch GEMM's bits; the weight gradient sums the batch in a
     different order, which moves its last bits.  Activations are (batch,
@@ -191,9 +205,15 @@ class Conv1d(Layer):
             raise ValueError(f"input length {L} shorter than kernel {K}")
         w2 = self._w2()
         out = np.empty((B * L_out, O), dtype=np.result_type(x, w2))
-        for lo, hi, cols in _column_groups(x, K, O):
-            np.matmul(cols, w2, out=out[lo * L_out : hi * L_out])
-        out += self.bias
+        groups = _sample_groups(B, L_out * K * C * O)
+
+        def gemms(part):
+            for lo, hi, cols in _column_groups(x, K, groups[part]):
+                rows = out[lo * L_out : hi * L_out]
+                np.matmul(cols, w2, out=rows)
+                rows += self.bias
+
+        run_halves(gemms, len(groups))
         self._cache = x if training else None
         return out.reshape(B, L_out, O)
 
@@ -202,10 +222,16 @@ class Conv1d(Layer):
         x = self._saved()
         K, O = self.kernel_size, self.out_channels
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
-        L_out = grad.shape[1]
+        B, L_out = grad.shape[:2]
         self.bgrad[...] = g2.sum(axis=0)
-        total = sum(g2[lo * L_out : hi * L_out].T @ cols
-                    for lo, hi, cols in _column_groups(x, K, O))
+        groups = _sample_groups(B, L_out * K * self.in_channels * O)
+
+        def products(part):
+            for lo, hi, cols in _column_groups(x, K, groups[part]):
+                yield g2[lo * L_out : hi * L_out].T @ cols
+
+        total = ordered_sum(np.zeros((O, K * self.in_channels), np.result_type(g2, x)),
+                            products, len(groups))
         self.wgrad[...] = total.reshape(O, K, self.in_channels).transpose(0, 2, 1)
         return x.shape
 
@@ -216,13 +242,19 @@ class Conv1d(Layer):
         gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
         w_taps = np.ascontiguousarray(self.weight.transpose(2, 0, 1))  # (K, O, C)
         groups = _sample_groups(B, L_out * C * O)
-        product = np.empty((max(hi - lo for lo, hi in groups) * L_out, C), dtype=gx.dtype)
-        for lo, hi in groups:
-            g = grad[lo:hi].reshape(-1, O)
-            rows = product[: len(g)]
-            for m in range(K):
-                np.matmul(g, w_taps[m], out=rows)
-                gx[lo:hi, m : m + L_out] += rows.reshape(hi - lo, L_out, C)
+
+        def col2im(part):
+            mine = groups[part]
+            product = np.empty((max((hi - lo for lo, hi in mine), default=0) * L_out, C),
+                               dtype=gx.dtype)
+            for lo, hi in mine:
+                g = grad[lo:hi].reshape(-1, O)
+                rows = product[: len(g)]
+                for m in range(K):
+                    np.matmul(g, w_taps[m], out=rows)
+                    gx[lo:hi, m : m + L_out] += rows.reshape(hi - lo, L_out, C)
+
+        run_halves(col2im, len(groups))
         if self.padding == "same":
             left, right = same_pad_widths(K)
             gx = gx[:, left : L_pad - right, :]
@@ -261,11 +293,17 @@ class BatchNorm1d(Layer):
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
             istd = 1.0 / np.sqrt(var + self.eps)
-            xhat = np.subtract(x, mean)
-            xhat *= istd
+            xhat = x if overwrite else np.empty(x.shape, np.result_type(x, mean))
+            out = np.empty(x.shape, np.result_type(self.gamma, xhat))
+
+            def normalize(part):
+                np.subtract(x[part], mean, out=xhat[part])
+                xhat[part] *= istd
+                np.multiply(self.gamma, xhat[part], out=out[part])
+                out[part] += self.beta
+
+            run_halves(normalize, B)
             self._cache = (xhat, istd, M)
-            out = np.multiply(self.gamma, xhat)
-            out += self.beta
             return out
         self._cache = None
         istd = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -280,20 +318,43 @@ class BatchNorm1d(Layer):
         sgx = np.einsum("blc,blc->c", grad, xhat)
         self.ggrad[...] = sgx
         self.bgrad[...] = sg
-        gx = np.multiply(xhat, sgx / -M, out=xhat)  # the forward's state is not read again
-        gx += grad
-        gx -= sg / M
-        gx *= self.gamma * istd
-        return gx
+        slope, shift, scale = sgx / -M, sg / M, self.gamma * istd
+
+        def chain(part):
+            gx = xhat[part]  # the forward's state is not read again
+            gx *= slope
+            gx += grad[part]
+            gx -= shift
+            gx *= scale
+
+        run_halves(chain, len(xhat))
+        return xhat
 
 
 class ReLU(Layer):
+    """max(x, 0); a training forward keeps the mask x > 0, which its backward multiplies in."""
+
     def forward(self, x, training=False, overwrite=False):
-        self._cache = x > 0.0 if training else None
-        return np.maximum(x, 0.0, out=x if overwrite and not training else None)
+        mask = np.empty(x.shape, bool) if training else None
+        out = x if overwrite else np.empty_like(x)
+
+        def rectify(part):
+            if mask is not None:
+                np.greater(x[part], 0.0, out=mask[part])
+            np.maximum(x[part], 0.0, out=out[part])
+
+        run_halves(rectify, len(x))
+        self._cache = mask
+        return out
 
     def backward(self, grad):
-        return grad * self._saved()
+        mask = self._saved()
+
+        def gate(part):
+            grad[part] *= mask[part]
+
+        run_halves(gate, len(grad))
+        return grad
 
 
 class MaxPool(Layer):
@@ -408,10 +469,11 @@ class Residual(Layer):
         return out + x
 
     def backward(self, grad):
-        g = grad
+        g = grad.copy()  # the branch may write into its gradient; the skip reads ``grad``
         for layer in reversed(self.sublayers):
             g = layer.backward(g)
-        return g + grad
+        g += grad
+        return g
 
 
 EPS_MODULUS = 1e-12  # keeps the TFconv modulus differentiable at zero
@@ -516,9 +578,9 @@ class Model:
     layer with the channels-last array the walker holds; the front layer's
     output is transposed before the hook sees it, as (batch, length, channels).
 
-    ``forward`` never writes ``x``, but at inference a later layer may
-    overwrite the array the layer before it returned, so a hook that keeps
-    an array must copy it.
+    ``forward`` never writes ``x``, but a later layer may overwrite the
+    array the layer before it returned, in training and at inference, so a
+    hook that keeps an array must copy it.
     """
 
     def __init__(self, layers, mode, backbone):
@@ -577,8 +639,8 @@ class Model:
             # any array but the caller's (or a view of it) is the walker's to overwrite
             out = layer.forward(out, training=training,
                                 overwrite=not np.may_share_memory(out, x))
-            if layer is front:
-                out = np.ascontiguousarray(out.transpose(0, 2, 1))
+            if layer is front:  # a copy even for one channel: a training front keeps its output
+                out = out.transpose(0, 2, 1).copy()
             if hook is not None:
                 hook(layer, out)
         return out
@@ -591,7 +653,7 @@ class Model:
         reads a gradient with respect to the model's input, so none is
         computed.
         """
-        g = np.asarray(grad)
+        g = np.array(grad)  # a layer may write into its gradient, never into the caller's
         first, *rest = self.layers
         for layer in reversed(rest):
             g = layer.backward(g)

@@ -4,57 +4,16 @@ Signals are standardized per sample (zero mean, unit variance) on entry to
 both training and evaluation, so the model never sees raw amplitudes.
 """
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from tfnet.core_math import run_halves
 from tfnet.nn import Model, check_labels, fold_batchnorm, softmax_cross_entropy
 from tfnet.seeding import derive_rng
 
 STD_GUARD = 1e-8  # keeps flat signals finite after standardization
 EVAL_BATCH = 128  # most samples per piece in ``evaluate``; at most two pieces run at once
-# runs the odd pieces while the caller runs the even ones; a two-thread pool with
-# the caller idle peaked ~36 MiB higher on the train-tfconv benchmark workload
-_HELPER = ThreadPoolExecutor(1, thread_name_prefix="tfnet-evaluate")
-
-
-@functools.cache
-def _blas_thread_getter():
-    """numpy's BLAS thread-count function, or None where that BLAS cannot be asked."""
-    try:  # numpy's BLAS symbols resolve through the extension module that links it
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-             "openblas_get_num_threads")
-    getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if getter is not None:
-        getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter
-
-
-def cpu_pair():
-    """Two CPUs for a second thread of tfnet work, or None where one does not pay.
-
-    ``evaluate`` runs half its pieces there, and ``cli.cmd_ablate`` two cells at
-    once.  It pays only where BLAS runs single-threaded, so two threads do not
-    fight its threads for the cores; only on the main thread, which keeps an
-    ``evaluate`` inside an ``ablate`` cell serial, as two cells on worker threads
-    already keep the cores busy; and only where this thread may run on two CPUs.
-    ``evaluate`` pins its two threads to them: left to the scheduler, a new helper
-    shared the caller's CPU for several calls, which then took as long as one alone.
-    """
-    blas_threads = _blas_thread_getter()
-    if (blas_threads is None or blas_threads() != 1 or not hasattr(os, "sched_setaffinity")
-            or threading.current_thread() is not threading.main_thread()):
-        return None
-    cpus = sorted(os.sched_getaffinity(0))
-    return (cpus[0], cpus[1]) if len(cpus) > 1 else None
 
 
 @dataclass
@@ -134,12 +93,12 @@ def evaluate(model: Model, signals, labels):
     The signals run through ``fold_batchnorm(model)``, built once per call,
     which saves each batch norm's two passes over its activations; a logit
     may move in its last bits.  ``model`` itself is not changed.  They run
-    as ceil(N / EVAL_BATCH) contiguous pieces of near-equal size, one by one
-    on this thread, or, where ``cpu_pair()`` names two CPUs, the even ones
-    here and the odd ones on ``_HELPER`` at the same time, this thread pinned
-    to the first CPU until the call returns and ``_HELPER`` to the second.
-    The pieces depend only on N, so the result does not depend on which
-    thread runs them; an error in a piece is raised as it is.
+    as ceil(N / EVAL_BATCH) contiguous pieces of near-equal size, split into
+    two halves by ``run_halves``: one by one on this thread, or, where
+    ``cpu_pair()`` names two CPUs, the first half here and the second on
+    the helper thread at the same time.  The pieces depend only on N, so the
+    result does not depend on which thread runs them; an error in a piece
+    is raised as it is.
     """
     signals = np.asarray(signals)
     labels = np.asarray(labels)
@@ -155,27 +114,9 @@ def evaluate(model: Model, signals, labels):
         return folded.forward(standardize(piece, dtype=model.dtype), training=False).argmax(axis=1)
 
     pieces = np.array_split(signals, -(-signals.shape[0] // EVAL_BATCH))
-    cpus = cpu_pair() if len(pieces) > 1 else None
-    if cpus is None:
-        predicted = [predict(piece) for piece in pieces]
-    else:
-        here, there = cpus
-
-        def on_helper(piece):
-            os.sched_setaffinity(0, {there})
-            return predict(piece)
-
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {here})
-        try:
-            odd = _HELPER.map(on_helper, pieces[1::2])
-            predicted = list(pieces)  # filled in piece order below
-            predicted[0::2] = [predict(piece) for piece in pieces[0::2]]
-            predicted[1::2] = list(odd)
-        finally:
-            os.sched_setaffinity(0, mask)
+    halves = run_halves(lambda part: [predict(piece) for piece in pieces[part]], len(pieces))
     confusion = np.zeros((n, n), dtype=np.int64)
-    np.add.at(confusion, (labels, np.concatenate(predicted)), 1)
+    np.add.at(confusion, (labels, np.concatenate(halves[0] + halves[1])), 1)
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return accuracy, confusion
 

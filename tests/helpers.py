@@ -1,5 +1,5 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs,
-signed-file edits, output-tree digests, CPUs to pin ``evaluate``'s threads to."""
+signed-file edits, output-tree digests, CPUs to pin the split's two threads to."""
 
 import copy
 import hashlib
@@ -18,10 +18,11 @@ from tfnet.core_math import same_pad_widths
 from tfnet.kernels import KernelFamily, default_grid, evaluate_kernels, kernel_param_grad
 from tfnet.nn import (EPS_MODULUS, AdaptiveAvgPool, BatchNorm1d, Conv1d, Dense, Flatten, MaxPool,
                       Model, ReLU, Residual, TFconvLayer, _sample_groups, softmax_cross_entropy)
+from tfnet.training import Adam
 
 
 def any_two_cpus():
-    """Two CPUs this thread may run on, for a forced ``training.cpu_pair``;
+    """Two CPUs this thread may run on, for a forced ``core_math.cpu_pair``;
     the same CPU twice where it may run on one only."""
     cpus = sorted(os.sched_getaffinity(0))
     return cpus[0], cpus[-1]
@@ -519,6 +520,36 @@ def forward_out_of_place(model: Model, x: np.ndarray) -> np.ndarray:
     finally:
         for layer in layers:
             vars(layer).pop("forward", None)
+
+
+def training_steps(model: Model, x: np.ndarray, y: np.ndarray, steps: int,
+                   out_of_place: bool = False) -> list[bytes]:
+    """The bytes of each step's loss, gradients and updated parameters over ``steps`` Adam steps.
+
+    Every step trains on the same (B, L) batch ``x`` with labels ``y``.  With
+    ``out_of_place`` each leaf layer's forward is passed ``overwrite=False``
+    and its backward a copy of its gradient, so no layer writes an array
+    another reads: the reference for the walker's writes into its own arrays.
+    """
+    layers = list(model.walk_layers()) if out_of_place else []
+    for layer in layers:
+        layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
+                         f(x, training=training))
+        layer.backward = lambda grad, f=layer.backward: f(grad.copy())
+    opt, record = Adam(model.parameters()), []
+    try:
+        for _ in range(steps):
+            loss, grad = softmax_cross_entropy(model.forward(x, training=True), y)
+            model.backward(grad)
+            opt.step(model.gradients(), 1e-3)
+            model.project_params()
+            record.append(np.float64(loss).tobytes() + b"".join(
+                a.tobytes() for a in model.gradients() + model.parameters()))
+    finally:
+        for layer in layers:
+            vars(layer).pop("forward", None)
+            vars(layer).pop("backward", None)
+    return record
 
 
 def maxpool_input_grad_where(choice: np.ndarray, grad: np.ndarray, length: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (any_two_cpus, corrupt_dataset, csv_rows, edit_header, signed_parts,
                      tree_digest)
-from tfnet import cli, training
+from tfnet import cli, core_math, training
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from tfnet.data import DATASET_FILE, load_dataset, save_dataset
@@ -220,18 +220,20 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "labels must lie in [0, 3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
     def test_non_finite_train_signal_is_a_dataset_error_that_writes_nothing(
-            self, tmp_path, data_dir, capsys):
+            self, tmp_path, data_dir, capsys, mode):
         copy = tmp_path / "ds"
         shutil.copytree(data_dir, copy)
         ds = load_dataset(copy / "train")
         ds.signals[3, 5] = np.nan
         save_dataset(ds, copy / "train")
         code = main(["train", "--out", str(tmp_path / "run"), "--seed", "0",
-                     "--set", f"dataset={copy}", *TRAIN_ARGS])
+                     "--set", f"dataset={copy}", "--set", f"mode={mode}", *TRAIN_ARGS])
         assert code == EXIT_CONFIG
+        bad = copy / "train" / DATASET_FILE
         assert capsys.readouterr().err == \
-            "config error: dataset: TFconv input contains non-finite values\n"
+            f"config error: dataset: {bad}: sample 3 holds a non-finite value\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
@@ -303,19 +305,19 @@ class TestEval:
                      "--set", f"dataset={data_dir}"])
         assert code == EXIT_CONFIG
 
-    def test_non_finite_signal_in_the_helpers_piece_is_a_dataset_error(
-            self, tmp_path, data_dir, trained_dir, capsys, monkeypatch):
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_signal_is_a_dataset_error_naming_the_sample(
+            self, tmp_path, data_dir, trained_dir, capsys, value):
         ds = load_dataset(data_dir / "test")
-        ds.signals[7, 3] = np.nan
+        ds.signals[7, 3] = value
         save_dataset(ds, tmp_path / "bad")
-        monkeypatch.setattr(training, "EVAL_BATCH", 5)  # sample 7 is in piece 1
-        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)  # which the helper runs
         code = main(["eval", "--out", str(tmp_path / "eval"),
                      "--set", f"checkpoint={trained_dir / 'model.tfn'}",
                      "--set", f"dataset={tmp_path / 'bad'}"])
         assert code == EXIT_CONFIG
+        bad = tmp_path / "bad" / DATASET_FILE
         assert capsys.readouterr().err == \
-            "config error: dataset: TFconv input contains non-finite values\n"
+            f"config error: dataset: {bad}: sample 7 holds a non-finite value\n"
         assert not (tmp_path / "eval").exists()
 
     def test_too_few_model_classes_rejected(self, tmp_path, data_dir, capsys):
@@ -526,7 +528,7 @@ def ablate_dir(tmp_path_factory, data_dir):
     """An ablate run with its cells one by one."""
     out = tmp_path_factory.mktemp("cli-ablate") / "ablate"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "cpu_pair", lambda: None)
+        patch.setattr(core_math, "cpu_pair", lambda: None)
         assert run_ablate(out, data_dir) == EXIT_OK
     return out
 
@@ -573,7 +575,7 @@ class TestAblate:
         assert len(lines) == 1 + 1 + 4 * 2 + 1  # backbone, 4 modes x 2 families, random-tfn
 
     def test_thread_pool_matches_serial(self, tmp_path, data_dir, ablate_dir, monkeypatch):
-        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)  # two cells at once
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)  # two cells at once
         threaded = tmp_path / "threaded"
         assert run_ablate(threaded, data_dir) == EXIT_OK
         # every cell's files as well as results.csv
@@ -594,13 +596,32 @@ class TestAblate:
             cell_threads.add(threading.current_thread())
             raise RuntimeError("cell stopped")
 
-        monkeypatch.setattr(training, "cpu_pair", lambda: pair)
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: pair)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(cli, "train", train)
         assert run_ablate(tmp_path / "x", data_dir) == EXIT_RUNTIME
         assert sizes == [workers]
         assert 1 <= len(cell_threads) <= workers
         assert threading.main_thread() not in cell_threads
+
+    def test_forced_rerun_removes_the_cells_its_grid_does_not_write(self, tmp_path, data_dir,
+                                                                     ablate_dir):
+        out = tmp_path / "ablate"
+        shutil.copytree(ablate_dir, out)
+        stale = out / "cells" / "tfn-add-sttf-s1"
+        (stale / "notes.txt").write_text("kept\n")  # not a file tfnet writes
+        code = main(["ablate", "--out", str(out), "--seed", "0", "--force",
+                     "--set", f"dataset={data_dir}", *ABLATE_ARGS])
+        assert code == EXIT_OK
+        cells = sorted(p.name for p in (out / "cells").iterdir())
+        assert [name for name in cells if name.endswith("-s1")] == ["tfn-add-sttf-s1"]
+        assert [p.name for p in stale.iterdir()] == ["notes.txt"]
+        assert len(cells) == 1 + len([n for n in tree_digest(ablate_dir) if n.endswith(
+            "-s0/metrics.json")])
+        for cell in cells:
+            if cell.endswith("-s0"):
+                assert tree_digest(out / "cells" / cell) == tree_digest(
+                    ablate_dir / "cells" / cell)
 
     def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, ablate_dir, monkeypatch,
                                               capsys):

@@ -1,12 +1,19 @@
-"""Numerical primitives against slow, obviously-correct oracles."""
+"""Numerical primitives against slow, obviously-correct oracles; the split over two CPUs."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cross_correlate_same, cross_correlate_valid
-from tfnet.core_math import batch_conv_full_slice, batch_correlate_same, same_pad_widths
+from helpers import any_two_cpus, cross_correlate_same, cross_correlate_valid
+from tfnet import core_math
+from tfnet.core_math import (batch_conv_full_slice, batch_correlate_same, ordered_sum, run_halves,
+                             same_pad_widths)
 
 
 def centred(K):
@@ -190,3 +197,173 @@ class TestBatchConvFullSlice:
             with pytest.raises(ValueError, match=r"spectrum shape .* != \(1, 15\)"):
                 batch_conv_full_slice(np.zeros((1, 2, 10)), np.zeros(spectrum_shape, complex),
                                       centred(5))
+
+
+def tfnet_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("tfnet")]
+
+
+class TestCpuPair:
+    @pytest.mark.parametrize("blas, cpus, main, pays", [
+        (1, {0, 1}, True, (0, 1)),
+        (1, {5, 3, 2}, True, (2, 3)),
+        (2, {0, 1}, True, None),  # BLAS threads would fight the helper for the cores
+        (None, {0, 1}, True, None),  # a BLAS that cannot be asked
+        (1, {1}, True, None),
+        (1, {0, 1}, False, None),  # a worker thread, as in ablate's cell pool
+    ])
+    def test_helper_runs_only_with_single_threaded_blas_on_the_main_thread(
+            self, monkeypatch, blas, cpus, main, pays):
+        monkeypatch.setattr(core_math, "_blas_thread_getter", lambda: blas and (lambda: blas))
+        monkeypatch.setattr(core_math.os, "sched_getaffinity", lambda pid: cpus)
+        got = []
+        if main:
+            got.append(core_math.cpu_pair())
+        else:
+            worker = threading.Thread(target=lambda: got.append(core_math.cpu_pair()))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert got == [pays]
+
+    def test_openblas_thread_count_is_read(self):
+        """numpy's own OpenBLAS is asked, so the gate is not shut for want of an answer."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is built with {blas}")
+        blas_threads = core_math._blas_thread_getter()
+        assert blas_threads is not None
+        assert blas_threads() >= 1
+
+
+class TestRunHalves:
+    def record(self):
+        calls = []
+
+        def fn(part):
+            calls.append((part, threading.current_thread(), os.sched_getaffinity(0)))
+            return part.stop - part.start
+
+        return calls, fn
+
+    @pytest.mark.parametrize("n, halves", [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (5, (3, 2))])
+    def test_serial_runs_both_halves_here_in_order(self, monkeypatch, n, halves):
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: None)
+        calls, fn = self.record()
+        assert run_halves(fn, n) == halves
+        h = halves[0]
+        assert [c[0] for c in calls] == [slice(0, h), slice(h, n)]
+        assert all(c[1] is threading.current_thread() for c in calls)
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_each_half_runs_pinned_to_its_cpu(self, monkeypatch, n):
+        cpus = any_two_cpus()
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: cpus)
+        calls, fn = self.record()
+        before = os.sched_getaffinity(0)
+        assert run_halves(fn, n) == (-(-n // 2), n // 2)
+        assert os.sched_getaffinity(0) == before
+        here, there = sorted(calls, key=lambda c: c[0].start)
+        assert here[:2] == (slice(0, -(-n // 2)), threading.current_thread())
+        assert there[0] == slice(-(-n // 2), n)
+        assert there[1].name.startswith("tfnet")
+        assert (here[2], there[2]) == ({cpus[0]}, {cpus[1]})
+
+    def test_one_item_runs_here_unpinned(self, monkeypatch):
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        calls, fn = self.record()
+        before = os.sched_getaffinity(0)
+        run_halves(fn, 1)
+        assert [c[1:] for c in calls] == [(threading.current_thread(), before)] * 2
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_an_error_is_raised_once_both_halves_return(self, monkeypatch, failing):
+        cpus = any_two_cpus()
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: cpus)
+        done = []
+
+        def fn(part):
+            half = "first" if part.start == 0 else "second"
+            if failing in (half, "both"):
+                raise ValueError(half)
+            time.sleep(0.05)  # the failing half returns well before this one
+            done.append(half)
+
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ValueError) as info:
+            run_halves(fn, 4)
+        assert str(info.value) == ("second" if failing == "second" else "first")
+        assert done == {"first": ["second"], "second": ["first"], "both": []}[failing]
+        assert os.sched_getaffinity(0) == before
+        assert run_halves(lambda part: part.start, 4) == (0, 2)  # the helper is free again
+
+    def test_a_split_inside_a_split_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)  # even on the helper thread
+        inner = []
+
+        def fn(part):
+            calls, record = self.record()
+            run_halves(record, 4)
+            inner.append({c[1] for c in calls} == {threading.current_thread()})
+            return part.start
+
+        assert run_halves(fn, 4) == (0, 2)
+        assert inner == [True, True]
+
+    def test_concurrent_callers_share_the_helper_one_split_at_a_time(self, monkeypatch):
+        """More callers than cores, switching often: every split returns its own halves, and
+        the helper never runs two halves at once."""
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)  # on every thread
+        lock, busy, most, results = threading.Lock(), [0], [0], []
+
+        def fn(part):
+            on_helper = threading.current_thread().name.startswith("tfnet")
+            if on_helper:
+                with lock:
+                    busy[0] += 1
+                    most[0] = max(most[0], busy[0])
+            total = sum(range(part.start, part.stop))
+            if on_helper:
+                with lock:
+                    busy[0] -= 1
+            return total
+
+        def caller(n):
+            results.extend(run_halves(fn, n) == (sum(range(-(-n // 2))), sum(range(-(-n // 2), n)))
+                           for _ in range(200))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in (2, 3, 8, 9)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 800
+        assert most[0] == 1
+
+    def test_one_helper_thread_at_most(self, monkeypatch):
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        for n in range(2, 12):
+            run_halves(lambda part: None, n)
+        assert len(tfnet_threads()) <= 1
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "serial"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_bits_of_the_left_to_right_sum(self, monkeypatch, pair, n):
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: any_two_cpus() if pair else None)
+        rng = np.random.default_rng(31)
+        # magnitudes far apart, so another order of the additions changes the last bits
+        terms = [rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-8, 8) for _ in range(n)]
+        want = 0
+        for term in terms:
+            want = want + term
+        got = ordered_sum(np.zeros((3, 4)), lambda part: iter(terms[part]), n)
+        assert got.tobytes() == want.tobytes()
+        assert np.sum(terms[::-1], axis=0).tobytes() != want.tobytes() or n < 3

@@ -16,6 +16,7 @@ from tfnet.data import (
     ClassSpec,
     Dataset,
     ImpulseTrain,
+    NonFiniteSignalError,
     SynthSpec,
     Tone,
     check_band,
@@ -283,6 +284,24 @@ def saved(dataset, directory):
     save_dataset(dataset, directory)
     path = directory / DATASET_FILE
     return path, path.read_bytes(), dataset.signals.nbytes
+
+
+class TestNonFiniteSignals:
+    def test_load_names_the_file_and_the_sample(self, tiny_dataset, tmp_path):
+        signals = tiny_dataset.signals.copy()
+        signals[[9, 4], [0, 17]] = [np.inf, np.nan]
+        save_dataset(Dataset(signals, tiny_dataset.labels, tiny_dataset.meta), tmp_path / "ds")
+        with pytest.raises(NonFiniteSignalError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value) == \
+            f"{tmp_path / 'ds' / DATASET_FILE}: sample 4 holds a non-finite value"
+
+    def test_generation_names_the_spec_and_the_sample(self):
+        classes = (ClassSpec("a", (Tone(0.05),)), ClassSpec("b", (Tone(0.05, np.inf),)))
+        spec = SynthSpec(classes=classes, samples_per_class=2, sample_length=64,
+                         information_bands=((0.04, 0.06),))
+        with pytest.raises(NonFiniteSignalError, match=r"^custom seed 3: sample 2 holds"):
+            synth_generate(spec, 3)
 
 
 class TestPersistence:

@@ -5,6 +5,7 @@ layers use internally; model tests go through the channels-first public
 boundary.
 """
 
+import copy
 import re
 import tracemalloc
 
@@ -18,7 +19,7 @@ from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_d
                      check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
                      conv1d_input_grad_per_tap, conv1d_weight_grad_in_groups,
                      forward_out_of_place, maxpool_input_grad_where,
-                     relative_error, softmax_cross_entropy_with_bound)
+                     relative_error, softmax_cross_entropy_with_bound, training_steps)
 from tfnet import nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
@@ -261,24 +262,49 @@ class TestConv1dKeepsItsInput:
         assert peak < columns / 2
 
 
-class TestInferenceOverwrites:
-    """Inference BN and ReLU write into arrays the walker owns, never into a caller's."""
+class TestOverwrites:
+    """BN and ReLU write into arrays the walker owns, in training and at inference, never into a
+    caller's."""
 
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     @pytest.mark.parametrize("make", [lambda: BatchNorm1d(3), ReLU], ids=["batchnorm1d", "relu"])
-    def test_overwrite_only_when_told_and_only_at_inference(self, make):
-        layer = make()
+    def test_overwrite_only_when_told(self, make, training):
         x = rng_(74).normal(size=(2, 8, 3))
-        for training, overwrite in ((True, True), (False, False)):
-            held = x.copy()
-            layer.forward(held, training=training, overwrite=overwrite)
-            np.testing.assert_array_equal(held, x)
-        want = layer.forward(x)
         held = x.copy()
-        out = layer.forward(held, overwrite=True)
-        assert out is held
+        want = make().forward(held, training=training)
+        np.testing.assert_array_equal(held, x)  # not told: x is kept
+        layer = make()
+        out = layer.forward(held, training=training, overwrite=True)
         np.testing.assert_array_equal(out, want)
+        if isinstance(layer, BatchNorm1d) and training:
+            assert not np.may_share_memory(out, held)
+            assert layer._cache[0] is held  # the normalized input its backward reads
+        else:
+            assert out is held
 
-    def test_walker_overwrites_only_its_own_arrays(self):
+    def test_relu_backward_writes_its_gradient(self):
+        layer = ReLU()
+        layer.forward(np.array([[[-1.0], [2.0]]]), training=True)
+        grad = np.array([[[3.0], [4.0]]])
+        assert layer.backward(grad) is grad
+        np.testing.assert_array_equal(grad, [[[0.0], [4.0]]])
+
+    def test_residual_hands_its_branch_a_gradient_of_its_own(self):
+        """A branch that ends in ReLU writes into the gradient it gets; the skip reads ``grad``."""
+        block = Residual([BatchNorm1d(2), ReLU()])
+        reference = copy.deepcopy(block)
+        for sub in reference.sublayers:
+            sub.backward = lambda grad, f=sub.backward: f(grad.copy())
+        x = rng_(78).normal(size=(3, 6, 2))
+        grad = rng_(79).normal(size=(3, 6, 2))
+        grad0 = grad.copy()
+        block.forward(x.copy(), training=True)
+        reference.forward(x.copy(), training=True)
+        np.testing.assert_array_equal(block.backward(grad), reference.backward(grad0.copy()))
+        np.testing.assert_array_equal(grad, grad0)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_walker_overwrites_only_its_own_arrays(self, training):
         # the first layer gets (a view of) the caller's array, the rest the walker's
         rng = rng_(77)
         layers = [ReLU(), BatchNorm1d(1), ReLU(), Flatten(), Dense(16, 3, rng)]
@@ -286,9 +312,22 @@ class TestInferenceOverwrites:
         model.layers[1].running_mean[:] = 0.25
         x = rng.normal(size=(2, 16))
         x0 = x.copy()
-        logits = model.forward(x)
+        if not training:
+            logits = model.forward(x)
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(logits, forward_out_of_place(model, x0))
+            return
+        reference = copy.deepcopy(model)
+        y = np.array([0, 2])
+        logits = model.forward(x, training=True)
         np.testing.assert_array_equal(x, x0)
-        np.testing.assert_array_equal(logits, forward_out_of_place(model, x0))
+        _, grad = softmax_cross_entropy(logits, y)
+        grad0 = grad.copy()
+        model.backward(grad)
+        np.testing.assert_array_equal(grad, grad0)
+        assert training_steps(model, x0, y, 2) == training_steps(reference, x0, y, 2,
+                                                                  out_of_place=True)
+        np.testing.assert_array_equal(x, x0)
 
     @pytest.mark.parametrize("mode, backbone, dtype", [
         ("backbone-only", "paper-cnn", np.float64),

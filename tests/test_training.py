@@ -7,10 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import any_two_cpus
+from helpers import any_two_cpus, training_steps
 from tfnet.checkpoint import save_model
 from tfnet.kernels import KernelFamily, check_theta, init_params
-from tfnet import training
+from tfnet import core_math, nn, training
 from tfnet.nn import (AdaptiveAvgPool, Conv1d, Dense, Flatten, Model, ReLU, TFconvLayer,
                       assemble_model, fold_batchnorm)
 from tfnet.training import Adam, TrainConfig, evaluate, standardize, train
@@ -291,6 +291,49 @@ class TestTrainLoop:
                   config=TrainConfig(epochs=1))
 
 
+class TestSplitTraining:
+    """A training step split over two pinned threads has the serial step's bits."""
+
+    @pytest.mark.parametrize("groups", ["default", "one-sample"])
+    @pytest.mark.parametrize("mode, backbone, dtype, batch", [
+        ("tfn-add", "paper-cnn", np.float64, 4),
+        ("tfn-add", "resnet-1d", np.float64, 3),  # Residual, same padding
+        ("tfn-replace", "lenet-1d", np.float32, 4),
+        ("wkn-add", "lenet-1d", np.float64, 2),  # no modulus
+        ("random-tfn", "lenet-1d", np.float64, 3),
+        ("backbone-only", "paper-cnn", np.float64, 5),  # odd group counts
+    ])
+    def test_split_and_serial_steps_are_bit_equal(self, monkeypatch, mode, backbone, dtype, batch,
+                                                  groups):
+        if groups == "one-sample":  # a group per sample: every split runs, odd batches unevenly
+            monkeypatch.setattr(core_math, "_GROUP_BYTES", 0)
+            monkeypatch.setattr(nn, "_SMALL_GEMM", 0)
+        x = np.random.default_rng(61).normal(size=(batch, 256)).astype(dtype)
+        y = np.arange(batch) % 3
+        runs = {}
+        for name, pair in (("reference", None), ("serial", None), ("split", any_two_cpus())):
+            monkeypatch.setattr(core_math, "cpu_pair", lambda pair=pair: pair)
+            model = assemble_model(mode, backbone, n_classes=3, n_channels=3, seed=7, dtype=dtype)
+            runs[name] = training_steps(model, x, y, 3, out_of_place=name == "reference")
+        assert runs["serial"] == runs["reference"]
+        assert runs["split"] == runs["reference"]
+
+    def test_one_front_channel_is_not_overwritten(self):
+        """A one-channel TFconv output transposes to a view; the norm after it must not write it."""
+        x = np.random.default_rng(62).normal(size=(4, 128))
+        y = np.arange(4) % 3
+        runs = [training_steps(assemble_model("tfn-replace", "paper-cnn", n_classes=3,
+                                              n_channels=1, seed=3), x, y, 2, out_of_place=flag)
+                for flag in (False, True)]
+        assert runs[0] == runs[1]
+
+    def test_training_keeps_one_helper_thread(self, monkeypatch):
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        x, y = tone_problem(n_per_class=4)
+        train(micro_tfn(), x, y, x, y, config=TrainConfig(epochs=2, batch_size=6))
+        assert len([t for t in threading.enumerate() if t.name.startswith("tfnet")]) <= 1
+
+
 class TestEvaluate:
     def test_confusion_matrix_layout(self):
         x, y = tone_problem(n_per_class=6)
@@ -315,7 +358,7 @@ class TestEvaluate:
         (1, [1] * 15),
     ])
     def test_batching_does_not_change_result(self, monkeypatch, build, batch, sizes, pays):
-        """The pieces split the 15 samples by N alone; the helper runs the odd ones if it pays."""
+        """The pieces split the 15 samples by N alone; the helper runs the later half if it pays."""
         x, y = tone_problem(n_per_class=5)
         model = build(seed=13)
         want = np.zeros((3, 3), dtype=np.int64)
@@ -331,15 +374,15 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "standardize", recording)
         monkeypatch.setattr(training, "EVAL_BATCH", batch)
-        monkeypatch.setattr(training, "cpu_pair", lambda: any_two_cpus() if pays else None)
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: any_two_cpus() if pays else None)
         acc, confusion = evaluate(model, x, y)
         np.testing.assert_array_equal(confusion, want)
         assert acc == np.trace(want) / len(y)
         assert [pieces[k][0] for k in range(len(sizes))] == sizes
-        assert [pieces[k][1] for k in range(len(sizes))] == [not (pays and k % 2)
-                                                           for k in range(len(sizes))]
+        here = -(-len(sizes) // 2) if pays else len(sizes)  # pieces run on this thread
+        assert [pieces[k][1] for k in range(len(sizes))] == [k < here for k in range(len(sizes))]
 
-    @pytest.mark.parametrize("row, here", [(2, True), (7, False)], ids=["piece-0", "piece-1"])
+    @pytest.mark.parametrize("row, here", [(2, True), (12, False)], ids=["piece-0", "piece-1"])
     def test_a_piece_error_surfaces_unchanged(self, monkeypatch, row, here):
         """A non-finite signal fails the same way in this thread's piece and in the helper's."""
         x, y = tone_problem(n_per_class=5)
@@ -352,35 +395,13 @@ class TestEvaluate:
             return standardize(piece, dtype)
 
         monkeypatch.setattr(training, "standardize", recording)
-        monkeypatch.setattr(training, "EVAL_BATCH", 5)  # pieces 0-4, 5-9, 10-14
-        monkeypatch.setattr(training, "cpu_pair", any_two_cpus)
+        monkeypatch.setattr(training, "EVAL_BATCH", 10)  # pieces 0-7 and 8-14
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
         with pytest.raises(ValueError) as info:
             evaluate(micro_tfn(), x, y)
         assert type(info.value) is ValueError
         assert str(info.value) == "TFconv input contains non-finite values"
         assert failed_here == [here]
-
-    @pytest.mark.parametrize("blas, cpus, main, pays", [
-        (1, {0, 1}, True, (0, 1)),
-        (1, {5, 3, 2}, True, (2, 3)),
-        (2, {0, 1}, True, None),  # BLAS threads would fight the helper for the cores
-        (None, {0, 1}, True, None),  # a BLAS that cannot be asked
-        (1, {1}, True, None),
-        (1, {0, 1}, False, None),  # a worker thread, as in ablate's cell pool
-    ])
-    def test_helper_runs_only_with_single_threaded_blas_on_the_main_thread(
-            self, monkeypatch, blas, cpus, main, pays):
-        monkeypatch.setattr(training, "_blas_thread_getter", lambda: blas and (lambda: blas))
-        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: cpus)
-        got = []
-        if main:
-            got.append(training.cpu_pair())
-        else:
-            worker = threading.Thread(target=lambda: got.append(training.cpu_pair()))
-            worker.start()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-        assert got == [pays]
 
     def test_each_thread_runs_pinned_to_its_cpu(self, monkeypatch):
         """The caller's pieces run on the first CPU and the helper's on the second;
@@ -398,7 +419,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "standardize", recording)
         monkeypatch.setattr(training, "EVAL_BATCH", 5)
-        monkeypatch.setattr(training, "cpu_pair", lambda: cpus)
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: cpus)
         before = os.sched_getaffinity(0)
         evaluate(micro_backbone(seed=13), x, y)
         assert masks == {True: {cpus[0]}, False: {cpus[1]}}
@@ -409,20 +430,11 @@ class TestEvaluate:
         x, y = tone_problem(n_per_class=5)
         x[2, 3] = np.nan  # piece 0, the caller's
         monkeypatch.setattr(training, "EVAL_BATCH", 5)
-        monkeypatch.setattr(training, "cpu_pair", lambda: cpus)
+        monkeypatch.setattr(core_math, "cpu_pair", lambda: cpus)
         before = os.sched_getaffinity(0)
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(micro_tfn(), x, y)
         assert os.sched_getaffinity(0) == before
-
-    def test_openblas_thread_count_is_read(self):
-        """numpy's own OpenBLAS is asked, so the gate is not shut for want of an answer."""
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        if "openblas" not in blas:
-            pytest.skip(f"numpy is built with {blas}")
-        blas_threads = training._blas_thread_getter()
-        assert blas_threads is not None
-        assert blas_threads() >= 1
 
     def test_folds_once_per_call(self, monkeypatch):
         x, y = tone_problem(n_per_class=5)
