@@ -4,7 +4,8 @@ Commands read a flat ``key = value`` config file; individual keys can be
 overridden with ``--set key=value`` and the common flags.  Every command
 echoes its fully resolved configuration into ``config.echo`` in the output
 directory so a run can be reproduced from its artifacts alone.  Outputs
-carry no timestamps; identical config and seed give byte-identical files.
+carry no timestamps; identical config and seed give byte-identical files,
+whatever ``OPENBLAS_NUM_THREADS`` says (``core_math`` sets one BLAS thread).
 
 Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
 ``dataset.tfd`` each) and ``manifest.json``; ``train`` writes
@@ -29,7 +30,8 @@ Every CSV goes through ``_write_csv`` (a header line, then floats as
 ``repr(float(v))``, an exact round trip) and every JSON file through
 ``_write_json`` (indent 2, sorted keys, a final newline).
 
-Exit codes: 0 success, 2 configuration error, 1 runtime failure.
+Exit codes: 0 success, 2 configuration error, 1 runtime failure, such as
+training whose gradients or parameters go non-finite.
 """
 
 import argparse

@@ -14,6 +14,11 @@ two CPUs, the caller runs both halves, first half first.  ``ordered_sum``
 adds per-group terms in batch order across the split, so a split changes no
 bit of any result.
 
+Importing this module, as every tfnet module that runs a model does, sets
+numpy's OpenBLAS to one thread for the whole process: tfnet's two threads
+are its only parallelism, and no result depends on ``OPENBLAS_NUM_THREADS``,
+whose thread count moved OpenBLAS's GEMM sums and every trained model's bits.
+
 A kernel's integer ``grid`` of tap indices sets its alignment: output l
 reads x[l + grid[k]] through tap k, the signal zero outside [0, L).  So the
 signal is padded with -grid[0] zeros on the left and grid[-1] on the right;
@@ -27,7 +32,6 @@ the signal batch's (B, n) spectrum too; the adjoint takes it instead of x.
 """
 
 import ctypes
-import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -41,19 +45,22 @@ _HELPER = ThreadPoolExecutor(1, thread_name_prefix="tfnet-helper")
 _HELPER_HELD = threading.Lock()
 
 
-@functools.cache
-def _blas_thread_getter():
-    """numpy's BLAS thread-count function, or None where that BLAS cannot be asked."""
+def _one_blas_thread():
+    """Set numpy's OpenBLAS to one thread; whether a setter was found."""
     try:  # numpy's BLAS symbols resolve through the extension module that links it
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
-        return None
-    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-             "openblas_get_num_threads")
-    getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if getter is not None:
-        getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter
+        return False
+    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+             "openblas_set_num_threads")
+    setter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return setter is not None
+
+
+_BLAS_ONE_THREAD = _one_blas_thread()
 
 
 def cpu_pair():
@@ -63,16 +70,12 @@ def cpu_pair():
     training step (``Conv1d``, ``BatchNorm1d``'s elementwise passes, ``ReLU``,
     TFconv's correlation and its adjoint) and ``training.evaluate``'s pieces.
     ``cli.cmd_ablate`` runs two cells at once where it names two CPUs.  It
-    pays only where BLAS runs single-threaded, so two threads do not fight
-    its threads for the cores; only on the main thread, which keeps the
-    training inside an ``ablate`` cell serial, as two cells on worker threads
-    already keep the cores busy; and only where this thread may run on two
-    CPUs.  The two threads run pinned: left to the scheduler, a new helper
-    shared the caller's CPU for several calls, which then took as long as
-    one alone.
+    names none where BLAS keeps its own threads, off the main thread (an
+    ``ablate`` cell trains serially, as two cells keep the cores busy) or on
+    one CPU.  The two threads run pinned: an unpinned helper shared the
+    caller's CPU for several calls, which then took as long as one alone.
     """
-    blas_threads = _blas_thread_getter()
-    if (blas_threads is None or blas_threads() != 1 or not hasattr(os, "sched_setaffinity")
+    if (not _BLAS_ONE_THREAD or not hasattr(os, "sched_setaffinity")
             or threading.current_thread() is not threading.main_thread()):
         return None
     cpus = sorted(os.sched_getaffinity(0))

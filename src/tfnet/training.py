@@ -121,6 +121,20 @@ def evaluate(model: Model, signals, labels):
     return accuracy, confusion
 
 
+def _check_finite(model: Model, which: int, epoch: int, step: int):
+    """Raise ``FloatingPointError`` naming the first layer with a non-finite array.
+
+    ``which`` picks the parameter (0) or the gradient (1) of every ``state``
+    pair that has a gradient, in ``walk_layers`` order.
+    """
+    bad = next((layer.name for layer in model.walk_layers() for pair in layer.state
+                if pair[1] and not np.isfinite(getattr(layer, pair[which])).all()), None)
+    if bad is not None:
+        raise FloatingPointError(f"training diverged: a non-finite "
+                                 f"{('parameter', 'gradient')[which]} at epoch={epoch}, "
+                                 f"step={step}, layer={bad}")
+
+
 def train(model: Model, train_signals, train_labels, test_signals=None, test_labels=None,
           config: TrainConfig | None = None) -> TrainHistory:
     """Mini-batch training on (N, L) signals with shuffling, projection and per-epoch metrics.
@@ -128,7 +142,11 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     Only full batches run, so every step sees identical batch statistics
     (shuffling still cycles all samples across epochs); a dataset smaller
     than one batch trains as a single batch.  Test accuracy is recorded per
-    epoch when a test set is given.
+    epoch when a test set is given.  A step with a non-finite gradient
+    raises ``FloatingPointError`` before the parameters move, as do
+    parameters the last step left non-finite; the message names the epoch,
+    the step (both from 1) and the layer.  The loss is not checked by
+    itself: from non-finite logits it comes with a non-finite gradient.
     """
     cfg = config or TrainConfig()
     dtype = np.dtype(cfg.dtype)
@@ -158,7 +176,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     xs = standardize(x, dtype=dtype)
     bs = min(cfg.batch_size, n)
     n_batches = n // bs
-    for _epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
@@ -169,6 +187,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
             logits = model.forward(xb, training=True)
             loss, gl = softmax_cross_entropy(logits, yb)
             model.backward(gl)
+            _check_finite(model, 1, epoch, b + 1)
             opt.step(model.gradients(), lr)
             model.project_params()
             loss_sum += loss * idx.size
@@ -181,4 +200,5 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
         if tf_layer is not None:
             history.theta_snapshots.append(tf_layer.theta.copy())
         lr *= cfg.lr_decay
+    _check_finite(model, 0, cfg.epochs, n_batches)  # the last step's update
     return history

@@ -1,7 +1,9 @@
 """Shared test utilities: direct-path oracles, finite differences, gradient checks, CLI runs,
-signed-file edits, output-tree digests, CPUs to pin the split's two threads to."""
+signed-file edits, output-tree digests, CPUs to pin the split's two threads to, numpy's
+BLAS thread count."""
 
 import copy
+import ctypes
 import hashlib
 import json
 import os
@@ -26,6 +28,21 @@ def any_two_cpus():
     the same CPU twice where it may run on one only."""
     cpus = sorted(os.sched_getaffinity(0))
     return cpus[0], cpus[-1]
+
+
+def blas_threads():
+    """The thread count numpy's OpenBLAS reports, or None where numpy links no OpenBLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+             "openblas_get_num_threads")
+    getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
 
 
 def _as_1d(x, name: str) -> np.ndarray:

@@ -1,8 +1,13 @@
 """End-to-end command-line workflows on small synthetic datasets."""
 
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +249,18 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "initial_lr must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x" / "metrics.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_divergent_training_is_a_runtime_failure_that_writes_nothing(
+            self, tmp_path, data_dir, capsys, dtype):
+        code = main(["train", "--out", str(tmp_path / "run"), "--seed", "0",
+                     "--set", f"dataset={data_dir}", "--set", "mode=backbone-only", *TRAIN_ARGS,
+                     "--set", f"dtype={dtype}", "--set", "lr=1e200"])
+        assert code == EXIT_RUNTIME
+        assert re.fullmatch(r"error: training diverged: .* at epoch=\d+, step=\d+, layer=\S+\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("setting", ["epochs=0", "lr_decay=1.5"])
     def test_out_of_range_training_setting_rejected(self, tmp_path, data_dir, capsys, setting):
@@ -641,6 +658,14 @@ class TestAblate:
         assert len(want) == 1 + 5
         assert (failed / "results.csv").read_text().splitlines() == want
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+    def test_divergent_cell_fails_naming_its_label(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "x"
+        assert run_ablate(out, data_dir, ("--set", "lr=1e200")) == EXIT_RUNTIME
+        assert re.match(r"error: ablation cell backbone-only-none-s0 failed \(training diverged: "
+                        r".* at epoch=1, step=\d+, layer=\S+\)", capsys.readouterr().err)
+        assert list((out / "cells").iterdir()) == []
+
     def test_plain_directory_is_rejected_before_any_cell(self, tmp_path):
         (tmp_path / "junk").mkdir()
         out = tmp_path / "x"
@@ -897,3 +922,43 @@ def test_config_echo_replay_echoes_the_same(tmp_path, data_dir, trained_dir, com
     replay = tmp_path / "replay"
     assert main([command, "--config", str(run / "config.echo"), "--out", str(replay)]) == EXIT_OK
     assert (replay / "config.echo").read_bytes() == (run / "config.echo").read_bytes()
+
+
+# gen-data, a float64 paper-cnn train, a float32 lenet-1d train and a one-family, one-seed
+# ablate grid, at a size where the float64 weight-gradient GEMMs get other bits at 1 and 2
+# OpenBLAS threads, so the files differ if the setting reaches numpy's BLAS
+BLAS_SEQUENCE = """
+import sys
+from tfnet.cli import main
+common = ["--set", "dataset=data", "--set", "epochs=1", "--set", "batch_size=8",
+          "--set", "channels=2"]
+for argv in (["gen-data", "--out", "data", "--seed", "0", "--set", "samples_per_class=6"],
+             ["train", "--out", "f64", "--seed", "0", *common],
+             ["train", "--out", "f32", "--seed", "0", *common, "--set", "dtype=float32",
+              "--set", "backbone=lenet-1d"],
+             ["ablate", "--out", "ablate", "--seed", "0", *common]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_setting(tmp_path):
+    """The same runs, in processes at ``OPENBLAS_NUM_THREADS`` 1, 2 and unset, write equal bytes."""
+    src = str(Path(cli.__file__).parents[1])
+    runs = {}
+    for setting in ("1", "2", None):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        cwd = tmp_path / f"blas-{setting or 'unset'}"
+        cwd.mkdir()
+        runs[cwd] = subprocess.Popen([sys.executable, "-c", BLAS_SEQUENCE], cwd=cwd, env=env,
+                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for cwd, child in runs.items():
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, f"{cwd.name}: {err}"
+    first, *others = [tree_digest(cwd) for cwd in runs]
+    assert {"f64/model.tfn", "f32/model.tfn", "ablate/results.csv"} <= first.keys()
+    assert len([name for name in first if name.endswith("model.tfn")]) == 2 + 6
+    assert all(other == first for other in others)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import any_two_cpus, cross_correlate_same, cross_correlate_valid
+from helpers import any_two_cpus, blas_threads, cross_correlate_same, cross_correlate_valid
 from tfnet import core_math
 from tfnet.core_math import (batch_conv_full_slice, batch_correlate_same, ordered_sum, run_halves,
                              same_pad_widths)
@@ -204,17 +204,14 @@ def tfnet_threads():
 
 
 class TestCpuPair:
-    @pytest.mark.parametrize("blas, cpus, main, pays", [
-        (1, {0, 1}, True, (0, 1)),
-        (1, {5, 3, 2}, True, (2, 3)),
-        (2, {0, 1}, True, None),  # BLAS threads would fight the helper for the cores
-        (None, {0, 1}, True, None),  # a BLAS that cannot be asked
-        (1, {1}, True, None),
-        (1, {0, 1}, False, None),  # a worker thread, as in ablate's cell pool
+    @pytest.mark.parametrize("cpus, main, pays", [
+        ({0, 1}, True, (0, 1)),
+        ({5, 3, 2}, True, (2, 3)),
+        ({1}, True, None),
+        ({0, 1}, False, None),  # a worker thread, as in ablate's cell pool
     ])
-    def test_helper_runs_only_with_single_threaded_blas_on_the_main_thread(
-            self, monkeypatch, blas, cpus, main, pays):
-        monkeypatch.setattr(core_math, "_blas_thread_getter", lambda: blas and (lambda: blas))
+    def test_helper_runs_only_on_the_main_thread_with_two_cpus(self, monkeypatch, cpus, main,
+                                                               pays):
         monkeypatch.setattr(core_math.os, "sched_getaffinity", lambda pid: cpus)
         got = []
         if main:
@@ -226,14 +223,18 @@ class TestCpuPair:
             assert not worker.is_alive()
         assert got == [pays]
 
-    def test_openblas_thread_count_is_read(self):
-        """numpy's own OpenBLAS is asked, so the gate is not shut for want of an answer."""
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        if "openblas" not in blas:
-            pytest.skip(f"numpy is built with {blas}")
-        blas_threads = core_math._blas_thread_getter()
-        assert blas_threads is not None
-        assert blas_threads() >= 1
+    def test_blas_with_threads_of_its_own_keeps_the_helper_idle(self, monkeypatch):
+        monkeypatch.setattr(core_math, "_BLAS_ONE_THREAD", False)
+        monkeypatch.setattr(core_math.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert core_math.cpu_pair() is None
+
+    def test_import_sets_numpy_blas_to_one_thread(self):
+        """numpy's OpenBLAS runs one thread once tfnet is imported, whatever the environment."""
+        threads = blas_threads()
+        if threads is None:
+            pytest.skip("numpy is not built with OpenBLAS")
+        assert core_math._BLAS_ONE_THREAD
+        assert threads == 1
 
 
 class TestRunHalves:

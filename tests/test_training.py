@@ -280,6 +280,28 @@ class TestTrainLoop:
         for p, p0 in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, p0)
 
+    def test_non_finite_weight_fails_before_any_update(self):
+        x, y = tone_problem(n_per_class=4)
+        model = micro_tfn(seed=12)
+        conv = model.layers[1]
+        assert isinstance(conv, Conv1d)
+        conv.weight[2, 1, 0] = np.nan
+        before = [p.copy() for p in model.parameters()]
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite gradient at epoch=1, step=1, layer=0\.tfconvlayer$"):
+            train(model, x, y, x, y, TrainConfig(epochs=2, batch_size=6))
+        for p, p0 in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p, p0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the update overflows float32
+    def test_non_finite_parameters_after_the_last_step_fail(self):
+        x, y = tone_problem(n_per_class=2)
+        model = micro_backbone(seed=12, dtype=np.float32)
+        cfg = TrainConfig(epochs=1, batch_size=6, initial_lr=1e200, dtype="float32")
+        with pytest.raises(FloatingPointError,
+                           match=r"a non-finite parameter at epoch=1, step=1, layer=0\.conv1d$"):
+            train(model, x, y, config=cfg)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             train(micro_backbone(), np.zeros((1, 64)), np.zeros(1, dtype=int),
