@@ -66,9 +66,10 @@ _BLAS_ONE_THREAD = _one_blas_thread()
 def cpu_pair():
     """Two CPUs for a second thread of tfnet work, or None where one does not pay.
 
-    ``run_halves`` runs its second half there: the per-sample passes of a
-    training step (``Conv1d``, ``BatchNorm1d``'s elementwise passes, ``ReLU``,
-    TFconv's correlation and its adjoint) and ``training.evaluate``'s pieces.
+    ``run_halves`` runs its second half there: the batch-sized passes of a
+    training step (``Conv1d``, ``BatchNorm1d``'s channel sums and elementwise
+    passes, ``ReLU``, ``MaxPool``, ``AdaptiveAvgPool``, TFconv's correlation
+    and its adjoint) and ``training.evaluate``'s pieces.
     ``cli.cmd_ablate`` runs two cells at once where it names two CPUs.  It
     names none where BLAS keeps its own threads, off the main thread (an
     ``ablate`` cell trains serially, as two cells keep the cores busy) or on

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, central_difference,
-                     check_model_gradients, conv1d_direct, conv1d_grads_full_batch_im2col,
-                     conv1d_input_grad_per_tap, conv1d_weight_grad_in_groups,
-                     forward_out_of_place, maxpool_input_grad_where,
+from helpers import (adaptive_avg_pool_direct, adjoint_gap_with_bound, any_two_cpus,
+                     central_difference, check_model_gradients, conv1d_direct,
+                     conv1d_grads_full_batch_im2col, conv1d_input_grad_per_tap,
+                     conv1d_weight_grad_in_groups, forward_out_of_place, maxpool_input_grad_where,
                      relative_error, softmax_cross_entropy_with_bound, training_steps)
-from tfnet import nn
+from tfnet import core_math, nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
     BACKBONES,
@@ -377,6 +377,65 @@ class TestBatchNorm:
         out = bn.forward(x, training=False)
         want = (1.0 - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
         np.testing.assert_allclose(out[0, 0], want, rtol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_training_statistics_match_long_double(self, monkeypatch, dtype):
+        """Mean, biased variance, running statistics and gamma/beta gradients, split over two CPUs.
+
+        Each channel sum adds per-sample sums over L in batch order, so a
+        term meets at most n = L + B roundings (its product, L - 1 additions
+        in its sample, B into the total) and the sum is off by at most
+        gamma_n times the sum of its terms' absolute values.  With a =
+        sum|x| / M and q = sum x^2 / M: mean = fl(sum / M) is off by
+        gamma_{n+1} * a.  var = fl(fl(sq / M) - fl(mean^2)): fl(sq / M) is
+        off by gamma_{n+1} * q, fl(mean^2) by gamma_{n+1} * a * (2 +
+        gamma_{n+1}) * a + u * (1 + gamma_{n+1})^2 * a^2, the subtraction by u
+        times the sum of both, so with a^2 <= q all of it is within E =
+        3 * gamma_{n+2} * q.  From r = 0, the running mean fl(m * mean) is off
+        by m * gamma_{n+2} * a; from r = 1, the running variance fl(1 + fl(m
+        * fl(var - 1))) by m * E + gamma_3 * (1 + m * (|var| + 1 + E)), m
+        the momentum in ``dtype``.  The long-double oracle's own sums add
+        gamma_{M+2}(long double) of each scale.
+        """
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        B, L, C = 5, 40, 3  # an odd batch: uneven halves
+        M, n = B * L, L + B
+        ld = np.longdouble
+        x = rng_(101).normal(loc=2.0, scale=3.0, size=(B, L, C)).astype(dtype)
+        w = rng_(102).normal(size=(B, L, C)).astype(dtype)
+        observed = BatchNorm1d(C, dtype=dtype)  # momentum 1 from zero: the statistics themselves
+        observed.momentum = 1.0
+        observed.running_var[:] = 0.0
+        observed.forward(x.copy(), training=True)
+        bn = BatchNorm1d(C, dtype=dtype)
+        bn.forward(x.copy(), training=True)
+        xhat = np.asarray(bn._cache[0], dtype=ld)  # the backward writes its gradient there
+        bn.backward(w.copy())
+
+        def gam(k, kind=dtype):
+            return ld(helpers.gamma(k, kind))
+
+        x_ld, w_ld = np.asarray(x, dtype=ld), np.asarray(w, dtype=ld)
+        mean = x_ld.mean(axis=(0, 1))
+        a = np.abs(x_ld).mean(axis=(0, 1))
+        q = np.square(x_ld).mean(axis=(0, 1))
+        var = q - mean * mean
+        oracle = gam(M + 2, ld)
+        var_err = 3 * gam(n + 2) * q + 3 * oracle * q
+        m = ld(np.asarray(bn.momentum, dtype=dtype))
+        checks = [
+            (observed.running_mean, mean, (gam(n + 1) + oracle) * a),
+            (observed.running_var, var, var_err),
+            (bn.running_mean, m * mean, m * (gam(n + 2) + oracle) * a),
+            (bn.running_var, 1 + m * (var - 1),
+             m * var_err + gam(3) * (1 + m * (np.abs(var) + 1 + var_err))),
+            (bn.ggrad, (w_ld * xhat).sum(axis=(0, 1)),
+             (gam(n) + oracle) * np.abs(w_ld * xhat).sum(axis=(0, 1))),
+            (bn.bgrad, w_ld.sum(axis=(0, 1)), (gam(n) + oracle) * np.abs(w_ld).sum(axis=(0, 1))),
+        ]
+        for got, want, bound in checks:
+            assert got.dtype == dtype
+            assert np.all(np.abs(np.asarray(got, dtype=ld) - want) <= bound)
 
     def test_single_sample_training_rejected(self):
         with pytest.raises(ValueError):

@@ -316,6 +316,7 @@ class TestTrainLoop:
 class TestSplitTraining:
     """A training step split over two pinned threads has the serial step's bits."""
 
+    @pytest.mark.parametrize("length", [256, 245])
     @pytest.mark.parametrize("groups", ["default", "one-sample"])
     @pytest.mark.parametrize("mode, backbone, dtype, batch", [
         ("tfn-add", "paper-cnn", np.float64, 4),
@@ -326,11 +327,25 @@ class TestSplitTraining:
         ("backbone-only", "paper-cnn", np.float64, 5),  # odd group counts
     ])
     def test_split_and_serial_steps_are_bit_equal(self, monkeypatch, mode, backbone, dtype, batch,
-                                                  groups):
+                                                  groups, length):
+        """Length 245 leaves some ``MaxPool`` an odd trailing sample and every
+        ``AdaptiveAvgPool`` unequal, overlapping bins, in each of these models."""
         if groups == "one-sample":  # a group per sample: every split runs, odd batches unevenly
             monkeypatch.setattr(core_math, "_GROUP_BYTES", 0)
             monkeypatch.setattr(nn, "_SMALL_GEMM", 0)
-        x = np.random.default_rng(61).normal(size=(batch, 256)).astype(dtype)
+        x = np.random.default_rng(61).normal(size=(batch, length)).astype(dtype)
+        if length % 2:
+            pooled = {}  # the length each pool receives
+            last = [length]
+
+            def note(layer, out):
+                pooled.setdefault(type(layer), []).append(last[0])
+                last[0] = out.shape[1]
+
+            assemble_model(mode, backbone, n_classes=3, n_channels=3, dtype=dtype).forward(
+                x, hook=note)
+            assert any(n % 2 for n in pooled[nn.MaxPool])
+            assert all(n % 4 for n in pooled[nn.AdaptiveAvgPool])
         y = np.arange(batch) % 3
         runs = {}
         for name, pair in (("reference", None), ("serial", None), ("split", any_two_cpus())):
