@@ -17,9 +17,9 @@ Artifacts: ``gen-data`` writes ``train/`` and ``test/`` (one
 distance, nearest channel and that channel's centre frequency); ``ablate``
 writes ``results.csv`` (a row per mode and kernel family, every mode in
 ``MODES``) and each cell's ``train`` files (all but ``config.echo``) under
-``cells/<mode>-<family>-s<seed>/``; it runs two cells at once where
-``core_math.cpu_pair()`` names two CPUs, otherwise one by one, and writes
-byte-identical files either way.
+``cells/<mode>-<family>-s<seed>/``; its cells, in grid order, split in two
+halves through ``core_math.run_halves``, so two train at once where
+``cpu_pair()`` names two CPUs, and the files are byte-identical either way.
 A ``--force`` rerun over a command's earlier output removes the optional
 files it does not write, so exactly one run's files remain; ``ablate``
 also removes the cells its grid does not write, deleting only the files a
@@ -38,7 +38,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -514,7 +513,8 @@ def cmd_ablate(cfg: Config) -> int:
     # backbone-only has no front layer and random-tfn a fixed family: one group each
     groups = [(mode, fam) for mode in MODES
               for fam in ([None] if mode in ("backbone-only", "random-tfn") else families)]
-    labels = {f"{mode}-{fam or 'none'}-s{seed}" for mode, fam in groups for seed in seeds}
+    cells = [(mode, fam, seed) for mode, fam in groups for seed in seeds]  # in grid order
+    labels = {f"{mode}-{fam or 'none'}-s{seed}" for mode, fam, seed in cells}
     for cell in (out / "cells").iterdir():  # an earlier run's cells that this grid does not write
         if cell.is_dir() and cell.name not in labels:
             for name in _TRAIN_FILES:
@@ -529,19 +529,19 @@ def cmd_ablate(cfg: Config) -> int:
             history = _train_run(out / "cells" / label, model,
                                  dataclasses.replace(tc, seed=seed), train_ds, test_ds)
         except Exception as exc:
-            raise RuntimeError(f"ablation cell {label} failed ({exc})") from exc
+            return RuntimeError(f"ablation cell {label} failed ({exc})")
         return history.test_acc[-1]
 
-    # one list of futures per (mode, family) group, in grid order
-    with ThreadPoolExecutor(max_workers=2 if core_math.cpu_pair() else 1) as pool:
-        grid = [(mode, fam, [pool.submit(run_cell, mode, fam, seed) for seed in seeds])
-                for mode, fam in groups]
+    # each half trains its cells one by one; a group's seeds are a run of the results
+    first, second = core_math.run_halves(lambda part: [run_cell(*c) for c in cells[part]],
+                                         len(cells))
+    results = first + second
     rows, failures = [], []
-    for mode, fam, futures in grid:
-        errors = [fut.exception() for fut in futures if fut.exception()]
+    for g, (mode, fam) in enumerate(groups):
+        accs = results[g * len(seeds) : (g + 1) * len(seeds)]
+        errors = [acc for acc in accs if isinstance(acc, Exception)]
         failures += errors
         if not errors:  # a failed cell drops only its own group's row
-            accs = [fut.result() for fut in futures]
             rows.append((mode, fam or "-", float(np.mean(accs)), float(np.var(accs))))
     _write_csv(out / "results.csv", "model,kernel,mean_acc,variance", rows)
     _write_echo(cfg, out)

@@ -69,15 +69,14 @@ def cpu_pair():
     ``run_halves`` runs its second half there: the batch-sized passes of a
     training step (``Conv1d``, ``BatchNorm1d``'s channel sums and elementwise
     passes, ``ReLU``, ``MaxPool``, ``AdaptiveAvgPool``, TFconv's correlation
-    and its adjoint) and ``training.evaluate``'s pieces.
-    ``cli.cmd_ablate`` runs two cells at once where it names two CPUs.  It
-    names none where BLAS keeps its own threads, off the main thread (an
-    ``ablate`` cell trains serially, as two cells keep the cores busy) or on
-    one CPU.  The two threads run pinned: an unpinned helper shared the
-    caller's CPU for several calls, which then took as long as one alone.
+    and its adjoint), ``training.evaluate``'s pieces and ``cli.cmd_ablate``'s
+    cells.  It names none where BLAS keeps its own threads or where this
+    thread may run on one CPU only, as each thread of a split does: so an
+    ``ablate`` cell trains serially while two cells keep the cores busy.
+    The two threads run pinned: an unpinned helper shared the caller's CPU
+    for several calls, which then took as long as one alone.
     """
-    if (not _BLAS_ONE_THREAD or not hasattr(os, "sched_setaffinity")
-            or threading.current_thread() is not threading.main_thread()):
+    if not _BLAS_ONE_THREAD or not hasattr(os, "sched_setaffinity"):
         return None
     cpus = sorted(os.sched_getaffinity(0))
     return (cpus[0], cpus[1]) if len(cpus) > 1 else None

@@ -591,8 +591,6 @@ class TFconvLayer(Layer):
         x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
         if x.ndim != 2:
             raise ValueError(f"TFconv expects (B, L) input, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("TFconv input contains non-finite values")
         kern = self.kernels()
         if x.dtype == np.float32:
             kern = kern.astype(np.complex64)
@@ -684,10 +682,12 @@ class Model:
                 yield layer
 
     def forward(self, x, training=False, hook=None):
-        """(B, L) signals -> (B, n_classes) logits."""
+        """(B, L) signals -> (B, n_classes) logits; a non-finite signal raises ``ValueError``."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.size == 0:
             raise ValueError(f"model expects non-empty (B, L) signals, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("model input contains non-finite values")
         front = self.tfconv
         out = x if front is not None else x[:, :, None]
         for layer in self.layers:

@@ -598,28 +598,28 @@ class TestAblate:
         # every cell's files as well as results.csv
         assert tree_digest(threaded) == tree_digest(ablate_dir)
 
-    @pytest.mark.parametrize("pair, workers", [(None, 1), (any_two_cpus(), 2)],
-                             ids=["no-pair", "pair"])
-    def test_cell_pool_size_follows_cpu_pair(self, tmp_path, data_dir, monkeypatch, pair,
-                                             workers):
-        sizes, cell_threads = [], set()
+    def test_two_cpus_hand_the_helper_the_second_half_of_the_grid(self, tmp_path, data_dir,
+                                                                   monkeypatch):
+        """One task reaches the helper, the grid's second half of the 12 cells; every cell
+        trains on the main thread or on the helper, whose own splits stay serial."""
+        helper, tasks, cell_threads, real_train = core_math._HELPER, [], set(), cli.train
 
-        class Pool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        class Recording:
+            def submit(self, fn, *args):
+                tasks.append(args[-1])  # run_halves hands the helper (cpu, fn, part)
+                return helper.submit(fn, *args)
 
         def train(*args, **kwargs):
-            cell_threads.add(threading.current_thread())
-            raise RuntimeError("cell stopped")
+            cell_threads.add(threading.current_thread().name)
+            return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(core_math, "cpu_pair", lambda: pair)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        monkeypatch.setattr(core_math, "_HELPER", Recording())
         monkeypatch.setattr(cli, "train", train)
-        assert run_ablate(tmp_path / "x", data_dir) == EXIT_RUNTIME
-        assert sizes == [workers]
-        assert 1 <= len(cell_threads) <= workers
-        assert threading.main_thread() not in cell_threads
+        assert run_ablate(tmp_path / "x", data_dir) == EXIT_OK
+        assert tasks == [slice(6, 12)]
+        assert {name.split("_")[0] for name in cell_threads} == {
+            threading.main_thread().name, "tfnet-helper"}
 
     def test_forced_rerun_removes_the_cells_its_grid_does_not_write(self, tmp_path, data_dir,
                                                                      ablate_dir):
@@ -640,21 +640,27 @@ class TestAblate:
                 assert tree_digest(out / "cells" / cell) == tree_digest(
                     ablate_dir / "cells" / cell)
 
+    @pytest.mark.parametrize("mode, here", [("tfn-replace", True), ("wkn-replace", False)],
+                             ids=["caller-half", "helper-half"])
     def test_failed_cell_drops_only_its_group(self, tmp_path, data_dir, ablate_dir, monkeypatch,
-                                              capsys):
-        real_train = cli.train
+                                              capsys, mode, here):
+        """With two CPUs, whichever half of the grid the failing group lies in."""
+        real_train, failed_here = cli.train, set()
 
         def train(model, *args, **kwargs):
-            if model.mode == "tfn-replace":
+            if model.mode == mode:
+                failed_here.add(threading.current_thread() is threading.main_thread())
                 raise RuntimeError("injected cell failure")
             return real_train(model, *args, **kwargs)
 
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
         monkeypatch.setattr(cli, "train", train)
         failed = tmp_path / "failed"
         assert run_ablate(failed, data_dir) == EXIT_RUNTIME
-        assert "ablation cell tfn-replace-sttf-s0 failed" in capsys.readouterr().err
+        assert f"ablation cell {mode}-sttf-s0 failed" in capsys.readouterr().err
+        assert failed_here == {here}
         want = [ln for ln in (ablate_dir / "results.csv").read_text().splitlines()
-                if not ln.startswith("tfn-replace,")]
+                if not ln.startswith(f"{mode},")]
         assert len(want) == 1 + 5
         assert (failed / "results.csv").read_text().splitlines() == want
 

@@ -204,24 +204,31 @@ def tfnet_threads():
 
 
 class TestCpuPair:
-    @pytest.mark.parametrize("cpus, main, pays", [
-        ({0, 1}, True, (0, 1)),
-        ({5, 3, 2}, True, (2, 3)),
-        ({1}, True, None),
-        ({0, 1}, False, None),  # a worker thread, as in ablate's cell pool
-    ])
-    def test_helper_runs_only_on_the_main_thread_with_two_cpus(self, monkeypatch, cpus, main,
-                                                               pays):
+    @pytest.mark.parametrize("cpus, pays", [({0, 1}, (0, 1)), ({5, 3, 2}, (2, 3)), ({1}, None)])
+    def test_the_pair_is_the_two_lowest_cpus(self, monkeypatch, cpus, pays):
         monkeypatch.setattr(core_math.os, "sched_getaffinity", lambda pid: cpus)
+        assert core_math.cpu_pair() == pays
+
+    def test_a_worker_thread_gets_the_pair_and_a_pinned_thread_none(self, monkeypatch):
+        """Any thread with two free CPUs gets them; one pinned to a CPU, as each thread of a
+        ``run_halves`` split is, gets None, so a split inside a split runs serially."""
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("this process may run on one CPU only")
+        monkeypatch.setattr(core_math, "_BLAS_ONE_THREAD", True)
         got = []
-        if main:
+
+        def worker():
             got.append(core_math.cpu_pair())
-        else:
-            worker = threading.Thread(target=lambda: got.append(core_math.cpu_pair()))
-            worker.start()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-        assert got == [pays]
+            os.sched_setaffinity(0, {cpus[1]})  # this thread's CPUs only
+            got.append(core_math.cpu_pair())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert got == [(cpus[0], cpus[1]), None]
+        assert os.sched_getaffinity(0) == set(cpus)
 
     def test_blas_with_threads_of_its_own_keeps_the_helper_idle(self, monkeypatch):
         monkeypatch.setattr(core_math, "_BLAS_ONE_THREAD", False)

@@ -859,6 +859,20 @@ class TestModelContainer:
             with pytest.raises(ValueError, match=re.escape(f"signals, got shape {shape}")):
                 model.forward(np.zeros(shape), training=training)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
+    def test_non_finite_input_rejected_before_any_layer(self, mode, value):
+        model = assemble_model(mode, backbone="lenet-1d", n_channels=2)
+        ran = []
+        for layer in model.layers:
+            layer.forward = lambda *args, layer=layer, **kwargs: ran.append(layer)
+        x = np.zeros((2, 64))
+        x[1, 5] = value
+        for training in (False, True):
+            with pytest.raises(ValueError, match="^model input contains non-finite values$"):
+                model.forward(x, training=training)
+        assert ran == []
+
     def test_layers_fix_class_count_dtype_and_kernel_config(self):
         model = assemble_model("wkn-add", backbone="lenet-1d", family="morlet", n_classes=3,
                                n_channels=2, dtype=np.float32)

@@ -419,9 +419,12 @@ class TestEvaluate:
         here = -(-len(sizes) // 2) if pays else len(sizes)  # pieces run on this thread
         assert [pieces[k][1] for k in range(len(sizes))] == [k < here for k in range(len(sizes))]
 
-    @pytest.mark.parametrize("row, here", [(2, True), (12, False)], ids=["piece-0", "piece-1"])
-    def test_a_piece_error_surfaces_unchanged(self, monkeypatch, row, here):
-        """A non-finite signal fails the same way in this thread's piece and in the helper's."""
+    @pytest.mark.parametrize("row, here, build", [
+        (2, True, micro_tfn), (12, False, micro_tfn), (2, True, micro_backbone)],
+        ids=["piece-0", "piece-1", "backbone-only-piece-0"])
+    def test_a_piece_error_surfaces_unchanged(self, monkeypatch, row, here, build):
+        """A non-finite signal fails the same way in this thread's piece and in the helper's,
+        with or without a TFconv front layer."""
         x, y = tone_problem(n_per_class=5)
         x[row, 3] = np.nan
         caller, failed_here = threading.current_thread(), []
@@ -435,9 +438,9 @@ class TestEvaluate:
         monkeypatch.setattr(training, "EVAL_BATCH", 10)  # pieces 0-7 and 8-14
         monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
         with pytest.raises(ValueError) as info:
-            evaluate(micro_tfn(), x, y)
+            evaluate(build(), x, y)
         assert type(info.value) is ValueError
-        assert str(info.value) == "TFconv input contains non-finite values"
+        assert str(info.value) == "model input contains non-finite values"
         assert failed_here == [here]
 
     def test_each_thread_runs_pinned_to_its_cpu(self, monkeypatch):
