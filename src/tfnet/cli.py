@@ -44,12 +44,12 @@ import numpy as np
 
 from tfnet import core_math
 from tfnet.checkpoint import load_model, save_model
-from tfnet.data import (DATASET_FILE, NonFiniteSignalError, check_band, load_dataset,
-                        save_dataset, split, synth_generate, synthbearing5)
+from tfnet.data import (DATASET_FILE, NonFiniteSignalError, check_band, check_labels,
+                        load_dataset, save_dataset, split, synth_generate, synthbearing5)
 from tfnet.interpret import (band_coverage, channel_frequency_response, dataset_spectrum,
                              spectrum_freqs)
 from tfnet.kernels import KernelFamily, default_grid, param_names
-from tfnet.nn import BACKBONES, MODES, assemble_model, check_labels
+from tfnet.nn import BACKBONES, MODES, assemble_model
 from tfnet.training import TrainConfig, evaluate, train
 
 EXIT_OK = 0

@@ -39,10 +39,23 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import scipy.fft
 
-# runs the second half of every split; one thread for the whole process, held
-# by one split at a time, so a split inside a split, or beside one, runs serially
-_HELPER = ThreadPoolExecutor(1, thread_name_prefix="tfnet-helper")
-_HELPER_HELD = threading.Lock()
+
+def _new_helper():
+    """Give this process its helper thread, which runs the second half of every split.
+
+    A forked child needs its own: it inherits the record of the parent's
+    thread but not the thread, so its next split would wait forever.
+    """
+    global _HELPER, _HELPER_HELD
+    # one thread for the whole process, held by one split at a time, so a
+    # split inside a split, or beside one, runs serially
+    _HELPER = ThreadPoolExecutor(1, thread_name_prefix="tfnet-helper")
+    _HELPER_HELD = threading.Lock()
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)
 
 
 def _one_blas_thread():

@@ -271,15 +271,24 @@ def _spec_manifest(spec: SynthSpec) -> dict:
     return manifest
 
 
+def check_labels(labels, n_classes):
+    """Raise ``ValueError`` unless every label lies in [0, n_classes)."""
+    labels = np.asarray(labels)
+    if np.any(labels < 0) or np.any(labels >= n_classes):
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got {labels.min()}..{labels.max()}")
+
+
 def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):
     """Stratified train/test split; rounds per-class train counts to nearest.
 
     Every class keeps at least one sample on each side, so classes with
-    fewer than two samples are rejected.
+    fewer than two samples are rejected, as is a label outside the classes.
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
     labels = dataset.labels
+    check_labels(labels, dataset.n_classes)
     train_idx = []
     test_idx = []
     for c in range(dataset.n_classes):

@@ -12,12 +12,10 @@ time-frequency front layer, whose kernel bank is a kernel family and a
 its ``backward`` reads, and the backward consumes it, so a layer's state is
 released as soon as its backward returns and a second backward without a
 new forward raises.  ``training=False`` is inference: no layer keeps
-anything, and ``backward`` after it raises.  With ``overwrite=True`` a
-forward, training or inference, may write into ``x`` (``BatchNorm1d`` its
-normalized input, ``ReLU`` its output); ``Model.forward`` and ``Residual``
-pass it only for arrays nothing else reads.  A backward may write into the
-gradient it receives (``ReLU`` does); ``Model.backward`` and ``Residual``
-hand on only gradients they do not read again.
+anything, and ``backward`` after it raises.  A forward may write into its
+input (``BatchNorm1d`` its normalized input, ``ReLU`` its output), as a
+backward into its gradient (``ReLU``); ``Model`` and ``Residual`` copy what
+they read again, in both directions.
 
 Every batch-sized pass of a training step runs as two contiguous halves
 through ``core_math.run_halves``, the second on a helper thread where
@@ -60,6 +58,7 @@ import numpy as np
 
 from tfnet.core_math import (batch_conv_full_slice, batch_correlate_same, ordered_sum, run_halves,
                              same_pad_widths)
+from tfnet.data import check_labels
 from tfnet.kernels import (KernelFamily, check_theta, clamp_params, default_grid,
                            evaluate_kernels, init_params, kernel_param_grad)
 from tfnet.seeding import derive_rng
@@ -82,18 +81,16 @@ class Layer:
     forward came since the last backward.  A backward may write into the
     arrays it took, and drops them when it returns.
 
-    A forward called with ``overwrite=True`` may write into its input ``x``
-    (``BatchNorm1d`` and ``ReLU`` do), in training and at inference; pass it
-    only for an array no caller reads again.  The default never writes
-    ``x``.  A backward may write into the ``grad`` it receives.
+    A forward may write into its input ``x``, in training and at inference,
+    as a backward into its ``grad``; a caller that reads either again passes
+    a copy, as ``Model`` and ``Residual`` do.
     """
 
     name = ""
     state: tuple[tuple[str, str | None], ...] = ()
     _cache = None
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                overwrite: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -194,7 +191,7 @@ class Conv1d(Layer):
         return np.ascontiguousarray(self.weight.transpose(2, 1, 0)).reshape(
             K * self.in_channels, self.out_channels)
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         B, L, C = x.shape
         if C != self.in_channels:
             raise ValueError(f"Conv1d expects {self.in_channels} input channels, got {C}")
@@ -308,7 +305,7 @@ class BatchNorm1d(Layer):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         B, L, C = x.shape
         if C != self.channels:
             raise ValueError(f"BatchNorm1d expects {self.channels} channels, got {C}")
@@ -323,24 +320,24 @@ class BatchNorm1d(Layer):
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
             istd = 1.0 / np.sqrt(var + self.eps)
-            xhat = x if overwrite else np.empty(x.shape, np.result_type(x, mean))
-            out = np.empty(x.shape, np.result_type(self.gamma, xhat))
+            out = np.empty(x.shape, np.result_type(self.gamma, x))
 
             def normalize(part):
-                np.subtract(x[part], mean, out=xhat[part])
-                xhat[part] *= istd
-                np.multiply(self.gamma, xhat[part], out=out[part])
+                xhat = x[part]  # normalized in place: the backward's xhat
+                xhat -= mean
+                xhat *= istd
+                np.multiply(self.gamma, xhat, out=out[part])
                 out[part] += self.beta
 
             run_halves(normalize, B)
-            self._cache = (xhat, istd, M)
+            self._cache = (x, istd, M)
             return out
         self._cache = None
         istd = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = self.gamma * istd
-        out = np.multiply(scale, x, out=x if overwrite else None)
-        out += self.beta - scale * self.running_mean
-        return out
+        x *= scale
+        x += self.beta - scale * self.running_mean
+        return x
 
     def backward(self, grad):
         xhat, istd, M = self._saved()
@@ -363,18 +360,17 @@ class BatchNorm1d(Layer):
 class ReLU(Layer):
     """max(x, 0); a training forward keeps the mask x > 0, which its backward multiplies in."""
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         mask = np.empty(x.shape, bool) if training else None
-        out = x if overwrite else np.empty_like(x)
 
         def rectify(part):
             if mask is not None:
                 np.greater(x[part], 0.0, out=mask[part])
-            np.maximum(x[part], 0.0, out=out[part])
+            np.maximum(x[part], 0.0, out=x[part])
 
         run_halves(rectify, len(x))
         self._cache = mask
-        return out
+        return x
 
     def backward(self, grad):
         mask = self._saved()
@@ -395,7 +391,7 @@ class MaxPool(Layer):
     ``grad * 0``, signed like ``grad``.
     """
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         B, L, C = x.shape
         L_out = L // 2
         out = np.empty((B, L_out, C), x.dtype)
@@ -446,7 +442,7 @@ class AdaptiveAvgPool(Layer):
         ends = [int(np.ceil((i + 1) * L / n)) for i in range(n)]
         return starts, ends
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         B, L, C = x.shape
         if L < self.bins:
             raise ValueError(f"cannot pool length {L} into {self.bins} bins")
@@ -476,7 +472,7 @@ class AdaptiveAvgPool(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         self._cache = x.shape if training else None
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
@@ -496,7 +492,7 @@ class Dense(Layer):
         self.wgrad = np.zeros_like(self.weight)
         self.bgrad = np.zeros_like(self.bias)
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"Dense expects (B, {self.in_features}), got {x.shape}")
         self._cache = x if training else None
@@ -514,11 +510,10 @@ class Residual(Layer):
     def __init__(self, sublayers):
         self.sublayers = list(sublayers)
 
-    def forward(self, x, training=False, overwrite=False):
-        out = x
+    def forward(self, x, training=False):
+        out = x.copy()  # the branch may write into its input; the skip reads ``x``
         for layer in self.sublayers:
-            # the skip input is read again below, so only the branch's own arrays are overwritten
-            out = layer.forward(out, training=training, overwrite=out is not x)
+            out = layer.forward(out, training=training)
         if out.shape != x.shape:
             raise ValueError("residual branch changed shape; identity skip impossible")
         return out + x
@@ -580,7 +575,7 @@ class TFconvLayer(Layer):
         """Current complex kernel bank, shape (C, K)."""
         return evaluate_kernels(self.family, self.theta)
 
-    def forward(self, x, training=False, overwrite=False):
+    def forward(self, x, training=False):
         """(B, L) input -> (B, C, L) feature map.
 
         A training forward keeps the input's (B, n) spectrum, the output and,
@@ -631,9 +626,9 @@ class Model:
     layer with the channels-last array the walker holds; the front layer's
     output is transposed before the hook sees it, as (batch, length, channels).
 
-    ``forward`` never writes ``x``, but a later layer may overwrite the
-    array the layer before it returned, in training and at inference, so a
-    hook that keeps an array must copy it.
+    A layer may write into its input, as a backward into its gradient, so
+    ``forward`` and ``backward`` each copy the caller's array, and a hook
+    that keeps an array must copy it.
     """
 
     def __init__(self, layers, mode, backbone):
@@ -683,7 +678,7 @@ class Model:
 
     def forward(self, x, training=False, hook=None):
         """(B, L) signals -> (B, n_classes) logits; a non-finite signal raises ``ValueError``."""
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.array(x, dtype=self.dtype)  # a layer may write into its input, never the caller's
         if x.ndim != 2 or x.size == 0:
             raise ValueError(f"model expects non-empty (B, L) signals, got shape {x.shape}")
         if not np.isfinite(x).all():
@@ -691,9 +686,7 @@ class Model:
         front = self.tfconv
         out = x if front is not None else x[:, :, None]
         for layer in self.layers:
-            # any array but the caller's (or a view of it) is the walker's to overwrite
-            out = layer.forward(out, training=training,
-                                overwrite=not np.may_share_memory(out, x))
+            out = layer.forward(out, training=training)
             if layer is front:  # a copy even for one channel: a training front keeps its output
                 out = out.transpose(0, 2, 1).copy()
             if hook is not None:
@@ -757,14 +750,6 @@ def _fold_layers(layers):
             layer.sublayers = _fold_layers(layer.sublayers)
         out.append(layer)
     return out
-
-
-def check_labels(labels, n_classes):
-    """Raise ``ValueError`` unless every label lies in [0, n_classes)."""
-    labels = np.asarray(labels)
-    if np.any(labels < 0) or np.any(labels >= n_classes):
-        raise ValueError(
-            f"labels must lie in [0, {n_classes}), got {labels.min()}..{labels.max()}")
 
 
 def softmax_cross_entropy(logits, labels):

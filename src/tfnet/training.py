@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tfnet.core_math import run_halves
-from tfnet.nn import Model, check_labels, fold_batchnorm, softmax_cross_entropy
+from tfnet.data import check_labels
+from tfnet.nn import Model, fold_batchnorm, softmax_cross_entropy
 from tfnet.seeding import derive_rng
 
 STD_GUARD = 1e-8  # keeps flat signals finite after standardization

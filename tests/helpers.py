@@ -523,15 +523,15 @@ def fold_deviation_bound(model: Model, folded: Model, x: np.ndarray) -> np.ndarr
 def forward_out_of_place(model: Model, x: np.ndarray) -> np.ndarray:
     """Inference logits of ``model`` with no layer allowed to overwrite its input.
 
-    Every leaf layer's ``forward`` is wrapped to pass ``overwrite=False``
-    for the duration of the call, so each layer writes a new array.  The
-    reference for ``Model.forward``, whose inference layers may write into
-    the arrays the walker owns.
+    Every leaf layer's ``forward`` is wrapped to get a copy of its input
+    for the duration of the call, so no layer writes an array another
+    reads.  The reference for ``Model.forward``, whose inference layers may
+    write into their input.
     """
     layers = list(model.walk_layers())
     for layer in layers:
-        layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
-                         f(x, training=training))
+        layer.forward = (lambda x, training=False, f=layer.forward:
+                         f(x.copy(), training=training))
     try:
         return model.forward(x, training=False)
     finally:
@@ -544,14 +544,14 @@ def training_steps(model: Model, x: np.ndarray, y: np.ndarray, steps: int,
     """The bytes of each step's loss, gradients and updated parameters over ``steps`` Adam steps.
 
     Every step trains on the same (B, L) batch ``x`` with labels ``y``.  With
-    ``out_of_place`` each leaf layer's forward is passed ``overwrite=False``
+    ``out_of_place`` each leaf layer's forward is passed a copy of its input
     and its backward a copy of its gradient, so no layer writes an array
     another reads: the reference for the walker's writes into its own arrays.
     """
     layers = list(model.walk_layers()) if out_of_place else []
     for layer in layers:
-        layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
-                         f(x, training=training))
+        layer.forward = (lambda x, training=False, f=layer.forward:
+                         f(x.copy(), training=training))
         layer.backward = lambda grad, f=layer.backward: f(grad.copy())
     opt, record = Adam(model.parameters()), []
     try:

@@ -1,9 +1,13 @@
 """Numerical primitives against slow, obviously-correct oracles; the split over two CPUs."""
 
+import ast
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +363,38 @@ class TestRunHalves:
         for n in range(2, 12):
             run_halves(lambda part: None, n)
         assert len(tfnet_threads()) <= 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
+    def test_a_forked_child_splits_on_a_helper_of_its_own(self):
+        """A child forked after a split runs its next split on a helper thread, as a
+        ``multiprocessing`` worker started by fork does.
+
+        The child inherits the parent's record of its helper thread but not the
+        thread.  The fork happens in a subprocess, never in this process; the
+        child's alarm ends it should its split hang.
+        """
+        script = textwrap.dedent("""
+            import os, signal, threading
+            from tfnet import core_math
+            cpus = sorted(os.sched_getaffinity(0))
+            core_math.cpu_pair = lambda: (cpus[0], cpus[-1])
+            core_math.run_halves(lambda part: None, 2)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(120)
+                print(core_math.run_halves(
+                    lambda part: (part.stop - part.start, threading.current_thread().name), 10),
+                    flush=True)
+                os._exit(0)
+            raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(core_math.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        (first, _), (second, helper) = ast.literal_eval(child.stdout)
+        assert (first, second) == (5, 5)
+        assert helper.startswith("tfnet-helper")
 
 
 class TestOrderedSum:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,15 @@ class TestSplit:
     def test_singleton_class_rejected(self):
         ds = Dataset(np.zeros((3, 16)), [0, 0, 1])
         with pytest.raises(ValueError):
+            split(ds, train_frac=0.5)
+
+    @pytest.mark.parametrize("labels, span", [([0, 0, 1, 1, 2, 2], "0..2"),
+                                              ([0, 0, 1, 1, -1, -1], "-1..1")],
+                             ids=["too-large", "negative"])
+    def test_label_outside_the_classes_rejected(self, labels, span):
+        """A label outside [0, n_classes) raises instead of its samples being dropped."""
+        ds = Dataset(np.zeros((6, 16)), labels, {"class_names": ["a", "b"]})
+        with pytest.raises(ValueError, match=re.escape(f"labels must lie in [0, 2), got {span}")):
             split(ds, train_frac=0.5)
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 1.5])

@@ -212,10 +212,10 @@ class TestConv1dKeepsItsInput:
         convs = [layer for layer in model.walk_layers() if isinstance(layer, Conv1d)]
         padded = {}
         for conv in convs:
-            def record(x, training=False, overwrite=False, conv=conv, real=conv.forward):
+            def record(x, training=False, conv=conv, real=conv.forward):
                 pad = conv.kernel_size - 1 if conv.padding == "same" else 0
                 padded[conv] = x.nbytes // x.shape[1] * (x.shape[1] + pad)
-                return real(x, training=training, overwrite=overwrite)
+                return real(x, training=training)
             monkeypatch.setattr(conv, "forward", record)
         model.forward(rng_(70).normal(size=(4, 512)), training=True)
         assert len(padded) == len(convs)
@@ -263,24 +263,27 @@ class TestConv1dKeepsItsInput:
 
 
 class TestOverwrites:
-    """BN and ReLU write into arrays the walker owns, in training and at inference, never into a
-    caller's."""
+    """BN and ReLU write into their input, in training and at inference; ``Model`` and
+    ``Residual`` copy what they read again, so no caller's array changes."""
 
     @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     @pytest.mark.parametrize("make", [lambda: BatchNorm1d(3), ReLU], ids=["batchnorm1d", "relu"])
-    def test_overwrite_only_when_told(self, make, training):
+    def test_forward_writes_into_its_input(self, make, training):
         x = rng_(74).normal(size=(2, 8, 3))
-        held = x.copy()
-        want = make().forward(held, training=training)
-        np.testing.assert_array_equal(held, x)  # not told: x is kept
+        x0, reference = x.copy(), make()
+        want = reference.forward(x0.copy(), training=training)
         layer = make()
-        out = layer.forward(held, training=training, overwrite=True)
+        out = layer.forward(x, training=training)
         np.testing.assert_array_equal(out, want)
         if isinstance(layer, BatchNorm1d) and training:
-            assert not np.may_share_memory(out, held)
-            assert layer._cache[0] is held  # the normalized input its backward reads
+            assert not np.may_share_memory(out, x)
+            assert layer._cache[0] is x  # the normalized input its backward reads
+            np.testing.assert_array_equal(x, reference._cache[0])
+            mean, var = x0.mean(axis=(0, 1)), x0.var(axis=(0, 1))
+            np.testing.assert_allclose(x, (x0 - mean) / np.sqrt(var + layer.eps), rtol=1e-12,
+                                       atol=1e-12)
         else:
-            assert out is held
+            assert out is x
 
     def test_relu_backward_writes_its_gradient(self):
         layer = ReLU()
@@ -348,7 +351,7 @@ class TestOverwrites:
         block.sublayers[1].running_mean[:] = [0.5, -0.5]
         x = rng_(76).normal(size=(2, 6, 2))
         x0 = x.copy()
-        out = block.forward(x, overwrite=True)
+        out = block.forward(x)
         np.testing.assert_array_equal(x, x0)
         branch = np.maximum(block.sublayers[1].forward(np.maximum(x0, 0.0)), 0.0)
         np.testing.assert_array_equal(out, branch + x0)
@@ -365,7 +368,7 @@ class TestBatchNorm:
     def test_running_stats_track_batches(self):
         bn = BatchNorm1d(2)
         x = rng_(11).normal(loc=5.0, size=(16, 8, 2))
-        bn.forward(x, training=True)
+        bn.forward(x.copy(), training=True)
         want_mean = 0.1 * x.mean(axis=(0, 1))
         np.testing.assert_allclose(bn.running_mean, want_mean, rtol=1e-10)
 
@@ -449,7 +452,7 @@ class TestBatchNorm:
         w = rng_(13).normal(size=(4, 6, 2))
 
         def loss():
-            return float(np.sum(w * bn.forward(x, training=True)))
+            return float(np.sum(w * bn.forward(x.copy(), training=True)))
 
         loss()
         gx = bn.backward(w)
@@ -711,6 +714,39 @@ class TestExactAdjoints:
                                             lambda v: np.broadcast_to(v, (B, L, C)),
                                             rng_(99).normal(size=C), w, bn.bgrad,
                                             chain=M, n_terms=C * M)
+        assert gap <= bound
+
+    @pytest.mark.parametrize("shape, split", [((2, 50, 3), False), ((4, 2100, 16), True)],
+                             ids=["one-group", "groups"])
+    def test_residual_of_two_convs(self, monkeypatch, shape, split):
+        """A v = v + conv2(conv1(v)): the branch is linear, its biases zero.
+
+        Each output entry of a conv's input gradient sums K*C products, so
+        a term meets at most K*C roundings there, as in
+        ``test_conv1d_input_and_weight``.  A term of the block's input
+        gradient, w_j * W2 * W1, meets them in conv2's backward, then its
+        product with W1 and the additions of conv1's sum, K*C more, then the
+        skip's addition of ``grad``: chain = 2*K*C + 1.  Each output entry
+        sums one skip term and (K*C)^2 branch terms.
+        """
+        monkeypatch.setattr(core_math, "cpu_pair", any_two_cpus)
+        B, L, C = shape
+        K = 3
+        block = Residual([Conv1d(C, C, K, rng_(111), padding="same"),
+                          Conv1d(C, C, K, rng_(112), padding="same")])
+        first, second = (conv.weight for conv in block.sublayers)
+        assert (len(nn._sample_groups(B, L * C * C)) > 1) == split
+        w = rng_(113).normal(size=(B, L, C))
+        block.forward(rng_(114).normal(size=(B, L, C)), training=True)
+        gx = block.backward(w)
+
+        def apply(v, a=first, b=second):
+            return v + conv1d_direct(conv1d_direct(v, a, "same"), b, "same")
+
+        gap, bound = adjoint_gap_with_bound(
+            apply, lambda v: apply(v, np.abs(first), np.abs(second)),
+            rng_(115).normal(size=(B, L, C)), w, gx,
+            chain=2 * K * C + 1, n_terms=B * L * C * (1 + (K * C) ** 2))
         assert gap <= bound
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1179,8 +1215,8 @@ class TestFoldBatchNorm:
         want = nn.fold_batchnorm(model).forward(x)
         calls = []
         for layer in model.walk_layers():
-            layer.forward = (lambda x, training=False, overwrite=False, f=layer.forward:
-                             calls.append(f) or f(x, training=training, overwrite=overwrite))
+            layer.forward = (lambda x, training=False, f=layer.forward:
+                             calls.append(f) or f(x, training=training))
         folded = nn.fold_batchnorm(model)
         np.testing.assert_array_equal(folded.forward(x), want)
         assert calls == []
