@@ -9,7 +9,8 @@ block is named ``<layer.name>.<attribute>`` (such as
 shape.  Batch norm running statistics are stored alongside learnable
 parameters so a loaded model evaluates identically.
 
-A ``TFN1`` file (format version 1, with per-block framing) does not load.
+A ``TFN1`` file (format version 1, with per-block framing) does not load,
+nor a paper-cnn or resnet-1d file saved while their convs had a bias.
 After the checks every signed file gets (magic, digest, header JSON), the
 loader checks the header's class and channel counts against the payload's
 value count (each class and each channel adds at least one value, so no

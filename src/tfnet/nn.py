@@ -24,8 +24,8 @@ and input gradient (by sample group), ``BatchNorm1d``'s channel sums and
 elementwise passes, ``ReLU``, ``MaxPool``, ``AdaptiveAvgPool`` and TFconv's
 correlation and adjoint.  Sums over the batch add per-sample (or
 per-group) terms in batch order across the halves, so every output and
-gradient has the bits of the serial pass.  Only ``Conv1d``'s bias
-gradient and the ``Dense`` layers stay whole-batch on the caller.
+gradient has the bits of the serial pass.  Only the ``Dense`` layers and
+lenet-1d's conv bias gradients stay whole-batch on the caller.
 
 A model's input is a (batch, length) signal batch and its output is
 (batch, classes) logits.  Inside, the convolutional stack runs
@@ -163,12 +163,16 @@ class Conv1d(Layer):
     full-batch GEMM's bits; the weight gradient sums the batch in a
     different order, which moves its last bits.  Activations are (batch,
     length, channels); the stored weight is (out, in, taps).
+
+    ``bias=False`` leaves ``bias`` ``None`` and only the weight in ``state``;
+    the backbones build each conv that feeds a ``BatchNorm1d`` so, since the
+    norm's mean subtraction cancels a bias (Ioffe and Szegedy, 2015, sec. 3.2).
     """
 
     state = (("weight", "wgrad"), ("bias", "bgrad"))
 
     def __init__(self, in_channels, out_channels, kernel_size, rng, padding="valid",
-                 dtype=np.float64):
+                 dtype=np.float64, bias=True):
         if padding not in ("valid", "same"):
             raise ValueError(f"unknown padding {padding!r}")
         self.in_channels = in_channels
@@ -177,9 +181,10 @@ class Conv1d(Layer):
         self.padding = padding
         bound = np.sqrt(6.0 / (in_channels * kernel_size))
         self.weight = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size)).astype(dtype)
-        self.bias = np.zeros(out_channels, dtype=dtype)
+        self.bias = np.zeros(out_channels, dtype=dtype) if bias else None
         self.wgrad = np.zeros_like(self.weight)
-        self.bgrad = np.zeros_like(self.bias)
+        self.bgrad = np.zeros_like(self.bias) if bias else None
+        self.state = Conv1d.state if bias else Conv1d.state[:1]
 
     def kernels(self) -> np.ndarray:
         """Input-channel-summed kernel bank, shape (out, taps)."""
@@ -209,19 +214,21 @@ class Conv1d(Layer):
             for lo, hi, cols in _column_groups(x, K, groups[part]):
                 rows = out[lo * L_out : hi * L_out]
                 np.matmul(cols, w2, out=rows)
-                rows += self.bias
+                if self.bias is not None:
+                    rows += self.bias
 
         run_halves(gemms, len(groups))
         self._cache = x if training else None
         return out.reshape(B, L_out, O)
 
     def param_backward(self, grad):
-        """Set the weight and bias gradients from the kept padded input; return its shape."""
+        """Set the weight and any bias gradient from the kept padded input; return its shape."""
         x = self._saved()
         K, O = self.kernel_size, self.out_channels
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
         B, L_out = grad.shape[:2]
-        self.bgrad[...] = g2.sum(axis=0)
+        if self.bgrad is not None:
+            self.bgrad[...] = g2.sum(axis=0)
         groups = _sample_groups(B, L_out * K * self.in_channels * O)
 
         def products(part):
@@ -725,10 +732,10 @@ def fold_batchnorm(model: Model) -> Model:
 
     The norm's map x*scale + (beta - scale*running_mean), scale =
     gamma/sqrt(running_var + eps) (Ioffe and Szegedy, 2015, sec. 3.1), gives
-    the conv weight W*scale and bias (b - running_mean)*scale + beta (Jacob
-    et al., 2018, sec. 3.2), inside residual blocks too.  A norm after the
-    TFconv front layer stays: the modulus is not linear.  The copy holds
-    shallow copies of the layers, so ``model`` keeps its arrays and names.
+    the conv weight W*scale and bias (b - running_mean)*scale + beta, b = 0
+    for a bias-less conv (Jacob et al., 2018, sec. 3.2), in residual blocks
+    too.  A norm after the TFconv front layer stays: the modulus is not
+    linear.  The copy holds shallow copies, so ``model`` keeps its arrays.
     """
     return Model(_fold_layers(model.layers), model.mode, model.backbone)
 
@@ -740,7 +747,8 @@ def _fold_layers(layers):
             conv = out[-1]
             scale = layer.gamma / np.sqrt(layer.running_var + layer.eps)
             conv.weight = conv.weight * scale[:, None, None]
-            conv.bias = (conv.bias - layer.running_mean) * scale + layer.beta
+            bias = 0 if conv.bias is None else conv.bias  # 0 - m is exact: beta - m*scale
+            conv.bias = (bias - layer.running_mean) * scale + layer.beta
             continue
         layer = copy.copy(layer)
         # a method set on the instance (a profiler's wrapper, say) would run the unfolded layer
@@ -776,14 +784,14 @@ def _stem(rng, in_channels, first_out, dtype):
     """The three-conv front of paper-cnn and resnet-1d."""
     c1 = first_out if first_out is not None else 16
     return [
-        Conv1d(in_channels, c1, 15, rng, dtype=dtype),
+        Conv1d(in_channels, c1, 15, rng, dtype=dtype, bias=False),
         BatchNorm1d(c1, dtype=dtype),
         ReLU(),
-        Conv1d(c1, 32, 3, rng, dtype=dtype),
+        Conv1d(c1, 32, 3, rng, dtype=dtype, bias=False),
         BatchNorm1d(32, dtype=dtype),
         MaxPool(),
         ReLU(),
-        Conv1d(32, 64, 3, rng, dtype=dtype),
+        Conv1d(32, 64, 3, rng, dtype=dtype, bias=False),
         BatchNorm1d(64, dtype=dtype),
         ReLU(),
     ]
@@ -792,7 +800,7 @@ def _stem(rng, in_channels, first_out, dtype):
 def _head(rng, n_classes, dtype):
     """The last conv and dense classifier of paper-cnn and resnet-1d."""
     return [
-        Conv1d(64, 128, 3, rng, dtype=dtype),
+        Conv1d(64, 128, 3, rng, dtype=dtype, bias=False),
         BatchNorm1d(128, dtype=dtype),
         ReLU(),
         AdaptiveAvgPool(4),
@@ -828,12 +836,18 @@ def _lenet_1d(rng, in_channels, n_classes, first_out, dtype):
 
 
 def _resnet_1d(rng, in_channels, n_classes, first_out, dtype):
+    """paper-cnn with two residual blocks before its head; the second's last ``beta`` stays.
+
+    Its exact gradient is zero: a per-channel constant passes the head's valid conv as a
+    constant, which the head's norm removes.  It stays: a ``BatchNorm1d`` keeps its affine pair.
+    """
+
     def res_block():
         return Residual([
-            Conv1d(64, 64, 3, rng, padding="same", dtype=dtype),
+            Conv1d(64, 64, 3, rng, padding="same", dtype=dtype, bias=False),
             BatchNorm1d(64, dtype=dtype),
             ReLU(),
-            Conv1d(64, 64, 3, rng, padding="same", dtype=dtype),
+            Conv1d(64, 64, 3, rng, padding="same", dtype=dtype, bias=False),
             BatchNorm1d(64, dtype=dtype),
         ])
 

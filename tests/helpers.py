@@ -412,7 +412,7 @@ def _abs_conv(conv: Conv1d, v: np.ndarray) -> np.ndarray:
     """float64 |W| correlated with ``v``, in ``conv``'s geometry, bias left out."""
     absolute = copy.copy(conv)
     absolute.weight = np.abs(conv.weight).astype(np.float64)
-    absolute.bias = np.zeros(conv.out_channels)
+    absolute.bias = None
     return absolute.forward(v)
 
 
@@ -426,12 +426,13 @@ def _fold_sites(layers, unfolded, a, dtype):
     exact output on the same input; ``inner`` lists a residual branch.  A
     sum of n rounded terms is off by ``gamma(n)`` times the sum of their
     absolute values.  Unfolded, a pair's product term meets the conv's
-    K*C + 1 roundings, then the norm's scale (rv + eps, its square root,
-    the reciprocal, gamma*istd: 4), the product with it and the final
-    addition: K*C + 7.  Folded, the weight W*scale meets 4, the dot product
-    K*C and the bias addition 1: K*C + 5.  The shift and the folded bias
-    terms meet at most 7.  So both are within gamma_{K*C+7} times
-    scale*(|W| * |a| + |b| + |m|) + |beta|.  A lone conv meets K*C + 1, a
+    K*C + 1 roundings (K*C without a conv bias), then the norm's scale
+    (rv + eps, its square root, the reciprocal, gamma*istd: 4), the product
+    with it and the final addition: K*C + 7.  Folded, the weight W*scale
+    meets 4, the dot product K*C and the bias addition 1: K*C + 5.  The
+    shift and the folded bias terms meet at most 7.  So both are within
+    gamma_{K*C+7} times scale*(|W| * |a| + |b| + |m|) + |beta|, b = 0 for a
+    conv without a bias.  A lone conv meets K*C + 1, a
     Dense in + 1, an AdaptiveAvgPool bin its width + 1 (the sum and the
     division), a residual sum 1; ReLU, MaxPool and Flatten round nothing.
     The front layer and the norm after it compute the same bits in both
@@ -453,7 +454,9 @@ def _fold_sites(layers, unfolded, a, dtype):
             if isinstance(layer, Conv1d):
                 n = layer.kernel_size * layer.in_channels
                 conv, norm = unfolded.get(layer, (layer, None))
-                terms = _abs_conv(conv, mag) + np.abs(conv.bias)
+                terms = _abs_conv(conv, mag)
+                if conv.bias is not None:
+                    terms += np.abs(conv.bias)
                 if norm is None:
                     bound = gamma(n + 1, dtype) * terms
                 else:

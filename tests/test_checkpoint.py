@@ -103,9 +103,12 @@ class TestSaveLoadRoundTrip:
         assert (loaded.tfconv_config, loaded.n_classes, loaded.dtype.name) == (
             tfconv, n_classes, dtype)
 
-    # Top-level index and kind of each layer with checkpoint blocks, as saved
-    # by earlier versions.  Reordering parameter-free layers (MaxPool ahead of
-    # ReLU) must keep these names, or older checkpoints stop loading.
+    # Name and block kind of each layer with checkpoint blocks.  Reordering
+    # parameter-free layers (MaxPool ahead of ReLU) must keep these names, or
+    # checkpoints on disk stop loading.  A conv that feeds a batch norm saves
+    # its weight alone and lenet-1d's (``conv1d+bias``) their bias too, so a
+    # paper-cnn or resnet-1d checkpoint saved while their convs had a bias is
+    # refused (``test_file_with_a_bias_on_a_conv_that_feeds_a_norm_fails``).
     SAVED_LAYERS = {
         ("backbone-only", "paper-cnn"): "0.conv1d 1.batchnorm1d 3.conv1d 4.batchnorm1d 7.conv1d "
                                         "8.batchnorm1d 10.conv1d 11.batchnorm1d 15.dense "
@@ -116,13 +119,21 @@ class TestSaveLoadRoundTrip:
         ("tfn-replace", "paper-cnn"): "0.tfconvlayer 1.batchnorm1d 3.conv1d 4.batchnorm1d "
                                       "7.conv1d 8.batchnorm1d 10.conv1d 11.batchnorm1d "
                                       "15.dense 16.dense 17.dense 18.dense",
-        ("backbone-only", "lenet-1d"): "0.conv1d 3.conv1d 8.dense 9.dense 10.dense",
-        ("tfn-add", "lenet-1d"): "0.tfconvlayer 1.conv1d 4.conv1d 9.dense 10.dense 11.dense",
-        ("tfn-replace", "lenet-1d"): "0.tfconvlayer 3.conv1d 8.dense 9.dense 10.dense",
+        ("backbone-only", "resnet-1d"): "0.conv1d 1.batchnorm1d 3.conv1d 4.batchnorm1d 7.conv1d "
+                                        "8.batchnorm1d 10.res0.conv1d 10.res1.batchnorm1d "
+                                        "10.res3.conv1d 10.res4.batchnorm1d 11.res0.conv1d "
+                                        "11.res1.batchnorm1d 11.res3.conv1d 11.res4.batchnorm1d "
+                                        "12.conv1d 13.batchnorm1d 17.dense 18.dense 19.dense "
+                                        "20.dense",
+        ("backbone-only", "lenet-1d"): "0.conv1d+bias 3.conv1d+bias 8.dense 9.dense 10.dense",
+        ("tfn-add", "lenet-1d"): "0.tfconvlayer 1.conv1d+bias 4.conv1d+bias 9.dense 10.dense "
+                                 "11.dense",
+        ("tfn-replace", "lenet-1d"): "0.tfconvlayer 3.conv1d+bias 8.dense 9.dense 10.dense",
     }
     BLOCK_SUFFIXES = {
         "tfconvlayer": ("theta",),
-        "conv1d": ("weight", "bias"),
+        "conv1d": ("weight",),
+        "conv1d+bias": ("weight", "bias"),
         "dense": ("weight", "bias"),
         "batchnorm1d": ("gamma", "beta", "running_mean", "running_var"),
     }
@@ -133,8 +144,9 @@ class TestSaveLoadRoundTrip:
         model = assemble_model(mode, backbone=backbone, n_classes=5, seed=3)
         path = tmp_path / "m.tfn"
         save_model(model, path)
-        want = [f"{layer}.{suffix}" for layer in self.SAVED_LAYERS[mode, backbone].split()
-                for suffix in self.BLOCK_SUFFIXES[layer.split(".")[1]]]
+        want = [f"{layer.removesuffix('+bias')}.{suffix}"
+                for layer in self.SAVED_LAYERS[mode, backbone].split()
+                for suffix in self.BLOCK_SUFFIXES[layer.split(".")[-1]]]
         assert json.loads(signed_parts(path.read_bytes())[0])["blocks"] == want
 
     def test_trained_model_evaluates_identically(self, tmp_path):
@@ -350,6 +362,21 @@ class TestLoadValidation:
         edit_header(path, lambda header: header["blocks"].pop())
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
                                              r".* does not match the rebuilt model's"):
+            load_model(path)
+
+    def test_file_with_a_bias_on_a_conv_that_feeds_a_norm_fails(self, tmp_path):
+        # a paper-cnn checkpoint saved while its convs had a bias: the block
+        # right after the stem conv's weight
+        path, raw = self.checkpoint_bytes(tmp_path)
+        header, values = signed_parts(raw)
+        header = json.loads(header)
+        blocks = header["blocks"]
+        blocks.insert(blocks.index("1.conv1d.weight") + 1, "1.conv1d.bias")
+        front, stem = assemble_model("tfn-add", n_classes=5).layers[:2]
+        at = 8 * (front.theta.size + stem.weight.size)
+        resign(path, header, values[:at] + bytes(8 * stem.out_channels) + values[at:])
+        with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: 'blocks' entry "
+                                             r".*'1\.conv1d\.bias'.* does not match"):
             load_model(path)
 
     def test_value_beyond_float32_names_file(self, tmp_path):

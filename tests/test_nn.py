@@ -81,8 +81,9 @@ class TestConv1d:
         assert np.max(np.abs(conv.weight)) <= np.sqrt(6.0 / 20)
         np.testing.assert_array_equal(conv.bias, 0.0)
 
-    def test_gradients_match_finite_differences(self):
-        conv = Conv1d(2, 3, 3, rng_(6), padding="same")
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_gradients_match_finite_differences(self, bias):
+        conv = Conv1d(2, 3, 3, rng_(6), padding="same", bias=bias)
         x = rng_(7).normal(size=(2, 12, 2))
         w = rng_(8).normal(size=(2, 12, 3))
 
@@ -91,7 +92,8 @@ class TestConv1d:
 
         loss()
         gx = conv.backward(w)
-        for arr, grads in ((conv.weight, conv.wgrad), (conv.bias, conv.bgrad), (x, gx)):
+        checked = [(conv.weight, conv.wgrad), (x, gx)] + ([(conv.bias, conv.bgrad)] if bias else [])
+        for arr, grads in checked:
             for flat in rng_(9).choice(arr.size, size=min(12, arr.size), replace=False):
                 index = np.unravel_index(int(flat), arr.shape)
                 numeric = central_difference(loss, arr, index)
@@ -618,14 +620,16 @@ class TestExactAdjoints:
     of a backward's output meets.
     """
 
+    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("padding", ["valid", "same"])
     @pytest.mark.parametrize("shape, split", [((2, 50, 2, 3, 5), False),
                                               ((4, 2100, 8, 32, 3), True)],
                              ids=["one-group", "groups"])
-    def test_conv1d_input_and_weight(self, padding, shape, split):
+    def test_conv1d_input_and_weight(self, padding, shape, split, bias):
         B, L, C, O, K = shape
-        conv = Conv1d(C, O, K, rng_(80), padding=padding)
-        conv.bias[:] = rng_(81).normal(size=O)
+        conv = Conv1d(C, O, K, rng_(80), padding=padding, bias=bias)
+        if bias:
+            conv.bias[:] = rng_(81).normal(size=O)
         x = rng_(82).normal(size=(B, L, C))
         v_weight = rng_(83).normal(size=conv.weight.shape)
         w = rng_(84).normal(size=conv.forward(x, training=True).shape)
@@ -1064,6 +1068,30 @@ class TestAssembly:
         convs = [l for l in model.layers if isinstance(l, Conv1d)]
         assert convs[0].kernel_size == 3  # the 15-tap stem conv is gone
 
+    # trainable arrays of each backbone-only model: paper-cnn's 4 convs one
+    # (the weight) each, its 4 norms and 4 Dense layers two each; resnet-1d
+    # adds 4 convs and 4 norms; lenet-1d's 2 convs and 3 Dense layers two each
+    N_PARAMETERS = {"paper-cnn": 20, "lenet-1d": 10, "resnet-1d": 32}
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_a_conv_has_a_bias_iff_no_batch_norm_follows(self, backbone, mode):
+        model = assemble_model(mode, backbone, n_channels=4)
+        leaves = list(model.walk_layers())
+        convs = [(a, b) for a, b in zip(leaves, leaves[1:]) if isinstance(a, Conv1d)]
+        n_convs = {"paper-cnn": 4, "lenet-1d": 2, "resnet-1d": 8}[backbone]
+        assert len(convs) == n_convs - mode.endswith("-replace")  # the stem conv gives way
+        for conv, after in convs:
+            has_bias = not isinstance(after, BatchNorm1d)
+            assert has_bias == (backbone == "lenet-1d"), conv.name
+            assert (conv.bias is not None) == (conv.bgrad is not None) == has_bias, conv.name
+            assert [a for a, _ in conv.state] == ["weight", "bias"][: 1 + has_bias], conv.name
+        # a front layer adds theta; a replace mode drops the stem conv's weight,
+        # and lenet-1d's its bias too
+        dropped = (2 if backbone == "lenet-1d" else 1) if mode.endswith("-replace") else 0
+        expected = self.N_PARAMETERS[backbone] + (mode != "backbone-only") - dropped
+        assert len(model.parameters()) == len(model.gradients()) == expected
+
     def test_backbone_only_has_no_front_layer(self):
         model = assemble_model("backbone-only")
         assert model.tfconv is None
@@ -1112,14 +1140,14 @@ class TestAssembly:
 
 
 def random_inference_stats(model, seed):
-    """Give every batch norm random statistics and affine terms, every conv a random bias."""
+    """Give every batch norm random statistics and affine terms, every conv bias random values."""
     r = rng_(seed)
     for layer in model.walk_layers():
         if isinstance(layer, BatchNorm1d):
             for arr in (layer.gamma, layer.beta, layer.running_mean):
                 arr[:] = r.normal(size=layer.channels)
             layer.running_var[:] = r.uniform(0.1, 4.0, size=layer.channels)
-        elif isinstance(layer, Conv1d):
+        elif isinstance(layer, Conv1d) and layer.bias is not None:
             layer.bias[:] = r.normal(scale=0.1, size=layer.out_channels)
     return model
 
@@ -1127,29 +1155,35 @@ def random_inference_stats(model, seed):
 class TestFoldBatchNorm:
     """``fold_batchnorm``: each Conv1d -> BatchNorm1d pair becomes one Conv1d at inference."""
 
+    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("padding", ["valid", "same"])
-    def test_folded_pair_matches_long_double_conv_then_norm(self, dtype, padding):
+    def test_folded_pair_matches_long_double_conv_then_norm(self, dtype, padding, bias):
         """The folded conv against conv -> norm(training=False) in long double.
 
         The folded weight W*scale meets 4 roundings of ``dtype`` (rv + eps,
         its square root and the division make scale, then the product), the
         dot product K*C and the bias addition 1: K*C + 5 per product term.
         The bias (b - m)*scale + beta meets 7 (the subtraction, scale, the
-        product, beta's addition and the conv's), fewer than K*C + 5.  So
-        each output is within gamma_{K*C+5} * (scale * (|W| * |x|) +
-        scale*|b - m| + |beta|) of the exact pair; the long-double
+        product, beta's addition and the conv's), fewer than K*C + 5.
+        Without a conv bias, b = 0 and 0 - m is exact, so the folded bias
+        -m*scale + beta meets 6 (scale, the product, beta's addition and the
+        conv's).  So each output is within gamma_{K*C+5} * (scale * (|W| *
+        |x|) + scale*|b - m| + |beta|) of the exact pair; the long-double
         reference adds gamma_{K*C+7}(long double) of the same.
         """
         C, O, K = 6, 5, 3
-        conv = Conv1d(C, O, K, rng_(101), padding=padding, dtype=dtype)
+        conv = Conv1d(C, O, K, rng_(101), padding=padding, dtype=dtype, bias=bias)
         norm = BatchNorm1d(O, dtype=dtype)
         random_inference_stats(Model([conv, norm], "backbone-only", "pair"), 102)
-        weight, bias = conv.weight.copy(), conv.bias.copy()
+        weight, kept_bias = conv.weight.copy(), copy.copy(conv.bias)
         folded = nn.fold_batchnorm(Model([conv, norm], "backbone-only", "pair")).layers
         assert len(folded) == 1 and isinstance(folded[0], Conv1d)
         np.testing.assert_array_equal(conv.weight, weight)
-        np.testing.assert_array_equal(conv.bias, bias)
+        if bias:
+            np.testing.assert_array_equal(conv.bias, kept_bias)
+        else:
+            assert conv.bias is None and folded[0].bias.dtype == dtype
         x = rng_(103).normal(size=(3, 40, C)).astype(dtype)
         got = folded[0].forward(x)
         assert got.dtype == dtype
@@ -1158,7 +1192,7 @@ class TestFoldBatchNorm:
         gamma, beta, mean, var = (np.asarray(a, dtype=ld) for a in
                                   (norm.gamma, norm.beta, norm.running_mean, norm.running_var))
         scale = gamma / np.sqrt(var + ld(np.asarray(norm.eps, dtype=dtype)))
-        b = np.asarray(conv.bias, dtype=ld)
+        b = np.asarray(kept_bias, dtype=ld) if bias else np.zeros(O, dtype=ld)
         want = (conv1d_direct(x, conv.weight, padding) + b - mean) * scale + beta
         magnitude = (np.abs(scale) * (conv1d_direct(np.abs(x), np.abs(conv.weight), padding)
                                       + np.abs(b - mean)) + np.abs(beta))

@@ -328,7 +328,8 @@ class TestSampleGroups:
 
 
 class TestLayerProtocol:
-    # each trainable leaf's (array, gradient) attributes, spelled out apart from ``Layer.state``
+    # each trainable leaf's (array, gradient) attributes, spelled out apart from
+    # ``Layer.state``; a conv that feeds a batch norm has no bias
     OWN = {TFconvLayer: (("theta", "grad_theta"),),
            nn.Conv1d: (("weight", "wgrad"), ("bias", "bgrad")),
            nn.BatchNorm1d: (("gamma", "ggrad"), ("beta", "bgrad")),
@@ -338,7 +339,7 @@ class TestLayerProtocol:
     def test_parameters_and_gradients_are_the_layers_own_arrays(self, backbone):
         model = nn.assemble_model("tfn-add", backbone, family=KernelFamily.CHIRPLET)
         own = [(getattr(layer, a), getattr(layer, g)) for layer in model.walk_layers()
-               for a, g in self.OWN.get(type(layer), ())]
+               for a, g in self.OWN.get(type(layer), ()) if getattr(layer, a) is not None]
         params, grads = model.parameters(), model.gradients()
         assert params[0] is model.tfconv.theta and grads[0] is model.tfconv.grad_theta
         assert len(params) == len(grads) == len(own)
