@@ -33,14 +33,14 @@ channels-last, (batch, length, channels), which keeps the im2col buffers
 and every elementwise pass contiguous.  ``Conv1d`` runs its forward and
 weight-gradient and input-gradient GEMMs a few samples at a time, as
 ``TFconvLayer`` runs its FFTs, and keeps only its padded input for
-training, so no pass builds a full-batch im2col matrix.  A model's first
-layer computes only its parameter gradients (``param_backward``).
-``Model.forward`` is the one loop over a model's layers: it feeds a bare
-backbone's stem ``Conv1d`` the one-channel view (batch, length, 1),
-transposes the channels-first output of a time-frequency front layer once,
-and can hand each layer's output to a hook.  ``Model.walk_layers`` is the
-one place residual blocks are expanded into leaf layers.  All arithmetic is
-float64 unless a model is built with an explicit float32 switch.
+training, so no pass builds a full-batch im2col matrix.  A model's front
+layer, TFconv or a bare backbone's stem ``Conv1d``, takes the raw (batch,
+length) signal; its backward sets its parameter gradients and returns no
+input gradient.  ``Model.forward`` and ``Model.backward`` are the one loop
+over a model's layers each, and transpose the channels-first output of a
+time-frequency front layer once.  ``Model.walk_layers`` is the one place
+residual blocks are expanded into leaf layers.  All arithmetic is float64
+unless a model is built with an explicit float32 switch.
 
 The backbones pool before ReLU: relu(max(a, b)) = max(relu a, relu b), and
 the gradient reaches the same slot either way, so ReLU runs on half the
@@ -83,7 +83,8 @@ class Layer:
 
     A forward may write into its input ``x``, in training and at inference,
     as a backward into its ``grad``; a caller that reads either again passes
-    a copy, as ``Model`` and ``Residual`` do.
+    a copy, as ``Model`` and ``Residual`` do.  A layer fed a model's raw
+    (B, L) signal is its front layer, whose ``backward`` returns ``None``.
     """
 
     name = ""
@@ -95,10 +96,6 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def param_backward(self, grad: np.ndarray) -> None:
-        """Set parameter gradients only, as the first layer of a model."""
-        self.backward(grad)
 
     def _saved(self):
         cache, self._cache = self._cache, None
@@ -162,7 +159,9 @@ class Conv1d(Layer):
     ``_SMALL_GEMM``, so the forward and the input gradient keep the
     full-batch GEMM's bits; the weight gradient sums the batch in a
     different order, which moves its last bits.  Activations are (batch,
-    length, channels); the stored weight is (out, in, taps).
+    length, channels); the stored weight is (out, in, taps).  A (batch,
+    length) signal is one channel, and the backward of a conv fed one sets
+    only the parameter gradients and returns ``None``.
 
     ``bias=False`` leaves ``bias`` ``None`` and only the weight in ``state``;
     the backbones build each conv that feeds a ``BatchNorm1d`` so, since the
@@ -197,6 +196,8 @@ class Conv1d(Layer):
             K * self.in_channels, self.out_channels)
 
     def forward(self, x, training=False):
+        raw = x.ndim == 2  # a model's (B, L) signal: one channel, and no input gradient
+        x = x[:, :, None] if raw else x
         B, L, C = x.shape
         if C != self.in_channels:
             raise ValueError(f"Conv1d expects {self.in_channels} input channels, got {C}")
@@ -218,32 +219,28 @@ class Conv1d(Layer):
                     rows += self.bias
 
         run_halves(gemms, len(groups))
-        self._cache = x if training else None
+        self._cache = (x, raw) if training else None
         return out.reshape(B, L_out, O)
 
-    def param_backward(self, grad):
-        """Set the weight and any bias gradient from the kept padded input; return its shape."""
-        x = self._saved()
-        K, O = self.kernel_size, self.out_channels
+    def backward(self, grad):
+        x, raw = self._saved()
+        B, L_out, O = grad.shape
+        K, C = self.kernel_size, self.in_channels
         g2 = np.ascontiguousarray(grad).reshape(-1, O)
-        B, L_out = grad.shape[:2]
         if self.bgrad is not None:
             self.bgrad[...] = g2.sum(axis=0)
-        groups = _sample_groups(B, L_out * K * self.in_channels * O)
+        groups = _sample_groups(B, L_out * K * C * O)
 
         def products(part):
             for lo, hi, cols in _column_groups(x, K, groups[part]):
                 yield g2[lo * L_out : hi * L_out].T @ cols
 
-        total = ordered_sum(np.zeros((O, K * self.in_channels), np.result_type(g2, x)),
-                            products, len(groups))
-        self.wgrad[...] = total.reshape(O, K, self.in_channels).transpose(0, 2, 1)
-        return x.shape
-
-    def backward(self, grad):
-        B, L_pad, C = self.param_backward(grad)
-        L_out, O = grad.shape[1:]
-        K = self.kernel_size
+        total = ordered_sum(np.zeros((O, K * C), np.result_type(g2, x)), products, len(groups))
+        self.wgrad[...] = total.reshape(O, K, C).transpose(0, 2, 1)
+        if raw:
+            return None
+        L_pad = x.shape[1]
+        del x  # the kept input goes before the input gradient is allocated
         gx = np.zeros((B, L_pad, C), dtype=self.weight.dtype)
         w_taps = np.ascontiguousarray(self.weight.transpose(2, 0, 1))  # (K, O, C)
         groups = _sample_groups(B, L_out * C * O)
@@ -625,17 +622,13 @@ class Model:
     """Ordered layer stack with its assembly recipe (mode and backbone).
 
     ``layers[0]`` is the model's first filter bank: the TFconv front layer
-    (also ``tfconv``) or the backbone's first ``Conv1d``.  The final
-    ``Dense`` fixes ``n_classes`` and ``dtype``, and the front layer fixes
-    ``tfconv_config``; none of the three can be set apart from the layers.
-
-    ``forward(x, hook=fn)`` calls ``fn(layer, out)`` after each top-level
-    layer with the channels-last array the walker holds; the front layer's
-    output is transposed before the hook sees it, as (batch, length, channels).
+    (also ``tfconv``) or the backbone's first ``Conv1d``.  It takes the raw
+    (batch, length) signal, and its backward returns no input gradient.  The
+    final ``Dense`` fixes ``n_classes`` and ``dtype``, and the front layer
+    fixes ``tfconv_config``; none of the three can be set apart from the layers.
 
     A layer may write into its input, as a backward into its gradient, so
-    ``forward`` and ``backward`` each copy the caller's array, and a hook
-    that keeps an array must copy it.
+    ``forward`` and ``backward`` each copy the caller's array.
     """
 
     def __init__(self, layers, mode, backbone):
@@ -683,7 +676,7 @@ class Model:
             else:
                 yield layer
 
-    def forward(self, x, training=False, hook=None):
+    def forward(self, x, training=False):
         """(B, L) signals -> (B, n_classes) logits; a non-finite signal raises ``ValueError``."""
         x = np.array(x, dtype=self.dtype)  # a layer may write into its input, never the caller's
         if x.ndim != 2 or x.size == 0:
@@ -691,30 +684,26 @@ class Model:
         if not np.isfinite(x).all():
             raise ValueError("model input contains non-finite values")
         front = self.tfconv
-        out = x if front is not None else x[:, :, None]
+        # ``x`` stays referenced through the walk: freed after the front layer, it let glibc
+        # raise its mmap threshold, which cost train-tfconv 6 MiB of peak RSS (2-vCPU host)
+        out = x
         for layer in self.layers:
             out = layer.forward(out, training=training)
             if layer is front:  # a copy even for one channel: a training front keeps its output
                 out = out.transpose(0, 2, 1).copy()
-            if hook is not None:
-                hook(layer, out)
         return out
 
     def backward(self, grad):
-        """Set every layer's parameter gradients from the logits' ``grad``.
+        """Set each layer's parameter gradients from the logits' ``grad`` through its ``backward``.
 
-        Returns nothing.  The first layer, a TFconv front layer or the
-        backbone's first ``Conv1d``, runs only ``param_backward``: no caller
-        reads a gradient with respect to the model's input, so none is
-        computed.
+        Returns nothing: the front layer computes no input gradient, which no caller reads.
         """
         g = np.array(grad)  # a layer may write into its gradient, never into the caller's
-        first, *rest = self.layers
-        for layer in reversed(rest):
+        front = self.tfconv
+        for layer in reversed(self.layers):
+            if layer is front:
+                g = g.transpose(0, 2, 1)
             g = layer.backward(g)
-        if first is self.tfconv:
-            g = g.transpose(0, 2, 1)
-        first.param_backward(g)
 
     def project_params(self):
         if self.tfconv is not None:

@@ -482,7 +482,10 @@ def _fold_sites(layers, unfolded, a, dtype):
 
 
 def _weighted_bounds(sites, g, total):
-    """Add <|g|, bound> per sample for each site, back to front; return the input gradient."""
+    """Add <|g|, bound> per sample for each site, back to front; return the input gradient.
+
+    A front conv fed the raw signal returns none, so the whole stack's walk returns ``None``.
+    """
     for layer, bound, inner in reversed(sites):
         if bound is None:
             return g
@@ -512,8 +515,6 @@ def fold_deviation_bound(model: Model, folded: Model, x: np.ndarray) -> np.ndarr
         [layer for layer in folded.walk_layers() if isinstance(layer, Conv1d)], convs)
         if f.weight is not conv.weight}
     a = np.asarray(x, dtype=model.dtype)
-    if model.tfconv is None:
-        a = a[:, :, None]
     bound = np.zeros((a.shape[0], model.n_classes))
     for k in range(model.n_classes):
         sites, logits = _fold_sites(folded.layers, unfolded, a, model.dtype)

@@ -72,6 +72,28 @@ class TestConv1d:
         with pytest.raises(ValueError):
             Conv1d(3, 2, 3, rng_()).forward(np.zeros((1, 8, 2)))
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_a_raw_signal_is_one_channel_with_no_input_gradient(self, padding, bias):
+        # a model's front conv: fed (B, L), it computes what it does on (B, L, 1)
+        # and its backward stops at the parameter gradients
+        x = rng_(10).normal(size=(3, 40))
+        grad = rng_(11).normal(size=(3, 40 if padding == "same" else 36, 4))
+        runs = []
+        for signal in (x[:, :, None], x):
+            conv = Conv1d(1, 4, 5, rng_(12), padding=padding, bias=bias)
+            out = conv.forward(signal.copy(), training=True)
+            runs.append((out, conv.backward(grad.copy()), conv.wgrad, conv.bgrad))
+        (out3, gx, wgrad3, bgrad3), (out2, nothing, wgrad2, bgrad2) = runs
+        assert gx.shape == (3, 40, 1) and nothing is None
+        np.testing.assert_array_equal(out2, out3)
+        np.testing.assert_array_equal(wgrad2, wgrad3)
+        np.testing.assert_array_equal(bgrad2, bgrad3)
+
+    def test_raw_signal_into_several_channels_rejected(self):
+        with pytest.raises(ValueError, match="expects 2 input channels, got 1"):
+            Conv1d(2, 3, 3, rng_()).forward(np.zeros((1, 8)))
+
     def test_input_shorter_than_kernel_rejected(self):
         with pytest.raises(ValueError):
             Conv1d(1, 1, 9, rng_()).forward(np.zeros((1, 5, 1)))
@@ -222,7 +244,9 @@ class TestConv1dKeepsItsInput:
         model.forward(rng_(70).normal(size=(4, 512)), training=True)
         assert len(padded) == len(convs)
         for conv in convs:
-            assert conv._cache.nbytes <= padded[conv], conv.name
+            kept, raw = conv._cache
+            assert raw == (conv is model.layers[0]), conv.name
+            assert kept.nbytes <= padded[conv], conv.name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padding", ["valid", "same"])
@@ -254,9 +278,11 @@ class TestConv1dKeepsItsInput:
         x = rng_(75).normal(size=(64, 502, 64))
         out = conv.forward(x, training=True)
         grad = rng_(76).normal(size=out.shape)
+        kept, _ = conv._cache
+        conv._cache = kept, True  # as a front conv's: the backward stops at the weight gradient
         tracemalloc.start()
         try:
-            conv.param_backward(grad)
+            assert conv.backward(grad) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,11 +336,12 @@ class TestOverwrites:
 
     @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     def test_walker_overwrites_only_its_own_arrays(self, training):
-        # the first layer gets (a view of) the caller's array, the rest the walker's
+        # the front conv reads the walker's copy of the caller's array, the rest the walker's own
         rng = rng_(77)
-        layers = [ReLU(), BatchNorm1d(1), ReLU(), Flatten(), Dense(16, 3, rng)]
+        layers = [Conv1d(1, 1, 1, rng), ReLU(), BatchNorm1d(1), ReLU(), Flatten(),
+                  Dense(16, 3, rng)]
         model = Model(layers, mode="backbone-only", backbone="micro")
-        model.layers[1].running_mean[:] = 0.25
+        model.layers[2].running_mean[:] = 0.25
         x = rng.normal(size=(2, 16))
         x0 = x.copy()
         if not training:
@@ -985,25 +1012,43 @@ class TestModelContainer:
     def test_first_conv_accumulates_only_parameter_gradients(self, backbone, monkeypatch):
         model = assemble_model("backbone-only", backbone, n_classes=5, seed=0)
         x = rng_(43).normal(size=(4, 256))
-        _, grad = softmax_cross_entropy(model.forward(x, training=True), np.array([0, 1, 2, 3]))
-        # every layer's full backward, the first conv's input gradient included
-        g = grad
+        y = np.array([0, 1, 2, 3])
+        # every layer's full backward, the first conv fed (B, L, 1) so it returns an input gradient
+        out = x[:, :, None]
+        for layer in model.layers:
+            out = layer.forward(out, training=True)
+        _, grad = softmax_cross_entropy(out, y)
+        g = grad.copy()
         for layer in reversed(model.layers):
             g = layer.backward(g)
         assert g.shape == (4, 256, 1)
         want = [a.copy() for a in model.gradients()]
 
-        model.forward(x, training=True)  # a backward consumes its forward's state
-        first = model.layers[0]
-
-        def no_input_gradient(grad):
-            raise AssertionError("the first conv computed an input gradient")
-
-        monkeypatch.setattr(first, "backward", no_input_gradient)
+        np.testing.assert_array_equal(model.forward(x, training=True), out)
+        first, returned = model.layers[0], []
+        monkeypatch.setattr(first, "backward", lambda g, real=first.backward:
+                            returned.append(real(g)))
         assert model.backward(grad) is None
-        for got, expected in zip(model.gradients(), want):
+        assert returned == [None]
+        for got, expected in zip(model.gradients(), want, strict=True):
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add", "tfn-replace"])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_backward_calls_every_leafs_own_backward_once(self, backbone, mode):
+        # as a per-layer tracer does: wrap each leaf's ``backward`` on the instance
+        model = assemble_model(mode, backbone, n_classes=3, n_channels=2)
+        leaves = [sub for layer in model.layers for sub in getattr(layer, "sublayers", [layer])]
+        assert leaves == list(model.walk_layers())
+        calls = {leaf.name: 0 for leaf in leaves}
+        for leaf in leaves:
+            def counted(g, leaf=leaf, real=leaf.backward):
+                calls[leaf.name] += 1
+                return real(g)
+            leaf.backward = counted
+        logits = model.forward(rng_(47).normal(size=(2, 128)), training=True)
+        model.backward(softmax_cross_entropy(logits, np.array([0, 1]))[1])
+        assert calls == {leaf.name: 1 for leaf in leaves}
 
     @pytest.mark.parametrize("mode, backbone", [("tfn-add", "lenet-1d"),
                                                 ("backbone-only", "resnet-1d")])
@@ -1129,14 +1174,13 @@ class TestAssembly:
         # kernel control parameters stay float64 regardless
         assert model.tfconv.theta.dtype == np.float64
 
-    def test_forward_hook_sees_each_layer_channels_last(self):
+    def test_front_output_reaches_the_next_layer_channels_last(self, monkeypatch):
         model = assemble_model("tfn-add", n_channels=8)
-        trace = []
-        out = model.forward(np.zeros((1, 1024)),
-                            hook=lambda layer, a: trace.append((layer, layer.name, a.shape)))
-        assert [layer for layer, _, _ in trace] == model.layers
-        assert trace[0][1:] == ("0.tfconvlayer", (1, 1024, 8))
-        assert trace[-1][2] == (1, 5) == out.shape
+        second, seen = model.layers[1], []
+        monkeypatch.setattr(second, "forward", lambda a, training=False, real=second.forward:
+                            seen.append((a.shape, a.flags.c_contiguous)) or real(a, training))
+        assert model.forward(np.zeros((1, 1024))).shape == (1, 5)
+        assert seen == [((1, 1024, 8), True)]
 
 
 def random_inference_stats(model, seed):

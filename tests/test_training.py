@@ -336,14 +336,14 @@ class TestSplitTraining:
         x = np.random.default_rng(61).normal(size=(batch, length)).astype(dtype)
         if length % 2:
             pooled = {}  # the length each pool receives
-            last = [length]
-
-            def note(layer, out):
-                pooled.setdefault(type(layer), []).append(last[0])
-                last[0] = out.shape[1]
-
-            assemble_model(mode, backbone, n_classes=3, n_channels=3, dtype=dtype).forward(
-                x, hook=note)
+            probe = assemble_model(mode, backbone, n_classes=3, n_channels=3, dtype=dtype)
+            for layer in probe.walk_layers():
+                if isinstance(layer, (nn.MaxPool, nn.AdaptiveAvgPool)):
+                    def note(a, training=False, real=layer.forward, kind=type(layer)):
+                        pooled.setdefault(kind, []).append(a.shape[1])
+                        return real(a, training)
+                    layer.forward = note
+            probe.forward(x)
             assert any(n % 2 for n in pooled[nn.MaxPool])
             assert all(n % 4 for n in pooled[nn.AdaptiveAvgPool])
         y = np.arange(batch) % 3
