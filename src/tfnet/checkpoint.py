@@ -7,7 +7,8 @@ layer's ``state`` names, as little-endian float64 values back to back.  A
 block is named ``<layer.name>.<attribute>`` (such as
 ``4.batchnorm1d.running_var``), and the model the header rebuilds fixes its
 shape.  Batch norm running statistics are stored alongside learnable
-parameters so a loaded model evaluates identically.
+parameters so a loaded model evaluates identically.  This module alone
+builds the header's ``tfconv`` entry, to write it and to check it on load.
 
 A ``TFN1`` file (format version 1, with per-block framing) does not load,
 nor a paper-cnn or resnet-1d file saved while their convs had a bias.
@@ -24,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from tfnet.data import read_signed, write_signed
-from tfnet.kernels import check_theta
-from tfnet.nn import Model, assemble_model
+from tfnet.kernels import check_theta, default_grid
+from tfnet.nn import EPS_MODULUS, Model, assemble_model
 
 MAGIC = b"TFN2"
 
@@ -37,6 +38,20 @@ def _named_blocks(model: Model):
             yield f"{layer.name}.{attr}", getattr(layer, attr)
 
 
+def _tfconv_entry(model: Model) -> dict | None:
+    """The header's ``tfconv`` entry: the front layer's kernel configuration, or ``None``."""
+    front = model.tfconv
+    if front is None:
+        return None
+    return {
+        "family": front.family.value,
+        "n_channels": front.theta.shape[0],
+        "kernel_length": len(default_grid(front.family)),
+        "eps_modulus": EPS_MODULUS,
+        "modulus": front.modulus,
+    }
+
+
 def save_model(model: Model, path) -> None:
     blocks = list(_named_blocks(model))
     header = {
@@ -44,7 +59,7 @@ def save_model(model: Model, path) -> None:
         "backbone": model.backbone,
         "n_classes": model.n_classes,
         "dtype": model.dtype.name,
-        "tfconv": model.tfconv_config,
+        "tfconv": _tfconv_entry(model),
         "blocks": [name for name, _ in blocks],
     }
     write_signed(path, MAGIC, header,
@@ -101,8 +116,8 @@ def _rebuild(header: dict, n_values: int) -> Model:
             raise ValueError(f"{key!r} {count} exceeds the payload's {n_values} values")
     model = assemble_model(header["mode"], backbone=header["backbone"],
                            n_classes=n_classes, dtype=np.dtype(header["dtype"]), **front)
-    if tf != model.tfconv_config:
+    if tf != _tfconv_entry(model):
         raise ValueError(f"'tfconv' entry {tf} does not match mode {model.mode!r}, "
-                         f"which writes {model.tfconv_config}")
+                         f"which writes {_tfconv_entry(model)}")
     return model
 

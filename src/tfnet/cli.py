@@ -377,7 +377,7 @@ def _model_settings(cfg: Config, tc: TrainConfig, train_ds) -> dict:
 
 def _build_model(settings: dict, mode: str, family: str, seed: int):
     try:
-        return assemble_model(mode, family=KernelFamily(family), seed=seed, **settings)
+        return assemble_model(mode, family=family, seed=seed, **settings)
     except ValueError as exc:
         raise ConfigError(f"mode/family: {exc}") from exc
 
@@ -404,7 +404,7 @@ def _train_run(out: Path, model, tc: TrainConfig, train_ds, test_ds):
                     for epoch, theta in enumerate(history.theta_snapshots)
                     for c, row in enumerate(theta) for name, value in zip(names, row)))
     _write_json(out / "metrics.json", {
-        "final_test_acc": history.test_acc[-1],
+        "final_test_acc": history.final_test_acc,
         "final_train_acc": history.train_acc[-1],
         "final_train_loss": history.train_loss[-1],
     })
@@ -426,7 +426,7 @@ def cmd_train(cfg: Config) -> int:
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     _write_echo(cfg, out)
-    print(f"final test accuracy: {history.test_acc[-1]:.4f}")
+    print(f"final test accuracy: {history.final_test_acc:.4f}")
     return EXIT_OK
 
 
@@ -513,8 +513,9 @@ def cmd_ablate(cfg: Config) -> int:
     # backbone-only has no front layer and random-tfn a fixed family: one group each
     groups = [(mode, fam) for mode in MODES
               for fam in ([None] if mode in ("backbone-only", "random-tfn") else families)]
-    cells = [(mode, fam, seed) for mode, fam in groups for seed in seeds]  # in grid order
-    labels = {f"{mode}-{fam or 'none'}-s{seed}" for mode, fam, seed in cells}
+    cells = [(f"{mode}-{fam or 'none'}-s{seed}", mode, fam, seed)  # in grid order
+             for mode, fam in groups for seed in seeds]
+    labels = {label for label, *_ in cells}
     for cell in (out / "cells").iterdir():  # an earlier run's cells that this grid does not write
         if cell.is_dir() and cell.name not in labels:
             for name in _TRAIN_FILES:
@@ -522,15 +523,14 @@ def cmd_ablate(cfg: Config) -> int:
             if not any(cell.iterdir()):
                 cell.rmdir()
 
-    def run_cell(mode, fam, seed):
-        label = f"{mode}-{fam or 'none'}-s{seed}"
+    def run_cell(label, mode, fam, seed):
         try:
             model = _build_model(settings, mode, fam or "sttf", seed)
             history = _train_run(out / "cells" / label, model,
                                  dataclasses.replace(tc, seed=seed), train_ds, test_ds)
         except Exception as exc:
             return RuntimeError(f"ablation cell {label} failed ({exc})")
-        return history.test_acc[-1]
+        return history.final_test_acc
 
     # each half trains its cells one by one; a group's seeds are a run of the results
     first, second = core_math.run_halves(lambda part: [run_cell(*c) for c in cells[part]],

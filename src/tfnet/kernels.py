@@ -9,7 +9,8 @@ trainable weights of the layer, each confined to the hard box ``BOXES``
 gives it: f (normalized frequency) in [0, 0.5 - 1e-6], alpha in
 [-0.005, 0.005], s in [0.4, 10].  ``evaluate_kernels`` gives the (C, K)
 bank and ``kernel_param_grad`` its (C, P, K) derivatives, every channel at
-once; ``clamp_params`` projects theta onto the boxes in place.
+once; ``clamp_params`` projects theta onto the boxes in place.  Each takes
+a ``KernelFamily``; ``nn.assemble_model`` and ``nn.TFconvLayer`` parse names.
 
 Families
 --------
@@ -67,7 +68,6 @@ BOXES = {
 
 def default_grid(family: KernelFamily) -> np.ndarray:
     """Integer sample indices of the family's kernels, the one grid it is evaluated on."""
-    family = KernelFamily(family)
     if family is KernelFamily.MORLET:
         return np.arange(-150, 151)
     if family is KernelFamily.LAPLACE:
@@ -88,7 +88,6 @@ def check_theta(family: KernelFamily, theta: np.ndarray):
     P is the family's parameter count, ``len(param_names(family))``; a wrong
     shape, a non-finite value and a value outside its box raise ``ValueError``.
     """
-    family = KernelFamily(family)
     P = len(param_names(family))
     if theta.ndim != 2 or theta.shape[1] != P:
         raise ValueError(f"{family.value} expects {P} parameters per channel, "
@@ -111,7 +110,6 @@ def _mother_deriv(m: np.ndarray) -> np.ndarray:
 
 def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
     """Complex kernel bank, shape (C, K), of a (C, P) parameter array."""
-    family = KernelFamily(family)
     theta = np.asarray(theta, dtype=np.float64)
     check_theta(family, theta)
     n = default_grid(family).astype(np.float64)
@@ -129,7 +127,6 @@ def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
 
 def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
     """Analytic d(kernel)/d(theta), shape (C, P, K) complex, of a (C, P) parameter array."""
-    family = KernelFamily(family)
     theta = np.asarray(theta, dtype=np.float64)
     psi = evaluate_kernels(family, theta)
     n = default_grid(family).astype(np.float64)
@@ -146,7 +143,7 @@ def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
 
 def clamp_params(family: KernelFamily, theta: np.ndarray):
     """Project every column of a (C, P) parameter array onto its closed box, in place."""
-    for j, (_, lo, hi) in enumerate(BOXES.get(KernelFamily(family), ())):
+    for j, (_, lo, hi) in enumerate(BOXES.get(family, ())):
         np.clip(theta[:, j], lo, hi, out=theta[:, j])
 
 
@@ -158,7 +155,6 @@ def init_params(family: KernelFamily, n_channels: int, seed: int = 0) -> np.ndar
     center frequencies 0.2/s tile [0.02, 0.5] the same way; random channels
     draw i.i.d. uniform taps in +-sqrt(6/K).
     """
-    family = KernelFamily(family)
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
     centers = (np.arange(n_channels) + 0.5) / n_channels

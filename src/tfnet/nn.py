@@ -38,9 +38,10 @@ layer, TFconv or a bare backbone's stem ``Conv1d``, takes the raw (batch,
 length) signal; its backward sets its parameter gradients and returns no
 input gradient.  ``Model.forward`` and ``Model.backward`` are the one loop
 over a model's layers each, and transpose the channels-first output of a
-time-frequency front layer once.  ``Model.walk_layers`` is the one place
-residual blocks are expanded into leaf layers.  All arithmetic is float64
-unless a model is built with an explicit float32 switch.
+time-frequency front layer once.  ``Model.walk_layers`` expands residual
+blocks into leaf layers for whatever reads a model's arrays; ``Model.__init__``
+and ``fold_batchnorm`` walk ``Residual.sublayers`` themselves.  All
+arithmetic is float64 unless a model is built with an explicit float32 switch.
 
 The backbones pool before ReLU: relu(max(a, b)) = max(relu a, relu b), and
 the gradient reaches the same slot either way, so ReLU runs on half the
@@ -625,7 +626,7 @@ class Model:
     (also ``tfconv``) or the backbone's first ``Conv1d``.  It takes the raw
     (batch, length) signal, and its backward returns no input gradient.  The
     final ``Dense`` fixes ``n_classes`` and ``dtype``, and the front layer
-    fixes ``tfconv_config``; none of the three can be set apart from the layers.
+    the kernel bank; none can be set apart from the layers.
 
     A layer may write into its input, as a backward into its gradient, so
     ``forward`` and ``backward`` each copy the caller's array.
@@ -653,20 +654,6 @@ class Model:
     def tfconv(self) -> TFconvLayer | None:
         first = self.layers[0]
         return first if isinstance(first, TFconvLayer) else None
-
-    @property
-    def tfconv_config(self) -> dict | None:
-        """The front layer's kernel configuration, as a checkpoint header records it."""
-        front = self.tfconv
-        if front is None:
-            return None
-        return {
-            "family": front.family.value,
-            "n_channels": front.theta.shape[0],
-            "kernel_length": len(default_grid(front.family)),
-            "eps_modulus": EPS_MODULUS,
-            "modulus": front.modulus,
-        }
 
     def walk_layers(self):
         """Leaf layers in order, each residual block replaced by its sublayers."""
@@ -867,6 +854,8 @@ def assemble_model(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     family = KernelFamily(family)
     if mode == "random-tfn":
         family = KernelFamily.RANDOM

@@ -54,27 +54,27 @@ class TrainHistory:
 
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction; ``step`` moves ``params`` in place by ``grads``, bound once."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params):
+    def __init__(self, params, grads):
         self.params = list(params)
+        self.grads = list(grads)
+        if len(self.grads) != len(self.params):
+            raise ValueError("gradient list does not match parameter list")
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
 
-    def step(self, grads, lr):
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
+    def step(self, lr):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, self.grads, self.m, self.v):
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
@@ -167,7 +167,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
     tf_layer = model.tfconv
 
     rng = derive_rng(cfg.seed, "train.shuffle")
-    opt = Adam(model.parameters())
+    opt = Adam(model.parameters(), model.gradients())
     history = TrainHistory()
     if tf_layer is not None:
         history.theta_snapshots.append(tf_layer.theta.copy())
@@ -189,7 +189,7 @@ def train(model: Model, train_signals, train_labels, test_signals=None, test_lab
             loss, gl = softmax_cross_entropy(logits, yb)
             model.backward(gl)
             _check_finite(model, 1, epoch, b + 1)
-            opt.step(model.gradients(), lr)
+            opt.step(lr)
             model.project_params()
             loss_sum += loss * idx.size
             correct += int((logits.argmax(axis=1) == yb).sum())

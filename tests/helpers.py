@@ -557,12 +557,12 @@ def training_steps(model: Model, x: np.ndarray, y: np.ndarray, steps: int,
         layer.forward = (lambda x, training=False, f=layer.forward:
                          f(x.copy(), training=training))
         layer.backward = lambda grad, f=layer.backward: f(grad.copy())
-    opt, record = Adam(model.parameters()), []
+    opt, record = Adam(model.parameters(), model.gradients()), []
     try:
         for _ in range(steps):
             loss, grad = softmax_cross_entropy(model.forward(x, training=True), y)
             model.backward(grad)
-            opt.step(model.gradients(), 1e-3)
+            opt.step(1e-3)
             model.project_params()
             record.append(np.float64(loss).tobytes() + b"".join(
                 a.tobytes() for a in model.gradients() + model.parameters()))
@@ -729,6 +729,20 @@ def resign(path, header, payload=None) -> None:
         payload = signed_parts(raw)[1]
     body = struct.pack("<I", len(header)) + header + payload
     Path(path).write_bytes(raw[:4] + hashlib.sha256(body).digest() + body)
+
+
+def save_with_no_classes(model, path) -> None:
+    """Save ``model`` at ``path``, re-signed as a model with 0 classes would be saved.
+
+    The header says 0 classes and the payload loses the final ``Dense``'s
+    values, which 0 classes leave empty, so only the class count is wrong.
+    """
+    save_model(model, path)
+    header, values = signed_parts(Path(path).read_bytes())
+    header = json.loads(header)
+    header["n_classes"] = 0
+    dense = model.layers[-1]
+    resign(path, header, values[: -8 * (dense.weight.size + dense.bias.size)])
 
 
 def edit_header(path, edit) -> None:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (csv_rows, edit_header, fails_naming, flip_bit, fuzz_header, resign,
-                     run_freq_response, signed_parts)
-from tfnet.checkpoint import MAGIC, load_model, save_model
+                     run_freq_response, save_with_no_classes, signed_parts)
+from tfnet.checkpoint import MAGIC, _tfconv_entry, load_model, save_model
 from tfnet.cli import EXIT_OK, _train_run, main
 from tfnet.data import Dataset, save_dataset
 from tfnet.kernels import KernelFamily, init_params
@@ -100,7 +100,7 @@ class TestSaveLoadRoundTrip:
         assert (header["tfconv"], header["n_classes"], header["dtype"]) == (
             tfconv, n_classes, dtype)
         loaded = load_model(tmp_path / "m.tfn")
-        assert (loaded.tfconv_config, loaded.n_classes, loaded.dtype.name) == (
+        assert (_tfconv_entry(loaded), loaded.n_classes, loaded.dtype.name) == (
             tfconv, n_classes, dtype)
 
     # Name and block kind of each layer with checkpoint blocks.  Reordering
@@ -185,7 +185,7 @@ class TestSaveLoadRoundTrip:
         model = assemble_model("random-tfn", n_classes=5, seed=5)
         save_model(model, tmp_path / "m.tfn")
         loaded = load_model(tmp_path / "m.tfn")
-        assert loaded.tfconv_config["kernel_length"] == 51
+        assert loaded.tfconv.kernels().shape == (8, 51)
         np.testing.assert_array_equal(loaded.tfconv.kernels(), model.tfconv.kernels())
         np.testing.assert_array_equal(
             loaded.tfconv.theta, model.tfconv.theta)
@@ -347,6 +347,13 @@ class TestLoadValidation:
 
         edit_header(path, edit)
         with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: .*" + message):
+            load_model(path)
+
+    def test_no_classes_names_file(self, tmp_path):
+        path = tmp_path / "m.tfn"
+        save_with_no_classes(assemble_model("tfn-add", n_classes=5), path)
+        with pytest.raises(ValueError, match=r"m\.tfn: invalid checkpoint header: "
+                                             r"n_classes must be >= 1, got 0$"):
             load_model(path)
 
     def test_theta_outside_its_box_names_file(self, tmp_path):

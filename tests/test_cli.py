@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (any_two_cpus, corrupt_dataset, csv_rows, edit_header, signed_parts,
-                     tree_digest)
+from helpers import (any_two_cpus, corrupt_dataset, csv_rows, edit_header,
+                     save_with_no_classes, signed_parts, tree_digest)
 from tfnet import cli, core_math, training
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -361,16 +361,22 @@ def test_theta_outside_its_box_blames_the_checkpoint(tmp_path, data_dir, capsys,
     ("payload-bit-flip", "checksum mismatch"),
     # a version-1 file fails on its magic alone, whatever follows it
     ("format-version-1", "bad magic b'TFN1', expected b'TFN2'"),
-], ids=["payload-bit-flip", "format-version-1"])
+    # the file, not the dataset's labels, is at fault
+    ("no-classes", "invalid checkpoint header: n_classes must be >= 1, got 0"),
+], ids=["payload-bit-flip", "format-version-1", "no-classes"])
 def test_corrupt_checkpoint_blames_the_checkpoint(tmp_path, data_dir, capsys, case, message):
     ckpt = tmp_path / "bad.tfn"
-    save_model(assemble_model("tfn-add", backbone="lenet-1d", n_channels=2), ckpt)
-    raw = bytearray(ckpt.read_bytes())
-    if case == "payload-bit-flip":
-        raw[-3] ^= 0x10
+    model = assemble_model("tfn-add", backbone="lenet-1d", n_channels=2)
+    if case == "no-classes":
+        save_with_no_classes(model, ckpt)
     else:
-        raw[:4] = b"TFN1"
-    ckpt.write_bytes(raw)
+        save_model(model, ckpt)
+        raw = bytearray(ckpt.read_bytes())
+        if case == "payload-bit-flip":
+            raw[-3] ^= 0x10
+        else:
+            raw[:4] = b"TFN1"
+        ckpt.write_bytes(raw)
     code = main(["eval", "--set", f"checkpoint={ckpt}", "--set", f"dataset={data_dir}"])
     assert code == EXIT_RUNTIME
     assert f"error: {ckpt}: {message}" in capsys.readouterr().err

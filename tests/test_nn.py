@@ -24,7 +24,6 @@ from tfnet import core_math, nn
 from tfnet.kernels import KernelFamily, init_params
 from tfnet.nn import (
     BACKBONES,
-    EPS_MODULUS,
     MODES,
     AdaptiveAvgPool,
     BatchNorm1d,
@@ -944,12 +943,13 @@ class TestModelContainer:
         model = assemble_model("wkn-add", backbone="lenet-1d", family="morlet", n_classes=3,
                                n_channels=2, dtype=np.float32)
         assert (model.n_classes, model.dtype) == (3, np.float32)
-        assert model.tfconv_config == {"family": "morlet", "n_channels": 2, "kernel_length": 301,
-                                       "eps_modulus": EPS_MODULUS, "modulus": False}
-        for name in ("n_classes", "dtype", "tfconv_config"):
+        front = model.tfconv
+        assert front is model.layers[0] and front.family is KernelFamily.MORLET
+        assert (front.theta.shape, front.modulus) == ((2, 1), False)
+        for name in ("n_classes", "dtype", "tfconv"):
             with pytest.raises(AttributeError):
                 setattr(model, name, None)
-        assert assemble_model("backbone-only", "lenet-1d", n_classes=4).tfconv_config is None
+        assert assemble_model("backbone-only", "lenet-1d", n_classes=4).tfconv is None
 
     def test_forward_shape_all_backbones(self):
         x = rng_(34).normal(size=(2, 1024))
@@ -1158,6 +1158,12 @@ class TestAssembly:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             assemble_model("tfn-prepend")
+
+    @pytest.mark.parametrize("mode", ["backbone-only", "tfn-add"])
+    def test_no_classes_rejected(self, mode):
+        # a model with (B, 0) logits would train, save and reload, and fail only on labels
+        with pytest.raises(ValueError, match="^n_classes must be >= 1, got 0$"):
+            assemble_model(mode, "lenet-1d", n_classes=0)
 
     def test_all_front_modes_run_forward(self):
         x = rng_(39).normal(size=(2, 1024))

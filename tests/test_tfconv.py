@@ -345,6 +345,12 @@ class TestLayerProtocol:
         assert len(params) == len(grads) == len(own)
         for p, g, (p_own, g_own) in zip(params, grads, own):
             assert p is p_own and g is g_own
+        # a training step sets them in place, so ``training.Adam`` binds them once
+        x = np.random.default_rng(0).normal(size=(2, 1024))
+        model.backward(nn.softmax_cross_entropy(model.forward(x, training=True), [0, 1])[1])
+        model.project_params()
+        for before, after in zip(params + grads, model.parameters() + model.gradients()):
+            assert before is after
 
     def test_project_params_clamps_in_place(self):
         model = nn.assemble_model("tfn-add", "lenet-1d", family=KernelFamily.STTF)

@@ -101,38 +101,35 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         # with bias correction the first update is lr * g/(|g| + eps*corr)
         p = np.array([1.0, -2.0, 3.0])
-        opt = Adam([p])
-        g = np.array([0.5, -0.1, 2.0])
-        opt.step([g], lr=1e-2)
+        Adam([p], [np.array([0.5, -0.1, 2.0])]).step(lr=1e-2)
         np.testing.assert_allclose(p, [1.0 - 1e-2, -2.0 + 1e-2, 3.0 - 1e-2], atol=1e-8)
 
     def test_zero_gradient_keeps_parameter(self):
         p = np.array([1.0])
-        opt = Adam([p])
-        opt.step([np.array([0.0])], lr=0.1)
+        Adam([p], [np.array([0.0])]).step(lr=0.1)
         np.testing.assert_array_equal(p, [1.0])
 
     def test_updates_in_place(self):
         p = np.ones(3)
         ref = p
-        Adam([p]).step([np.ones(3)], lr=0.01)
+        Adam([p], [np.ones(3)]).step(lr=0.01)
         assert ref is p and not np.array_equal(p, np.ones(3))
 
     def test_mismatched_lists_rejected(self):
-        opt = Adam([np.zeros(2)])
-        with pytest.raises(ValueError):
-            opt.step([np.zeros(2), np.zeros(2)], lr=0.1)
+        with pytest.raises(ValueError, match="^gradient list does not match parameter list$"):
+            Adam([np.zeros(2)], [np.zeros(2), np.zeros(2)])
 
     def test_matches_reference_formula_over_steps(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=4)
         p_ref = p.copy()
-        opt = Adam([p])
+        g = np.zeros(4)
+        opt = Adam([p], [g])
         m = np.zeros(4)
         v = np.zeros(4)
         for t in range(1, 6):
-            g = rng.normal(size=4)
-            opt.step([g], lr=1e-3)
+            g[...] = rng.normal(size=4)  # set in place, as a layer's backward sets its gradients
+            opt.step(lr=1e-3)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
@@ -157,9 +154,9 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=3, batch_size=6, seed=1)
         lrs, step = [], Adam.step
 
-        def recording(opt, grads, lr):
+        def recording(opt, lr):
             lrs.append(lr)
-            step(opt, grads, lr)
+            step(opt, lr)
 
         monkeypatch.setattr(Adam, "step", recording)
         hist = train(model, x, y, x, y, cfg)
