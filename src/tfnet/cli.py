@@ -114,9 +114,14 @@ def _unique(items, echo):
     return items, echo
 
 
+# the one rule of every comma-separated value: entries are stripped, blank ones dropped
+def _entries(text):
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def parse_seeds(text):
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in _entries(text)]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
     if not seeds:
@@ -134,10 +139,9 @@ def parse_seed(text):
 
 
 def parse_bands(text):
-    """``lo:hi,lo:hi,...`` into a tuple of bands; an empty text is no band."""
+    """``lo:hi,lo:hi,...`` into a tuple of bands; a blank text is no band."""
     bands = []
-    for piece in text.split(",") if text else ():
-        piece = piece.strip()
+    for piece in _entries(text):
         if ":" not in piece:
             raise ValueError(f"band {piece!r} must be 'lo:hi'")
         lo, _, hi = piece.partition(":")
@@ -179,7 +183,7 @@ def one_of(options):
 def list_of(options):
     """A parser for a comma-separated list of entries from ``options``."""
     def parse(text):
-        items = [s.strip() for s in text.split(",") if s.strip()]
+        items = _entries(text)
         for item in items:
             if item not in options:
                 raise ValueError(f"invalid entry {item!r}; choose from {', '.join(options)}")

@@ -8,9 +8,9 @@ wavelet scale s) per channel, named by ``param_names``.  These are the only
 trainable weights of the layer, each confined to the hard box ``BOXES``
 gives it: f (normalized frequency) in [0, 0.5 - 1e-6], alpha in
 [-0.005, 0.005], s in [0.4, 10].  ``evaluate_kernels`` gives the (C, K)
-bank and ``kernel_param_grad`` its (C, P, K) derivatives, every channel at
-once; ``clamp_params`` projects theta onto the boxes in place.  Each takes
-a ``KernelFamily``; ``nn.assemble_model`` and ``nn.TFconvLayer`` parse names.
+bank, ``kernel_param_grad`` the (C, P, K) derivatives of a given bank;
+``clamp_params`` projects theta onto the boxes in place.  Each takes a
+``KernelFamily``; ``nn.assemble_model`` and ``nn.TFconvLayer`` parse names.
 
 Families
 --------
@@ -104,10 +104,6 @@ def _mother(m: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * (m / ENVELOPE_SIGMA) ** 2) * np.exp(2j * np.pi * MOTHER_FREQ * m)
 
 
-def _mother_deriv(m: np.ndarray) -> np.ndarray:
-    return (-m / ENVELOPE_SIGMA**2 + 2j * np.pi * MOTHER_FREQ) * _mother(m)
-
-
 def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
     """Complex kernel bank, shape (C, K), of a (C, P) parameter array."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -125,18 +121,20 @@ def evaluate_kernels(family: KernelFamily, theta) -> np.ndarray:
     return env * np.exp(2j * np.pi * (0.5 * alpha * n**2 + f * n))
 
 
-def kernel_param_grad(family: KernelFamily, theta) -> np.ndarray:
-    """Analytic d(kernel)/d(theta), shape (C, P, K) complex, of a (C, P) parameter array."""
-    theta = np.asarray(theta, dtype=np.float64)
-    psi = evaluate_kernels(family, theta)
+def kernel_param_grad(family: KernelFamily, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Analytic d(psi)/d(theta), (C, P, K) complex, of ``theta``'s given bank ``psi``, unchecked.
+
+    That bank times a factor of the grid n: 2*pi*j*n for f, pi*j*n^2 for alpha,
+    n^2/(sigma^2*s^3) - 1/(2s) - 2*pi*j*f0*n/s^2 for s; random taps give [I; jI].
+    """
     n = default_grid(family).astype(np.float64)
     if family is KernelFamily.RANDOM:
         eye = np.eye(n.size)
         return np.repeat(np.concatenate([eye, 1j * eye])[None], len(theta), axis=0)
     if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
         s = theta[:, :1]
-        d = -psi / (2.0 * s) - (n / s**2) * _mother_deriv(n / s) / np.sqrt(s)
-        return d[:, None, :]
+        factor = n**2 / (ENVELOPE_SIGMA**2 * s**3) - 0.5 / s - 2j * np.pi * MOTHER_FREQ * n / s**2
+        return (factor * psi)[:, None, :]
     # d/df and d/dalpha of the chirplet; sttf keeps the first
     return np.stack([2j * np.pi * n * psi, 1j * np.pi * n**2 * psi], axis=1)[:, : theta.shape[1]]
 

@@ -553,14 +553,14 @@ class TFconvLayer(Layer):
     ``theta``, a (C, P) float64 array, holds each channel's P control
     parameters, the layer's only trainable weights.  The forward transforms
     the batch once, then correlates a cache-sized group of samples at a
-    time; a training forward keeps the input's spectrum, not the input, and
-    with the modulus the complex correlation.  The backward consumes them:
-    a cache-sized group of samples at a time, it chains the upstream
-    gradient through the modulus in one complex multiply, g = conj(corr) *
-    grad / h, and adds the FFT of g times the kept conjugate spectrum into
-    one batch sum, which gives the gradient with respect to the taps; the
-    (C, P, K) analytic kernel derivatives d(psi)/d(theta) map that onto the
-    parameters, the same way for every kernel family.  The layer is
+    time; a training forward keeps the input's spectrum, not the input, its
+    kernel bank and with the modulus the complex correlation.  The backward
+    consumes them a cache-sized group of samples at a time: it chains the
+    upstream gradient through the modulus, g = conj(corr) * grad / h, and
+    adds the FFT of g times the kept conjugate spectrum into one batch sum,
+    the gradient with respect to the taps; the kept bank's (C, P, K)
+    derivatives d(psi)/d(theta) map that onto the parameters the same way
+    for every family, so a step evaluates the bank once.  The layer is
     always a model's front layer, so the backward stops at its parameters:
     there is no input gradient.  ``modulus=False`` keeps only the
     real-kernel correlation with no modulus, approximating wavelet-kernel
@@ -583,21 +583,20 @@ class TFconvLayer(Layer):
     def forward(self, x, training=False):
         """(B, L) input -> (B, C, L) feature map.
 
-        A training forward keeps the input's (B, n) spectrum, the output and,
-        with the modulus, the complex correlation for ``backward``.
+        A training forward keeps the input's (B, n) spectrum, the output, the
+        complex128 kernel bank and with the modulus the complex correlation.
         """
         x = np.asarray(x)
         # float32 input (a float32 model's) runs the whole layer in single precision
         x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
         if x.ndim != 2:
             raise ValueError(f"TFconv expects (B, L) input, got shape {x.shape}")
-        kern = self.kernels()
-        if x.dtype == np.float32:
-            kern = kern.astype(np.complex64)
+        bank = self.kernels()
+        kern = bank.astype(np.complex64) if x.dtype == np.float32 else bank
         h, corr, Xf = batch_correlate_same(x, kern, default_grid(self.family),
                                            EPS_MODULUS if self.modulus else None,
                                            keep=training and self.modulus)
-        self._cache = (Xf, corr, h) if training else None
+        self._cache = (Xf, corr, h, bank) if training else None
         return h
 
     def backward(self, grad):
@@ -608,14 +607,14 @@ class TFconvLayer(Layer):
         dpsi[c, p, k] * taps[c, k]`` through d(psi)/d(theta), the same for
         every family.  Returns nothing: no gradient reaches the input.
         """
-        Xf, corr, h = self._saved()
+        Xf, corr, h, bank = self._saved()
         grad = np.asarray(grad, dtype=h.dtype)
         if grad.shape != h.shape:
             raise ValueError(f"grad shape {grad.shape} != forward output shape {h.shape}")
         # complex64 throughout for a float32 forward
         taps = batch_conv_full_slice(grad, Xf, default_grid(self.family),
                                      (corr, h) if self.modulus else None)
-        dpsi = kernel_param_grad(self.family, self.theta)
+        dpsi = kernel_param_grad(self.family, self.theta, bank)
         self.grad_theta[...] = np.einsum("cpk,ck->cp", dpsi, taps).real
 
 

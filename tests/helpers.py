@@ -224,7 +224,8 @@ def whole_batch_theta_gradient(layer: TFconvLayer, grad, Xf, corr, h) -> np.ndar
     taps = scipy.fft.ifft(Gf.sum(axis=0), axis=-1)[:, (int(-grid[0]) - np.arange(K)) % n]
     if not np.iscomplexobj(g):
         taps = taps.real
-    return np.einsum("cpk,ck->cp", kernel_param_grad(layer.family, layer.theta), taps).real
+    dpsi = kernel_param_grad(layer.family, layer.theta, layer.kernels())
+    return np.einsum("cpk,ck->cp", dpsi, taps).real
 
 
 def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int):
@@ -256,7 +257,7 @@ def tfconv_theta_gradient_with_bound(layer, x: np.ndarray, w: np.ndarray, n: int
     B, L = x64.shape
     bank = layer.kernels()
     grid = default_grid(layer.family)
-    dpsi = kernel_param_grad(layer.family, layer.theta)  # (C, P, K)
+    dpsi = kernel_param_grad(layer.family, layer.theta, bank)  # (C, P, K)
     C, P, K = dpsi.shape
     want = np.zeros((C, P))
     bound = np.zeros((C, P))

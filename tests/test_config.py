@@ -47,6 +47,26 @@ def test_echo_text_parses_back_to_itself(parse, text):
     assert repr(again) == repr(value)
 
 
+@pytest.mark.parametrize("parse, text, value", [
+    (cli.parse_bands, "0.04:0.06,", ((0.04, 0.06),)),
+    (cli.parse_bands, " , 0.04:0.06, ,0.1:0.2 ,", ((0.04, 0.06), (0.1, 0.2))),
+    (cli.parse_bands, " ,", ()),
+    (cli.parse_seeds, "1,", [1]),
+    (cli.parse_seeds, " 2 , ,3", [2, 3]),
+    (PARSERS["list-of"], "sttf,", ["sttf"]),
+    (PARSERS["list-of"], " , morlet , laplace", ["morlet", "laplace"]),
+], ids=["band-trailing-comma", "bands-blank-entries", "bands-blank", "seeds-trailing-comma",
+        "seeds-blank-entry", "list-trailing-comma", "list-blank-entry"])
+def test_comma_lists_drop_blank_entries_alike(parse, text, value):
+    assert parse(text)[0] == value
+
+
+def test_a_config_file_band_with_a_trailing_comma_is_one_band(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("bands = 0.04:0.06,\n")
+    assert cli.parse_bands(parse_kv_file(path)["bands"]) == (((0.04, 0.06),), "0.04:0.06")
+
+
 LINE = st.one_of(
     st.binary(max_size=30),
     st.text(alphabet="ab =#\t\r\x0b\x1c\x85 é", max_size=20).map(str.encode),

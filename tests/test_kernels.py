@@ -205,7 +205,7 @@ class TestAnalyticGradients:
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_matches_central_difference(self, family):
         theta = np.array([mid_theta(family)])
-        grad = kernel_param_grad(family, theta)
+        grad = kernel_param_grad(family, theta, evaluate_kernels(family, theta))
         assert grad.shape == (1, theta.shape[1], len(default_grid(family)))
         h = 1e-7
         for p in range(theta.shape[1]):
@@ -217,7 +217,9 @@ class TestAnalyticGradients:
             assert np.max(np.abs(grad[0, p] - numeric)) / scale < 1e-6
 
     def test_random_gradient_is_tap_identity(self):
-        grad = kernel_param_grad(KernelFamily.RANDOM, np.zeros((1, 102)))[0]
+        theta = np.zeros((1, 102))
+        bank = evaluate_kernels(KernelFamily.RANDOM, theta)
+        grad = kernel_param_grad(KernelFamily.RANDOM, theta, bank)[0]
         assert grad.shape == (102, 51)
         np.testing.assert_array_equal(grad[:51].real, np.eye(51))
         np.testing.assert_array_equal(grad[51:].imag, np.eye(51))
@@ -274,6 +276,59 @@ DISTINCT_ROWS = {
 }
 
 
+# the box corners: s at both ends, |alpha| at its limit, f at and near 0 and F_MAX
+CORNER_ROWS = {
+    KernelFamily.STTF: [[0.0], [1e-6], [F_MAX - 1e-6], [F_MAX]],
+    KernelFamily.CHIRPLET: [[f, a] for f in (0.0, 1e-6, F_MAX) for a in (-ALPHA_MAX, ALPHA_MAX)],
+    KernelFamily.MORLET: [[S_MIN], [S_MAX]],
+    KernelFamily.LAPLACE: [[S_MIN], [S_MAX]],
+}
+
+
+def product_rule_grad(family, row):
+    """Long-double (P, K) d(psi)/d(theta) of one parameter row, and each entry's float64 bound.
+
+    The kernel is taken as written with its float64 constants (pi, sigma,
+    f0), in extended precision, and differentiated by the product rule:
+    d/ds of s^(-1/2) M(n/s) with M(m) = exp(E) exp(j phi), E = -(m/sigma)^2/2
+    and phi = 2 pi f0 m, and d/df, d/dalpha of env(n) exp(j phi), phi =
+    2 pi (alpha n^2 / 2 + f n).  Counting each float64 step of
+    ``evaluate_kernels`` and ``kernel_param_grad`` as one rounding of u and
+    each exp, cos and sin as 4u (2 ulp), the float64 bank carries a relative
+    error of (3|E| + 3 Phi + 8) u for the chirplet (Phi = 2 pi (|alpha n^2 /
+    2| + |f n|), the phase before its terms can cancel) and (5|E| + 3|phi| +
+    11) u for the wavelets (m = n/s rounds once more); the chirplet's factor
+    and product add 2u.  The wavelet factor n^2/(sigma^2 s^3) - 1/(2s) - 2
+    pi j f0 n/s^2 rounds its terms by at most 5u and the product by 3u, on
+    |psi| times the sum of the terms' moduli, at most sqrt(2) times the sum
+    of the product rule's two terms' moduli.  u is the float64 unit roundoff
+    plus the long double's, for the reference's own rounding.
+    """
+    ld = np.longdouble
+    u = (np.finfo(np.float64).eps + np.finfo(ld).eps) / 2
+    n = default_grid(family).astype(ld)
+    two_pi = 2 * ld(np.pi)
+    if family in (KernelFamily.MORLET, KernelFamily.LAPLACE):
+        s = ld(row[0])
+        m = n / s
+        E = -((m / ld(ENVELOPE_SIGMA)) ** 2) / 2
+        phi = two_pi * ld(MOTHER_FREQ) * m
+        M = np.exp(E) * (np.cos(phi) + 1j * np.sin(phi))
+        dM = (-m / ld(ENVELOPE_SIGMA) ** 2 + 1j * two_pi * ld(MOTHER_FREQ)) * M
+        # d/ds s^(-1/2) M(n/s) = -s^(-3/2) M(n/s) / 2 + s^(-1/2) M'(n/s) (-n/s^2)
+        terms = (-M / (2 * s * np.sqrt(s)), -dM * n / (s**2 * np.sqrt(s)))
+        scale = np.sqrt(2) * (np.abs(terms[0]) + np.abs(terms[1]))
+        return (terms[0] + terms[1])[None], ((5 * abs(E) + 3 * abs(phi) + 19) * u * scale)[None]
+    f, alpha = ld(row[0]), ld(row[1]) if family is KernelFamily.CHIRPLET else ld(0)
+    E = -((n / ld(ENVELOPE_SIGMA)) ** 2) / 2
+    phi = two_pi * (alpha * n**2 / 2 + f * n)
+    Phi = two_pi * (abs(alpha * n**2 / 2) + abs(f * n))
+    psi = np.exp(E) * (np.cos(phi) + 1j * np.sin(phi))
+    # d/df and d/dalpha of exp(j phi): j dphi/dtheta exp(j phi)
+    grad = np.stack([1j * two_pi * n * psi, 1j * two_pi / 2 * n**2 * psi])[: len(row)]
+    return grad, (3 * abs(E) + 3 * Phi + 10) * u * np.abs(grad)
+
+
 class TestKernelParams:
     """A bank is a (family, theta) pair; every function broadcasts over theta's rows."""
 
@@ -298,18 +353,19 @@ class TestKernelParams:
     def test_distinct_rows_evaluate_row_by_row(self, family):
         theta = np.array(DISTINCT_ROWS[family])
         bank = evaluate_kernels(family, theta)
-        grad = kernel_param_grad(family, theta)
+        grad = kernel_param_grad(family, theta, bank)
         K = len(default_grid(family))
         assert bank.shape == (3, K) and grad.shape == (3, theta.shape[1], K)
         for c in range(3):
             np.testing.assert_array_equal(bank[c], evaluate_kernels(family, theta[c : c + 1])[0])
-            np.testing.assert_array_equal(grad[c], kernel_param_grad(family, theta[c : c + 1])[0])
+            row_grad = kernel_param_grad(family, theta[c : c + 1], bank[c : c + 1])[0]
+            np.testing.assert_array_equal(grad[c], row_grad)
         assert not np.array_equal(bank[1], bank[0]) and not np.array_equal(bank[2], bank[0])
 
     @pytest.mark.parametrize("family", PARAMETRIC)
     def test_grad_matches_per_row_central_difference(self, family):
         theta = np.array(DISTINCT_ROWS[family])
-        grad = kernel_param_grad(family, theta)
+        grad = kernel_param_grad(family, theta, evaluate_kernels(family, theta))
         h = 1e-7
         for c in range(theta.shape[0]):
             for p in range(theta.shape[1]):
@@ -322,3 +378,13 @@ class TestKernelParams:
                 numeric = diff[c] / (2 * h)
                 scale = max(np.max(np.abs(numeric)), 1.0)
                 assert np.max(np.abs(grad[c, p] - numeric)) / scale < 1e-6
+
+    @pytest.mark.parametrize("family", PARAMETRIC)
+    def test_grad_matches_the_long_double_product_rule(self, family):
+        # an exact oracle, independent of the bank-times-factor form; the
+        # largest exponent and phase, at s = 0.4 and n = 150, are -703 and 471
+        theta = np.array(DISTINCT_ROWS[family] + CORNER_ROWS[family])
+        grad = kernel_param_grad(family, theta, evaluate_kernels(family, theta))
+        for c, row in enumerate(theta):
+            want, bound = product_rule_grad(family, row)
+            assert np.all(np.abs(grad[c] - want) <= bound), row

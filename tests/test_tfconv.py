@@ -1,6 +1,7 @@
 """Time-frequency layer: forward oracle, backward exact and finite-difference checks."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.fft
 from helpers import (central_difference, cross_correlate_same, reference_tft, relative_error,
                      tfconv_modulus_with_bound, tfconv_theta_gradient_with_bound,
                      whole_batch_tfconv, whole_batch_theta_gradient)
-from tfnet import core_math, nn
+from tfnet import core_math, kernels, nn
 from tfnet.core_math import batch_conv_full_slice, batch_correlate_same
 from tfnet.kernels import (KernelFamily, default_grid, evaluate_kernels, init_params,
                            kernel_param_grad)
@@ -131,7 +132,7 @@ class TestBackward:
                 if modulus:
                     h = np.sqrt(corr.real**2 + corr.imag**2 + EPS_MODULUS)
                     ghr, ghi = w[b, c] * corr.real / h, w[b, c] * corr.imag / h
-                for p, dpsi in enumerate(kernel_param_grad(layer.family, theta[None])[0]):
+                for p, dpsi in enumerate(kernel_param_grad(layer.family, theta[None], k[None])[0]):
                     d = cross_correlate_same(x[b], dpsi, grid)
                     want[c, p] += np.sum(ghr * d.real + ghi * d.imag)
         # FFT round-off is absolute, so the bound is on the largest entry's
@@ -283,10 +284,12 @@ class TestSampleGroups:
         w = rng.normal(size=(B[groups], C, L)).astype(dtype)
         h, corr, Xf = whole_batch_tfconv(layer, x)
         out = layer.forward(x, training=True)
-        kept_spectrum, kept_corr, _ = layer._cache
+        kept_spectrum, kept_corr, _, kept_bank = layer._cache
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, h)
         np.testing.assert_array_equal(kept_spectrum, Xf)
+        np.testing.assert_array_equal(kept_bank, layer.kernels())  # complex128 at either dtype
+        assert kept_bank.dtype == np.complex128
         if modulus:
             np.testing.assert_array_equal(kept_corr, corr)
         else:
@@ -360,6 +363,25 @@ class TestLayerProtocol:
         assert model.tfconv.theta is theta
         assert theta[0, 0] == pytest.approx(0.5 - 1e-6)
         nn.assemble_model("backbone-only", "lenet-1d").project_params()  # no front layer: no-op
+
+    @pytest.mark.parametrize("mode, family", [("tfn-add", f) for f in FAMILIES[:4]]
+                             + [("wkn-add", "morlet"), ("random-tfn", "sttf")])
+    def test_a_step_evaluates_and_checks_the_bank_once(self, monkeypatch, mode, family):
+        # the backward takes the bank its forward kept, so it evaluates none
+        model = nn.assemble_model(mode, "lenet-1d", n_classes=3, family=family, n_channels=2)
+        calls = Counter()
+        for name in ("evaluate_kernels", "check_theta"):
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            for module in (nn, kernels):  # where the layer and evaluate_kernels look them up
+                monkeypatch.setattr(module, name, counted)
+        x = np.random.default_rng(0).normal(size=(2, 128))
+        model.backward(nn.softmax_cross_entropy(model.forward(x, training=True), [0, 2])[1])
+        assert calls == {"evaluate_kernels": 1, "check_theta": 1}
+        calls.clear()
+        model.forward(x)
+        assert calls == {"evaluate_kernels": 1, "check_theta": 1}
 
 
 class TestReferenceTransform:
