@@ -45,7 +45,8 @@ import numpy as np
 from tfnet import core_math
 from tfnet.checkpoint import load_model, save_model
 from tfnet.data import (DATASET_FILE, NonFiniteSignalError, check_band, check_labels,
-                        load_dataset, save_dataset, split, synth_generate, synthbearing5)
+                        check_train_frac, load_dataset, save_dataset, split, synth_generate,
+                        synthbearing5)
 from tfnet.interpret import (band_coverage, channel_frequency_response, dataset_spectrum,
                              spectrum_freqs)
 from tfnet.kernels import KernelFamily, default_grid, param_names
@@ -96,6 +97,12 @@ def parse_float(text):
         return float(text), repr(float(text))
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def parse_train_frac(text):
+    frac, echo = parse_float(text)
+    check_train_frac(frac)
+    return frac, echo
 
 
 def parse_bool(text):
@@ -317,9 +324,7 @@ def cmd_gen_data(cfg: Config) -> int:
     samples_per_class = cfg.get("samples_per_class", 200, parse_int)
     if samples_per_class < 2:
         raise ConfigError("samples_per_class: must be >= 2 to allow a split")
-    train_frac = cfg.get("train_frac", 0.6, parse_float)
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError("train_frac: must lie strictly between 0 and 1")
+    train_frac = cfg.get("train_frac", 0.6, parse_train_frac)
     sample_length = cfg.get("sample_length", 1024, parse_int)
     noise_sigma = cfg.get("noise_sigma", 1.0, parse_float)
     seed = cfg.get("seed", "0", parse_seed)

@@ -67,7 +67,10 @@ class ImpulseTrain:
     """Periodic impulses convolved with a damped cosine resonance.
 
     Each sample draws a random integer start offset in [0, period), the
-    train's initial phase.
+    train's initial phase.  Output offset + q*period + r (0 <= r < period)
+    is the sum over m <= q of amplitude*resonance[m*period + r]: running
+    sums down the columns of the ringing cut into rows of one period, so
+    O(length), where a dense convolution with the comb is O(length²).
     """
 
     period: int
@@ -81,10 +84,11 @@ class ImpulseTrain:
 
     def render(self, n, rng):
         offset = int(rng.integers(0, self.period))
-        comb = np.zeros(n.size)
-        comb[offset :: self.period] = self.amplitude
         resonance = np.exp(-self.damping * n) * np.cos(2.0 * np.pi * self.resonance * n)
-        return np.convolve(comb, resonance)[: n.size]
+        ring = np.zeros(-(-n.size // self.period) * self.period)
+        ring[: n.size] = self.amplitude * resonance
+        sums = ring.reshape(-1, self.period).cumsum(axis=0).ravel()
+        return np.concatenate([np.zeros(offset), sums[: n.size - offset]])
 
 
 def check_band(band) -> tuple[float, float]:
@@ -279,14 +283,19 @@ def check_labels(labels, n_classes):
             f"labels must lie in [0, {n_classes}), got {labels.min()}..{labels.max()}")
 
 
+def check_train_frac(train_frac) -> None:
+    """``ValueError`` unless 0 < train_frac < 1; the message names the value, not the key."""
+    if not 0.0 < train_frac < 1.0:
+        raise ValueError(f"must lie strictly between 0 and 1, got {train_frac}")
+
+
 def split(dataset: Dataset, train_frac: float = 0.6, seed: int = 0):
     """Stratified train/test split; rounds per-class train counts to nearest.
 
     Every class keeps at least one sample on each side, so classes with
     fewer than two samples are rejected, as is a label outside the classes.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must lie strictly between 0 and 1")
+    check_train_frac(train_frac)
     labels = dataset.labels
     check_labels(labels, dataset.n_classes)
     train_idx = []

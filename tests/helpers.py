@@ -365,6 +365,35 @@ def gamma(n: int, dtype) -> float:
     return n * u / (1 - n * u)
 
 
+def _resonance(train, n: np.ndarray) -> np.ndarray:
+    return np.exp(-train.damping * n) * np.cos(2.0 * np.pi * train.resonance * n)
+
+
+def impulse_train_dense(train, n: np.ndarray, rng) -> np.ndarray:
+    """``ImpulseTrain.render`` as a dense O(length²) convolution of the comb of impulses
+    with the resonance; the same single draw from ``rng``."""
+    offset = int(rng.integers(0, train.period))
+    comb = np.zeros(n.size)
+    comb[offset :: train.period] = train.amplitude
+    return np.convolve(comb, _resonance(train, n))[: n.size]
+
+
+def impulse_train_long_double(train, n: np.ndarray, offset: int):
+    """Per output of an ``ImpulseTrain`` started at ``offset``: the long-double sum of
+    the float64 terms ``amplitude * resonance[j]`` it adds, their count and the sum of
+    their absolute values.  Each impulse adds the ring shifted to its start, one at a time.
+    """
+    terms = train.amplitude * _resonance(train, n)
+    total = np.zeros(n.size, dtype=np.longdouble)
+    abs_sum = np.zeros(n.size, dtype=np.longdouble)
+    count = np.zeros(n.size, dtype=np.int64)
+    for start in range(offset, n.size, train.period):
+        total[start:] += terms[: n.size - start]
+        abs_sum[start:] += np.abs(terms[: n.size - start])
+        count[start:] += 1
+    return total, abs_sum, count
+
+
 def conv1d_direct(x: np.ndarray, weight: np.ndarray, padding: str = "valid") -> np.ndarray:
     """Long-double stride-1 ``Conv1d`` without bias: one shifted product per tap.
 

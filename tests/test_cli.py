@@ -17,7 +17,7 @@ from helpers import (any_two_cpus, corrupt_dataset, csv_rows, edit_header,
 from tfnet import cli, core_math, training
 from tfnet.checkpoint import save_model
 from tfnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from tfnet.data import DATASET_FILE, load_dataset, save_dataset
+from tfnet.data import DATASET_FILE, Dataset, load_dataset, save_dataset, split
 from tfnet.nn import assemble_model
 
 GEN_ARGS = ["--set", "samples_per_class=6", "--set", "sample_length=128"]
@@ -145,6 +145,15 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "x"), "--set", setting])
         assert code == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("frac", ["0", "1", "-0.1", "nan"])
+    def test_fraction_message_is_the_splits_under_the_key(self, tmp_path, capsys, frac):
+        with pytest.raises(ValueError) as refused:
+            split(Dataset(np.zeros((4, 16)), [0, 0, 1, 1]), train_frac=float(frac))
+        code = main(["gen-data", "--out", str(tmp_path / "x"), "--set", f"train_frac={frac}"])
+        assert code == EXIT_CONFIG
+        assert f"config error: train_frac: {refused.value}\n" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_bad_band_message_names_the_key(self, tmp_path, capsys):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (corrupt_dataset, edit_header, fails_naming, flip_bit, fuzz_header, resign,
-                     signed_parts)
+from helpers import (corrupt_dataset, edit_header, fails_naming, flip_bit, fuzz_header, gamma,
+                     impulse_train_dense, impulse_train_long_double, resign, signed_parts)
 from tfnet.data import (
     DATASET_FILE,
     AMTone,
@@ -21,6 +21,7 @@ from tfnet.data import (
     SynthSpec,
     Tone,
     check_band,
+    check_train_frac,
     load_dataset,
     save_dataset,
     split,
@@ -170,6 +171,71 @@ class TestGeneration:
         assert sidebands > 0.1 * spectrum[carrier_bin]
 
 
+RENDER_LENGTH = 1024
+
+
+class FixedOffset:
+    """A generator stand-in whose one draw is the given start offset."""
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def integers(self, low, high):
+        assert low <= self.offset < high
+        return self.offset
+
+
+@st.composite
+def impulse_trains(draw):
+    """A train with period 2, one that does not divide the length, or the length - 1,
+    started at offset 0 or period - 1."""
+    period = draw(st.sampled_from([2, 100, RENDER_LENGTH - 1]))
+    train = ImpulseTrain(period, draw(st.floats(0.01, 0.49)), draw(st.floats(0.0, 0.5)),
+                         amplitude=draw(st.floats(-10.0, 10.0)))
+    return train, draw(st.sampled_from([0, period - 1]))
+
+
+class TestImpulseTrainRender:
+    """``render`` sums each output's impulse terms down one column of the ring; the sums are
+    held to bounds derived from the unit roundoff u, none tuned."""
+
+    n = np.arange(RENDER_LENGTH, dtype=np.float64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=impulse_trains())
+    def test_each_output_is_the_sum_of_its_terms(self, case):
+        # an output of k terms is a sequential sum: k - 1 float64 roundings, and as many
+        # long-double ones in the oracle
+        train, offset = case
+        got = train.render(self.n, FixedOffset(offset))
+        total, abs_sum, count = impulse_train_long_double(train, self.n, offset)
+        adds = np.maximum(count - 1, 0)
+        bound = (gamma(adds, np.float64) + gamma(adds, np.longdouble)) * abs_sum
+        assert np.all(np.abs(got - total) <= bound)
+        assert np.all(got[:offset] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=impulse_trains())
+    def test_matches_the_dense_convolution(self, case):
+        # each side is a k-term dot product, within gamma_k of the exact sum of the exact
+        # products (Higham eq. 3.5, fused or not; a product with the comb's zeros adds
+        # exactly), and the exact products' absolute sum is at most abs_sum / (1 - u)
+        train, offset = case
+        got = train.render(self.n, FixedOffset(offset))
+        want = impulse_train_dense(train, self.n, FixedOffset(offset))
+        _, abs_sum, count = impulse_train_long_double(train, self.n, offset)
+        u = np.finfo(np.float64).eps / 2
+        assert np.all(np.abs(got - want) <= 2 * gamma(count, np.float64) * abs_sum / (1 - u))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_exactly_one_offset(self, seed):
+        train = ImpulseTrain(100, 0.30, 0.02, amplitude=4.5)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        train.render(self.n, rng)
+        twin.integers(0, train.period)
+        np.testing.assert_array_equal(rng.normal(size=8), twin.normal(size=8))
+
+
 class TestSpectralContent:
     """Class-discriminating energy must sit inside the declared bands."""
 
@@ -282,11 +348,13 @@ class TestSplit:
         with pytest.raises(ValueError, match=re.escape(f"labels must lie in [0, 2), got {span}")):
             split(ds, train_frac=0.5)
 
-    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 1.5])
-    def test_degenerate_fraction_rejected(self, frac):
-        ds = Dataset(np.zeros((4, 16)), [0, 0, 1, 1])
-        with pytest.raises(ValueError):
-            split(ds, train_frac=frac)
+    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_fraction_rule_and_message_shared_with_the_split(self, frac):
+        message = rf"^must lie strictly between 0 and 1, got {frac}$"
+        with pytest.raises(ValueError, match=message):
+            check_train_frac(frac)
+        with pytest.raises(ValueError, match=message):
+            split(Dataset(np.zeros((4, 16)), [0, 0, 1, 1]), train_frac=frac)
 
 
 def saved(dataset, directory):
